@@ -6,6 +6,7 @@ compiled with -ffp-contract=off so results match the pure backend bit for
 bit.
 """
 
+from libc.float cimport DBL_MAX, DBL_MIN
 from libc.math cimport M_PI, exp, fabs, log, log1p, sqrt, cos, sin
 
 from agmbounds._gl16 import GL16_NODES, GL16_WEIGHTS
@@ -30,9 +31,16 @@ def agm_limit(double a, double b, double rel_tol):
     else:
         hi = b
         lo = a
-    x = 1.0
-    y = lo / hi
     n = 0
+    y = lo / hi
+    while y < DBL_MIN:
+        nx = 0.5 * hi + 0.5 * lo
+        ny = sqrt(hi) * sqrt(lo)
+        hi = nx
+        lo = ny
+        n += 1
+        y = lo / hi
+    x = 1.0
     gap = x - y
     while gap > rel_tol * x:
         nx = 0.5 * (x + y)
@@ -60,8 +68,15 @@ def agm_iterates(double a, double b, double rel_tol):
         hi = b
         lo = a
     out = [(hi, lo)]
-    x = 1.0
     y = lo / hi
+    while y < DBL_MIN:
+        nx = 0.5 * hi + 0.5 * lo
+        ny = sqrt(hi) * sqrt(lo)
+        hi = nx
+        lo = ny
+        out.append((hi, lo))
+        y = lo / hi
+    x = 1.0
     gap = x - y
     while gap > rel_tol * x:
         nx = 0.5 * (x + y)
@@ -88,12 +103,14 @@ def log_mean(double a, double b):
         hi = b
         lo = a
     d = hi - lo
+    if lo / hi < DBL_MIN:
+        return d / (log(hi) - log(lo))
     return d / log1p(d / lo)
 
 
 def identric_mean(double a, double b):
     """(1/e) * (b^b / a^a)^(1/(b-a)) in log space; a at a == b."""
-    cdef double hi, lo, d
+    cdef double hi, lo, d, lh, hl
     if a == b:
         return a
     if a >= b:
@@ -105,7 +122,11 @@ def identric_mean(double a, double b):
     d = hi - lo
     if d < 1e-9 * hi:
         return 0.5 * (lo + hi)
-    return exp((hi * log(hi) - lo * log(lo)) / d - 1.0)
+    lh = log(hi)
+    hl = hi * lh
+    if hl > DBL_MAX:
+        return exp(lh + lo * (lh - log(lo)) / d - 1.0)
+    return exp((hl - lo * log(lo)) / d - 1.0)
 
 
 def k_series_sum(double tsq, int max_terms, double rel_cutoff):

@@ -6,16 +6,26 @@ operation order, so results agree bit for bit; tests assert this.
 """
 
 import math
+import sys
 
 from agmbounds._gl16 import GL16_NODES, GL16_WEIGHTS
+
+# A pair whose ratio lo/hi falls below the smallest normal double would
+# pre-scale to a subnormal or zero ratio, and d / lo may overflow in the
+# log mean; above the largest finite double, hi * ln(hi) has overflowed.
+DBL_MIN = sys.float_info.min
+DBL_MAX = sys.float_info.max
 
 
 def agm_limit(a, b, rel_tol):
     """Common limit of the arithmetic-geometric iteration, plus step count.
 
     Inputs are pre-scaled by 1/max(a, b) so the relative stopping test
-    |x - y| <= rel_tol * x runs on a unit-scale pair.  Terminates early if
-    the gap stops shrinking (roundoff floor for tolerances below ~2 eps).
+    |x - y| <= rel_tol * x runs on a unit-scale pair.  A pair whose ratio
+    lo/hi is below DBL_MIN first takes unscaled steps, in a form that
+    cannot overflow, until the ratio is normal: at most two, since each
+    step takes the ratio r to about 2*sqrt(r).  Terminates early if the
+    gap stops shrinking (roundoff floor for tolerances below ~2 eps).
     """
     if a == b:
         return a, 0
@@ -23,9 +33,13 @@ def agm_limit(a, b, rel_tol):
         hi, lo = a, b
     else:
         hi, lo = b, a
-    x = 1.0
-    y = lo / hi
     n = 0
+    y = lo / hi
+    while y < DBL_MIN:
+        hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
+        n += 1
+        y = lo / hi
+    x = 1.0
     gap = x - y
     while gap > rel_tol * x:
         nx = 0.5 * (x + y)
@@ -44,8 +58,9 @@ def agm_limit(a, b, rel_tol):
 def agm_iterates(a, b, rel_tol):
     """Full AGM iterate sequence [(a_0, b_0), ..., (a_n, b_n)], a_k >= b_k.
 
-    Same iteration and stopping rule as agm_limit; the final arithmetic
-    iterate equals agm_limit's value bit for bit.
+    Same iteration and stopping rule as agm_limit, unscaled steps
+    included; the final arithmetic iterate equals agm_limit's value bit
+    for bit.
     """
     if a == b:
         return [(a, b)]
@@ -54,8 +69,12 @@ def agm_iterates(a, b, rel_tol):
     else:
         hi, lo = b, a
     out = [(hi, lo)]
-    x = 1.0
     y = lo / hi
+    while y < DBL_MIN:
+        hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
+        out.append((hi, lo))
+        y = lo / hi
+    x = 1.0
     gap = x - y
     while gap > rel_tol * x:
         nx = 0.5 * (x + y)
@@ -74,7 +93,9 @@ def log_mean(a, b):
     """(b - a) / (ln b - ln a), continuously extended to a at a == b.
 
     Evaluated as d / log1p(d / lo), which stays accurate for nearly equal
-    arguments.
+    arguments.  Below a ratio lo/hi of DBL_MIN, where d / lo may overflow,
+    the log difference is used instead; it cannot cancel there, since the
+    two logarithms differ by more than 708.
     """
     if a == b:
         return a
@@ -83,6 +104,8 @@ def log_mean(a, b):
     else:
         hi, lo = b, a
     d = hi - lo
+    if lo / hi < DBL_MIN:
+        return d / (math.log(hi) - math.log(lo))
     return d / math.log1p(d / lo)
 
 
@@ -91,6 +114,8 @@ def identric_mean(a, b):
 
     Below a relative gap of 1e-9 the midpoint is returned: its O((d/hi)^2)
     error is smaller than the cancellation error of the direct quotient.
+    Where hi * ln(hi) overflows (hi above about 2.5e305) the exponent is
+    regrouped as ln(hi) + lo * (ln(hi) - ln(lo)) / d - 1.
     """
     if a == b:
         return a
@@ -101,7 +126,11 @@ def identric_mean(a, b):
     d = hi - lo
     if d < 1e-9 * hi:
         return 0.5 * (lo + hi)
-    return math.exp((hi * math.log(hi) - lo * math.log(lo)) / d - 1.0)
+    lh = math.log(hi)
+    hl = hi * lh
+    if hl > DBL_MAX:
+        return math.exp(lh + lo * (lh - math.log(lo)) / d - 1.0)
+    return math.exp((hl - lo * math.log(lo)) / d - 1.0)
 
 
 def k_series_sum(tsq, max_terms, rel_cutoff):

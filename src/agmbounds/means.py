@@ -138,8 +138,11 @@ def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
 
     Stops once |a_k - b_k| <= rel_tol * a_k; the iteration runs on the
     pair pre-scaled by 1/max(a, b), so quadratic convergence bounds apply
-    uniformly and the trace stays within 8 steps for moderate argument
-    ratios.  Tolerances below the roundoff floor terminate at the floor.
+    uniformly.  A pair whose ratio min/max is below the smallest normal
+    double first takes at most two steps on the unscaled values, which
+    the trace records.  Ratios down to 1e-8 finish within 8 steps and
+    every pair of positive finite doubles within 16 at the default
+    tolerance.  Tolerances below the roundoff floor terminate at the floor.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")

@@ -1,8 +1,11 @@
 """Kernel-level tests: backend parity and low-level numerical behaviour."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agmbounds import _kernels_py
 from agmbounds import means
@@ -20,6 +23,17 @@ PAIRS = [
     (5.0, 7.0),
     (123.456, 123.457),
     (0.062, 941.0),
+]
+
+# pairs whose ratio min/max is below the smallest normal double
+WIDE_PAIRS = [
+    (1e-300, 1e300),
+    (1e-308, 1e308),
+    (5e-324, 1.0),
+    (5e-324, 1e-10),
+    (sys.float_info.max, 5e-324),
+    (1e-323, 1.5e308),
+    (1e-320, 1e300),
 ]
 
 MODULI = [0.0, 0.1, 0.5, 0.8, 0.95]
@@ -75,11 +89,42 @@ def test_agm_limit_symmetric(kernel_backend):
 
 
 def test_agm_iterates_match_limit(kernel_backend):
-    for a, b in PAIRS:
+    for a, b in PAIRS + WIDE_PAIRS:
         limit, n = kernel_backend.agm_limit(a, b, REL_TOL)
         pairs = kernel_backend.agm_iterates(a, b, REL_TOL)
         assert pairs[-1][0] == limit
         assert len(pairs) - 1 == n
+
+
+# log-uniform over the binary exponents of every positive finite double
+whole_range = st.builds(
+    math.ldexp,
+    st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+    st.integers(min_value=-1073, max_value=1024),
+)
+
+
+@given(whole_range, whole_range)
+def test_whole_range_agm_bounded_and_backends_agree(a, b):
+    results = []
+    for _, kernels in BACKEND_MODULES:
+        limit, n = kernels.agm_limit(a, b, REL_TOL)
+        pairs = kernels.agm_iterates(a, b, REL_TOL)
+        assert pairs[-1][0] == limit
+        assert len(pairs) - 1 == n <= 16
+        assert math.isfinite(limit) and limit > 0.0
+        results.append((pairs, kernels.log_mean(a, b), kernels.identric_mean(a, b)))
+    assert all(r == results[0] for r in results)
+
+
+def test_agm_unscaled_steps_traced(kernel_backend):
+    # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
+    pairs = kernel_backend.agm_iterates(5e-324, sys.float_info.max, REL_TOL)
+    (h0, l0), (h1, l1), (h2, l2) = pairs[:3]
+    assert (h0, l0) == (sys.float_info.max, 5e-324)
+    assert (h1, l1) == (0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0))
+    assert (h2, l2) == (0.5 * h1 + 0.5 * l1, math.sqrt(h1) * math.sqrt(l1))
+    assert l1 / h1 < sys.float_info.min <= l2 / h2
 
 
 def test_agm_iteration_count_moderate(kernel_backend):
@@ -111,6 +156,24 @@ def test_identric_log_space_no_overflow(kernel_backend):
     v = kernel_backend.identric_mean(1e300, 1e299)
     assert math.isfinite(v)
     assert 1e299 < v < 1e300
+
+
+def test_log_mean_branch_seam(kernel_backend):
+    # either side of lo/hi = DBL_MIN, log-difference and log1p forms agree
+    edge = 1.0 / sys.float_info.min
+    log_difference = kernel_backend.log_mean(1.0, math.nextafter(edge, math.inf))
+    log1p_form = kernel_backend.log_mean(1.0, math.nextafter(edge, 0.0))
+    assert log_difference == pytest.approx(log1p_form, rel=2e-15)
+    assert log_difference == pytest.approx(edge / math.log(edge), rel=2e-15)
+
+
+def test_identric_either_side_of_hi_log_hi_overflow(kernel_backend):
+    # hi * ln(hi) is finite at 2.5e305 and overflows at 2.6e305; both
+    # exponent groupings must agree with the homogeneous reduction
+    for hi in (2.5e305, 2.6e305):
+        for lo in (1.0, 0.5 * hi):
+            v = kernel_backend.identric_mean(lo, hi)
+            assert v == pytest.approx(hi * kernel_backend.identric_mean(lo / hi, 1.0), rel=1e-12)
 
 
 def test_series_sum_t_zero(kernel_backend):

@@ -1,6 +1,7 @@
 """Means: worked examples, validation, and algebraic properties."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given
@@ -12,6 +13,16 @@ from agmbounds import means
 positive = st.floats(min_value=1e-3, max_value=1e3)
 separated = positive.flatmap(
     lambda a: st.tuples(st.just(a), positive.filter(lambda b: abs(a - b) > 1e-3 * max(a, b)))
+)
+# every positive finite double: hypothesis' own float draws, and a draw
+# that is log-uniform over the binary exponents, subnormals included
+whole_range = st.one_of(
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    st.builds(
+        math.ldexp,
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+        st.integers(min_value=-1073, max_value=1024),
+    ),
 )
 ALL_MEANS = [
     log_mean,
@@ -189,6 +200,64 @@ class TestAgm:
         for g_prev, g_next in zip(gaps, gaps[1:]):
             if g_prev < 0.5 * b0:  # bound applies once iterates are close
                 assert g_next <= g_prev * g_prev / (8.0 * b0) * (1.0 + 1e-12) + 1e-18
+
+
+class TestWholeDoubleRange:
+    """Means of pairs far outside the verifier band, against mpmath."""
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            yield mpmath
+
+    @staticmethod
+    def ref_log_mean(mp, a, b):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return (b - a) / (mp.log(b) - mp.log(a))
+
+    @staticmethod
+    def ref_identric_mean(mp, a, b):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return mp.exp((b * mp.log(b) - a * mp.log(a)) / (b - a) - 1)
+
+    @pytest.mark.parametrize("a,b", [(1e-308, 1e308), (5e-324, 1.0)])
+    def test_log_mean_ratio_below_normal(self, mp, a, b):
+        v = log_mean(MeanInput(a, b))
+        assert v == pytest.approx(float(self.ref_log_mean(mp, a, b)), rel=1e-12)
+
+    def test_identric_mean_past_hi_log_hi_overflow(self, mp):
+        v = identric_mean(MeanInput(1e-308, 1e308))
+        assert v == pytest.approx(float(self.ref_identric_mean(mp, 1e-308, 1e308)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a,b", [(1e-300, 1e300), (5e-324, sys.float_info.max), (1e-323, 1.5e308)]
+    )
+    def test_agm_ratio_below_normal(self, mp, a, b):
+        assert agm(MeanInput(a, b)).limit == pytest.approx(float(mp.agm(a, b)), rel=1e-12)
+
+    def test_agm_extreme_pair_iterations(self):
+        tr = agm(MeanInput(5e-324, sys.float_info.max))
+        assert tr.iterations <= 16
+        assert tr.iterates[0] == (sys.float_info.max, 5e-324)
+
+    @given(whole_range, whole_range)
+    def test_agm_bounded_finite_positive(self, a, b):
+        tr = agm(MeanInput(a, b))
+        assert tr.iterations <= 16
+        assert math.isfinite(tr.limit) and tr.limit > 0.0
+
+    @given(whole_range, whole_range)
+    def test_double_inequality(self, a, b):
+        # the paper's claim, and M below the identric mean, on separated
+        # pairs whose means lie well above the subnormal range
+        hi, lo = max(a, b), min(a, b)
+        assume(hi > 1e-290 and lo < 0.99 * hi)
+        inp = MeanInput(a, b)
+        lm = log_mean(inp)
+        m = agm(inp).limit
+        assert lm < m < (math.pi / 2.0) * lm
+        assert m < identric_mean(inp)
 
 
 class TestSharedProperties:
