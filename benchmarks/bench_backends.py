@@ -49,11 +49,6 @@ WORKLOADS = [
         lambda k: lambda: k.k_series_sum(0.81, 500, 1e-17),
         2000,
     ),
-    (
-        "k_quad_panels 256 panels",
-        lambda k: lambda: k.k_quad_panels(1.0, 0.01, 256),
-        50,
-    ),
 ]
 
 

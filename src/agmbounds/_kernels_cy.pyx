@@ -7,16 +7,7 @@ bit.
 """
 
 from libc.float cimport DBL_MAX, DBL_MIN
-from libc.math cimport M_PI, exp, fabs, log, log1p, sqrt, cos, sin
-
-from agmbounds._gl16 import GL16_NODES, GL16_WEIGHTS
-
-cdef double[16] _NODES
-cdef double[16] _WEIGHTS
-cdef int _i
-for _i in range(16):
-    _NODES[_i] = GL16_NODES[_i]
-    _WEIGHTS[_i] = GL16_WEIGHTS[_i]
+from libc.math cimport exp, fabs, log, log1p, sqrt
 
 
 def agm_limit(double a, double b, double rel_tol):
@@ -150,25 +141,3 @@ def k_series_sum(double tsq, int max_terms, double rel_cutoff):
         s = s + term
         terms += 1
 
-
-def k_quad_panels(double a, double b, int panels):
-    """Composite 16-point Gauss-Legendre value of
-    integral_0^{pi/2} dtheta / sqrt(a^2 cos^2 + b^2 sin^2) on uniform panels.
-    """
-    cdef double h = (M_PI / 2.0) / panels
-    cdef double half = 0.5 * h
-    cdef double aa = a * a
-    cdef double bb = b * b
-    cdef double total = 0.0
-    cdef double mid, psum, theta, c, sn
-    cdef int p, i
-    for p in range(panels):
-        mid = (p + 0.5) * h
-        psum = 0.0
-        for i in range(16):
-            theta = mid + half * _NODES[i]
-            c = cos(theta)
-            sn = sin(theta)
-            psum += _WEIGHTS[i] / sqrt(aa * c * c + bb * sn * sn)
-        total += psum
-    return total * half

@@ -8,8 +8,6 @@ operation order, so results agree bit for bit; tests assert this.
 import math
 import sys
 
-from agmbounds._gl16 import GL16_NODES, GL16_WEIGHTS
-
 # A pair whose ratio lo/hi falls below the smallest normal double would
 # pre-scale to a subnormal or zero ratio, and d / lo may overflow in the
 # log mean; above the largest finite double, hi * ln(hi) has overflowed.
@@ -158,23 +156,3 @@ def k_series_sum(tsq, max_terms, rel_cutoff):
         s = s + term
         terms += 1
 
-
-def k_quad_panels(a, b, panels):
-    """Composite 16-point Gauss-Legendre value of
-    integral_0^{pi/2} dtheta / sqrt(a^2 cos^2 + b^2 sin^2) on uniform panels.
-    """
-    h = (math.pi / 2.0) / panels
-    half = 0.5 * h
-    aa = a * a
-    bb = b * b
-    total = 0.0
-    for p in range(panels):
-        mid = (p + 0.5) * h
-        psum = 0.0
-        for i in range(16):
-            theta = mid + half * GL16_NODES[i]
-            c = math.cos(theta)
-            sn = math.sin(theta)
-            psum += GL16_WEIGHTS[i] / math.sqrt(aa * c * c + bb * sn * sn)
-        total += psum
-    return total * half

@@ -70,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_verify.add_argument("--timings", action="store_true",
+                          help="write 'claim_id elapsed_s' per check to stderr")
     add_common(p_verify)
 
     return parser
@@ -211,8 +213,17 @@ def _cmd_scan(args, out) -> int:
     return 0
 
 
+def _print_timing(report, elapsed_s) -> None:
+    print(f"{report.claim_id} {elapsed_s:.6f}", file=sys.stderr)
+
+
 def _cmd_verify(args, out) -> int:
-    reports = verify.run_all(profile=args.profile, seed=args.seed)
+    if args.timings:
+        reports = verify.run_all(
+            profile=args.profile, seed=args.seed, on_check=_print_timing
+        )
+    else:
+        reports = verify.run_all(profile=args.profile, seed=args.seed)
     if args.format == "json":
         print(verify.reports_to_json(reports), file=out)
     elif args.format == "csv":

@@ -18,7 +18,7 @@ identity exactly decidable.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 
 def _check_index(k: int, minimum: int, name: str = "k") -> int:
@@ -64,9 +64,14 @@ def wallis_integral(n: int) -> tuple[Fraction, int]:
 
 
 def odd_harmonic(k: int) -> Fraction:
-    """sum_{i=1}^{k} 1/(2i-1); zero at k = 0."""
+    """sum_{i=1}^{k} 1/(2i-1); zero at k = 0.
+
+    The terms are added as integer numerators over their common
+    denominator lcm(1, 3, ..., 2k-1), and reduced once at the end.
+    """
     _check_index(k, 0)
-    return sum((Fraction(1, 2 * i - 1) for i in range(1, k + 1)), Fraction(0))
+    den = lcm(*range(1, 2 * k, 2))
+    return Fraction(sum(den // (2 * i - 1) for i in range(1, k + 1)), den)
 
 
 def b_coeff(k: int) -> Fraction:
@@ -75,19 +80,30 @@ def b_coeff(k: int) -> Fraction:
     return Fraction(comb(2 * k, k) ** 2, 16**k)
 
 
+def _binomial_sum(dens: list[int]) -> Fraction:
+    """sum_{i=1}^{k} C(2i-2, i-1) / (dens[i-1] 4^i) with k = len(dens),
+    added as integer numerators over lcm(dens) * 4^k and reduced once at
+    the end."""
+    k = len(dens)
+    base = lcm(*dens)
+    num = 0
+    c = 1  # C(2i-2, i-1), updated incrementally
+    for i, d in enumerate(dens, start=1):
+        num += (c << (2 * (k - i))) * (base // d)
+        c = c * 2 * (2 * i - 1) // i
+    return Fraction(num, base << (2 * k))
+
+
 def a_coeff_sum(k: int) -> Fraction:
     """a_k from its defining sum:
     1/(k+1) - (1/2) sum_{i=1}^{k} (2i-1)!!/[(2i)!! (2i-1) (k-i+1)].
 
-    The empty sum at k = 0 leaves a_0 = 1.
+    Term i equals C(2i-2, i-1) / (i (k-i+1) 4^i), since
+    (2i-1)!!/(2i)!! = C(2i,i)/4^i = 2(2i-1) C(2i-2,i-1)/(i 4^i).  The
+    empty sum at k = 0 leaves a_0 = 1.
     """
     _check_index(k, 0)
-    acc = Fraction(1, k + 1)
-    w = Fraction(1)  # (2i-1)!!/(2i)!! tracked incrementally
-    for i in range(1, k + 1):
-        w *= Fraction(2 * i - 1, 2 * i)
-        acc -= w / (2 * (2 * i - 1) * (k - i + 1))
-    return acc
+    return Fraction(1, k + 1) - _binomial_sum([i * (k - i + 1) for i in range(1, k + 1)])
 
 
 def a_coeff_closed(k: int) -> Fraction:
@@ -103,12 +119,7 @@ def a_coeff_closed(k: int) -> Fraction:
 def h_sum(k: int) -> Fraction:
     """h(k) = sum_{i=1}^{k} C(2i-2, i-1) / (i 4^i)."""
     _check_index(k, 1)
-    acc = Fraction(0)
-    w = Fraction(1)  # C(2(i-1), i-1)/4^(i-1)
-    for i in range(1, k + 1):
-        acc += w / (4 * i)
-        w *= Fraction(2 * i - 1, 2 * i)
-    return acc
+    return _binomial_sum(list(range(1, k + 1)))
 
 
 def h_closed(k: int) -> Fraction:
@@ -120,12 +131,7 @@ def h_closed(k: int) -> Fraction:
 def g_sum(k: int) -> Fraction:
     """g(k) = sum_{i=1}^{k} C(2i-2, i-1) / ((k-i+1) 4^i)."""
     _check_index(k, 1)
-    acc = Fraction(0)
-    w = Fraction(1)
-    for i in range(1, k + 1):
-        acc += w / (4 * (k - i + 1))
-        w *= Fraction(2 * i - 1, 2 * i)
-    return acc
+    return _binomial_sum([k - i + 1 for i in range(1, k + 1)])
 
 
 def g_closed(k: int) -> Fraction:

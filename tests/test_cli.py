@@ -88,6 +88,13 @@ class TestElliptic:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.pi / 4.0, rel=1e-14)
 
+    def test_pair_agm_small_ratio(self):
+        # 19.408 before the pair's modulus carried its exact complement
+        code, out = run_cli("elliptic", "--method", "agm", "--a", "1", "--b", "1e-8",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(19.806975105072258, rel=1e-12)
+
     def test_quadrature_with_modulus(self):
         code, out = run_cli("elliptic", "--method", "quadrature", "--t", "0",
                             "--format", "json")
@@ -203,6 +210,19 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert lines[0] == "claim_id,status,checked_points,witness"
         assert len(lines) == 11
+
+    def test_timings_go_to_stderr_only(self, capsys):
+        code, plain = run_cli("verify", "--seed", "3", "--format", "json")
+        capsys.readouterr()
+        code_t, timed = run_cli("verify", "--seed", "3", "--format", "json", "--timings")
+        err = capsys.readouterr().err
+        assert code == code_t == 0
+        assert timed == plain
+        lines = err.strip().split("\n")
+        assert [line.split()[0] for line in lines] == [
+            r["claim_id"] for r in json.loads(plain)
+        ]
+        assert all(float(line.split()[1]) >= 0.0 for line in lines)
 
     def test_failure_exit_code(self, monkeypatch):
         failing = verify.VerificationReport(

@@ -42,6 +42,39 @@ def simpson_sin_power(n, panels=4000):
     return acc * h / 3.0
 
 
+def a_sum_per_term(k):
+    """Oracle: a_k's defining sum with one normalised Fraction per term."""
+    acc = Fraction(1, k + 1)
+    w = Fraction(1)
+    for i in range(1, k + 1):
+        w *= Fraction(2 * i - 1, 2 * i)
+        acc -= w / (2 * (2 * i - 1) * (k - i + 1))
+    return acc
+
+
+def h_sum_per_term(k):
+    """Oracle: sum_{i=1}^{k} C(2i-2, i-1) / (i 4^i), term by term."""
+    return sum(
+        (Fraction(math.comb(2 * i - 2, i - 1), i * 4**i) for i in range(1, k + 1)),
+        Fraction(0),
+    )
+
+
+def g_sum_per_term(k):
+    """Oracle: sum_{i=1}^{k} C(2i-2, i-1) / ((k-i+1) 4^i), term by term."""
+    acc = Fraction(0)
+    w = Fraction(1)
+    for i in range(1, k + 1):
+        acc += w / (4 * (k - i + 1))
+        w *= Fraction(2 * i - 1, 2 * i)
+    return acc
+
+
+def odd_harmonic_per_term(k):
+    """Oracle: sum_{i=1}^{k} 1/(2i-1), term by term."""
+    return sum((Fraction(1, 2 * i - 1) for i in range(1, k + 1)), Fraction(0))
+
+
 class TestCentralBinomial:
     def test_small(self):
         assert co.central_binomial(0) == 1
@@ -98,6 +131,24 @@ class TestWallisIntegral:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             co.wallis_integral(0)
+
+
+class TestCommonDenominatorSums:
+    """The definitional sums add integer numerators over one common
+    denominator; each must equal the per-term Fraction sum exactly."""
+
+    def test_a_sum(self):
+        for k in range(0, 201):
+            assert co.a_coeff_sum(k) == a_sum_per_term(k), k
+
+    def test_h_and_g_sums(self):
+        for k in range(1, 201):
+            assert co.h_sum(k) == h_sum_per_term(k), k
+            assert co.g_sum(k) == g_sum_per_term(k), k
+
+    def test_odd_harmonic(self):
+        for k in range(0, 201):
+            assert co.odd_harmonic(k) == odd_harmonic_per_term(k), k
 
 
 class TestBCoefficients:

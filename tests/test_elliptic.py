@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -130,18 +131,43 @@ class TestQuadrature:
         va = k_agm(m).value
         assert abs(vq - va) / va < 1e-12
 
-    def test_budget_exhaustion_flagged_in_band(self):
-        r = k_quadrature(1.0, 1e-4, panels=64)
-        assert math.isfinite(r.value)
-        assert r.error_estimate > elliptic.QUAD_REL_TARGET * r.value
+    def test_converges_at_ratio_1e_4(self):
+        # the uniform-panel route stopped at its panel budget here
+        r = k_quadrature(1.0, 1e-4)
+        assert r.error_estimate <= elliptic.QUAD_REL_TARGET * r.value
+        m_direct = agm(MeanInput(1.0, 1e-4)).limit
+        assert r.value == pytest.approx(math.pi / (2.0 * m_direct), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (1.0, 1.0),
+            (1.0, 0.3),
+            (2.0, 8.0),
+            (1.0, 1e-2),
+            (1.0, 1e-4),
+            (1.0, 1e-8),
+            (1.0, 1e-100),
+            (1.0, 1e-300),
+            (1e-300, 1e300),
+            (5e-324, sys.float_info.max),
+        ],
+    )
+    def test_against_mpmath(self, a, b):
+        # the terms are added exactly; a running sum drifts past 1e-15
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.pi / (2 * mpmath.agm(mpmath.mpf(a), mpmath.mpf(b)))
+            r = k_quadrature(a, b)
+            assert abs(mpmath.mpf(r.value) / ref - 1) <= 1e-15
+        assert r.error_estimate <= elliptic.QUAD_REL_TARGET * r.value
+        assert r.terms_or_iterations > 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             k_quadrature(-1.0, 1.0)
         with pytest.raises(ValueError):
             k_quadrature(1.0, 0.0)
-        with pytest.raises(ValueError):
-            k_quadrature(1.0, 1.0, panels=0)
 
 
 class TestCrossMethod:
@@ -218,3 +244,27 @@ class TestModulusFromPair:
     def test_validation(self):
         with pytest.raises(ValueError):
             elliptic.modulus_from_pair(0.0, 1.0)
+        # a ratio below the smallest normal double cannot be carried exactly
+        with pytest.raises(ValueError):
+            elliptic.modulus_from_pair(5e-324, 1.0)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-8, 1e-100])
+    def test_agm_route_small_ratio_against_mpmath(self, ratio):
+        # t rounds towards 1, so the complement rebuilt from it would lose
+        # the low bits (2% error at 1e-8); the exact complement keeps them
+        mpmath = pytest.importorskip("mpmath")
+        for a, b in ((1.0, ratio), (3.0 / ratio, 3.0)):
+            m, scale = elliptic.modulus_from_pair(a, b)
+            value = k_agm(m).value / scale
+            with mpmath.workdps(40):
+                ref = mpmath.pi / (2 * mpmath.agm(mpmath.mpf(a), mpmath.mpf(b)))
+                assert abs(mpmath.mpf(value) / ref - 1) <= 1e-12
+
+    def test_exact_complement_not_compared(self):
+        m, _ = elliptic.modulus_from_pair(1.0, 0.5)
+        assert m.complement() == 0.5
+        assert m == Modulus(m.t)
+        assert hash(m) == hash(Modulus(m.t))
+        assert Modulus(m.t).complement() == pytest.approx(0.5, rel=1e-15)
+        with pytest.raises(ValueError):
+            Modulus(0.5, exact_complement=0.0)

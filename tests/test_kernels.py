@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agmbounds import _kernels_py
-from agmbounds import means
+from agmbounds import elliptic, means
 
 from conftest import BACKEND_MODULES
 
@@ -68,14 +68,6 @@ def test_backends_agree_series(t):
     pure = dict(BACKEND_MODULES)["pure"]
     comp = dict(BACKEND_MODULES)["compiled"]
     assert pure.k_series_sum(t * t, 500, 1e-17) == comp.k_series_sum(t * t, 500, 1e-17)
-
-
-@needs_both
-@pytest.mark.parametrize("a,b,panels", [(1.0, 1.0, 1), (1.0, 0.5, 4), (2.0, 8.0, 8), (1.0, 0.01, 128)])
-def test_backends_agree_quadrature(a, b, panels):
-    pure = dict(BACKEND_MODULES)["pure"]
-    comp = dict(BACKEND_MODULES)["compiled"]
-    assert pure.k_quad_panels(a, b, panels) == comp.k_quad_panels(a, b, panels)
 
 
 def test_agm_limit_fixed_point(kernel_backend):
@@ -195,24 +187,8 @@ def test_series_tail_bound(kernel_backend):
     assert s_short <= s_long <= s_short + omitted / (1.0 - tsq)
 
 
-def test_quadrature_constant_integrand(kernel_backend):
-    assert kernel_backend.k_quad_panels(1.0, 1.0, 1) == pytest.approx(
-        math.pi / 2.0, rel=1e-15
-    )
-    assert kernel_backend.k_quad_panels(1.0, 1.0, 7) == pytest.approx(
-        math.pi / 2.0, rel=1e-15
-    )
-
-
-def test_quadrature_panel_refinement_converges(kernel_backend):
-    coarse = kernel_backend.k_quad_panels(1.0, 0.1, 16)
-    fine = kernel_backend.k_quad_panels(1.0, 0.1, 32)
-    finer = kernel_backend.k_quad_panels(1.0, 0.1, 64)
-    assert abs(finer - fine) <= abs(fine - coarse)
-
-
-def test_quadrature_simpson_cross_check(kernel_backend):
-    # independent composite-Simpson oracle for K(1, 0.3)
+def test_quadrature_simpson_cross_check():
+    # independent composite-Simpson oracle for K(1, 0.3) in the angular form
     a, b = 1.0, 0.3
     n = 20000
     h = (math.pi / 2.0) / n
@@ -226,8 +202,7 @@ def test_quadrature_simpson_cross_check(kernel_backend):
     for i in range(1, n):
         acc += (4.0 if i % 2 else 2.0) * f(i * h)
     simpson = acc * h / 3.0
-    gl = kernel_backend.k_quad_panels(a, b, 16)
-    assert gl == pytest.approx(simpson, rel=1e-12)
+    assert elliptic.k_quadrature(a, b).value == pytest.approx(simpson, rel=1e-12)
 
 
 def test_pure_backend_is_default_fallback():
@@ -238,6 +213,5 @@ def test_pure_backend_is_default_fallback():
         "log_mean",
         "identric_mean",
         "k_series_sum",
-        "k_quad_panels",
     }
     assert expected <= set(dir(_kernels_py))

@@ -189,6 +189,17 @@ class TestMutationDetection:
         corrupted = _corrupt(table, "a", 7, Fraction(1, 10**40))
         assert self._any_failure(k_max, corrupted)
 
+    @pytest.mark.parametrize("name", ["a_coeff_sum", "h_sum", "g_sum"])
+    def test_corrupt_definitional_sum_detected(self, monkeypatch, name):
+        # the definitional sums are the check's independent side
+        exact = getattr(co, name)
+        monkeypatch.setattr(
+            co, name, lambda k: exact(k) + (Fraction(1, 10**40) if k == 7 else 0)
+        )
+        r = verify.check_coefficient_identities(12, co.build_table(12))
+        assert r.status == "fail"
+        assert r.witness.startswith("k=7:")
+
     def test_clean_table_passes(self):
         k_max = 12
         table = co.build_table(k_max)
