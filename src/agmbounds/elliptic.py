@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 from agmbounds import means
-from agmbounds.backend import kernels
 
 # Above this modulus the series needs hundreds of terms per digit; callers
 # are pushed to the AGM route instead.
@@ -71,9 +70,9 @@ class Modulus:
             raise ValueError(f"modulus must satisfy 0 <= t < 1, got {self.t}")
         object.__setattr__(self, "t", t)
         c = self.exact_complement
-        if c is not None and not sys.float_info.min <= c <= 1.0:
+        if c is not None and not means.DBL_MIN <= c <= 1.0:
             raise ValueError(
-                f"exact complement must lie in [{sys.float_info.min}, 1], got {c}"
+                f"exact complement must lie in [{means.DBL_MIN}, 1], got {c}"
             )
 
     def complement(self) -> float:
@@ -95,8 +94,8 @@ class EllipticResult:
 def series_coefficient(i: int) -> Fraction:
     """Exact coefficient of t^(2i) in (2/pi) K(t): [C(2i,i)/4^i]^2.
 
-    Built by the same ratio recurrence ((2i-1)/(2i))^2 the float kernel
-    uses, so it certifies the kernel's coefficients against b_coeff.
+    Built by the same ratio recurrence ((2i-1)/(2i))^2 that
+    k_series_sum uses, so it certifies the float coefficients against b_coeff.
     """
     if i < 0:
         raise ValueError(f"coefficient index must be >= 0, got {i}")
@@ -104,6 +103,32 @@ def series_coefficient(i: int) -> Fraction:
     for j in range(1, i + 1):
         c *= Fraction((2 * j - 1) ** 2, (2 * j) ** 2)
     return c
+
+
+def k_series_sum(tsq: float, max_terms: int, rel_cutoff: float) -> tuple[float, int, float, bool]:
+    """Partial sum of sum_i [C(2i,i)/4^i]^2 * tsq^i with its truncation data.
+
+    Term coefficients follow the exact ratio ((2i-1)/(2i))^2.  Returns
+    (partial_sum, terms_used, first_omitted_term, converged); converged is
+    False when max_terms terms were used before the next term dropped below
+    rel_cutoff relative to the partial sum.
+    """
+    s = 1.0
+    coeff = 1.0
+    tpow = 1.0
+    terms = 1
+    while True:
+        i = terms
+        r = (2.0 * i - 1.0) / (2.0 * i)
+        coeff = coeff * (r * r)
+        tpow = tpow * tsq
+        term = coeff * tpow
+        if term < rel_cutoff * s:
+            return s, terms, term, True
+        if terms >= max_terms:
+            return s, terms, term, False
+        s = s + term
+        terms += 1
 
 
 def k_series(m: Modulus, max_terms: int = DEFAULT_MAX_TERMS) -> EllipticResult:
@@ -121,7 +146,7 @@ def k_series(m: Modulus, max_terms: int = DEFAULT_MAX_TERMS) -> EllipticResult:
             f"series route refuses t={m.t} > {SERIES_T_MAX}; use k_agm instead"
         )
     tsq = m.t * m.t
-    total, terms, omitted, converged = kernels.k_series_sum(tsq, max_terms, SERIES_REL_CUTOFF)
+    total, terms, omitted, converged = k_series_sum(tsq, max_terms, SERIES_REL_CUTOFF)
     if not converged:
         raise TermBudgetExhausted(
             f"series for t={m.t} did not meet the truncation criterion "
@@ -143,7 +168,7 @@ def k_agm(m: Modulus, rel_tol: float = means.DEFAULT_REL_TOL) -> EllipticResult:
     for every valid modulus, including arbitrarily close to 1.  A modulus
     from a pair runs M(1, lo/hi) on its exact complement.
     """
-    limit, iterations = kernels.agm_limit(1.0, m.complement(), rel_tol)
+    limit, iterations = means.agm_limit(1.0, m.complement(), rel_tol)
     value = math.pi / (2.0 * limit)
     return EllipticResult(
         value=value,
@@ -219,7 +244,7 @@ def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
         raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
     hi, lo = (a, b) if a >= b else (b, a)
     u = lo / hi
-    if u < sys.float_info.min:
+    if u < means.DBL_MIN:
         raise ValueError(
             f"ratio {lo}/{hi} is below the smallest normal double; "
             "use the quadrature route for this pair"

@@ -4,19 +4,27 @@ Logarithmic, identric (exponential), generalized logarithmic of order p,
 and the arithmetic-geometric mean computed by the AGM iteration.  All
 operations are pure functions; every mean is symmetric in its arguments
 and homogeneous of degree one.
+
+Each public mean on a MeanInput makes one call into a kernel on plain
+floats (agm_iterates, log_mean_float, identric_mean_float); agm_limit is
+the AGM's limit without the trace.  The verifier and the elliptic routes
+call these kernels directly in their hot loops.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-from agmbounds.backend import kernels
-
 # AGM stopping tolerance: relative gap on the arithmetic iterate.
 DEFAULT_REL_TOL = 4.0 * sys.float_info.epsilon
 
-# Below this relative argument gap, means collapse to the midpoint whose
-# O((gap)^2) error beats the cancellation of the direct formulas.
+# Smallest normal double.  A pair whose ratio lo/hi falls below it would
+# pre-scale to a subnormal or zero ratio, and d / lo may overflow in the
+# log mean.
+DBL_MIN = sys.float_info.min
+
+# Below this relative argument gap, gen_log_mean collapses to the midpoint,
+# whose O((gap)^2) error is below double precision there.
 NEAR_EQUAL_REL = 1e-9
 
 # Below this |p|, gen_log_mean switches to a series-corrected log form;
@@ -68,17 +76,127 @@ class AgmTrace:
     iterations: int
 
 
+def agm_limit(a: float, b: float, rel_tol: float) -> tuple[float, int]:
+    """Common limit of the arithmetic-geometric iteration, plus step count.
+
+    Inputs are pre-scaled by 1/max(a, b) so the relative stopping test
+    |x - y| <= rel_tol * x runs on a unit-scale pair.  A pair whose ratio
+    lo/hi is below DBL_MIN first takes unscaled steps, in a form that
+    cannot overflow, until the ratio is normal: at most two, since each
+    step takes the ratio r to about 2*sqrt(r).  Terminates early if the
+    gap stops shrinking (roundoff floor for tolerances below ~2 eps).
+    """
+    if a == b:
+        return a, 0
+    if a >= b:
+        hi, lo = a, b
+    else:
+        hi, lo = b, a
+    n = 0
+    y = lo / hi
+    while y < DBL_MIN:
+        hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
+        n += 1
+        y = lo / hi
+    x = 1.0
+    gap = x - y
+    while gap > rel_tol * x:
+        nx = 0.5 * (x + y)
+        ny = math.sqrt(x * y)
+        x = nx
+        y = ny
+        n += 1
+        new_gap = abs(x - y)
+        if new_gap >= gap:
+            break
+        gap = new_gap
+    return hi * x, n
+
+
+def agm_iterates(a: float, b: float, rel_tol: float) -> list[tuple[float, float]]:
+    """Full AGM iterate sequence [(a_0, b_0), ..., (a_n, b_n)], a_k >= b_k.
+
+    Same iteration and stopping rule as agm_limit, unscaled steps
+    included; the final arithmetic iterate equals agm_limit's value bit
+    for bit.
+    """
+    if a == b:
+        return [(a, b)]
+    if a >= b:
+        hi, lo = a, b
+    else:
+        hi, lo = b, a
+    out = [(hi, lo)]
+    y = lo / hi
+    while y < DBL_MIN:
+        hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
+        out.append((hi, lo))
+        y = lo / hi
+    x = 1.0
+    gap = x - y
+    while gap > rel_tol * x:
+        nx = 0.5 * (x + y)
+        ny = math.sqrt(x * y)
+        x = nx
+        y = ny
+        out.append((hi * x, hi * y))
+        new_gap = abs(x - y)
+        if new_gap >= gap:
+            break
+        gap = new_gap
+    return out
+
+
+def log_mean_float(a: float, b: float) -> float:
+    """(b - a) / (ln b - ln a) on positive floats, continuously extended to
+    a at a == b.
+
+    Evaluated as d / log1p(d / lo), which stays accurate for nearly equal
+    arguments.  Below a ratio lo/hi of DBL_MIN, where d / lo may overflow,
+    the log difference is used instead; it cannot cancel there, since the
+    two logarithms differ by more than 708.
+    """
+    if a == b:
+        return a
+    if a >= b:
+        hi, lo = a, b
+    else:
+        hi, lo = b, a
+    d = hi - lo
+    if lo / hi < DBL_MIN:
+        return d / (math.log(hi) - math.log(lo))
+    return d / math.log1p(d / lo)
+
+
+def identric_mean_float(a: float, b: float) -> float:
+    """(1/e) * (b^b / a^a)^(1/(b-a)) on positive floats; a at a == b.
+
+    The exponent (hi ln hi - lo ln lo)/d - 1 equals ln hi + lo/L - 1 with
+    L the logarithmic mean, so the mean is hi * exp(lo/L - 1).  L carries
+    ln hi - ln lo without cancellation, lo/L lies in (0, 1), and nothing
+    overflows, close pairs and the whole double range included.
+    """
+    if a == b:
+        return a
+    if a >= b:
+        hi, lo = a, b
+    else:
+        hi, lo = b, a
+    return hi * math.exp(lo / log_mean_float(lo, hi) - 1.0)
+
+
 def log_mean(inp: MeanInput) -> float:
     """Logarithmic mean (b - a)/(ln b - ln a), equal to a at a == b."""
-    return kernels.log_mean(inp.a, inp.b)
+    return log_mean_float(inp.a, inp.b)
 
 
 def identric_mean(inp: MeanInput) -> float:
     """Identric (exponential) mean (1/e)(b^b/a^a)^(1/(b-a)), a at a == b.
 
-    Evaluated in log space so large arguments cannot overflow.
+    Evaluated through the logarithmic mean so large arguments cannot
+    overflow and close pairs do not cancel.
     """
-    return kernels.identric_mean(inp.a, inp.b)
+    return identric_mean_float(inp.a, inp.b)
 
 
 def gen_log_mean(p: float, inp: MeanInput) -> float:
@@ -123,12 +241,15 @@ def _gen_log_small_p(p: float, hi: float, lo: float, d: float) -> float:
 def _gen_log_general(p: float, hi: float, lo: float, d: float) -> float:
     # log-space form: anchored at the dominant power so b^(p+1) is never
     # materialized; expm1 keeps the bracket accurate for p near -1.
+    # ln hi - ln lo is taken as d / L(lo, hi), which does not cancel on
+    # close pairs as the difference of the two logarithms does.
     q = p + 1.0
+    log_gap = d / log_mean_float(lo, hi)
     if q > 0.0:
-        bracket = -math.expm1(q * (math.log(lo) - math.log(hi)))
+        bracket = -math.expm1(-q * log_gap)
         log_ratio = q * math.log(hi) + math.log(bracket) - math.log(q) - math.log(d)
     else:
-        bracket = -math.expm1(q * (math.log(hi) - math.log(lo)))
+        bracket = -math.expm1(q * log_gap)
         log_ratio = q * math.log(lo) + math.log(bracket) - math.log(-q) - math.log(d)
     return math.exp(log_ratio / p)
 
@@ -146,7 +267,7 @@ def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    pairs = kernels.agm_iterates(inp.a, inp.b, rel_tol)
+    pairs = agm_iterates(inp.a, inp.b, rel_tol)
     return AgmTrace(
         iterates=tuple(pairs),
         limit=pairs[-1][0],

@@ -20,7 +20,6 @@ from agmbounds import (
     m_from_k,
 )
 from agmbounds import elliptic, means
-from agmbounds.backend import kernels
 
 HALF_PI = math.pi / 2.0
 
@@ -109,11 +108,11 @@ class TestAgmRoute:
 class TestQuadrature:
     def test_unit_circle(self):
         r = k_quadrature(1.0, 1.0)
-        assert r.value == pytest.approx(HALF_PI, rel=1e-15)
+        assert r.value == pytest.approx(HALF_PI, rel=1e-15, abs=0)
         assert r.method == "quadrature"
 
     def test_homogeneity_two_two(self):
-        assert k_quadrature(2.0, 2.0).value == pytest.approx(math.pi / 4.0, rel=1e-15)
+        assert k_quadrature(2.0, 2.0).value == pytest.approx(math.pi / 4.0, rel=1e-15, abs=0)
 
     def test_homogeneity_random(self):
         rng = random.Random(3)
@@ -200,7 +199,7 @@ class TestCrossMethod:
         for _ in range(50):
             a = 10.0 ** rng.uniform(-1.5, 1.5)
             b = 10.0 ** rng.uniform(-1.5, 1.5)
-            m, _ = kernels.agm_limit(a, b, means.DEFAULT_REL_TOL)
+            m, _ = means.agm_limit(a, b, means.DEFAULT_REL_TOL)
             k = k_quadrature(a, b).value
             assert abs(m * (2.0 / math.pi) * k - 1.0) <= 1e-11
 
@@ -224,7 +223,7 @@ class TestMFromK:
 
     def test_extreme_ratio_bounds(self):
         t = 0.01
-        ratio = m_from_k(1.0, t) / kernels.log_mean(1.0, t)
+        ratio = m_from_k(1.0, t) / means.log_mean_float(1.0, t)
         assert 1.0 < ratio < HALF_PI
 
 
@@ -265,6 +264,6 @@ class TestModulusFromPair:
         assert m.complement() == 0.5
         assert m == Modulus(m.t)
         assert hash(m) == hash(Modulus(m.t))
-        assert Modulus(m.t).complement() == pytest.approx(0.5, rel=1e-15)
+        assert Modulus(m.t).complement() == pytest.approx(0.5, rel=1e-15, abs=0)
         with pytest.raises(ValueError):
             Modulus(0.5, exact_complement=0.0)

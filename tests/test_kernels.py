@@ -1,4 +1,5 @@
-"""Kernel-level tests: backend parity and low-level numerical behaviour."""
+"""Kernel-level tests: the float kernels of means and elliptic, and their
+low-level numerical behaviour."""
 
 import math
 import sys
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agmbounds import _kernels_py
 from agmbounds import elliptic, means
-
-from conftest import BACKEND_MODULES
+from agmbounds.elliptic import k_series_sum
+from agmbounds.means import agm_iterates, agm_limit, identric_mean_float, log_mean_float
 
 REL_TOL = means.DEFAULT_REL_TOL
 
@@ -36,54 +36,19 @@ WIDE_PAIRS = [
     (1e-320, 1e300),
 ]
 
-MODULI = [0.0, 0.1, 0.5, 0.8, 0.95]
+
+def test_agm_limit_fixed_point():
+    assert agm_limit(5.0, 5.0, REL_TOL) == (5.0, 0)
 
 
-needs_both = pytest.mark.skipif(
-    len(BACKEND_MODULES) < 2, reason="compiled backend not built"
-)
+def test_agm_limit_symmetric():
+    assert agm_limit(2.0, 8.0, REL_TOL) == agm_limit(8.0, 2.0, REL_TOL)
 
 
-@needs_both
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_backends_agree_agm(a, b):
-    pure = dict(BACKEND_MODULES)["pure"]
-    comp = dict(BACKEND_MODULES)["compiled"]
-    assert pure.agm_limit(a, b, REL_TOL) == comp.agm_limit(a, b, REL_TOL)
-    assert pure.agm_iterates(a, b, REL_TOL) == comp.agm_iterates(a, b, REL_TOL)
-
-
-@needs_both
-@pytest.mark.parametrize("a,b", PAIRS)
-def test_backends_agree_means(a, b):
-    pure = dict(BACKEND_MODULES)["pure"]
-    comp = dict(BACKEND_MODULES)["compiled"]
-    assert pure.log_mean(a, b) == comp.log_mean(a, b)
-    assert pure.identric_mean(a, b) == comp.identric_mean(a, b)
-
-
-@needs_both
-@pytest.mark.parametrize("t", MODULI)
-def test_backends_agree_series(t):
-    pure = dict(BACKEND_MODULES)["pure"]
-    comp = dict(BACKEND_MODULES)["compiled"]
-    assert pure.k_series_sum(t * t, 500, 1e-17) == comp.k_series_sum(t * t, 500, 1e-17)
-
-
-def test_agm_limit_fixed_point(kernel_backend):
-    assert kernel_backend.agm_limit(5.0, 5.0, REL_TOL) == (5.0, 0)
-
-
-def test_agm_limit_symmetric(kernel_backend):
-    assert kernel_backend.agm_limit(2.0, 8.0, REL_TOL) == kernel_backend.agm_limit(
-        8.0, 2.0, REL_TOL
-    )
-
-
-def test_agm_iterates_match_limit(kernel_backend):
+def test_agm_iterates_match_limit():
     for a, b in PAIRS + WIDE_PAIRS:
-        limit, n = kernel_backend.agm_limit(a, b, REL_TOL)
-        pairs = kernel_backend.agm_iterates(a, b, REL_TOL)
+        limit, n = agm_limit(a, b, REL_TOL)
+        pairs = agm_iterates(a, b, REL_TOL)
         assert pairs[-1][0] == limit
         assert len(pairs) - 1 == n
 
@@ -97,21 +62,19 @@ whole_range = st.builds(
 
 
 @given(whole_range, whole_range)
-def test_whole_range_agm_bounded_and_backends_agree(a, b):
-    results = []
-    for _, kernels in BACKEND_MODULES:
-        limit, n = kernels.agm_limit(a, b, REL_TOL)
-        pairs = kernels.agm_iterates(a, b, REL_TOL)
-        assert pairs[-1][0] == limit
-        assert len(pairs) - 1 == n <= 16
-        assert math.isfinite(limit) and limit > 0.0
-        results.append((pairs, kernels.log_mean(a, b), kernels.identric_mean(a, b)))
-    assert all(r == results[0] for r in results)
+def test_whole_range_agm_bounded(a, b):
+    limit, n = agm_limit(a, b, REL_TOL)
+    pairs = agm_iterates(a, b, REL_TOL)
+    assert pairs[-1][0] == limit
+    assert len(pairs) - 1 == n <= 16
+    assert math.isfinite(limit) and limit > 0.0
+    assert 0.0 < log_mean_float(a, b) < math.inf
+    assert 0.0 < identric_mean_float(a, b) < math.inf
 
 
-def test_agm_unscaled_steps_traced(kernel_backend):
+def test_agm_unscaled_steps_traced():
     # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
-    pairs = kernel_backend.agm_iterates(5e-324, sys.float_info.max, REL_TOL)
+    pairs = agm_iterates(5e-324, sys.float_info.max, REL_TOL)
     (h0, l0), (h1, l1), (h2, l2) = pairs[:3]
     assert (h0, l0) == (sys.float_info.max, 5e-324)
     assert (h1, l1) == (0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0))
@@ -119,71 +82,69 @@ def test_agm_unscaled_steps_traced(kernel_backend):
     assert l1 / h1 < sys.float_info.min <= l2 / h2
 
 
-def test_agm_iteration_count_moderate(kernel_backend):
+def test_agm_iteration_count_moderate():
     # ratios up to 1e8 converge within 8 steps after unit normalization
     for a, b in PAIRS:
-        _, n = kernel_backend.agm_limit(a, b, REL_TOL)
+        _, n = agm_limit(a, b, REL_TOL)
         assert n <= 8
 
 
-def test_agm_tiny_tolerance_terminates(kernel_backend):
+def test_agm_tiny_tolerance_terminates():
     # below the roundoff floor the iteration must still stop
-    limit, n = kernel_backend.agm_limit(3.0, 7.0, 1e-300)
+    limit, n = agm_limit(3.0, 7.0, 1e-300)
     assert math.isfinite(limit)
     assert n < 30
 
 
-def test_log_mean_equal_arguments(kernel_backend):
-    assert kernel_backend.log_mean(3.5, 3.5) == 3.5
+def test_log_mean_equal_arguments():
+    assert log_mean_float(3.5, 3.5) == 3.5
 
 
-def test_log_mean_known_value(kernel_backend):
-    assert kernel_backend.log_mean(2.0, 8.0) == pytest.approx(
-        6.0 / math.log(4.0), rel=1e-15
-    )
+def test_log_mean_known_value():
+    assert log_mean_float(2.0, 8.0) == pytest.approx(6.0 / math.log(4.0), rel=1e-15, abs=0)
 
 
-def test_identric_log_space_no_overflow(kernel_backend):
-    # b^b overflows for b ~ 1e3; the log-space form must not
-    v = kernel_backend.identric_mean(1e300, 1e299)
+def test_identric_log_space_no_overflow():
+    # b^b overflows for b ~ 1e3; the form through the log mean must not
+    v = identric_mean_float(1e300, 1e299)
     assert math.isfinite(v)
     assert 1e299 < v < 1e300
 
 
-def test_log_mean_branch_seam(kernel_backend):
+def test_log_mean_branch_seam():
     # either side of lo/hi = DBL_MIN, log-difference and log1p forms agree
     edge = 1.0 / sys.float_info.min
-    log_difference = kernel_backend.log_mean(1.0, math.nextafter(edge, math.inf))
-    log1p_form = kernel_backend.log_mean(1.0, math.nextafter(edge, 0.0))
+    log_difference = log_mean_float(1.0, math.nextafter(edge, math.inf))
+    log1p_form = log_mean_float(1.0, math.nextafter(edge, 0.0))
     assert log_difference == pytest.approx(log1p_form, rel=2e-15)
     assert log_difference == pytest.approx(edge / math.log(edge), rel=2e-15)
 
 
-def test_identric_either_side_of_hi_log_hi_overflow(kernel_backend):
-    # hi * ln(hi) is finite at 2.5e305 and overflows at 2.6e305; both
-    # exponent groupings must agree with the homogeneous reduction
+def test_identric_either_side_of_hi_log_hi_overflow():
+    # hi * ln(hi) is finite at 2.5e305 and overflows at 2.6e305; the mean
+    # must agree with the homogeneous reduction on both sides
     for hi in (2.5e305, 2.6e305):
         for lo in (1.0, 0.5 * hi):
-            v = kernel_backend.identric_mean(lo, hi)
-            assert v == pytest.approx(hi * kernel_backend.identric_mean(lo / hi, 1.0), rel=1e-12)
+            v = identric_mean_float(lo, hi)
+            assert v == pytest.approx(hi * identric_mean_float(lo / hi, 1.0), rel=1e-12)
 
 
-def test_series_sum_t_zero(kernel_backend):
-    assert kernel_backend.k_series_sum(0.0, 500, 1e-17) == (1.0, 1, 0.0, True)
+def test_series_sum_t_zero():
+    assert k_series_sum(0.0, 500, 1e-17) == (1.0, 1, 0.0, True)
 
 
-def test_series_sum_budget_flag(kernel_backend):
-    s, terms, omitted, converged = kernel_backend.k_series_sum(0.81, 5, 1e-17)
+def test_series_sum_budget_flag():
+    s, terms, omitted, converged = k_series_sum(0.81, 5, 1e-17)
     assert not converged
     assert terms == 5
     assert omitted > 0.0
 
 
-def test_series_tail_bound(kernel_backend):
+def test_series_tail_bound():
     # the partial sum plus geometric tail bound must bracket a longer sum
     tsq = 0.25
-    s_short, _, omitted, _ = kernel_backend.k_series_sum(tsq, 500, 1e-10)
-    s_long, _, _, _ = kernel_backend.k_series_sum(tsq, 500, 1e-17)
+    s_short, _, omitted, _ = k_series_sum(tsq, 500, 1e-10)
+    s_long, _, _, _ = k_series_sum(tsq, 500, 1e-17)
     assert s_short <= s_long <= s_short + omitted / (1.0 - tsq)
 
 
@@ -203,15 +164,3 @@ def test_quadrature_simpson_cross_check():
         acc += (4.0 if i % 2 else 2.0) * f(i * h)
     simpson = acc * h / 3.0
     assert elliptic.k_quadrature(a, b).value == pytest.approx(simpson, rel=1e-12)
-
-
-def test_pure_backend_is_default_fallback():
-    # the pure module must expose exactly the compiled surface
-    expected = {
-        "agm_limit",
-        "agm_iterates",
-        "log_mean",
-        "identric_mean",
-        "k_series_sum",
-    }
-    assert expected <= set(dir(_kernels_py))

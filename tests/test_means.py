@@ -70,11 +70,11 @@ class TestLogMean:
         assert log_mean(MeanInput(1.0, 1.0)) == 1.0
 
     def test_one_e(self):
-        assert log_mean(MeanInput(1.0, math.e)) == pytest.approx(math.e - 1.0, rel=1e-15)
+        assert log_mean(MeanInput(1.0, math.e)) == pytest.approx(math.e - 1.0, rel=1e-15, abs=0)
 
     def test_two_eight_against_quadrature_oracle(self):
         v = log_mean(MeanInput(2.0, 8.0))
-        assert v == pytest.approx(6.0 / math.log(4.0), rel=1e-15)
+        assert v == pytest.approx(6.0 / math.log(4.0), rel=1e-15, abs=0)
         assert v == pytest.approx(simpson_log_mean(2.0, 8.0), rel=1e-11)
 
     @given(separated)
@@ -90,11 +90,11 @@ class TestIdentricMean:
 
     def test_one_e(self):
         expected = math.exp(1.0 / (math.e - 1.0))
-        assert identric_mean(MeanInput(1.0, math.e)) == pytest.approx(expected, rel=1e-15)
+        assert identric_mean(MeanInput(1.0, math.e)) == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_one_two(self):
         v = identric_mean(MeanInput(1.0, 2.0))
-        assert v == pytest.approx(4.0 / math.e, rel=1e-15)
+        assert v == pytest.approx(4.0 / math.e, rel=1e-15, abs=0)
         # small-order extrapolation of the generalized log mean agrees
         assert gen_log_mean(1e-10, MeanInput(1.0, 2.0)) == pytest.approx(v, abs=1e-9)
 
@@ -160,7 +160,7 @@ class TestAgm:
 
     def test_sqrt2_against_extended_precision_oracle(self):
         tr = agm(MeanInput(math.sqrt(2.0), 1.0))
-        assert tr.limit == pytest.approx(1.1981402347355923, rel=1e-15)
+        assert tr.limit == pytest.approx(1.1981402347355923, rel=1e-15, abs=0)
         assert tr.iterations <= 5
 
     def test_extreme_ratio_within_log_mean_bounds(self):
@@ -258,6 +258,43 @@ class TestWholeDoubleRange:
         m = agm(inp).limit
         assert lm < m < (math.pi / 2.0) * lm
         assert m < identric_mean(inp)
+
+
+CLOSE_GAPS = [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.25]
+
+
+class TestClosePairs:
+    """Identric and generalized logarithmic means on pairs whose relative
+    gap lies between 1e-10 and 0.25, against mpmath: the logarithm
+    differences of the direct formulas cancel there."""
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            yield mpmath
+
+    @staticmethod
+    def ref_gen_log_mean(mp, p, a, b):
+        a, b, q = mp.mpf(a), mp.mpf(b), mp.mpf(p) + 1
+        return ((b**q - a**q) / (q * (b - a))) ** (1 / mp.mpf(p))
+
+    @pytest.mark.parametrize("lo", [0.0123, 1.0, 731.5])
+    @pytest.mark.parametrize("gap", CLOSE_GAPS)
+    def test_identric_mean(self, mp, gap, lo):
+        hi = lo * (1.0 + gap)
+        ref = TestWholeDoubleRange.ref_identric_mean(mp, lo, hi)
+        assert identric_mean(MeanInput(lo, hi)) == pytest.approx(float(ref), rel=2e-15, abs=0)
+
+    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gap", CLOSE_GAPS)
+    def test_gen_log_mean(self, mp, gap, p):
+        for lo in (0.0123, 1.0, 731.5):
+            hi = lo * (1.0 + gap)
+            ref = self.ref_gen_log_mean(mp, p, lo, hi)
+            assert gen_log_mean(p, MeanInput(hi, lo)) == pytest.approx(
+                float(ref), rel=5e-14, abs=0
+            )
 
 
 class TestSharedProperties:

@@ -65,7 +65,7 @@ class TestFloatingChecks:
     def test_double_inequality_example_pair(self):
         lm = means.log_mean(means.MeanInput(1.0, 2.0))
         m = means.agm(means.MeanInput(1.0, 2.0)).limit
-        assert lm == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
+        assert lm == pytest.approx(1.0 / math.log(2.0), rel=1e-15, abs=0)
         assert lm < m < (math.pi / 2.0) * lm
 
     def test_mean_order(self):
