@@ -5,15 +5,15 @@ Subcommands: mean, elliptic, coeffs, scan, verify.  Output formats: text
 2 usage or domain error.  Exact rationals print as num/den in text and
 CSV and as paired decimal strings in JSON; floats print with --digits
 significant digits (display only, never fed back into computation).
+
+Each subcommand imports only the layer it runs, and json only where it
+prints JSON, so that a fresh `mean` or `elliptic` process loads neither
+the exact-rational layer nor the verifier.
 """
 
 import argparse
-import json
 import math
 import sys
-
-from agmbounds import coefficients as coeffs
-from agmbounds import elliptic, means, verify
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    # None stands for verify.DEFAULT_SEED, read only once verify is imported
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--timings", action="store_true",
                           help="write 'claim_id elapsed_s' per check to stderr")
     add_common(p_verify)
@@ -78,6 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mean(args, out) -> int:
+    from agmbounds import means
+
     inp = means.MeanInput(args.a, args.b)
     if args.kind == "genlog":
         if args.p is None:
@@ -102,6 +105,8 @@ def _cmd_mean(args, out) -> int:
             file=out,
         )
     else:
+        import json
+
         print(
             json.dumps(
                 {
@@ -119,6 +124,8 @@ def _cmd_mean(args, out) -> int:
 
 
 def _cmd_elliptic(args, out) -> int:
+    from agmbounds import elliptic
+
     has_pair = args.a is not None or args.b is not None
     if args.t is not None and has_pair:
         raise ValueError("give either --t or --a/--b, not both")
@@ -154,6 +161,8 @@ def _cmd_elliptic(args, out) -> int:
             file=out,
         )
     else:
+        import json
+
         print(
             json.dumps(
                 {
@@ -170,6 +179,8 @@ def _cmd_elliptic(args, out) -> int:
 
 
 def _cmd_coeffs(args, out) -> int:
+    from agmbounds import coefficients as coeffs
+
     table = coeffs.build_table(args.kmax)
     if args.format == "json":
         print(table.to_json(), file=out)
@@ -183,9 +194,13 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
+    from agmbounds import verify
+
     scan = verify.scan_ratio(args.points, args.tmin, args.tmax)
     upper = math.pi / 2.0
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -218,12 +233,13 @@ def _print_timing(report, elapsed_s) -> None:
 
 
 def _cmd_verify(args, out) -> int:
+    from agmbounds import verify
+
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     if args.timings:
-        reports = verify.run_all(
-            profile=args.profile, seed=args.seed, on_check=_print_timing
-        )
+        reports = verify.run_all(profile=args.profile, seed=seed, on_check=_print_timing)
     else:
-        reports = verify.run_all(profile=args.profile, seed=args.seed)
+        reports = verify.run_all(profile=args.profile, seed=seed)
     if args.format == "json":
         print(verify.reports_to_json(reports), file=out)
     elif args.format == "csv":
@@ -257,7 +273,14 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return _COMMANDS[args.command](args, out)
-    except (ValueError, ArithmeticError, elliptic.TermBudgetExhausted) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError):
+            # TermBudgetExhausted is the one RuntimeError that is a domain
+            # error; elliptic is imported here so commands without it skip it
+            from agmbounds.elliptic import TermBudgetExhausted
+
+            if not isinstance(exc, TermBudgetExhausted):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

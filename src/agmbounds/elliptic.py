@@ -13,9 +13,6 @@ is independent of the AGM.
 
 import math
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
 
 from agmbounds import means
 
@@ -51,8 +48,7 @@ class TermBudgetExhausted(RuntimeError):
     """Series hit max_terms before meeting the truncation criterion."""
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(means.Record):
     """Elliptic modulus t with 0 <= t < 1 (t = 1 is a log singularity).
 
     A modulus reduced from a pair (modulus_from_pair) also carries its
@@ -61,19 +57,20 @@ class Modulus:
     takes no part in comparison.
     """
 
-    t: float
-    exact_complement: Optional[float] = field(default=None, compare=False)
+    _fields = ("t", "exact_complement")
+    _compared = ("t",)
 
-    def __post_init__(self):
-        t = float(self.t)
-        if not math.isfinite(t) or t < 0.0 or t >= 1.0:
-            raise ValueError(f"modulus must satisfy 0 <= t < 1, got {self.t}")
-        object.__setattr__(self, "t", t)
-        c = self.exact_complement
+    def __init__(self, t: float, exact_complement: float | None = None):
+        ft = float(t)
+        if not math.isfinite(ft) or ft < 0.0 or ft >= 1.0:
+            raise ValueError(f"modulus must satisfy 0 <= t < 1, got {t}")
+        c = exact_complement
         if c is not None and not means.DBL_MIN <= c <= 1.0:
             raise ValueError(
                 f"exact complement must lie in [{means.DBL_MIN}, 1], got {c}"
             )
+        object.__setattr__(self, "t", ft)
+        object.__setattr__(self, "exact_complement", c)
 
     def complement(self) -> float:
         """sqrt(1 - t^2), computed as sqrt((1-t)(1+t)) for accuracy near 1,
@@ -83,20 +80,29 @@ class Modulus:
         return math.sqrt((1.0 - self.t) * (1.0 + self.t))
 
 
-@dataclass(frozen=True)
-class EllipticResult:
-    value: float
-    method: str  # "series" | "agm" | "quadrature"
-    terms_or_iterations: int
-    error_estimate: float
+class EllipticResult(means.Record):
+    """A value of K with its route ("series" | "agm" | "quadrature"), the
+    terms or iterations it took, and its error estimate."""
+
+    _fields = ("value", "method", "terms_or_iterations", "error_estimate")
+
+    def __init__(self, value: float, method: str, terms_or_iterations: int,
+                 error_estimate: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "terms_or_iterations", terms_or_iterations)
+        object.__setattr__(self, "error_estimate", error_estimate)
 
 
-def series_coefficient(i: int) -> Fraction:
+def series_coefficient(i: int) -> "Fraction":
     """Exact coefficient of t^(2i) in (2/pi) K(t): [C(2i,i)/4^i]^2.
 
     Built by the same ratio recurrence ((2i-1)/(2i))^2 that
     k_series_sum uses, so it certifies the float coefficients against b_coeff.
     """
+    # imported here so that the float routes load no exact arithmetic
+    from fractions import Fraction
+
     if i < 0:
         raise ValueError(f"coefficient index must be >= 0, got {i}")
     c = Fraction(1)

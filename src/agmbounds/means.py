@@ -13,7 +13,6 @@ call these kernels directly in their hot loops.
 
 import math
 import sys
-from dataclasses import dataclass
 
 # AGM stopping tolerance: relative gap on the arithmetic iterate.
 DEFAULT_REL_TOL = 4.0 * sys.float_info.epsilon
@@ -23,8 +22,10 @@ DEFAULT_REL_TOL = 4.0 * sys.float_info.epsilon
 # log mean.
 DBL_MIN = sys.float_info.min
 
-# Below this relative argument gap, gen_log_mean collapses to the midpoint,
-# whose O((gap)^2) error is below double precision there.
+# Below this relative argument gap the log, identric and generalized
+# logarithmic means collapse to the midpoint: they differ from it by
+# O(gap^2), below double precision there, and the midpoint cannot leave
+# [lo, hi] as the rounded formulas can on adjacent doubles.
 NEAR_EQUAL_REL = 1e-9
 
 # Below this |p|, gen_log_mean switches to a series-corrected log form;
@@ -32,22 +33,56 @@ NEAR_EQUAL_REL = 1e-9
 SMALL_ORDER = 1e-6
 
 
-@dataclass(frozen=True)
-class MeanInput:
+class Record:
+    """Base of the immutable value types of means and elliptic.
+
+    A subclass names its fields in _fields and sets each once, in its
+    __init__, through object.__setattr__; assigning or deleting an
+    attribute afterwards raises AttributeError.  Instances compare and hash
+    by the fields in _compared (all of _fields when empty) and print as
+    Name(field=value, ...).  Fields stay ordinary instance attributes:
+    reading one is as fast as on a plain object, which __slots__ is not.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple([getattr(self, f) for f in self._compared or self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class MeanInput(Record):
     """Validated pair of positive reals; the argument of every mean."""
 
-    a: float
-    b: float
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"mean arguments must be finite, got a={self.a}, b={self.b}")
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError(f"mean arguments must be positive, got a={self.a}, b={self.b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: float, b: float):
+        fa = float(a)
+        fb = float(b)
+        if not (math.isfinite(fa) and math.isfinite(fb)):
+            raise ValueError(f"mean arguments must be finite, got a={a}, b={b}")
+        if fa <= 0.0 or fb <= 0.0:
+            raise ValueError(f"mean arguments must be positive, got a={a}, b={b}")
+        object.__setattr__(self, "a", fa)
+        object.__setattr__(self, "b", fb)
 
     @property
     def hi(self) -> float:
@@ -62,8 +97,7 @@ class MeanInput:
         return self.hi, self.lo
 
 
-@dataclass(frozen=True)
-class AgmTrace:
+class AgmTrace(Record):
     """AGM iterate sequence with its limit and step count.
 
     iterates[k] = (a_k, b_k) with a_k the arithmetic and b_k the geometric
@@ -71,9 +105,13 @@ class AgmTrace:
     final arithmetic iterate.
     """
 
-    iterates: tuple[tuple[float, float], ...]
-    limit: float
-    iterations: int
+    _fields = ("iterates", "limit", "iterations")
+
+    def __init__(self, iterates: tuple[tuple[float, float], ...], limit: float,
+                 iterations: int):
+        object.__setattr__(self, "iterates", iterates)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "iterations", iterations)
 
 
 def agm_limit(a: float, b: float, rel_tol: float) -> tuple[float, int]:
@@ -154,7 +192,8 @@ def log_mean_float(a: float, b: float) -> float:
     Evaluated as d / log1p(d / lo), which stays accurate for nearly equal
     arguments.  Below a ratio lo/hi of DBL_MIN, where d / lo may overflow,
     the log difference is used instead; it cannot cancel there, since the
-    two logarithms differ by more than 708.
+    two logarithms differ by more than 708.  Below a relative gap of
+    NEAR_EQUAL_REL the midpoint is returned.
     """
     if a == b:
         return a
@@ -163,6 +202,14 @@ def log_mean_float(a: float, b: float) -> float:
     else:
         hi, lo = b, a
     d = hi - lo
+    if d < NEAR_EQUAL_REL * hi:
+        return 0.5 * lo + 0.5 * hi
+    return _log_mean_apart(hi, lo, d)
+
+
+def _log_mean_apart(hi: float, lo: float, d: float) -> float:
+    # L(lo, hi) for hi > lo with d = hi - lo at a relative gap of at least
+    # NEAR_EQUAL_REL, the body of log_mean_float.
     if lo / hi < DBL_MIN:
         return d / (math.log(hi) - math.log(lo))
     return d / math.log1p(d / lo)
@@ -174,7 +221,8 @@ def identric_mean_float(a: float, b: float) -> float:
     The exponent (hi ln hi - lo ln lo)/d - 1 equals ln hi + lo/L - 1 with
     L the logarithmic mean, so the mean is hi * exp(lo/L - 1).  L carries
     ln hi - ln lo without cancellation, lo/L lies in (0, 1), and nothing
-    overflows, close pairs and the whole double range included.
+    overflows, close pairs and the whole double range included.  Below a
+    relative gap of NEAR_EQUAL_REL the midpoint is returned.
     """
     if a == b:
         return a
@@ -182,7 +230,10 @@ def identric_mean_float(a: float, b: float) -> float:
         hi, lo = a, b
     else:
         hi, lo = b, a
-    return hi * math.exp(lo / log_mean_float(lo, hi) - 1.0)
+    d = hi - lo
+    if d < NEAR_EQUAL_REL * hi:
+        return 0.5 * lo + 0.5 * hi
+    return hi * math.exp(lo / _log_mean_apart(hi, lo, d) - 1.0)
 
 
 def log_mean(inp: MeanInput) -> float:
@@ -218,7 +269,7 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
         return identric_mean(inp)
     d = hi - lo
     if d < NEAR_EQUAL_REL * hi:
-        return 0.5 * (lo + hi)
+        return 0.5 * lo + 0.5 * hi
     if abs(p) < SMALL_ORDER:
         return _gen_log_small_p(p, hi, lo, d)
     return _gen_log_general(p, hi, lo, d)
@@ -244,7 +295,7 @@ def _gen_log_general(p: float, hi: float, lo: float, d: float) -> float:
     # ln hi - ln lo is taken as d / L(lo, hi), which does not cancel on
     # close pairs as the difference of the two logarithms does.
     q = p + 1.0
-    log_gap = d / log_mean_float(lo, hi)
+    log_gap = d / _log_mean_apart(hi, lo, d)
     if q > 0.0:
         bracket = -math.expm1(-q * log_gap)
         log_ratio = q * math.log(hi) + math.log(bracket) - math.log(q) - math.log(d)

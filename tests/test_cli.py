@@ -119,6 +119,23 @@ class TestElliptic:
         assert code == 2
         assert "k_agm" in capsys.readouterr().err
 
+    def test_term_budget_is_domain_error(self, capsys, monkeypatch):
+        from agmbounds import coefficients, elliptic
+
+        def raiser(exc):
+            def fn(*args, **kwargs):
+                raise exc
+            return fn
+
+        monkeypatch.setattr(elliptic, "k_series", raiser(elliptic.TermBudgetExhausted("budget")))
+        code, _ = run_cli("elliptic", "--method", "series", "--t", "0.5")
+        assert code == 2
+        assert capsys.readouterr().err == "error: budget\n"
+        # any other RuntimeError is a fault of the program, not of the input
+        monkeypatch.setattr(coefficients, "build_table", raiser(RuntimeError("fault")))
+        with pytest.raises(RuntimeError, match="fault"):
+            run_cli("coeffs", "--kmax", "5")
+
     def test_invalid_modulus(self):
         code, _ = run_cli("elliptic", "--method", "agm", "--t", "1.0")
         assert code == 2

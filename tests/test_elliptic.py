@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
 from agmbounds import (
+    EllipticResult,
     MeanInput,
     Modulus,
     ModulusTooLarge,
@@ -27,7 +29,8 @@ HALF_PI = math.pi / 2.0
 class TestModulus:
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, math.inf])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        message = f"modulus must satisfy 0 <= t < 1, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Modulus(bad)
 
     def test_accepts_boundary(self):
@@ -48,6 +51,17 @@ class TestSeries:
         assert r.terms_or_iterations == 1
         assert r.error_estimate == 0.0
         assert r.method == "series"
+        same = EllipticResult(
+            value=HALF_PI, method="series", terms_or_iterations=1, error_estimate=0.0
+        )
+        assert r == same and hash(r) == hash(same)
+        assert r != EllipticResult(HALF_PI, "agm", 1, 0.0)
+        assert repr(r) == (
+            f"EllipticResult(value={HALF_PI!r}, method='series', "
+            "terms_or_iterations=1, error_estimate=0.0)"
+        )
+        with pytest.raises(AttributeError):
+            r.value = 0.0
 
     def test_exact_coefficients(self):
         assert elliptic.series_coefficient(0) == 1
@@ -264,6 +278,14 @@ class TestModulusFromPair:
         assert m.complement() == 0.5
         assert m == Modulus(m.t)
         assert hash(m) == hash(Modulus(m.t))
+        assert m == Modulus(t=m.t, exact_complement=0.25)
+        assert m != Modulus(0.5, exact_complement=0.5)
+        assert repr(m) == f"Modulus(t={m.t!r}, exact_complement=0.5)"
         assert Modulus(m.t).complement() == pytest.approx(0.5, rel=1e-15, abs=0)
-        with pytest.raises(ValueError):
+        message = f"exact complement must lie in [{sys.float_info.min}, 1], got 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Modulus(0.5, exact_complement=0.0)
+        for name in ("t", "exact_complement"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0.25)
+        assert m.complement() == 0.5

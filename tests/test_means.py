@@ -30,6 +30,9 @@ ALL_MEANS = [
     lambda inp: gen_log_mean(0.7, inp),
     lambda inp: agm(inp).limit,
 ]
+# the orders p that take gen_log_mean's own formula (not L or I)
+GEN_LOG_ORDERS = [-2.0, -0.5, 0.5, 1.0, 2.0]
+DBL_MAX = sys.float_info.max
 
 
 def simpson_log_mean(a, b, n=4000):
@@ -44,15 +47,15 @@ def simpson_log_mean(a, b, n=4000):
 
 class TestMeanInput:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mean arguments must be positive, got a=0\.0, b=1\.0$"):
             MeanInput(0.0, 1.0)
-        with pytest.raises(ValueError):
-            MeanInput(1.0, -2.0)
+        with pytest.raises(ValueError, match=r"^mean arguments must be positive, got a=1, b=-2$"):
+            MeanInput(a=1, b=-2)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mean arguments must be finite, got a=inf, b=1\.0$"):
             MeanInput(math.inf, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mean arguments must be finite, got a=1\.0, b=nan$"):
             MeanInput(1.0, math.nan)
 
     def test_ordered_view(self):
@@ -63,6 +66,20 @@ class TestMeanInput:
     def test_coerces_ints(self):
         inp = MeanInput(2, 8)
         assert isinstance(inp.a, float) and isinstance(inp.b, float)
+
+    def test_value_semantics(self):
+        inp = MeanInput(b=8, a=2)
+        assert (inp.a, inp.b) == (2.0, 8.0)
+        assert inp == MeanInput(2.0, 8.0) and hash(inp) == hash(MeanInput(2.0, 8.0))
+        assert inp != MeanInput(8.0, 2.0)
+        assert repr(inp) == "MeanInput(a=2.0, b=8.0)"
+        with pytest.raises(AttributeError):
+            inp.a = 3.0
+        with pytest.raises(AttributeError):
+            inp.c = 3.0
+        with pytest.raises(AttributeError):
+            del inp.b
+        assert (inp.a, inp.b) == (2.0, 8.0)
 
 
 class TestLogMean:
@@ -139,6 +156,16 @@ class TestGenLogMean:
             0.5 * (a + b), rel=1e-13
         )
 
+    @pytest.mark.parametrize("p", GEN_LOG_ORDERS)
+    @pytest.mark.parametrize(
+        "a,b",
+        [(1.7e308, math.nextafter(1.7e308, math.inf)), (DBL_MAX, DBL_MAX * (1.0 - 1e-12))],
+    )
+    def test_near_equal_top_of_range_finite(self, p, a, b):
+        # a + b overflows here; the midpoint must not
+        v = gen_log_mean(p, MeanInput(a, b))
+        assert min(a, b) <= v <= max(a, b)
+
     def test_rejects_nonfinite_order(self):
         with pytest.raises(ValueError):
             gen_log_mean(math.inf, MeanInput(1.0, 2.0))
@@ -157,6 +184,12 @@ class TestAgm:
         assert tr.limit == 5.0
         assert tr.iterations == 0
         assert tr.iterates == ((5.0, 5.0),)
+        assert tr == AgmTrace(iterates=((5.0, 5.0),), limit=5.0, iterations=0)
+        assert hash(tr) == hash(AgmTrace(((5.0, 5.0),), 5.0, 0))
+        assert tr != AgmTrace(((5.0, 5.0),), 5.0, 1)
+        assert repr(tr) == "AgmTrace(iterates=((5.0, 5.0),), limit=5.0, iterations=0)"
+        with pytest.raises(AttributeError):
+            tr.limit = 4.0
 
     def test_sqrt2_against_extended_precision_oracle(self):
         tr = agm(MeanInput(math.sqrt(2.0), 1.0))
@@ -260,6 +293,20 @@ class TestWholeDoubleRange:
         assert m < identric_mean(inp)
 
 
+@pytest.mark.parametrize(
+    "x", [1.0, 0.3, 7.77, 1e-300, 5e-324, sys.float_info.min, 1e300, 1.7e308]
+)
+@pytest.mark.parametrize("idx", range(4))
+def test_betweenness_adjacent_doubles(x, idx):
+    # the rounded formulas can land one ulp outside a pair this close
+    y = math.nextafter(x, math.inf)
+    fn = ALL_MEANS[idx]
+    for inp in (MeanInput(x, y), MeanInput(y, x)):
+        assert x <= fn(inp) <= y
+    for p in GEN_LOG_ORDERS:
+        assert x <= gen_log_mean(p, MeanInput(x, y)) <= y
+
+
 CLOSE_GAPS = [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.25]
 
 
@@ -286,7 +333,7 @@ class TestClosePairs:
         ref = TestWholeDoubleRange.ref_identric_mean(mp, lo, hi)
         assert identric_mean(MeanInput(lo, hi)) == pytest.approx(float(ref), rel=2e-15, abs=0)
 
-    @pytest.mark.parametrize("p", [-2.0, -0.5, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("p", GEN_LOG_ORDERS)
     @pytest.mark.parametrize("gap", CLOSE_GAPS)
     def test_gen_log_mean(self, mp, gap, p):
         for lo in (0.0123, 1.0, 731.5):

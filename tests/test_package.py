@@ -1,0 +1,80 @@
+"""Package surface: lazy exports, and the modules a process loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import agmbounds
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAYERS = ["agmbounds.coefficients", "agmbounds.elliptic", "agmbounds.means", "agmbounds.verify"]
+HEAVY_STDLIB = ["dataclasses", "fractions", "json"]
+
+
+def loaded_after(code):
+    """Modules that running code in a fresh interpreter loads, beyond those
+    the interpreter had loaded at start-up."""
+    probe = (
+        "import sys\n"
+        "_before = set(sys.modules)\n"
+        f"{code}\n"
+        "sys.stdout.write('\\n' + '\\n'.join(set(sys.modules) - _before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return set(out.split("\n")[1:])
+
+
+class TestImportFootprint:
+    def test_import_package_loads_no_layer(self):
+        loaded = loaded_after("import agmbounds")
+        assert "agmbounds" in loaded
+        assert not loaded & set(LAYERS + HEAVY_STDLIB)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mean", "--kind", "agm", "--a", "2", "--b", "3"],
+            ["mean", "--kind", "genlog", "--p", "0.5", "--a", "2", "--b", "3"],
+            *(["elliptic", "--method", m, "--t", "0.5"] for m in ("series", "agm", "quadrature")),
+        ],
+        ids=" ".join,
+    )
+    def test_float_commands_load_no_exact_layer(self, argv):
+        loaded = loaded_after(
+            f"import io\nfrom agmbounds import cli\ncli.run({argv!r}, out=io.StringIO())"
+        )
+        assert "agmbounds.means" in loaded
+        assert not loaded & {"agmbounds.coefficients", "agmbounds.verify", *HEAVY_STDLIB}
+
+
+class TestLazyExports:
+    def test_every_name_resolves_to_its_definition(self):
+        for name in agmbounds.__all__:
+            obj = getattr(agmbounds, name)
+            if name == "__version__":
+                assert obj == "0.1.0"
+                continue
+            assert obj.__module__ in LAYERS
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from agmbounds import *", namespace)
+        for name in agmbounds.__all__:
+            assert namespace[name] is getattr(agmbounds, name)
+
+    def test_dir_lists_all(self):
+        assert set(agmbounds.__all__) <= set(dir(agmbounds))
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            agmbounds.no_such_name
+        assert getattr(agmbounds, "BACKEND", None) is None
+        with pytest.raises(ImportError):
+            exec("from agmbounds import no_such_name", {})
