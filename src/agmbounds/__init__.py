@@ -19,12 +19,12 @@ _EXPORTS = {
     ),
     "elliptic": (
         "EllipticResult", "Modulus", "ModulusTooLarge", "TermBudgetExhausted",
-        "k_agm", "k_quadrature", "k_series", "m_from_k",
+        "k_agm", "k_quadrature", "k_series",
     ),
     "coefficients": (
         "CoefficientTable", "a_coeff_closed", "a_coeff_sum", "b_coeff", "build_table",
-        "central_binomial", "double_factorial", "g_closed", "g_sum", "h_closed", "h_sum",
-        "odd_harmonic", "s_seq", "wallis_integral", "wallis_ratio", "zeilberger_check",
+        "g_closed", "g_sum", "h_closed", "h_sum", "odd_harmonic", "s_seq", "wallis_ratio",
+        "zeilberger_check",
     ),
     "verify": (
         "RatioScan", "VerificationReport", "check_coefficient_identities",

@@ -8,7 +8,9 @@ significant digits (display only, never fed back into computation).
 
 Each subcommand imports only the layer it runs, and json only where it
 prints JSON, so that a fresh `mean` or `elliptic` process loads neither
-the exact-rational layer nor the verifier.
+the exact-rational layer nor the verifier.  The value types of every
+layer are plain classes on means.Record, so no command generates
+classes at import.
 """
 
 import argparse

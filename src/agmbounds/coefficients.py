@@ -2,10 +2,13 @@
 
 Everything here is computed in arbitrary-precision rational arithmetic
 (fractions.Fraction over Python ints); no rounding ever occurs.  The
-module provides central binomials, Wallis integrals, the series
-coefficients a_k and b_k, the summation identities h(k) and g(k) with
-their closed forms, the recurrence satisfied by g, the sign-changing
-sequence S_k, and an incremental table builder with CSV/JSON export.
+module provides the Wallis quotient, the series coefficients a_k and b_k,
+the summation identities h(k) and g(k) with their closed forms, the
+recurrence satisfied by g, the sign-changing sequence S_k, and an
+incremental table builder with CSV/JSON export.  CoefficientTable is a
+plain immutable class on means.Record, and json is imported only by
+to_json, so a table printed as text or CSV needs neither class
+generation at import nor the JSON encoder.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -15,10 +18,10 @@ psi(k+1/2) = -gamma - 2 ln 2 + 2 sum_{i<=k} 1/(2i-1), making every
 identity exactly decidable.
 """
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+
+from agmbounds.means import Record
 
 
 def _check_index(k: int, minimum: int, name: str = "k") -> int:
@@ -29,38 +32,10 @@ def _check_index(k: int, minimum: int, name: str = "k") -> int:
     return k
 
 
-def central_binomial(k: int) -> int:
-    """C(2k, k) as an exact integer."""
-    _check_index(k, 0)
-    return comb(2 * k, k)
-
-
-def double_factorial(n: int) -> int:
-    """n!! for n >= -1; (-1)!! = 0!! = 1 by convention."""
-    _check_index(n, -1, "n")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def wallis_ratio(k: int) -> Fraction:
     """(2k-1)!!/(2k)!! = C(2k, k)/4^k, the Wallis quotient."""
     _check_index(k, 0)
     return Fraction(comb(2 * k, k), 4**k)
-
-
-def wallis_integral(n: int) -> tuple[Fraction, int]:
-    """integral_0^{pi/2} sin^n x dx as (rational, pi_power).
-
-    pi_power 1 means the value is rational * (pi/2) (even n); pi_power 0
-    means the value is the rational itself (odd n).  Pi stays symbolic so
-    the result is exact.
-    """
-    _check_index(n, 1, "n")
-    value = Fraction(double_factorial(n - 1), double_factorial(n))
-    return value, 1 if n % 2 == 0 else 0
 
 
 def odd_harmonic(k: int) -> Fraction:
@@ -162,20 +137,23 @@ def s_seq(k: int) -> Fraction:
     return Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (odd_harmonic(k) - 1)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     """Exact values of a_k, b_k, h(k), g(k), S_k up to k_max.
 
     Index ranges: a, h, g cover k = 1..k_max; b covers k = 0..k_max;
     s covers k = 2..k_max.  Immutable after construction.
     """
 
-    k_max: int
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    h: tuple[Fraction, ...]
-    g: tuple[Fraction, ...]
-    s: tuple[Fraction, ...]
+    _fields = ("k_max", "a", "b", "h", "g", "s")
+
+    def __init__(self, k_max: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...],
+                 h: tuple[Fraction, ...], g: tuple[Fraction, ...], s: tuple[Fraction, ...]):
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "s", s)
 
     def a_at(self, k: int) -> Fraction:
         _check_index(k, 1)
@@ -226,6 +204,8 @@ class CoefficientTable:
         return {"k_max": self.k_max, "rows": rows}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod

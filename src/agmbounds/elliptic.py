@@ -228,14 +228,6 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
     )
 
 
-def m_from_k(a: float, b: float) -> float:
-    """AGM mean recovered through the reciprocal relation M = pi/(2 K(a, b)),
-    with K evaluated by quadrature; agrees with the AGM iteration within the
-    combined error estimates.
-    """
-    return math.pi / (2.0 * k_quadrature(a, b).value)
-
-
 def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
     """Reduce K(a, b) to the modulus form: K(a, b) = K(t)/scale.
 

@@ -28,13 +28,13 @@ DBL_MIN = sys.float_info.min
 # [lo, hi] as the rounded formulas can on adjacent doubles.
 NEAR_EQUAL_REL = 1e-9
 
-# Below this |p|, gen_log_mean switches to a series-corrected log form;
-# the raw formula loses about |log10 p| digits to cancellation.
+# Below this |p|, gen_log_mean switches to a form anchored at the larger
+# argument; the general form loses about |log10 p| digits to cancellation.
 SMALL_ORDER = 1e-6
 
 
 class Record:
-    """Base of the immutable value types of means and elliptic.
+    """Base of the package's immutable value types.
 
     A subclass names its fields in _fields and sets each once, in its
     __init__, through object.__setattr__; assigning or deleting an
@@ -276,17 +276,19 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
 
 
 def _gen_log_small_p(p: float, hi: float, lo: float, d: float) -> float:
-    # exp(log1p(delta)/p) where delta = (ratio - 1) is expanded in powers
-    # of p; three terms leave an O(p^3) truncation error, negligible for
-    # |p| < 1e-6.
-    lh = math.log(hi)
-    ll = math.log(lo)
-    t1 = hi * lh - lo * ll - d
-    t2 = hi * lh * lh - lo * ll * ll
-    t3 = hi * lh * lh * lh - lo * ll * ll * ll
-    series = t1 + p * (0.5 * t2 + p * (t3 / 6.0))
-    delta = p * series / ((p + 1.0) * d)
-    return math.exp(math.log1p(delta) / p)
+    # With g = ln(hi/lo), (hi^(p+1) - lo^(p+1)) / ((p+1) d) is exactly
+    # hi^p (1 - (lo/d) expm1(-p g)) / (1 + p).  The logarithms of the
+    # bracket and of 1 + p are both about p; their difference over p is
+    # the exponent ln(M/hi), with an absolute error of a few ulps, and
+    # nothing overflows.  g = d / L(lo, hi) does not cancel on close pairs.
+    log_mean_lo_hi = _log_mean_apart(hi, lo, d)
+    g = d / log_mean_lo_hi
+    if abs(p) * g * g < sys.float_info.epsilon:
+        # ln M_p - ln I = p Var(ln x)/2 + O(p^2) for x uniform on [lo, hi],
+        # and Var(ln x) <= g^2/4: the identric mean is within eps/8.  This
+        # also covers every p for which p g would be subnormal.
+        return hi * math.exp(lo / log_mean_lo_hi - 1.0)
+    return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
 
 
 def _gen_log_general(p: float, hi: float, lo: float, d: float) -> float:

@@ -6,16 +6,18 @@ ratio monotonicity, sign change) are decided in rational arithmetic with
 zero tolerance; floating claims carry explicit named tolerances and a
 witness for the first failing input.  Identical seeds and profiles
 reproduce byte-identical report lists.
+
+VerificationReport and RatioScan are plain immutable classes on
+means.Record, and json is imported only by reports_to_json and
+reports_from_json, so a verify or scan process that prints text needs
+neither class generation at import nor the JSON encoder.
 """
 
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
-
-import json
 
 from agmbounds import coefficients as coeffs
 from agmbounds import elliptic, means
@@ -54,27 +56,36 @@ PROFILES = {
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one claim: pass/fail, depth, tolerances, failure witness."""
+class VerificationReport(means.Record):
+    """Outcome of one claim: pass/fail, depth, tolerances, failure witness.
 
-    claim_id: str
-    statement: str
-    status: str  # "pass" | "fail"
-    checked_points: int
-    tolerances: dict
-    witness: Optional[str] = None
+    status is "pass" or "fail"; witness is None on a pass.
+    """
+
+    _fields = ("claim_id", "statement", "status", "checked_points", "tolerances", "witness")
+
+    def __init__(self, claim_id: str, statement: str, status: str, checked_points: int,
+                 tolerances: dict, witness: str | None = None):
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "checked_points", checked_points)
+        object.__setattr__(self, "tolerances", tolerances)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class RatioScan:
+class RatioScan(means.Record):
     """M(1,t)/L(1,t) sampled on a strictly increasing grid in (0, 1)."""
 
-    grid: tuple[float, ...]
-    ratio: tuple[float, ...]
-    monotone_decreasing: bool
-    min_value: float
-    max_value: float
+    _fields = ("grid", "ratio", "monotone_decreasing", "min_value", "max_value")
+
+    def __init__(self, grid: tuple[float, ...], ratio: tuple[float, ...],
+                 monotone_decreasing: bool, min_value: float, max_value: float):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "monotone_decreasing", monotone_decreasing)
+        object.__setattr__(self, "min_value", min_value)
+        object.__setattr__(self, "max_value", max_value)
 
 
 def _report(claim_id, statement, checked, tolerances, witness=None):
@@ -106,7 +117,7 @@ def _sample_pair(rng: random.Random) -> tuple[float, float]:
 # exact claims
 
 def check_coefficient_identities(
-    k_max: int, table: Optional[coeffs.CoefficientTable] = None
+    k_max: int, table: coeffs.CoefficientTable | None = None
 ) -> VerificationReport:
     """Exact agreement of every summation form, closed form, stored table
     value, and the g recurrence, for 1 <= k <= k_max."""
@@ -160,7 +171,7 @@ def check_coefficient_identities(
 
 
 def check_coefficient_monotonicity(
-    k_max: int, table: Optional[coeffs.CoefficientTable] = None
+    k_max: int, table: coeffs.CoefficientTable | None = None
 ) -> VerificationReport:
     """a_k/b_k strictly increasing for 1 <= k <= k_max, exactly."""
     if table is None:
@@ -218,7 +229,7 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
 
 
 def check_sign_change(
-    k_max: int, table: Optional[coeffs.CoefficientTable] = None
+    k_max: int, table: coeffs.CoefficientTable | None = None
 ) -> VerificationReport:
     """S_k strictly decreasing on [2, k_max] with its single sign change
     located between k = 10 and k = 11, exactly."""
@@ -502,7 +513,7 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
 def run_all(
     profile: str = "quick",
     seed: int = DEFAULT_SEED,
-    on_check: Optional[Callable[[VerificationReport, float], None]] = None,
+    on_check: Callable[[VerificationReport, float], None] | None = None,
 ) -> list[VerificationReport]:
     """Every check at the profile's depth, in a fixed claim order.
 
@@ -539,13 +550,19 @@ def all_passed(reports) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
-def reports_to_json(reports, indent: Optional[int] = None) -> str:
+def reports_to_json(reports, indent: int | None = None) -> str:
     """Lossless JSON array of reports (claim_id, status, counts, witness,
     tolerances)."""
-    return json.dumps([asdict(r) for r in reports], sort_keys=True, indent=indent)
+    import json
+
+    return json.dumps(
+        [{f: getattr(r, f) for f in r._fields} for r in reports], sort_keys=True, indent=indent
+    )
 
 
 def reports_from_json(text: str) -> list[VerificationReport]:
+    import json
+
     return [VerificationReport(**obj) for obj in json.loads(text)]
 
 

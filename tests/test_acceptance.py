@@ -169,8 +169,6 @@ def test_criterion_8_classical_orderings():
 def test_criterion_9_mutation_sanity():
     """Corrupting any single stored coefficient flips at least one
     verification report to fail, with a witness."""
-    import dataclasses
-
     k_max = 12
     table = co.build_table(k_max)
     ok = True
@@ -180,7 +178,8 @@ def test_criterion_9_mutation_sanity():
         for index in range(len(values)):
             mutated = list(values)
             mutated[index] += Fraction(1, 9973)
-            corrupted = dataclasses.replace(table, **{field: tuple(mutated)})
+            fields = {f: getattr(table, f) for f in ("k_max", "a", "b", "h", "g", "s")}
+            corrupted = co.CoefficientTable(**{**fields, field: tuple(mutated)})
             reports = [
                 verify.check_coefficient_identities(k_max, corrupted),
                 verify.check_coefficient_monotonicity(k_max, corrupted),

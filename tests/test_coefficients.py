@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,23 +24,6 @@ A_TABLE = [
     Fraction(206329, 5160960),
     Fraction(66087019, 1816657920),
 ]
-
-
-def pascal_binomial(n, k):
-    """Oracle: C(n, k) by the Pascal-triangle recurrence."""
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
-def simpson_sin_power(n, panels=4000):
-    """Oracle: integral_0^{pi/2} sin^n x dx by composite Simpson."""
-    h = (math.pi / 2.0) / panels
-    acc = math.sin(0.0) ** n + math.sin(math.pi / 2.0) ** n
-    for i in range(1, panels):
-        acc += (4.0 if i % 2 else 2.0) * math.sin(i * h) ** n
-    return acc * h / 3.0
 
 
 def a_sum_per_term(k):
@@ -75,62 +59,11 @@ def odd_harmonic_per_term(k):
     return sum((Fraction(1, 2 * i - 1) for i in range(1, k + 1)), Fraction(0))
 
 
-class TestCentralBinomial:
-    def test_small(self):
-        assert co.central_binomial(0) == 1
-        assert co.central_binomial(1) == 2
-
-    def test_k10_against_pascal(self):
-        assert co.central_binomial(10) == 184756
-        assert co.central_binomial(10) == pascal_binomial(20, 10)
-
-    @given(st.integers(min_value=0, max_value=25))
-    def test_matches_pascal(self, k):
-        assert co.central_binomial(k) == pascal_binomial(2 * k, k)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            co.central_binomial(-1)
-
-
-class TestDoubleFactorial:
-    def test_conventions(self):
-        assert co.double_factorial(-1) == 1
-        assert co.double_factorial(0) == 1
-        assert co.double_factorial(1) == 1
-
-    def test_values(self):
-        assert [co.double_factorial(n) for n in range(2, 9)] == [
-            2, 3, 8, 15, 48, 105, 384,
-        ]
-
+class TestWallisRatio:
     @given(st.integers(min_value=0, max_value=40))
-    def test_wallis_ratio_shares_the_recurrence(self, k):
-        direct = Fraction(co.double_factorial(2 * k - 1), co.double_factorial(2 * k))
+    def test_double_factorial_quotient(self, k):
+        direct = Fraction(math.prod(range(2 * k - 1, 0, -2)), math.prod(range(2 * k, 0, -2)))
         assert co.wallis_ratio(k) == direct
-
-
-class TestWallisIntegral:
-    def test_n1(self):
-        assert co.wallis_integral(1) == (Fraction(1), 0)
-
-    def test_n2(self):
-        assert co.wallis_integral(2) == (Fraction(1, 2), 1)
-
-    def test_n3_with_quadrature_oracle(self):
-        value, pi_power = co.wallis_integral(3)
-        assert (value, pi_power) == (Fraction(2, 3), 0)
-        assert float(value) == pytest.approx(simpson_sin_power(3), abs=1e-14)
-
-    @given(st.integers(min_value=1, max_value=12))
-    def test_against_quadrature(self, n):
-        value, pi_power = co.wallis_integral(n)
-        numeric = float(value) * (math.pi / 2.0 if pi_power else 1.0)
-        assert numeric == pytest.approx(simpson_sin_power(n), abs=1e-12)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            co.wallis_integral(0)
 
 
 class TestCommonDenominatorSums:
@@ -293,6 +226,28 @@ class TestTable:
         blob = table.to_json()
         parsed = co.CoefficientTable.from_json_dict(json.loads(blob))
         assert parsed == table
+
+    def test_value_semantics(self):
+        table = co.build_table(2)
+        fields = (table.k_max, table.a, table.b, table.h, table.g, table.s)
+        assert co.CoefficientTable(*fields) == table
+        keyword = co.CoefficientTable(
+            s=table.s, g=table.g, h=table.h, b=table.b, a=table.a, k_max=2
+        )
+        assert keyword == table and hash(keyword) == hash(table)
+        assert table != co.CoefficientTable(2, table.a, table.b, table.h, table.g, table.s[:0])
+        assert repr(table) == (
+            "CoefficientTable(k_max=2, a=(Fraction(1, 4), Fraction(7, 48)), "
+            "b=(Fraction(1, 1), Fraction(1, 4), Fraction(9, 64)), "
+            "h=(Fraction(1, 4), Fraction(5, 16)), g=(Fraction(1, 4), Fraction(1, 4)), "
+            "s=(Fraction(22, 15),))"
+        )
+        assert pickle.loads(pickle.dumps(table)) == table
+        with pytest.raises(AttributeError):
+            table.k_max = 3
+        with pytest.raises(AttributeError):
+            del table.a
+        assert table.k_max == 2 and len(table.a) == 2
 
     def test_json_uses_decimal_strings(self):
         data = co.build_table(2).to_json_dict()

@@ -19,7 +19,6 @@ from agmbounds import (
     k_agm,
     k_quadrature,
     k_series,
-    m_from_k,
 )
 from agmbounds import elliptic, means
 
@@ -217,16 +216,6 @@ class TestCrossMethod:
             k = k_quadrature(a, b).value
             assert abs(m * (2.0 / math.pi) * k - 1.0) <= 1e-11
 
-
-class TestMFromK:
-    def test_equal_arguments(self):
-        assert m_from_k(7.0, 7.0) == pytest.approx(7.0, rel=1e-13)
-
-    def test_sqrt2_oracle(self):
-        assert m_from_k(math.sqrt(2.0), 1.0) == pytest.approx(
-            1.1981402347355923, rel=1e-11
-        )
-
     def test_agrees_with_iteration_within_estimates(self):
         for a, b in [(3.0, 0.4), (1.0, 0.05), (10.0, 11.0)]:
             r = k_quadrature(a, b)
@@ -234,11 +223,6 @@ class TestMFromK:
             m_recip = math.pi / (2.0 * r.value)
             budget = (r.error_estimate / r.value + 1e-13) * m_direct
             assert abs(m_direct - m_recip) <= budget + 1e-15 * m_direct
-
-    def test_extreme_ratio_bounds(self):
-        t = 0.01
-        ratio = m_from_k(1.0, t) / means.log_mean_float(1.0, t)
-        assert 1.0 < ratio < HALF_PI
 
 
 class TestModulusFromPair:

@@ -149,6 +149,12 @@ class TestGenLogMean:
         above = gen_log_mean(1.001e-6, inp)
         assert below == pytest.approx(above, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [5e-324, -5e-324, 1e-300, -1e-300, 1e-25])
+    def test_vanishing_order_is_identric(self, p):
+        # p g^2 is below eps: the order-0 mean is exact to double precision
+        for a, b in [(3.0, 11.0), (1.0, 1.0 + 1e-6), (5e-324, DBL_MAX)]:
+            assert gen_log_mean(p, MeanInput(a, b)) == identric_mean(MeanInput(a, b))
+
     def test_near_equal_arguments_midpoint(self):
         a = 1.0
         b = 1.0 + 1e-12
@@ -273,6 +279,20 @@ class TestWholeDoubleRange:
         tr = agm(MeanInput(5e-324, sys.float_info.max))
         assert tr.iterations <= 16
         assert tr.iterates[0] == (sys.float_info.max, 5e-324)
+
+    @pytest.mark.parametrize("p", [1e-7, -1e-7, 1e-9, -1e-9])
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (1e300, 1e-300), (1.75e303, 1.98e266), (5e-324, DBL_MAX), (1e-308, 1e308),
+            (1e308, 3e307), (1.0, 1.000001),
+        ],
+    )
+    def test_gen_log_mean_small_order(self, mp, p, a, b):
+        # orders below SMALL_ORDER, across the whole double range and on a close pair
+        q = mp.mpf(p) + 1
+        ref = ((mp.mpf(b) ** q - mp.mpf(a) ** q) / (q * (mp.mpf(b) - a))) ** (1 / mp.mpf(p))
+        assert gen_log_mean(p, MeanInput(a, b)) == pytest.approx(float(ref), rel=2e-15, abs=0)
 
     @given(whole_range, whole_range)
     def test_agm_bounded_finite_positive(self, a, b):

@@ -52,6 +52,24 @@ class TestImportFootprint:
         assert "agmbounds.means" in loaded
         assert not loaded & {"agmbounds.coefficients", "agmbounds.verify", *HEAVY_STDLIB}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["coeffs", "--kmax", "5", "--format", f] for f in ("text", "csv", "json")),
+            ["scan", "--points", "20", "--tmin", "1e-8", "--tmax", "0.9999"],
+            ["scan", "--points", "20", "--tmin", "1e-8", "--tmax", "0.9999", "--format", "json"],
+            *(["verify", "--profile", "quick", "--format", f] for f in ("text", "json")),
+        ],
+        ids=" ".join,
+    )
+    def test_exact_commands_load_no_dataclasses(self, argv):
+        loaded = loaded_after(
+            f"import io\nfrom agmbounds import cli\ncli.run({argv!r}, out=io.StringIO())"
+        )
+        assert "agmbounds.coefficients" in loaded
+        assert "dataclasses" not in loaded
+        assert ("json" in loaded) == (argv[-1] == "json")
+
 
 class TestLazyExports:
     def test_every_name_resolves_to_its_definition(self):

@@ -1,7 +1,7 @@
 """Verification layer: reports, determinism, mutation detection."""
 
-import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,7 +13,8 @@ from agmbounds import means, verify
 def _corrupt(table, field, index, delta=Fraction(1, 7)):
     values = list(getattr(table, field))
     values[index] += delta
-    return dataclasses.replace(table, **{field: tuple(values)})
+    fields = {f: getattr(table, f) for f in ("k_max", "a", "b", "h", "g", "s")}
+    return co.CoefficientTable(**{**fields, field: tuple(values)})
 
 
 class TestExactChecks:
@@ -128,6 +129,49 @@ class TestScan:
         r = verify.check_ratio_scan(25, 1e-6, 0.99)
         assert r.status == "pass"
         assert r.checked_points == 25
+
+
+class TestValueTypes:
+    def test_report(self):
+        r = verify.VerificationReport("id", "a claim", "pass", 3, {"exact": 0.0})
+        assert r.witness is None
+        same = verify.VerificationReport(
+            witness=None, tolerances={"exact": 0.0}, checked_points=3, status="pass",
+            statement="a claim", claim_id="id",
+        )
+        assert r == same
+        assert r != verify.VerificationReport("id", "a claim", "fail", 3, {"exact": 0.0}, "w")
+        assert repr(r) == (
+            "VerificationReport(claim_id='id', statement='a claim', status='pass', "
+            "checked_points=3, tolerances={'exact': 0.0}, witness=None)"
+        )
+        assert pickle.loads(pickle.dumps(r)) == r
+        with pytest.raises(TypeError):  # the tolerances dict is unhashable
+            hash(r)
+        with pytest.raises(AttributeError):
+            r.status = "fail"
+        with pytest.raises(AttributeError):
+            del r.witness
+        assert r.status == "pass" and r.witness is None
+
+    def test_ratio_scan(self):
+        scan = verify.RatioScan((0.1, 0.5), (1.2, 1.1), True, 1.1, 1.2)
+        same = verify.RatioScan(
+            max_value=1.2, min_value=1.1, monotone_decreasing=True, ratio=(1.2, 1.1),
+            grid=(0.1, 0.5),
+        )
+        assert scan == same and hash(scan) == hash(same)
+        assert scan != verify.RatioScan((0.1, 0.5), (1.2, 1.1), False, 1.1, 1.2)
+        assert repr(scan) == (
+            "RatioScan(grid=(0.1, 0.5), ratio=(1.2, 1.1), monotone_decreasing=True, "
+            "min_value=1.1, max_value=1.2)"
+        )
+        assert pickle.loads(pickle.dumps(scan)) == scan
+        with pytest.raises(AttributeError):
+            scan.min_value = 0.0
+        with pytest.raises(AttributeError):
+            del scan.grid
+        assert scan.min_value == 1.1 and scan.grid == (0.1, 0.5)
 
 
 class TestRunAll:
