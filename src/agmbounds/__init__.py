@@ -24,7 +24,6 @@ _EXPORTS = {
     "coefficients": (
         "CoefficientTable", "a_coeff_closed", "a_coeff_sum", "b_coeff", "build_table",
         "g_closed", "g_sum", "h_closed", "h_sum", "odd_harmonic", "s_seq", "wallis_ratio",
-        "zeilberger_check",
     ),
     "verify": (
         "RatioScan", "VerificationReport", "check_coefficient_identities",

@@ -7,8 +7,9 @@ CSV and as paired decimal strings in JSON; floats print with --digits
 significant digits (display only, never fed back into computation).
 
 Each subcommand imports only the layer it runs, and json only where it
-prints JSON, so that a fresh `mean` or `elliptic` process loads neither
-the exact-rational layer nor the verifier.  The value types of every
+prints JSON through json.dumps (coeffs writes its JSON text directly),
+so that a fresh `mean` or `elliptic` process loads neither the
+exact-rational layer nor the verifier.  The value types of every
 layer are plain classes on means.Record, so no command generates
 classes at import.
 """

@@ -4,11 +4,10 @@ Everything here is computed in arbitrary-precision rational arithmetic
 (fractions.Fraction over Python ints); no rounding ever occurs.  The
 module provides the Wallis quotient, the series coefficients a_k and b_k,
 the summation identities h(k) and g(k) with their closed forms, the
-recurrence satisfied by g, the sign-changing sequence S_k, and an
-incremental table builder with CSV/JSON export.  CoefficientTable is a
-plain immutable class on means.Record, and json is imported only by
-to_json, so a table printed as text or CSV needs neither class
-generation at import nor the JSON encoder.
+sign-changing sequence S_k, and an incremental table builder with CSV/JSON
+export.  CoefficientTable is a plain immutable class on means.Record, and
+to_json writes its text directly, so no table output needs class
+generation at import or the json module.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -120,14 +119,6 @@ def g_closed(k: int) -> Fraction:
     return wallis_ratio(k) * odd_harmonic(k) / 2
 
 
-def zeilberger_check(k: int) -> bool:
-    """Whether 2(k+1) g(k+1) - (2k+1) g(k) = (1/2) C(2k,k)/4^k exactly,
-    with g evaluated by its defining sum."""
-    _check_index(k, 1)
-    lhs = 2 * (k + 1) * g_sum(k + 1) - (2 * k + 1) * g_sum(k)
-    return lhs == wallis_ratio(k) / 2
-
-
 def s_seq(k: int) -> Fraction:
     """S_k = 2(k+1)^2/(k(2k+1)) - sum_{i=2}^{k} 1/(2i-1) for k >= 2.
 
@@ -189,28 +180,25 @@ class CoefficientTable(Record):
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        """Exact JSON form: numerator/denominator as decimal strings."""
-        rows = []
-        for k in range(self.k_max + 1):
-            row: dict = {"k": k, "b": _frac_json(self.b_at(k))}
-            if k >= 1:
-                row["a"] = _frac_json(self.a_at(k))
-                row["h"] = _frac_json(self.h_at(k))
-                row["g"] = _frac_json(self.g_at(k))
-            if k >= 2:
-                row["s"] = _frac_json(self.s_at(k))
-            rows.append(row)
-        return {"k_max": self.k_max, "rows": rows}
-
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """Exact JSON form, with each value's numerator and denominator as
+        decimal strings: {"k_max": n, "rows": [{"a": .., "b": .., "g": ..,
+        "h": .., "k": k, "s": ..}, ...]}, keys sorted and each key present
+        where its sequence is defined.  The text equals json.dumps of that
+        object with sort_keys=True, written without the json module."""
+        rows = [f'{{"b": {_frac_json(self.b[0])}, "k": 0}}']
+        for k in range(1, self.k_max + 1):
+            s_cell = f', "s": {_frac_json(self.s[k - 2])}' if k >= 2 else ""
+            rows.append(
+                f'{{"a": {_frac_json(self.a[k - 1])}, "b": {_frac_json(self.b[k])}, '
+                f'"g": {_frac_json(self.g[k - 1])}, "h": {_frac_json(self.h[k - 1])}, '
+                f'"k": {k}{s_cell}}}'
+            )
+        return f'{{"k_max": {self.k_max}, "rows": [{", ".join(rows)}]}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoefficientTable":
-        """Lossless inverse of to_json_dict."""
+        """Lossless inverse of to_json, applied to its parsed text."""
         k_max = data["k_max"]
         by_k = {row["k"]: row for row in data["rows"]}
         return cls(
@@ -227,8 +215,8 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _frac_json(v: Fraction) -> dict:
-    return {"numerator": str(v.numerator), "denominator": str(v.denominator)}
+def _frac_json(v: Fraction) -> str:
+    return f'{{"denominator": "{v.denominator}", "numerator": "{v.numerator}"}}'
 
 
 def _frac_parse(obj: dict) -> Fraction:

@@ -39,6 +39,11 @@ QUAD_STEP = 0.25
 # Summation stops at the first term below this fraction of the partial sum.
 QUAD_TERM_CUTOFF = 1e-17
 
+# k_quadrature sums its tail in closed form from the first node where
+# rho = e^(-2u)/r <= e^(-QUAD_TAIL_DECAY); the tail series in rho then
+# shrinks at least as fast as a geometric series of that ratio.
+QUAD_TAIL_DECAY = 3.0
+
 
 class ModulusTooLarge(ValueError):
     """Series route refused: modulus in the slow-convergence region."""
@@ -189,42 +194,61 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
     K(a, b) = integral_0^inf dt / sqrt((a^2 + t^2)(b^2 + t^2)).
 
     With t = sqrt(ab) e^u the integrand becomes even and analytic in u:
-    K = (1/hi) integral_R du / sqrt(1 + r^2 + 2r cosh 2u), r = lo/hi, and
-    the trapezoidal sum with step h = QUAD_STEP converges exponentially.
-    Terms n >= 0 are summed (doubled for n >= 1) until one falls below
-    QUAD_TERM_CUTOFF of the partial sum.  r e^(+-2nh) is evaluated as
-    exp(+-2nh + ln lo - ln hi), which neither overflows nor underflows to a
-    wrong value anywhere in the positive doubles.  Never calls the AGM.
-    terms_or_iterations counts integrand evaluations; error_estimate is
-    the omitted-tail estimate 2h f_last/hi, with f_last the first omitted
-    integrand value.
+    K = (1/hi) integral_R f(u) du, f(u) = [(1 + r e^(2u))(1 + r e^(-2u))]^(-1/2),
+    r = lo/hi, and the trapezoidal sum with step h = QUAD_STEP converges
+    exponentially.  Nodes n >= 1 count twice.  They are evaluated one by
+    one up to the first node N with rho = e^(-2Nh)/r <= e^(-QUAD_TAIL_DECAY).
+    From there f(u) = rho^(1/2) sum_j c_j rho^j with
+    c_j = (-r)^j P_j((r + 1/r)/2) (Legendre), |c_j| <= 1, so the tail of
+    the sum over n >= N is, in closed form,
+    2 sum_j c_j rho_N^(j+1/2) / (1 - e^(-(2j+1)h)), summed until a term
+    falls below QUAD_TERM_CUTOFF of the partial sum.  r e^(+-2nh) is
+    evaluated as exp(+-2nh + ln r), which neither overflows nor underflows
+    to a wrong value anywhere in the positive doubles.  Never calls the AGM.
+    terms_or_iterations counts the explicit evaluations and the tail terms
+    computed; error_estimate is h/hi times the first omitted tail term.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
     hi, lo = (a, b) if a >= b else (b, a)
-    log_r = math.log(lo) - math.log(hi)
     r = lo / hi
-    base = 1.0 + r * r
+    # ln lo - ln hi cancels, losing about |ln lo| eps; lo/hi is correctly
+    # rounded while it stays normal
+    log_r = math.log(r) if r >= means.DBL_MIN else math.log(lo) - math.log(hi)
+    rsq = r * r
+    base = 1.0 + rsq
+    half_base = 0.5 * base
     h = QUAD_STEP
+    n_tail = math.ceil((QUAD_TAIL_DECAY - log_r) / (2.0 * h))
     terms = [1.0 / math.sqrt(base + 2.0 * r)]
-    total = terms[0]
-    n = 1
-    while True:
+    for n in range(1, n_tail):
         x = 2.0 * h * n
-        term = 2.0 / math.sqrt(base + math.exp(x + log_r) + math.exp(log_r - x))
-        if term < QUAD_TERM_CUTOFF * total:
+        terms.append(2.0 / math.sqrt(base + math.exp(x + log_r) + math.exp(log_r - x)))
+    total = sum(terms)
+    log_rho = -2.0 * h * n_tail - log_r
+    rho = math.exp(log_rho)
+    power = 2.0 * math.exp(0.5 * log_rho)  # 2 rho^(j + 1/2)
+    c_prev, c = 0.0, 1.0
+    j = 0
+    while True:
+        term = c * power / -math.expm1(-(2 * j + 1) * h)
+        if abs(term) < QUAD_TERM_CUTOFF * total:
             break
         terms.append(term)
         total += term
-        n += 1
-    # a running sum of the ~150 terms drifts by up to about 1e-15 relative
+        # (j+1) c_(j+1) = -(2j+1) (1+r^2)/2 c_j - j r^2 c_(j-1), the Legendre
+        # recurrence scaled by (-r)^(j+1); forward it is stable
+        c_prev, c = c, (-(2 * j + 1) * half_base * c - j * rsq * c_prev) / (j + 1)
+        power *= rho
+        j += 1
+    # the tail terms alternate in sign; fsum adds every term exactly
     return EllipticResult(
         value=h * math.fsum(terms) / hi,
         method="quadrature",
-        terms_or_iterations=n + 1,
-        error_estimate=h * term / hi,
+        terms_or_iterations=n_tail + j + 1,
+        error_estimate=h * abs(term) / hi,
     )
 
 

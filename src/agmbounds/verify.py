@@ -56,10 +56,32 @@ PROFILES = {
 DEFAULT_SEED = 42
 
 
+class Tolerances(dict):
+    """Read-only dict of a report's named tolerances.
+
+    It prints, compares and encodes to JSON as the dict it was built from,
+    and hashes by its sorted items; every method that would change it
+    raises TypeError.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("report tolerances are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+
 class VerificationReport(means.Record):
     """Outcome of one claim: pass/fail, depth, tolerances, failure witness.
 
-    status is "pass" or "fail"; witness is None on a pass.
+    status is "pass" or "fail"; witness is None on a pass.  tolerances is
+    stored as a Tolerances, so a report is immutable and hashable.
     """
 
     _fields = ("claim_id", "statement", "status", "checked_points", "tolerances", "witness")
@@ -70,7 +92,7 @@ class VerificationReport(means.Record):
         object.__setattr__(self, "statement", statement)
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "checked_points", checked_points)
-        object.__setattr__(self, "tolerances", tolerances)
+        object.__setattr__(self, "tolerances", Tolerances(tolerances))
         object.__setattr__(self, "witness", witness)
 
 

@@ -163,6 +163,9 @@ class TestQuadrature:
             (1.0, 1e-300),
             (1e-300, 1e300),
             (5e-324, sys.float_info.max),
+            # ln lo - ln hi cancelled to about 1e-14 relative on these
+            (5.773504364731626e-238, 6.623201787635352e-235),
+            (2.7461012486484123e+219, 5.1411429369759234e+218),
         ],
     )
     def test_against_mpmath(self, a, b):
@@ -174,6 +177,35 @@ class TestQuadrature:
             assert abs(mpmath.mpf(r.value) / ref - 1) <= 1e-15
         assert r.error_estimate <= elliptic.QUAD_REL_TARGET * r.value
         assert r.terms_or_iterations > 1
+
+    def test_seeded_pairs_against_mpmath(self):
+        # verifier band, whole double range, near-equal pairs, and pairs
+        # whose first closed-form tail node sits at rho just above or
+        # below e^(-QUAD_TAIL_DECAY)
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2014)
+        pairs = [(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)) for _ in range(80)]
+        pairs += [(2.0 ** rng.uniform(-1074, 1023), 2.0 ** rng.uniform(-1074, 1023))
+                  for _ in range(80)]
+        for _ in range(40):
+            a = 10.0 ** rng.uniform(-300, 300)
+            pairs.append((a, a * (1.0 + 10.0 ** rng.uniform(-15, -1))))
+        for _ in range(100):
+            log_r = (elliptic.QUAD_TAIL_DECAY - 2.0 * elliptic.QUAD_STEP * rng.randint(6, 1400)
+                     + rng.choice((-1e-9, 1e-9)))
+            hi = 10.0 ** rng.uniform(-10, 10)
+            pairs.append((hi, hi * math.exp(log_r)))
+        with mpmath.workdps(40):
+            for a, b in pairs:
+                ref = mpmath.pi / (2 * mpmath.agm(mpmath.mpf(a), mpmath.mpf(b)))
+                r = k_quadrature(a, b)
+                assert abs(mpmath.mpf(r.value) / ref - 1) <= 1e-15, (a, b)
+                assert r.error_estimate <= elliptic.QUAD_REL_TARGET * r.value, (a, b)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.99, 0.5, 1e-3])
+    def test_closed_form_tail_keeps_the_count_small(self, ratio):
+        # node by node the sum took 153 to 161 evaluations at these ratios
+        assert k_quadrature(1.0, ratio).terms_or_iterations <= 32
 
     def test_validation(self):
         with pytest.raises(ValueError):

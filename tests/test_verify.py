@@ -146,13 +146,40 @@ class TestValueTypes:
             "checked_points=3, tolerances={'exact': 0.0}, witness=None)"
         )
         assert pickle.loads(pickle.dumps(r)) == r
-        with pytest.raises(TypeError):  # the tolerances dict is unhashable
-            hash(r)
+        assert hash(r) == hash(same)
+        assert len({r, same}) == 1
         with pytest.raises(AttributeError):
             r.status = "fail"
         with pytest.raises(AttributeError):
             del r.witness
         assert r.status == "pass" and r.witness is None
+
+    def test_report_tolerances_are_read_only(self):
+        given = {"low_margin": 0.15, "high_margin": 0.01}
+        r = verify.VerificationReport("id", "a claim", "pass", 3, given)
+        given["low_margin"] = 9.0  # the report keeps its own copy
+        tol = r.tolerances
+        assert tol == {"low_margin": 0.15, "high_margin": 0.01}
+        for mutate in (
+            lambda: tol.__setitem__("low_margin", 9.0),
+            lambda: tol.__delitem__("low_margin"),
+            lambda: tol.update(low_margin=9.0),
+            lambda: tol.setdefault("new", 1.0),
+            lambda: tol.pop("low_margin"),
+            tol.popitem,
+            tol.clear,
+        ):
+            with pytest.raises(TypeError):
+                mutate()
+        with pytest.raises(TypeError):
+            tol |= {"low_margin": 9.0}
+        assert r.tolerances == {"low_margin": 0.15, "high_margin": 0.01}
+        assert repr(tol) == "{'low_margin': 0.15, 'high_margin': 0.01}"
+        assert hash(tol) == hash(verify.Tolerances({"high_margin": 0.01, "low_margin": 0.15}))
+        assert type(pickle.loads(pickle.dumps(r)).tolerances) is verify.Tolerances
+        blob = verify.reports_to_json([r])
+        assert '"tolerances": {"high_margin": 0.01, "low_margin": 0.15}' in blob
+        assert verify.reports_from_json(blob) == [r]
 
     def test_ratio_scan(self):
         scan = verify.RatioScan((0.1, 0.5), (1.2, 1.1), True, 1.1, 1.2)
