@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "means": (
-        "AgmTrace", "MeanInput", "agm", "gen_log_mean", "identric_mean", "log_mean",
+        "AgmTrace", "MeanInput", "agm", "gen_log_mean", "gen_log_means", "identric_mean",
+        "log_mean",
     ),
     "elliptic": (
         "EllipticResult", "Modulus", "ModulusTooLarge", "TermBudgetExhausted",

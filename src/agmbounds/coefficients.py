@@ -37,6 +37,13 @@ def wallis_ratio(k: int) -> Fraction:
     return Fraction(comb(2 * k, k), 4**k)
 
 
+def _odd_harmonic_parts(k: int) -> tuple[int, int]:
+    # sum_{i=1}^{k} 1/(2i-1) as an unreduced (numerator, denominator) pair
+    # over the common denominator lcm(1, 3, ..., 2k-1); (0, 1) at k = 0.
+    den = lcm(*range(1, 2 * k, 2))
+    return sum(den // (2 * i - 1) for i in range(1, k + 1)), den
+
+
 def odd_harmonic(k: int) -> Fraction:
     """sum_{i=1}^{k} 1/(2i-1); zero at k = 0.
 
@@ -44,8 +51,7 @@ def odd_harmonic(k: int) -> Fraction:
     denominator lcm(1, 3, ..., 2k-1), and reduced once at the end.
     """
     _check_index(k, 0)
-    den = lcm(*range(1, 2 * k, 2))
-    return Fraction(sum(den // (2 * i - 1) for i in range(1, k + 1)), den)
+    return Fraction(*_odd_harmonic_parts(k))
 
 
 def b_coeff(k: int) -> Fraction:
@@ -84,10 +90,15 @@ def a_coeff_closed(k: int) -> Fraction:
     """a_k in closed form after the digamma reduction:
     (1/(2(k+1))) [1 - (C(2k,k)/4^k)(sum_{i=1}^{k} 1/(2i-1) - 1)].
 
-    Equals a_coeff_sum(k) exactly for every k >= 1.
+    Equals a_coeff_sum(k) exactly for every k >= 1.  Built from integers:
+    with the odd harmonic sum num/den, it is
+    (4^k den - C(2k,k)(num - den)) / (2(k+1) 4^k den), reduced once.
     """
     _check_index(k, 1)
-    return (1 - wallis_ratio(k) * (odd_harmonic(k) - 1)) / (2 * (k + 1))
+    num, den = _odd_harmonic_parts(k)
+    return Fraction(
+        (den << (2 * k)) - comb(2 * k, k) * (num - den), (k + 1) * den << (2 * k + 1)
+    )
 
 
 def h_sum(k: int) -> Fraction:
@@ -97,9 +108,10 @@ def h_sum(k: int) -> Fraction:
 
 
 def h_closed(k: int) -> Fraction:
-    """h(k) = 1/2 - (2/4^(k+1)) C(2k, k); equals h_sum(k) exactly."""
+    """h(k) = 1/2 - (2/4^(k+1)) C(2k, k) = (4^k - C(2k,k)) / (2 4^k);
+    equals h_sum(k) exactly."""
     _check_index(k, 1)
-    return Fraction(1, 2) - wallis_ratio(k) / 2
+    return Fraction((1 << (2 * k)) - comb(2 * k, k), 1 << (2 * k + 1))
 
 
 def g_sum(k: int) -> Fraction:
@@ -113,19 +125,25 @@ def g_closed(k: int) -> Fraction:
     (C(2k,k)/4^k) * (1/2) * sum_{i=1}^{k} 1/(2i-1).
 
     The Gamma/digamma/log-2/Euler-gamma terms of the analytic form cancel
-    under the standard reductions; equals g_sum(k) exactly.
+    under the standard reductions; equals g_sum(k) exactly.  With the odd
+    harmonic sum num/den it is C(2k,k) num / (2 4^k den), reduced once.
     """
     _check_index(k, 1)
-    return wallis_ratio(k) * odd_harmonic(k) / 2
+    num, den = _odd_harmonic_parts(k)
+    return Fraction(comb(2 * k, k) * num, den << (2 * k + 1))
 
 
 def s_seq(k: int) -> Fraction:
     """S_k = 2(k+1)^2/(k(2k+1)) - sum_{i=2}^{k} 1/(2i-1) for k >= 2.
 
     Strictly decreasing, with exactly one sign change: S_10 > 0 > S_11.
+    With the odd harmonic sum num/den it is
+    (2(k+1)^2 den - k(2k+1)(num - den)) / (k(2k+1) den), reduced once.
     """
     _check_index(k, 2)
-    return Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (odd_harmonic(k) - 1)
+    num, den = _odd_harmonic_parts(k)
+    kk = k * (2 * k + 1)
+    return Fraction(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
 
 
 class CoefficientTable(Record):
@@ -146,25 +164,26 @@ class CoefficientTable(Record):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "s", s)
 
+    def _at(self, values: tuple[Fraction, ...], k: int, minimum: int) -> Fraction:
+        _check_index(k, minimum)
+        if k > self.k_max:
+            raise ValueError(f"k must be <= k_max = {self.k_max}, got {k}")
+        return values[k - minimum]
+
     def a_at(self, k: int) -> Fraction:
-        _check_index(k, 1)
-        return self.a[k - 1]
+        return self._at(self.a, k, 1)
 
     def b_at(self, k: int) -> Fraction:
-        _check_index(k, 0)
-        return self.b[k]
+        return self._at(self.b, k, 0)
 
     def h_at(self, k: int) -> Fraction:
-        _check_index(k, 1)
-        return self.h[k - 1]
+        return self._at(self.h, k, 1)
 
     def g_at(self, k: int) -> Fraction:
-        _check_index(k, 1)
-        return self.g[k - 1]
+        return self._at(self.g, k, 1)
 
     def s_at(self, k: int) -> Fraction:
-        _check_index(k, 2)
-        return self.s[k - 2]
+        return self._at(self.s, k, 2)
 
     def to_csv(self) -> str:
         """CSV rows k=0..k_max with exact "numerator/denominator" cells;
@@ -226,10 +245,14 @@ def _frac_parse(obj: dict) -> Fraction:
 def build_table(k_max: int) -> CoefficientTable:
     """All sequences up to k_max via O(1)-per-index recurrences.
 
-    Shared state: w_k = C(2k,k)/4^k (ratio recurrence) and the odd
-    harmonic partial sum.  Total cost is O(k_max) big-rational operations
-    per sequence; the definitional sums are quadratic and live in the
-    verification layer as the independent cross-check.
+    Shared state: w_k = C(2k,k)/4^k (ratio recurrence), the odd
+    harmonic partial sum H_k, and their product w_k H_k, which gives both
+    g_k = w_k H_k / 2 and a_k = (1 + w_k - w_k H_k) / (2(k+1)).  b_k is
+    w_k ** 2: the square of a reduced fraction is reduced, and
+    Fraction.__pow__ takes no gcd.  Reductions of big numerators and
+    denominators are most of the cost; the definitional sums are
+    quadratic and live in the verification layer as the independent
+    cross-check.
     """
     _check_index(k_max, 2, "k_max")
     a: list[Fraction] = []
@@ -242,10 +265,11 @@ def build_table(k_max: int) -> CoefficientTable:
     for k in range(1, k_max + 1):
         w *= Fraction(2 * k - 1, 2 * k)
         harmonic += Fraction(1, 2 * k - 1)
-        b.append(w * w)
-        a.append((1 - w * (harmonic - 1)) / (2 * (k + 1)))
+        b.append(w**2)
+        wh = w * harmonic
+        a.append((1 + w - wh) / (2 * (k + 1)))
         h.append(Fraction(1, 2) - w / 2)
-        g.append(w * harmonic / 2)
+        g.append(wh / 2)
         if k >= 2:
             s.append(Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1))
     return CoefficientTable(

@@ -8,7 +8,8 @@ and homogeneous of degree one.
 Each public mean on a MeanInput makes one call into a kernel on plain
 floats (agm_iterates, log_mean_float, identric_mean_float); agm_limit is
 the AGM's limit without the trace.  The verifier and the elliptic routes
-call these kernels directly in their hot loops.
+call these kernels directly in their hot loops.  gen_log_means evaluates
+a chain of orders on one pair from a single logarithmic mean.
 """
 
 import math
@@ -263,41 +264,52 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     hi, lo = inp.ordered()
     if hi == lo:
         return hi
-    if p == -1.0:
-        return log_mean(inp)
-    if p == 0.0:
-        return identric_mean(inp)
     d = hi - lo
     if d < NEAR_EQUAL_REL * hi:
         return 0.5 * lo + 0.5 * hi
-    if abs(p) < SMALL_ORDER:
-        return _gen_log_small_p(p, hi, lo, d)
-    return _gen_log_general(p, hi, lo, d)
-
-
-def _gen_log_small_p(p: float, hi: float, lo: float, d: float) -> float:
-    # With g = ln(hi/lo), (hi^(p+1) - lo^(p+1)) / ((p+1) d) is exactly
-    # hi^p (1 - (lo/d) expm1(-p g)) / (1 + p).  The logarithms of the
-    # bracket and of 1 + p are both about p; their difference over p is
-    # the exponent ln(M/hi), with an absolute error of a few ulps, and
-    # nothing overflows.  g = d / L(lo, hi) does not cancel on close pairs.
     log_mean_lo_hi = _log_mean_apart(hi, lo, d)
-    g = d / log_mean_lo_hi
-    if abs(p) * g * g < sys.float_info.epsilon:
-        # ln M_p - ln I = p Var(ln x)/2 + O(p^2) for x uniform on [lo, hi],
-        # and Var(ln x) <= g^2/4: the identric mean is within eps/8.  This
-        # also covers every p for which p g would be subnormal.
+    return _gen_log_apart(p, hi, lo, d, log_mean_lo_hi, d / log_mean_lo_hi)
+
+
+def gen_log_means(ps, inp: MeanInput) -> list[float]:
+    """[gen_log_mean(p, inp) for p in ps], bit for bit, from one
+    logarithmic mean of the pair.
+
+    The entry at p = -1 is that logarithmic mean L, and the entry at p = 0
+    is the identric mean hi * exp(lo/L - 1); every order reuses
+    ln(hi/lo) = (hi - lo)/L.  Every order is validated as gen_log_mean
+    validates it.
+    """
+    orders = [float(p) for p in ps]
+    for p in orders:
+        if not math.isfinite(p):
+            raise ValueError(f"order p must be finite, got {p}")
+    hi, lo = inp.ordered()
+    if hi == lo:
+        return [hi] * len(orders)
+    d = hi - lo
+    if d < NEAR_EQUAL_REL * hi:
+        return [0.5 * lo + 0.5 * hi] * len(orders)
+    log_mean_lo_hi = _log_mean_apart(hi, lo, d)
+    log_gap = d / log_mean_lo_hi
+    return [_gen_log_apart(p, hi, lo, d, log_mean_lo_hi, log_gap) for p in orders]
+
+
+def _gen_log_apart(p: float, hi: float, lo: float, d: float, log_mean_lo_hi: float,
+                   log_gap: float) -> float:
+    # M_p(lo, hi) for hi > lo at a relative gap of at least NEAR_EQUAL_REL,
+    # given L(lo, hi) and log_gap = ln(hi/lo) = d / L(lo, hi).  log_gap
+    # does not cancel on close pairs as the difference of the two
+    # logarithms does.
+    if p == -1.0:
+        return log_mean_lo_hi
+    if p == 0.0:
         return hi * math.exp(lo / log_mean_lo_hi - 1.0)
-    return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
-
-
-def _gen_log_general(p: float, hi: float, lo: float, d: float) -> float:
+    if abs(p) < SMALL_ORDER:
+        return _gen_log_small_p(p, hi, lo, d, log_mean_lo_hi, log_gap)
     # log-space form: anchored at the dominant power so b^(p+1) is never
     # materialized; expm1 keeps the bracket accurate for p near -1.
-    # ln hi - ln lo is taken as d / L(lo, hi), which does not cancel on
-    # close pairs as the difference of the two logarithms does.
     q = p + 1.0
-    log_gap = d / _log_mean_apart(hi, lo, d)
     if q > 0.0:
         bracket = -math.expm1(-q * log_gap)
         log_ratio = q * math.log(hi) + math.log(bracket) - math.log(q) - math.log(d)
@@ -305,6 +317,21 @@ def _gen_log_general(p: float, hi: float, lo: float, d: float) -> float:
         bracket = -math.expm1(q * log_gap)
         log_ratio = q * math.log(lo) + math.log(bracket) - math.log(-q) - math.log(d)
     return math.exp(log_ratio / p)
+
+
+def _gen_log_small_p(p: float, hi: float, lo: float, d: float, log_mean_lo_hi: float,
+                     g: float) -> float:
+    # With g = ln(hi/lo), (hi^(p+1) - lo^(p+1)) / ((p+1) d) is exactly
+    # hi^p (1 - (lo/d) expm1(-p g)) / (1 + p).  The logarithms of the
+    # bracket and of 1 + p are both about p; their difference over p is
+    # the exponent ln(M/hi), with an absolute error of a few ulps, and
+    # nothing overflows.  g = d / L(lo, hi) does not cancel on close pairs.
+    if abs(p) * g * g < sys.float_info.epsilon:
+        # ln M_p - ln I = p Var(ln x)/2 + O(p^2) for x uniform on [lo, hi],
+        # and Var(ln x) <= g^2/4: the identric mean is within eps/8.  This
+        # also covers every p for which p g would be subnormal.
+        return hi * math.exp(lo / log_mean_lo_hi - 1.0)
+    return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
 
 
 def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:

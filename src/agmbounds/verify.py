@@ -45,6 +45,9 @@ SAMPLE_LOG_RANGE = 3.0
 MIN_REL_GAP = 1e-12
 
 P_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+# Positions in P_GRID of the logarithmic (p = -1) and identric (p = 0) means.
+_P_LOG = P_GRID.index(-1.0)
+_P_IDENTRIC = P_GRID.index(0.0)
 
 PROFILES = {
     "quick": {"k_max": 50, "samples": 1000, "recip_samples": 250,
@@ -127,6 +130,11 @@ def _mean_ratio(t: float) -> float:
     return m / means.log_mean_float(1.0, t)
 
 
+def _check_count(n: int, name: str) -> None:
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def _sample_pair(rng: random.Random) -> tuple[float, float]:
     while True:
         a = 10.0 ** rng.uniform(-SAMPLE_LOG_RANGE, SAMPLE_LOG_RANGE)
@@ -162,11 +170,12 @@ def check_coefficient_identities(
         a_s = coeffs.a_coeff_sum(k)
         gs = coeffs.g_sum(k)
         g_values.append(gs)
+        h_c = coeffs.h_closed(k)
         cases = (
             ("a sum vs closed", a_s, coeffs.a_coeff_closed(k)),
             ("a vs table", a_s, table.a_at(k)),
-            ("h sum vs closed", coeffs.h_sum(k), coeffs.h_closed(k)),
-            ("h vs table", coeffs.h_closed(k), table.h_at(k)),
+            ("h sum vs closed", coeffs.h_sum(k), h_c),
+            ("h vs table", h_c, table.h_at(k)),
             ("g sum vs closed", gs, coeffs.g_closed(k)),
             ("g vs table", gs, table.g_at(k)),
             ("b vs table", coeffs.b_coeff(k), table.b_at(k)),
@@ -178,8 +187,9 @@ def check_coefficient_identities(
                 break
         if witness is None and k >= 2:
             checked += 1
-            if coeffs.s_seq(k) != table.s_at(k):
-                witness = f"k={k}: S_k: {coeffs.s_seq(k)} != {table.s_at(k)}"
+            s_k = coeffs.s_seq(k)
+            if s_k != table.s_at(k):
+                witness = f"k={k}: S_k: {s_k} != {table.s_at(k)}"
     if witness is None:
         g_values.append(coeffs.g_sum(k_max + 1))
         for k in range(1, k_max + 1):
@@ -285,6 +295,7 @@ def check_sign_change(
 def check_k_consistency(n_moduli: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Pairwise agreement of the three K routes on random moduli in
     [0, 0.95], plus the near-singular AGM-vs-quadrature probe."""
+    _check_count(n_moduli, "n_moduli")
     statement = (
         "series, AGM and quadrature values of K agree pairwise within "
         "1e-11 relative on [0, 0.95]; AGM and quadrature agree within "
@@ -332,6 +343,7 @@ def check_reciprocal(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Verific
     at any argument ratio.  Neither route calls the AGM, so the relation
     is checked between independent computations of M and K.
     """
+    _check_count(n_samples, "n_samples")
     statement = (
         "the AGM limit and K satisfy M(a,b) * (2/pi) * K(a,b) = 1 over "
         "log-uniform pairs spanning six orders of magnitude"
@@ -367,6 +379,7 @@ def check_reciprocal(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Verific
 def check_double_inequality(n_samples: int, seed: int) -> VerificationReport:
     """L(a,b) < M(a,b) < (pi/2) L(a,b), strict up to 1e-12 relative slack,
     on reproducible log-uniform pairs with a != b."""
+    _check_count(n_samples, "n_samples")
     statement = (
         "the AGM mean is strictly between the logarithmic mean and pi/2 "
         "times the logarithmic mean for all sampled a != b"
@@ -503,7 +516,11 @@ def check_sharpness(t_sequence=DEFAULT_SHARPNESS_SEQUENCE) -> VerificationReport
 
 def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
     """log mean < AGM < identric mean on sampled pairs with a != b, and the
-    generalized logarithmic mean strictly increasing across the p grid."""
+    generalized logarithmic mean strictly increasing across the p grid.
+
+    L and I are the p = -1 and p = 0 entries of the p chain, which
+    means.gen_log_means computes from one logarithmic mean per pair."""
+    _check_count(n_samples, "n_samples")
     statement = (
         "L(a,b) < M(a,b) < I(a,b) for sampled a != b, and p -> L(p;a,b) "
         "is strictly increasing across p in {-2,-1,-1/2,0,1/2,1,2}"
@@ -514,15 +531,14 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
     checked = 0
     for _ in range(n_samples):
         a, b = _sample_pair(rng)
-        inp = means.MeanInput(a, b)
-        lm = means.log_mean(inp)
+        chain = means.gen_log_means(P_GRID, means.MeanInput(a, b))
+        lm = chain[_P_LOG]
+        im = chain[_P_IDENTRIC]
         m, _ = means.agm_limit(a, b, means.DEFAULT_REL_TOL)
-        im = means.identric_mean(inp)
         checked += 1
         if not (lm < m < im):
             witness = f"a={a!r} b={b!r}: order violated: L={lm!r} M={m!r} I={im!r}"
             break
-        chain = [means.gen_log_mean(p, inp) for p in P_GRID]
         if any(chain[i] >= chain[i + 1] for i in range(len(chain) - 1)):
             witness = f"a={a!r} b={b!r}: p-chain not strictly increasing: {chain!r}"
             break

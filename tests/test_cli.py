@@ -1,5 +1,6 @@
 """Command-line interface: grammar, formats, exit codes, idempotence."""
 
+import hashlib
 import io
 import json
 import math
@@ -262,3 +263,33 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
         assert "mean" in capsys.readouterr().out
+
+
+# SHA-256 of stdout for the verify and coeffs commands whose cost sets the
+# CLI tail: a faster mean chain or exact layer must keep these outputs
+# byte-identical.  Every quick seed passes every claim, so their reports
+# are equal.
+QUICK_JSON_SHA256 = "7408d966ce9fda195b07046bdf8ad665dea2e28de98f7ef75d2d2c94a5011f6f"
+PINNED_STDOUT_SHA256 = [
+    (("verify", "--profile", "quick", "--seed", "1", "--format", "json"), QUICK_JSON_SHA256),
+    (("verify", "--profile", "quick", "--seed", "2", "--format", "json"), QUICK_JSON_SHA256),
+    (("verify", "--profile", "quick", "--seed", "3", "--format", "json"), QUICK_JSON_SHA256),
+    (("verify", "--profile", "quick", "--seed", "4", "--format", "json"), QUICK_JSON_SHA256),
+    (
+        ("verify", "--profile", "full", "--format", "json"),
+        "32e82289904dff36144b59c0bb905e9e0a74b93d711067f512d1b85cf0857e04",
+    ),
+    (
+        ("coeffs", "--kmax", "500", "--format", "json"),
+        "b8e4983f80087dfecf662721cc63d19e703a75261f642d73dbe7852771079884",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_STDOUT_SHA256, ids=[" ".join(a) for a, _ in PINNED_STDOUT_SHA256]
+)
+def test_stdout_byte_identical(argv, digest):
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -84,6 +84,35 @@ class TestCommonDenominatorSums:
             assert co.odd_harmonic(k) == odd_harmonic_per_term(k), k
 
 
+class TestIntegerClosedForms:
+    """The closed forms are built as one Fraction from integers; each must
+    equal the Fraction expression it replaces, written out here."""
+
+    def test_against_fraction_expressions(self):
+        harmonic = Fraction(0)
+        for k in range(1, 301):
+            w = Fraction(math.comb(2 * k, k), 4**k)
+            harmonic += Fraction(1, 2 * k - 1)
+            assert co.odd_harmonic(k) == harmonic, k
+            assert co.a_coeff_closed(k) == (1 - w * (harmonic - 1)) / (2 * (k + 1)), k
+            assert co.h_closed(k) == Fraction(1, 2) - w / 2, k
+            assert co.g_closed(k) == w * harmonic / 2, k
+            if k >= 2:
+                s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1)
+                assert co.s_seq(k) == s, k
+
+    def test_odd_harmonic_at_zero(self):
+        assert co.odd_harmonic(0) == 0
+
+    def test_results_are_reduced(self):
+        for k in (1, 2, 7, 64, 255, 256):
+            for f in (co.a_coeff_closed, co.h_closed, co.g_closed, co.s_seq, co.odd_harmonic):
+                if f is co.s_seq and k < 2:
+                    continue
+                v = f(k)
+                assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
 class TestBCoefficients:
     def test_first_three(self):
         assert co.b_coeff(0) == 1
@@ -207,6 +236,24 @@ class TestTable:
             table.s_at(1)
         with pytest.raises(ValueError):
             co.build_table(1)
+
+    @pytest.mark.parametrize("name,minimum", [("a", 1), ("b", 0), ("h", 1), ("g", 1), ("s", 2)])
+    def test_index_past_k_max(self, name, minimum):
+        table = co.build_table(5)
+        at = getattr(table, f"{name}_at")
+        assert at(5) == getattr(table, name)[-1]
+        for k in (6, 7, 10**6):
+            with pytest.raises(ValueError, match=f"k must be <= k_max = 5, got {k}"):
+                at(k)
+        with pytest.raises(ValueError, match=f"k must be >= {minimum}"):
+            at(minimum - 1)
+
+    def test_entries_are_reduced(self):
+        # b_k is w_k ** 2, which Fraction builds without a gcd
+        table = co.build_table(120)
+        for name in ("a", "b", "h", "g", "s"):
+            for v in getattr(table, name):
+                assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 
     def test_csv_layout(self):
         text = co.build_table(3).to_csv()

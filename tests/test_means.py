@@ -1,6 +1,7 @@
 """Means: worked examples, validation, and algebraic properties."""
 
 import math
+import random
 import sys
 
 import pytest
@@ -182,6 +183,54 @@ class TestGenLogMean:
         inp = MeanInput(a, b)
         values = [gen_log_mean(p, inp) for p in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
         assert all(x < y for x, y in zip(values, values[1:]))
+
+
+class TestGenLogMeans:
+    """The chain of orders from one logarithmic mean equals gen_log_mean
+    per order, bit for bit."""
+
+    # the verifier's grid, orders below SMALL_ORDER and off-grid orders
+    ORDERS = (
+        -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0,
+        9.9e-7, -3e-7, 1e-9, -1e-12, 5e-324, -0.0,
+        -1.3, -0.99999, 0.37, 3.7, -7.25, 1e-6, -1.000001,
+    )
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(20261018)
+        out = [(2.0, 2.0), (5e-324, 5e-324), (DBL_MAX, DBL_MAX), (3.0, 11.0)]
+        for _ in range(40):  # whole range, subnormals included
+            out.append(tuple(math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, 1024))
+                             for _ in range(2)))
+        for _ in range(40):  # relative gaps from 1e-12 to 1e-6
+            lo = 10.0 ** rng.uniform(-300.0, 300.0)
+            out.append((lo, lo * (1.0 + 10.0 ** rng.uniform(-12.0, -6.0))))
+        for _ in range(20):  # the verifier band
+            out.append((10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)))
+        return out
+
+    def test_equals_gen_log_mean_bit_for_bit(self):
+        for a, b in self.pairs():
+            inp = MeanInput(a, b)
+            chain = means.gen_log_means(self.ORDERS, inp)
+            single = [gen_log_mean(p, inp) for p in self.ORDERS]
+            assert [v.hex() for v in chain] == [v.hex() for v in single], (a, b)
+            assert chain[1].hex() == log_mean(inp).hex()
+            assert chain[3].hex() == identric_mean(inp).hex()
+
+    def test_accepts_any_iterable_of_numbers(self):
+        inp = MeanInput(3.0, 11.0)
+        assert means.gen_log_means(iter([-1, 0, 2]), inp) == [
+            gen_log_mean(-1.0, inp), gen_log_mean(0.0, inp), gen_log_mean(2.0, inp)
+        ]
+        assert means.gen_log_means((), inp) == []
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_order(self, bad):
+        for a, b in [(1.0, 2.0), (2.0, 2.0)]:
+            with pytest.raises(ValueError, match="order p must be finite"):
+                means.gen_log_means((0.5, bad, 1.0), MeanInput(a, b))
 
 
 class TestAgm:

@@ -95,6 +95,36 @@ class TestFloatingChecks:
             verify.check_sharpness((1.5, 0.5))
 
 
+class TestCountValidation:
+    """A sampled check with nothing to sample is an error, not a pass."""
+
+    @pytest.mark.parametrize("count", [0, -1, -1000])
+    @pytest.mark.parametrize(
+        "check,name",
+        [
+            (verify.check_double_inequality, "n_samples"),
+            (verify.check_reciprocal, "n_samples"),
+            (verify.check_mean_order, "n_samples"),
+            (verify.check_k_consistency, "n_moduli"),
+        ],
+    )
+    def test_rejects_counts_below_one(self, check, name, count):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {count}"):
+            check(count, 5)
+
+    @pytest.mark.parametrize(
+        "check",
+        [verify.check_double_inequality, verify.check_reciprocal, verify.check_mean_order],
+    )
+    def test_one_sample_is_checked(self, check):
+        r = check(1, 5)
+        assert r.status == "pass" and r.checked_points == 1
+
+    def test_one_modulus_and_the_probe(self):
+        r = verify.check_k_consistency(1, 5)
+        assert r.status == "pass" and r.checked_points == 2
+
+
 class TestScan:
     def test_bounds_and_monotonicity(self):
         scan = verify.scan_ratio(50, 1e-6, 0.999)
@@ -260,9 +290,13 @@ class TestMutationDetection:
         corrupted = _corrupt(table, "a", 7, Fraction(1, 10**40))
         assert self._any_failure(k_max, corrupted)
 
-    @pytest.mark.parametrize("name", ["a_coeff_sum", "h_sum", "g_sum"])
+    @pytest.mark.parametrize(
+        "name",
+        ["a_coeff_sum", "h_sum", "g_sum", "a_coeff_closed", "h_closed", "g_closed", "s_seq"],
+    )
     def test_corrupt_definitional_sum_detected(self, monkeypatch, name):
-        # the definitional sums are the check's independent side
+        # the definitional sums are the check's independent side; the closed
+        # forms are built from integers, apart from the table's recurrences
         exact = getattr(co, name)
         monkeypatch.setattr(
             co, name, lambda k: exact(k) + (Fraction(1, 10**40) if k == 7 else 0)
@@ -270,6 +304,26 @@ class TestMutationDetection:
         r = verify.check_coefficient_identities(12, co.build_table(12))
         assert r.status == "fail"
         assert r.witness.startswith("k=7:")
+
+    @pytest.mark.parametrize("index", range(len(verify.P_GRID) - 1))
+    def test_chain_order_one_ulp_out_detected(self, monkeypatch, index):
+        # one order's value moved one ulp past its upper neighbour, on the
+        # third sampled pair
+        exact = means.gen_log_means
+        calls = []
+
+        def mutant(ps, inp):
+            chain = exact(ps, inp)
+            calls.append(inp)
+            if len(calls) == 3:
+                chain[index] = math.nextafter(chain[index + 1], math.inf)
+            return chain
+
+        monkeypatch.setattr(means, "gen_log_means", mutant)
+        r = verify.check_mean_order(10, seed=4)
+        assert r.status == "fail"
+        assert r.checked_points == 3
+        assert r.witness.startswith(f"a={calls[2].a!r} b={calls[2].b!r}:")
 
     def test_clean_table_passes(self):
         k_max = 12
