@@ -7,10 +7,11 @@ CSV and as paired decimal strings in JSON; floats print with --digits
 significant digits (display only, never fed back into computation).
 
 Each subcommand imports only the layer it runs, and json only where it
-prints JSON through json.dumps (coeffs writes its JSON text directly),
-so that a fresh `mean` or `elliptic` process loads neither the
-exact-rational layer nor the verifier.  The value types of every
-layer are plain classes on means.Record, so no command generates
+prints JSON through json.dumps, so that a fresh `mean` or `elliptic`
+process loads neither the exact-rational layer nor the verifier.
+coeffs writes each row, in every format, as the recurrence produces
+it, and never builds the table or loads json.  The value types of
+every layer are plain classes on means.Record, so no command generates
 classes at import.
 """
 
@@ -184,15 +185,18 @@ def _cmd_elliptic(args, out) -> int:
 def _cmd_coeffs(args, out) -> int:
     from agmbounds import coefficients as coeffs
 
-    table = coeffs.build_table(args.kmax)
+    # rows stream from the recurrence, one write per row; table_rows checks
+    # k_max before the first row, so a bad k_max writes nothing
+    rows = coeffs.table_rows(args.kmax)
     if args.format == "json":
-        print(table.to_json(), file=out)
+        coeffs.write_json(args.kmax, rows, out.write)
+        out.write("\n")
     elif args.format == "csv":
-        out.write(table.to_csv())
+        coeffs.write_csv(rows, out.write)
     else:
-        for k in range(1, table.k_max + 1):
-            a = table.a_at(k)
-            print(f"a_{k} = {a.numerator}/{a.denominator}", file=out)
+        for k, a, *_ in rows:
+            if a is not None:
+                out.write(f"a_{k} = {a.numerator}/{a.denominator}\n")
     return 0
 
 

@@ -4,10 +4,16 @@ Everything here is computed in arbitrary-precision rational arithmetic
 (fractions.Fraction over Python ints); no rounding ever occurs.  The
 module provides the Wallis quotient, the series coefficients a_k and b_k,
 the summation identities h(k) and g(k) with their closed forms, the
-sign-changing sequence S_k, and an incremental table builder with CSV/JSON
-export.  CoefficientTable is a plain immutable class on means.Record, and
-to_json writes its text directly, so no table output needs class
-generation at import or the json module.
+sign-changing sequence S_k, and one O(1)-per-index recurrence for all
+sequences.  table_rows streams that recurrence one row at a time;
+build_table collects the same rows into a CoefficientTable.  The CSV
+and JSON formatters, write_csv and write_json, take any such rows and a
+write callable, so the CLI prints rows as they are produced without
+holding the table or its text, and CoefficientTable.to_csv and to_json
+run the same formatters over the stored rows.  CoefficientTable is a
+plain immutable class on means.Record, and the JSON text is written
+directly, so no table output needs class generation at import or the
+json module.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -185,19 +191,18 @@ class CoefficientTable(Record):
     def s_at(self, k: int) -> Fraction:
         return self._at(self.s, k, 2)
 
+    def rows(self):
+        """The stored values as rows (k, a, b, h, g, s) for k = 0..k_max,
+        with None where a sequence is not defined at k."""
+        return zip(range(self.k_max + 1), (None, *self.a), self.b, (None, *self.h),
+                   (None, *self.g), (None, None, *self.s))
+
     def to_csv(self) -> str:
         """CSV rows k=0..k_max with exact "numerator/denominator" cells;
         blank where a sequence is not defined at k."""
-        lines = ["k,a,b,h,g,s"]
-        for k in range(self.k_max + 1):
-            cells = [str(k)]
-            cells.append(_frac_str(self.a_at(k)) if k >= 1 else "")
-            cells.append(_frac_str(self.b_at(k)))
-            cells.append(_frac_str(self.h_at(k)) if k >= 1 else "")
-            cells.append(_frac_str(self.g_at(k)) if k >= 1 else "")
-            cells.append(_frac_str(self.s_at(k)) if k >= 2 else "")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        parts: list[str] = []
+        write_csv(self.rows(), parts.append)
+        return "".join(parts)
 
     def to_json(self) -> str:
         """Exact JSON form, with each value's numerator and denominator as
@@ -205,15 +210,9 @@ class CoefficientTable(Record):
         "h": .., "k": k, "s": ..}, ...]}, keys sorted and each key present
         where its sequence is defined.  The text equals json.dumps of that
         object with sort_keys=True, written without the json module."""
-        rows = [f'{{"b": {_frac_json(self.b[0])}, "k": 0}}']
-        for k in range(1, self.k_max + 1):
-            s_cell = f', "s": {_frac_json(self.s[k - 2])}' if k >= 2 else ""
-            rows.append(
-                f'{{"a": {_frac_json(self.a[k - 1])}, "b": {_frac_json(self.b[k])}, '
-                f'"g": {_frac_json(self.g[k - 1])}, "h": {_frac_json(self.h[k - 1])}, '
-                f'"k": {k}{s_cell}}}'
-            )
-        return f'{{"k_max": {self.k_max}, "rows": [{", ".join(rows)}]}}'
+        parts: list[str] = []
+        write_json(self.k_max, self.rows(), parts.append)
+        return "".join(parts)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoefficientTable":
@@ -242,36 +241,66 @@ def _frac_parse(obj: dict) -> Fraction:
     return Fraction(int(obj["numerator"]), int(obj["denominator"]))
 
 
-def build_table(k_max: int) -> CoefficientTable:
-    """All sequences up to k_max via O(1)-per-index recurrences.
+def write_csv(rows, write) -> None:
+    """Write the CSV form of rows (k, a, b, h, g, s), with None where a
+    sequence is not defined, through one write call per line."""
+    write("k,a,b,h,g,s\n")
+    for k, *values in rows:
+        write(f"{k},{','.join('' if v is None else _frac_str(v) for v in values)}\n")
 
-    Shared state: w_k = C(2k,k)/4^k (ratio recurrence), the odd
-    harmonic partial sum H_k, and their product w_k H_k, which gives both
-    g_k = w_k H_k / 2 and a_k = (1 + w_k - w_k H_k) / (2(k+1)).  b_k is
-    w_k ** 2: the square of a reduced fraction is reduced, and
-    Fraction.__pow__ takes no gcd.  Reductions of big numerators and
-    denominators are most of the cost; the definitional sums are
-    quadratic and live in the verification layer as the independent
-    cross-check.
+
+def write_json(k_max: int, rows, write) -> None:
+    """Write the JSON form of CoefficientTable.to_json from rows
+    (k, a, b, h, g, s), with None where a sequence is not defined, through
+    one write call per row; no trailing newline."""
+    write(f'{{"k_max": {k_max}, "rows": [')
+    sep = ""
+    for k, a, b, h, g, s in rows:
+        cells = [f'"{name}": {_frac_json(v)}'
+                 for name, v in (("a", a), ("b", b), ("g", g), ("h", h)) if v is not None]
+        cells.append(f'"k": {k}')
+        if s is not None:
+            cells.append(f'"s": {_frac_json(s)}')
+        write(f'{sep}{{{", ".join(cells)}}}')
+        sep = ", "
+    write("]}")
+
+
+def table_rows(k_max: int):
+    """Rows (k, a, b, h, g, s) for k = 0..k_max, with None where a
+    sequence is not defined at k, computed one index at a time.
+
+    k_max is checked at the call, before the first row, so a caller can
+    stream the rows and still fail before writing anything.
     """
     _check_index(k_max, 2, "k_max")
-    a: list[Fraction] = []
-    b: list[Fraction] = [Fraction(1)]
-    h: list[Fraction] = []
-    g: list[Fraction] = []
-    s: list[Fraction] = []
+    return _rows(k_max)
+
+
+def _rows(k_max: int):
+    # Shared state: w_k = C(2k,k)/4^k (ratio recurrence), the odd
+    # harmonic partial sum H_k, and their product w_k H_k, which gives both
+    # g_k = w_k H_k / 2 and a_k = (1 + w_k - w_k H_k) / (2(k+1)).  b_k is
+    # w_k ** 2: the square of a reduced fraction is reduced, and
+    # Fraction.__pow__ takes no gcd.
     w = Fraction(1)
     harmonic = Fraction(0)
+    yield 0, None, w, None, None, None
     for k in range(1, k_max + 1):
         w *= Fraction(2 * k - 1, 2 * k)
         harmonic += Fraction(1, 2 * k - 1)
-        b.append(w**2)
         wh = w * harmonic
-        a.append((1 + w - wh) / (2 * (k + 1)))
-        h.append(Fraction(1, 2) - w / 2)
-        g.append(wh / 2)
-        if k >= 2:
-            s.append(Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1))
-    return CoefficientTable(
-        k_max=k_max, a=tuple(a), b=tuple(b), h=tuple(h), g=tuple(g), s=tuple(s)
-    )
+        s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1) if k >= 2 else None
+        yield k, (1 + w - wh) / (2 * (k + 1)), w**2, Fraction(1, 2) - w / 2, wh / 2, s
+
+
+def build_table(k_max: int) -> CoefficientTable:
+    """All sequences up to k_max via O(1)-per-index recurrences: the
+    rows of table_rows, collected into the table's tuples.
+
+    Reductions of big numerators and denominators are most of the cost;
+    the definitional sums are quadratic and live in the verification
+    layer as the independent cross-check.
+    """
+    _, a, b, h, g, s = zip(*table_rows(k_max))
+    return CoefficientTable(k_max=k_max, a=a[1:], b=b, h=h[1:], g=g[1:], s=s[2:])

@@ -4,11 +4,12 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from agmbounds import cli, verify
+from agmbounds import cli, coefficients, verify
 from agmbounds.coefficients import CoefficientTable
 
 A_TABLE_STR = [
@@ -121,7 +122,7 @@ class TestElliptic:
         assert "k_agm" in capsys.readouterr().err
 
     def test_term_budget_is_domain_error(self, capsys, monkeypatch):
-        from agmbounds import coefficients, elliptic
+        from agmbounds import elliptic
 
         def raiser(exc):
             def fn(*args, **kwargs):
@@ -133,9 +134,14 @@ class TestElliptic:
         assert code == 2
         assert capsys.readouterr().err == "error: budget\n"
         # any other RuntimeError is a fault of the program, not of the input
-        monkeypatch.setattr(coefficients, "build_table", raiser(RuntimeError("fault")))
-        with pytest.raises(RuntimeError, match="fault"):
-            run_cli("coeffs", "--kmax", "5")
+        def faulty_rows(k_max):
+            yield 0, None, Fraction(1), None, None, None
+            raise RuntimeError("fault")
+
+        monkeypatch.setattr(coefficients, "_rows", faulty_rows)
+        for fmt in ("text", "csv", "json"):
+            with pytest.raises(RuntimeError, match="fault"):
+                run_cli("coeffs", "--kmax", "5", "--format", fmt)
 
     def test_invalid_modulus(self):
         code, _ = run_cli("elliptic", "--method", "agm", "--t", "1.0")
@@ -165,9 +171,45 @@ class TestCoeffs:
         assert table.k_max == 6
         assert table.a_at(1) == Fraction(1, 4)
 
-    def test_kmax_too_small(self):
-        code, _ = run_cli("coeffs", "--kmax", "1")
-        assert code == 2
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("k_max", [1, 0])
+    def test_kmax_too_small(self, capsys, k_max, fmt):
+        # the rows stream lazily, so k_max must be checked before the first write
+        code, out = run_cli("coeffs", "--kmax", str(k_max), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr() == ("", f"error: k_max must be >= 2, got {k_max}\n")
+
+    @pytest.mark.parametrize("k_max", [2, 3, 11, 50])
+    def test_output_equals_table_export(self, k_max):
+        table = coefficients.build_table(k_max)
+        assert run_cli("coeffs", "--kmax", str(k_max), "--format", "json") == (
+            0, table.to_json() + "\n"
+        )
+        assert run_cli("coeffs", "--kmax", str(k_max), "--format", "csv") == (0, table.to_csv())
+        assert run_cli("coeffs", "--kmax", str(k_max)) == (
+            0, "".join(f"a_{k} = {table.a_at(k)}\n" for k in range(1, k_max + 1))
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_memory_does_not_grow_with_kmax(self, fmt):
+        # Each row is written as it is computed, so neither the table nor
+        # its text is held: the traced peak at k_max = 500 stays within
+        # 0.25 MB of the peak at k_max = 50 (holding the table took 0.8 MB
+        # more in text and 4 MB more in csv and json).
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        def peak(k_max):
+            tracemalloc.start()
+            try:
+                assert cli.run(["coeffs", "--kmax", str(k_max), "--format", fmt], out=Sink()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # imports and first-call caches are not part of either peak
+        assert peak(500) - peak(50) <= 250_000
 
 
 class TestScan:
@@ -266,9 +308,9 @@ class TestUsage:
 
 
 # SHA-256 of stdout for the verify and coeffs commands whose cost sets the
-# CLI tail: a faster mean chain or exact layer must keep these outputs
-# byte-identical.  Every quick seed passes every claim, so their reports
-# are equal.
+# CLI tail, and for coeffs in every format, which streams its rows: a
+# faster mean chain or exact layer must keep these outputs byte-identical.
+# Every quick seed passes every claim, so their reports are equal.
 QUICK_JSON_SHA256 = "7408d966ce9fda195b07046bdf8ad665dea2e28de98f7ef75d2d2c94a5011f6f"
 PINNED_STDOUT_SHA256 = [
     (("verify", "--profile", "quick", "--seed", "1", "--format", "json"), QUICK_JSON_SHA256),
@@ -282,6 +324,14 @@ PINNED_STDOUT_SHA256 = [
     (
         ("coeffs", "--kmax", "500", "--format", "json"),
         "b8e4983f80087dfecf662721cc63d19e703a75261f642d73dbe7852771079884",
+    ),
+    (
+        ("coeffs", "--kmax", "500", "--format", "csv"),
+        "ceb992fae91ad4a1162505f144e6093300d826e3614b0e961c195a788e805299",
+    ),
+    (
+        ("coeffs", "--kmax", "500", "--format", "text"),
+        "725b3c96db4fde91a51238902728fe07ddaefcfb315c852cf0a328ae3c09ea22",
     ),
 ]
 

@@ -309,6 +309,34 @@ class TestTable:
         expected = json.dumps({"k_max": k_max, "rows": rows}, sort_keys=True)
         assert table.to_json() == expected
 
+    @pytest.mark.parametrize("k_max", [2, 3, 11, 50])
+    def test_streamed_rows_equal_stored_rows(self, k_max):
+        rows = list(co.table_rows(k_max))
+        assert rows == list(co.build_table(k_max).rows())
+        assert [row[0] for row in rows] == list(range(k_max + 1))
+        # None exactly where a sequence is not defined: a, h, g at k = 0, s below 2
+        assert [[v is None for v in row[1:]] for row in rows[:3]] == [
+            [True, False, True, True, True],
+            [False, False, False, False, True],
+            [False, False, False, False, False],
+        ]
+
+    @pytest.mark.parametrize("k_max", [1, 0, -1, 2.0, True])
+    def test_table_rows_checks_k_max_at_the_call(self, k_max):
+        # a generator would check only at the first next(); this must not
+        with pytest.raises(ValueError, match="k_max must be"):
+            co.table_rows(k_max)
+
+    def test_formatters_write_once_per_row(self):
+        table = co.build_table(11)
+        csv_parts, json_parts = [], []
+        co.write_csv(co.table_rows(11), csv_parts.append)
+        co.write_json(11, co.table_rows(11), json_parts.append)
+        assert len(csv_parts) == 1 + 12  # header, then one line per row
+        assert len(json_parts) == 12 + 2  # head, one part per row, tail
+        assert "".join(csv_parts) == table.to_csv()
+        assert "".join(json_parts) == table.to_json()
+
     def test_json_uses_decimal_strings(self):
         data = json.loads(co.build_table(2).to_json())
         cell = data["rows"][1]["a"]
