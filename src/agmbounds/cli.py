@@ -2,9 +2,19 @@
 
 Subcommands: mean, elliptic, coeffs, scan, verify.  Output formats: text
 (default), csv, json.  Exit codes: 0 success, 1 verification failure,
-2 usage or domain error.  Exact rationals print as num/den in text and
-CSV and as paired decimal strings in JSON; floats print with --digits
-significant digits (display only, never fed back into computation).
+2 usage or domain error, 141 (128 + SIGPIPE) when the reader of stdout
+closes it before the output ends.  Exact rationals print as num/den in
+text and CSV and as paired decimal strings in JSON; floats print with
+--digits significant digits (display only, never fed back into
+computation).
+
+The grammar is stated once, in _GRAMMAR.  _read_argv reads well-formed
+argv from it without argparse: each option spelled in full, at most
+once, as `--name value` or `--name=value`, with a value that converts
+and passes its choices.  Anything else (help, diagnostics, abbreviated
+or repeated options, and option values that start with `-` and are
+written without `=`) goes to the argparse parser that _build_parser
+makes from the same table, so argparse loads only for those.
 
 Each subcommand imports only the layer it runs, and json only where it
 prints JSON through json.dumps, so that a fresh `mean` or `elliptic`
@@ -15,9 +25,51 @@ every layer are plain classes on means.Record, so no command generates
 classes at import.
 """
 
-import argparse
 import math
+import os
 import sys
+import types
+
+# The default of an option that must be given.
+_REQUIRED = object()
+
+# The CLI grammar: subcommand -> (help, options), where each option maps
+# its full name to (type, choices, default, help).  The dest is the name
+# without its dashes; the type bool marks a flag that is False unless
+# given.  _COMMON follows the options of every subcommand.
+_COMMON = {
+    "--format": (str, ("text", "csv", "json"), "text", None),
+    "--digits": (int, None, 15, "significant digits for floating output (1..17)"),
+}
+_GRAMMAR = {
+    "mean": ("evaluate a bivariate mean", {
+        "--kind": (str, ("log", "identric", "genlog", "agm"), _REQUIRED, None),
+        "--p": (float, None, None, "order for --kind genlog"),
+        "--a": (float, None, _REQUIRED, None),
+        "--b": (float, None, _REQUIRED, None),
+    }),
+    "elliptic": ("complete elliptic integral K", {
+        "--method": (str, ("series", "agm", "quadrature"), _REQUIRED, None),
+        "--t": (float, None, None, "modulus in [0, 1)"),
+        "--a": (float, None, None, None),
+        "--b": (float, None, None, None),
+    }),
+    "coeffs": ("exact coefficient table", {
+        "--kmax": (int, None, _REQUIRED, None),
+    }),
+    "scan": ("scan the ratio M(1,t)/L(1,t)", {
+        "--points": (int, None, _REQUIRED, None),
+        "--tmin": (float, None, _REQUIRED, None),
+        "--tmax": (float, None, _REQUIRED, None),
+    }),
+    "verify": ("run the verification suite", {
+        "--profile": (str, ("quick", "full"), "quick", None),
+        # None stands for verify.DEFAULT_SEED, read only once verify is imported
+        "--seed": (int, None, None, None),
+        "--timings": (bool, None, False,
+                      "write 'claim_id elapsed_s' per check to stderr"),
+    }),
+}
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -28,7 +80,10 @@ def _rounded(value: float, digits: int) -> float:
     return float(_fmt(value, digits))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of _GRAMMAR, for argv that _read_argv refuses."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="agmbounds",
         description=(
@@ -38,48 +93,63 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--digits", type=int, default=15,
-                       help="significant digits for floating output (1..17)")
-
-    p_mean = sub.add_parser("mean", help="evaluate a bivariate mean")
-    p_mean.add_argument("--kind", required=True,
-                        choices=("log", "identric", "genlog", "agm"))
-    p_mean.add_argument("--p", type=float, default=None,
-                        help="order for --kind genlog")
-    p_mean.add_argument("--a", type=float, required=True)
-    p_mean.add_argument("--b", type=float, required=True)
-    add_common(p_mean)
-
-    p_ell = sub.add_parser("elliptic", help="complete elliptic integral K")
-    p_ell.add_argument("--method", required=True,
-                       choices=("series", "agm", "quadrature"))
-    p_ell.add_argument("--t", type=float, default=None, help="modulus in [0, 1)")
-    p_ell.add_argument("--a", type=float, default=None)
-    p_ell.add_argument("--b", type=float, default=None)
-    add_common(p_ell)
-
-    p_coeffs = sub.add_parser("coeffs", help="exact coefficient table")
-    p_coeffs.add_argument("--kmax", type=int, required=True)
-    add_common(p_coeffs)
-
-    p_scan = sub.add_parser("scan", help="scan the ratio M(1,t)/L(1,t)")
-    p_scan.add_argument("--points", type=int, required=True)
-    p_scan.add_argument("--tmin", type=float, required=True)
-    p_scan.add_argument("--tmax", type=float, required=True)
-    add_common(p_scan)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--profile", choices=("quick", "full"), default="quick")
-    # None stands for verify.DEFAULT_SEED, read only once verify is imported
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--timings", action="store_true",
-                          help="write 'claim_id elapsed_s' per check to stderr")
-    add_common(p_verify)
-
+    for command, (command_help, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, (kind, choices, default, help_text) in {**options, **_COMMON}.items():
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=help_text)
+            else:
+                required = default is _REQUIRED
+                p.add_argument(name, type=kind, choices=choices, required=required,
+                               default=None if required else default, help=help_text)
     return parser
+
+
+def _read_argv(argv):
+    """The namespace argparse gives for well-formed argv, or None.
+
+    Accepts only a subcommand followed by its options and the common
+    ones, each spelled in full and given at most once, as `--name value`
+    with a value that does not start with `-`, or as `--name=value`;
+    a flag is given bare.  Each value must convert and pass its choices,
+    every required option must be present, and --digits must lie in
+    [1, 17].  None sends argv to the argparse parser.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    options = {**_GRAMMAR[argv[0]][1], **_COMMON}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        dest = name[2:]
+        if name not in options or dest in values:
+            return None
+        kind, choices, _, _ = options[name]
+        if kind is bool:
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as an option
+            if value.startswith("-"):
+                return None
+        try:
+            value = kind(value)
+        except (TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for name, (_, _, default, _) in options.items():
+        if name[2:] not in values:
+            if default is _REQUIRED:
+                return None
+            values[name[2:]] = default
+    if not 1 <= values["digits"] <= 17:
+        return None
+    return types.SimpleNamespace(command=argv[0], **values)
 
 
 def _cmd_mean(args, out) -> int:
@@ -270,13 +340,16 @@ _COMMANDS = {
 
 def run(argv=None, out=None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if not 1 <= args.digits <= 17:
-            parser.error(f"--digits must lie in [1, 17], got {args.digits}")
-    except SystemExit as exc:  # argparse already printed the diagnostic
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+            if not 1 <= args.digits <= 17:
+                parser.error(f"--digits must lie in [1, 17], got {args.digits}")
+        except SystemExit as exc:  # argparse already printed the diagnostic
+            return exc.code if isinstance(exc.code, int) else 2
     out = out if out is not None else sys.stdout
     try:
         return _COMMANDS[args.command](args, out)
@@ -293,7 +366,17 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        # flush inside the try, so a reader that closed stdout early is
+        # seen here and not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process it killed
+    sys.exit(code)
 
 
 if __name__ == "__main__":

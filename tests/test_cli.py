@@ -4,13 +4,21 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agmbounds import cli, coefficients, verify
 from agmbounds.coefficients import CoefficientTable
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 A_TABLE_STR = [
     "1/4", "7/48", "5/48", "313/3840", "43/640", "12317/215040",
@@ -22,6 +30,12 @@ def run_cli(*argv):
     out = io.StringIO()
     code = cli.run(list(argv), out=out)
     return code, out.getvalue()
+
+
+def cli_process(argv, **kwargs):
+    """Popen arguments of a fresh `python -m agmbounds.cli` process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    return dict(args=[sys.executable, "-m", "agmbounds.cli", *argv], env=env, **kwargs)
 
 
 class TestMean:
@@ -343,3 +357,252 @@ def test_stdout_byte_identical(argv, digest):
     code, out = run_cli(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--kmax", "500"],
+            ["scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999"],
+        ],
+        ids=" ".join,
+    )
+    def test_reader_closing_early_exits_141_quietly(self, argv):
+        # each output is well beyond a pipe buffer, so writes go on after
+        # the reader has gone
+        with subprocess.Popen(
+            **cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        ) as proc:
+            assert proc.stdout.readline().startswith((b"a_1 = ", b"t,"))
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+# Help and diagnostics of the argparse fallback, byte for byte as the
+# hand-written parser printed them with COLUMNS=80.  The layout is that
+# of argparse in Python 3.11.
+TOP_USAGE = "usage: agmbounds [-h] {mean,elliptic,coeffs,scan,verify} ...\n"
+MEAN_USAGE = (
+    "usage: agmbounds mean [-h] --kind {log,identric,genlog,agm} [--p P] --a A --b\n"
+    "                      B [--format {text,csv,json}] [--digits DIGITS]\n"
+)
+VERIFY_USAGE = (
+    "usage: agmbounds verify [-h] [--profile {quick,full}] [--seed SEED]\n"
+    "                        [--timings] [--format {text,csv,json}]\n"
+    "                        [--digits DIGITS]\n"
+)
+HELP_LINE = "  -h, --help            show this help message and exit\n"
+COMMON_HELP = (
+    "  --format {text,csv,json}\n"
+    "  --digits DIGITS       significant digits for floating output (1..17)\n"
+)
+FALLBACK_PINS = [
+    (
+        ["--help"], 0,
+        TOP_USAGE
+        + "\n"
+        "Bivariate means, complete elliptic integrals of the first kind, exact\n"
+        "coefficient tables, and the verification suite for the sharp bounds L < M <\n"
+        "(pi/2)L.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {mean,elliptic,coeffs,scan,verify}\n"
+        "    mean                evaluate a bivariate mean\n"
+        "    elliptic            complete elliptic integral K\n"
+        "    coeffs              exact coefficient table\n"
+        "    scan                scan the ratio M(1,t)/L(1,t)\n"
+        "    verify              run the verification suite\n"
+        "\n"
+        "options:\n" + HELP_LINE,
+        "",
+    ),
+    (
+        ["mean", "--help"], 0,
+        MEAN_USAGE
+        + "\noptions:\n" + HELP_LINE
+        + "  --kind {log,identric,genlog,agm}\n"
+        "  --p P                 order for --kind genlog\n"
+        "  --a A\n"
+        "  --b B\n" + COMMON_HELP,
+        "",
+    ),
+    (
+        ["elliptic", "--help"], 0,
+        "usage: agmbounds elliptic [-h] --method {series,agm,quadrature} [--t T]\n"
+        "                          [--a A] [--b B] [--format {text,csv,json}]\n"
+        "                          [--digits DIGITS]\n"
+        "\noptions:\n" + HELP_LINE
+        + "  --method {series,agm,quadrature}\n"
+        "  --t T                 modulus in [0, 1)\n"
+        "  --a A\n"
+        "  --b B\n" + COMMON_HELP,
+        "",
+    ),
+    (
+        ["coeffs", "--help"], 0,
+        "usage: agmbounds coeffs [-h] --kmax KMAX [--format {text,csv,json}]\n"
+        "                        [--digits DIGITS]\n"
+        "\noptions:\n" + HELP_LINE
+        + "  --kmax KMAX\n" + COMMON_HELP,
+        "",
+    ),
+    (
+        ["scan", "--help"], 0,
+        "usage: agmbounds scan [-h] --points POINTS --tmin TMIN --tmax TMAX\n"
+        "                      [--format {text,csv,json}] [--digits DIGITS]\n"
+        "\noptions:\n" + HELP_LINE
+        + "  --points POINTS\n"
+        "  --tmin TMIN\n"
+        "  --tmax TMAX\n" + COMMON_HELP,
+        "",
+    ),
+    (
+        ["verify", "--help"], 0,
+        VERIFY_USAGE
+        + "\noptions:\n" + HELP_LINE
+        + "  --profile {quick,full}\n"
+        "  --seed SEED\n"
+        "  --timings             write 'claim_id elapsed_s' per check to stderr\n"
+        + COMMON_HELP,
+        "",
+    ),
+    (
+        [], 2, "",
+        TOP_USAGE + "agmbounds: error: the following arguments are required: command\n",
+    ),
+    (
+        ["frobnicate"], 2, "",
+        TOP_USAGE + "agmbounds: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'mean', 'elliptic', 'coeffs', 'scan', 'verify')\n",
+    ),
+    (
+        ["mean", "--a", "1", "--b", "2"], 2, "",
+        MEAN_USAGE + "agmbounds mean: error: the following arguments are required: --kind\n",
+    ),
+    (
+        ["mean", "--kind", "median", "--a", "1", "--b", "2"], 2, "",
+        MEAN_USAGE + "agmbounds mean: error: argument --kind: invalid choice: 'median' "
+        "(choose from 'log', 'identric', 'genlog', 'agm')\n",
+    ),
+    (
+        ["mean", "--kind", "log", "--a", "x", "--b", "2"], 2, "",
+        MEAN_USAGE + "agmbounds mean: error: argument --a: invalid float value: 'x'\n",
+    ),
+    (
+        ["mean", "--kind", "log", "--a", "1", "--b", "2", "--digits", "18"], 2, "",
+        TOP_USAGE + "agmbounds: error: --digits must lie in [1, 17], got 18\n",
+    ),
+    (
+        ["verify", "--timings=1"], 2, "",
+        VERIFY_USAGE
+        + "agmbounds verify: error: argument --timings: ignored explicit argument '1'\n",
+    ),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout of Python 3.11")
+class TestFallback:
+    @pytest.mark.parametrize(
+        "argv,code,stdout,stderr", FALLBACK_PINS, ids=[" ".join(p[0]) or "-" for p in FALLBACK_PINS]
+    )
+    def test_in_process(self, argv, code, stdout, stderr, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.run(argv) == code
+        assert capsys.readouterr() == (stdout, stderr)
+
+    @pytest.mark.parametrize(
+        "argv,code,stdout,stderr", FALLBACK_PINS, ids=[" ".join(p[0]) or "-" for p in FALLBACK_PINS]
+    )
+    def test_fresh_process(self, argv, code, stdout, stderr):
+        proc = subprocess.run(**cli_process(argv, capture_output=True, text=True))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize(
+    "argv,canonical",
+    [
+        (
+            ["mean", "--kind", "genlog", "--p", "-0.5", "--a", "2", "--b", "8"],
+            ["mean", "--kind", "genlog", "--p=-0.5", "--a", "2", "--b", "8"],
+        ),
+        (
+            ["mean", "--kind", "log", "--a", "2", "--b", "8", "--form", "json"],
+            ["mean", "--kind", "log", "--a", "2", "--b", "8", "--format", "json"],
+        ),
+        (
+            ["mean", "--kind", "log", "--a", "1", "--a", "2", "--b", "8"],
+            ["mean", "--kind", "log", "--a", "2", "--b", "8"],
+        ),
+    ],
+    ids=["negative value", "abbreviation", "repeated option"],
+)
+def test_fallback_spellings_equal_canonical(argv, canonical):
+    assert cli._read_argv(argv) is None
+    assert cli._read_argv(canonical) is not None
+    assert run_cli(*argv) == run_cli(*canonical)
+
+
+# Option names of the grammar, and their abbreviations and strays.
+ALL_OPTIONS = [cli._COMMON, *(opts for _, opts in cli._GRAMMAR.values())]
+OPTION_NAMES = sorted({name for opts in ALL_OPTIONS for name in opts})
+STRAY_NAMES = ["--form", "--dig", "--ki", "--meth", "--km", "--po", "--tmi", "--pro", "--tim",
+               "--x", "--help", "-h", "--", "-a", "--kind--", "format"]
+CHOICES = sorted({c for opts in ALL_OPTIONS for _, choices, _, _ in opts.values() for c in choices or ()})
+# values each type converts, then values some or all types refuse
+GOOD = {
+    float: ["1", "2.5", "0.5", "1e-8", "0.9999", "-0.5", "nan", "inf", "-inf", "1_0", " 7 ", "015"],
+    int: ["1", "3", "5", "17", "015", "1_0", " 7 ", "-3"],
+}
+VALUES = [*GOOD[float], *GOOD[int], *CHOICES, "18", "0", "1e999", "0x1f", "1.5e", "x", "", " ",
+          "--", "-", "median", "JSON", "json ", "log=1"]
+
+
+@st.composite
+def argvs(draw):
+    """argv over the grammar: its options in random order, some missing,
+    in both spellings, with good and bad values and stray tokens."""
+    command = draw(st.sampled_from(list(cli._GRAMMAR)) if draw(st.integers(0, 7))
+                   else st.sampled_from(["frobnicate", "mea", "-h", "--help", ""]))
+    options = {**cli._GRAMMAR.get(command, ("", {}))[1], **cli._COMMON}
+    argv = [command]
+    for name in draw(st.permutations(list(options))):
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        kind, choices, _, _ = options[name]
+        if kind is bool:
+            argv += draw(st.sampled_from([[name], [name], [f"{name}=1"], [name, "1"]]))
+            continue
+        good = draw(st.integers(0, 3)) > 0
+        value = draw(st.sampled_from((choices or GOOD[kind]) if good else VALUES))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    # one argv in three gets one or two strays anywhere after the command
+    strays = draw(st.integers(1, 2)) if draw(st.integers(0, 2)) == 0 else 0
+    for _ in range(strays):
+        stray = draw(st.sampled_from([*OPTION_NAMES, *STRAY_NAMES]))
+        value = draw(st.sampled_from(VALUES))
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(st.sampled_from([[stray], [stray, value], [f"{stray}={value}"]]))
+    return argv
+
+
+def _typed(namespace):
+    # NaN != NaN, and 1 == 1.0 == True: compare type and repr instead
+    return {k: (type(v), repr(v)) for k, v in vars(namespace).items()}
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli._build_parser()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=argvs())
+@example(argv=["mean", "--kind", "median", "--a", "1", "--b", "2"])
+@example(argv=["coeffs", "--kmax", "5", "--digits", "18"])
+def test_reader_agrees_with_argparse(parser, argv):
+    namespace = cli._read_argv(argv)
+    if namespace is not None:
+        assert _typed(namespace) == _typed(parser.parse_args(argv))
+        assert 1 <= namespace.digits <= 17

@@ -1,6 +1,7 @@
 """Package surface: lazy exports, and the modules a process loads."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,38 @@ import pytest
 
 import agmbounds
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 LAYERS = ["agmbounds.coefficients", "agmbounds.elliptic", "agmbounds.means", "agmbounds.verify"]
 HEAVY_STDLIB = ["dataclasses", "fractions", "json"]
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+# The CLI examples of the README, and argv shaped like each process of
+# the benchmark's cli-mix rotation.
+README_CLI = [
+    shlex.split(line)[1:]
+    for line in (ROOT / "README.md").read_text().splitlines()
+    if line.startswith("agmbounds ")
+]
+CLI_MIX = [
+    ["mean", "--kind", "agm", "--a", "0.0049870962373237465", "--b", "0.0012946250946879758"],
+    ["mean", "--kind", "genlog", "--p=-1.0", "--a", "0.0049870962373237465", "--b", "2.5"],
+    *(["elliptic", "--method", m, "--t", "0.5423750708181954"] for m in ("series", "agm", "quadrature")),
+    ["scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999"],
+    ["coeffs", "--kmax", "500", "--format", "json"],
+    ["verify", "--profile", "quick", "--seed", "1", "--format", "json"],
+]
+
+
+def loaded_by_cli(argv):
+    """Modules that cli.run(argv) loads in a fresh interpreter; what it
+    prints goes nowhere."""
+    return loaded_after(
+        "import io\nfrom agmbounds import cli\n"
+        "_stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"cli.run({argv!r}, out=sys.stdout)\n"
+        "sys.stdout = _stdout"
+    )
 
 
 def loaded_after(code):
@@ -70,6 +100,21 @@ class TestImportFootprint:
         assert "dataclasses" not in loaded
         # coeffs writes its JSON text itself
         assert ("json" in loaded) == (argv[-1] == "json" and argv[0] != "coeffs")
+
+    @pytest.mark.parametrize("argv", [*README_CLI, *CLI_MIX], ids=" ".join)
+    def test_well_formed_argv_loads_no_argparse(self, argv):
+        loaded = loaded_by_cli(argv)
+        assert "agmbounds.cli" in loaded
+        assert not loaded & ARGPARSE
+
+    def test_readme_examples_found(self):
+        assert len(README_CLI) == 7
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["mean", "--kind", "median", "--a", "1", "--b", "2"]], ids=" ".join
+    )
+    def test_help_and_malformed_argv_fall_back_to_argparse(self, argv):
+        assert "argparse" in loaded_by_cli(argv)
 
 
 class TestLazyExports:
