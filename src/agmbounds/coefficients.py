@@ -24,6 +24,7 @@ identity exactly decidable.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 from agmbounds.means import Record
@@ -43,9 +44,13 @@ def wallis_ratio(k: int) -> Fraction:
     return Fraction(comb(2 * k, k), 4**k)
 
 
+@lru_cache(maxsize=1)
 def _odd_harmonic_parts(k: int) -> tuple[int, int]:
     # sum_{i=1}^{k} 1/(2i-1) as an unreduced (numerator, denominator) pair
     # over the common denominator lcm(1, 3, ..., 2k-1); (0, 1) at k = 0.
+    # The last k is kept, so a_coeff_closed, g_closed and s_seq at one k,
+    # called in turn as the coeff-identities sweep calls them, share one
+    # sum, whose O(k) big-integer divisions are most of the cost of each.
     den = lcm(*range(1, 2 * k, 2))
     return sum(den // (2 * i - 1) for i in range(1, k + 1)), den
 

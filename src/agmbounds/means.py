@@ -5,11 +5,15 @@ and the arithmetic-geometric mean computed by the AGM iteration.  All
 operations are pure functions; every mean is symmetric in its arguments
 and homogeneous of degree one.
 
-Each public mean on a MeanInput makes one call into a kernel on plain
-floats (agm_iterates, log_mean_float, identric_mean_float); agm_limit is
-the AGM's limit without the trace.  The verifier and the elliptic routes
-call these kernels directly in their hot loops.  gen_log_means evaluates
-a chain of orders on one pair from a single logarithmic mean.
+A MeanInput computes the state its means share once, when it is built:
+the ordered pair and its logarithmic mean, from which the logarithmic,
+identric and generalized logarithmic means all follow.  So one pair,
+through every mean or through the chain of orders of gen_log_means,
+evaluates its logarithmic mean once.  The same means on plain floats are
+the kernels log_mean_float and identric_mean_float; agm_limit is the
+AGM's limit without the trace that agm builds from agm_iterates.  The
+verifier and the elliptic routes call these kernels directly in their
+hot loops.
 """
 
 import math
@@ -38,11 +42,14 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in _fields and sets each once, in its
-    __init__, through object.__setattr__; assigning or deleting an
-    attribute afterwards raises AttributeError.  Instances compare and hash
-    by the fields in _compared (all of _fields when empty) and print as
-    Name(field=value, ...).  Fields stay ordinary instance attributes:
-    reading one is as fast as on a plain object, which __slots__ is not.
+    __init__, through object.__setattr__ or, for several at once,
+    self.__dict__.update; assigning or deleting an attribute afterwards
+    raises AttributeError.  __init__ may set attributes derived from the
+    fields the same way; they take no part in comparison, hashing or
+    printing.  Instances compare and hash by the fields in _compared (all
+    of _fields when empty) and print as Name(field=value, ...).  Fields
+    stay ordinary instance attributes: reading one is as fast as on a
+    plain object, which __slots__ is not.
     """
 
     _fields: tuple[str, ...] = ()
@@ -71,7 +78,17 @@ class Record:
 
 
 class MeanInput(Record):
-    """Validated pair of positive reals; the argument of every mean."""
+    """Validated pair of positive reals; the argument of every mean.
+
+    The state every mean of the pair reads is computed once, here: hi and
+    lo, the pair ordered, and the logarithmic mean L = log_mean_float(a, b)
+    in _log_mean.  At a == b, and below a relative gap of NEAR_EQUAL_REL,
+    every mean of the pair is that value (hi, or the midpoint) and
+    _log_gap is None.  Otherwise the pair also carries d = hi - lo in _d
+    and _log_gap = ln(hi/lo) = d / L, which does not cancel on close pairs
+    as the difference of the two logarithms does.  Instances compare, hash
+    and print by (a, b) only.
+    """
 
     _fields = ("a", "b")
 
@@ -82,16 +99,23 @@ class MeanInput(Record):
             raise ValueError(f"mean arguments must be finite, got a={a}, b={b}")
         if fa <= 0.0 or fb <= 0.0:
             raise ValueError(f"mean arguments must be positive, got a={a}, b={b}")
-        object.__setattr__(self, "a", fa)
-        object.__setattr__(self, "b", fb)
-
-    @property
-    def hi(self) -> float:
-        return self.a if self.a >= self.b else self.b
-
-    @property
-    def lo(self) -> float:
-        return self.b if self.a >= self.b else self.a
+        if fa >= fb:
+            hi, lo = fa, fb
+        else:
+            hi, lo = fb, fa
+        d = hi - lo
+        log_gap = None
+        # Equal pairs first: NEAR_EQUAL_REL * hi underflows to 0 for a
+        # subnormal hi, and d / log1p(d / lo) would be 0 / 0.
+        if hi == lo:
+            log_mean = hi
+        elif d < NEAR_EQUAL_REL * hi:
+            log_mean = 0.5 * lo + 0.5 * hi
+        else:
+            log_mean = _log_mean_apart(hi, lo, d)
+            log_gap = d / log_mean
+        self.__dict__.update(a=fa, b=fb, hi=hi, lo=lo, _d=d, _log_mean=log_mean,
+                             _log_gap=log_gap)
 
     def ordered(self) -> tuple[float, float]:
         """The pair as (hi, lo); results never depend on input order."""
@@ -239,16 +263,18 @@ def identric_mean_float(a: float, b: float) -> float:
 
 def log_mean(inp: MeanInput) -> float:
     """Logarithmic mean (b - a)/(ln b - ln a), equal to a at a == b."""
-    return log_mean_float(inp.a, inp.b)
+    return inp._log_mean
 
 
 def identric_mean(inp: MeanInput) -> float:
     """Identric (exponential) mean (1/e)(b^b/a^a)^(1/(b-a)), a at a == b.
 
-    Evaluated through the logarithmic mean so large arguments cannot
-    overflow and close pairs do not cancel.
+    Evaluated as hi * exp(lo/L - 1) through the logarithmic mean L, so
+    large arguments cannot overflow and close pairs do not cancel.
     """
-    return identric_mean_float(inp.a, inp.b)
+    if inp._log_gap is None:
+        return inp._log_mean
+    return inp.hi * math.exp(inp.lo / inp._log_mean - 1.0)
 
 
 def gen_log_mean(p: float, inp: MeanInput) -> float:
@@ -261,61 +287,43 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     p = float(p)
     if not math.isfinite(p):
         raise ValueError(f"order p must be finite, got {p}")
-    hi, lo = inp.ordered()
-    if hi == lo:
-        return hi
-    d = hi - lo
-    if d < NEAR_EQUAL_REL * hi:
-        return 0.5 * lo + 0.5 * hi
-    log_mean_lo_hi = _log_mean_apart(hi, lo, d)
-    return _gen_log_apart(p, hi, lo, d, log_mean_lo_hi, d / log_mean_lo_hi)
+    if inp._log_gap is None:
+        return inp._log_mean
+    return _gen_log_apart(p, inp)
 
 
 def gen_log_means(ps, inp: MeanInput) -> list[float]:
-    """[gen_log_mean(p, inp) for p in ps], bit for bit, from one
-    logarithmic mean of the pair.
+    """[gen_log_mean(p, inp) for p in ps], bit for bit.
 
-    The entry at p = -1 is that logarithmic mean L, and the entry at p = 0
-    is the identric mean hi * exp(lo/L - 1); every order reuses
-    ln(hi/lo) = (hi - lo)/L.  Every order is validated as gen_log_mean
-    validates it.
+    Every order is validated, as gen_log_mean validates it, before any is
+    evaluated.
     """
     orders = [float(p) for p in ps]
     for p in orders:
         if not math.isfinite(p):
             raise ValueError(f"order p must be finite, got {p}")
-    hi, lo = inp.ordered()
-    if hi == lo:
-        return [hi] * len(orders)
-    d = hi - lo
-    if d < NEAR_EQUAL_REL * hi:
-        return [0.5 * lo + 0.5 * hi] * len(orders)
-    log_mean_lo_hi = _log_mean_apart(hi, lo, d)
-    log_gap = d / log_mean_lo_hi
-    return [_gen_log_apart(p, hi, lo, d, log_mean_lo_hi, log_gap) for p in orders]
+    if inp._log_gap is None:
+        return [inp._log_mean] * len(orders)
+    return [_gen_log_apart(p, inp) for p in orders]
 
 
-def _gen_log_apart(p: float, hi: float, lo: float, d: float, log_mean_lo_hi: float,
-                   log_gap: float) -> float:
-    # M_p(lo, hi) for hi > lo at a relative gap of at least NEAR_EQUAL_REL,
-    # given L(lo, hi) and log_gap = ln(hi/lo) = d / L(lo, hi).  log_gap
-    # does not cancel on close pairs as the difference of the two
-    # logarithms does.
+def _gen_log_apart(p: float, inp: MeanInput) -> float:
+    # M_p of a pair whose _log_gap is set, from its L and ln(hi/lo).
     if p == -1.0:
-        return log_mean_lo_hi
+        return inp._log_mean
     if p == 0.0:
-        return hi * math.exp(lo / log_mean_lo_hi - 1.0)
+        return inp.hi * math.exp(inp.lo / inp._log_mean - 1.0)
     if abs(p) < SMALL_ORDER:
-        return _gen_log_small_p(p, hi, lo, d, log_mean_lo_hi, log_gap)
+        return _gen_log_small_p(p, inp.hi, inp.lo, inp._d, inp._log_mean, inp._log_gap)
     # log-space form: anchored at the dominant power so b^(p+1) is never
     # materialized; expm1 keeps the bracket accurate for p near -1.
     q = p + 1.0
     if q > 0.0:
-        bracket = -math.expm1(-q * log_gap)
-        log_ratio = q * math.log(hi) + math.log(bracket) - math.log(q) - math.log(d)
+        bracket = -math.expm1(-q * inp._log_gap)
+        log_ratio = q * math.log(inp.hi) + math.log(bracket) - math.log(q) - math.log(inp._d)
     else:
-        bracket = -math.expm1(q * log_gap)
-        log_ratio = q * math.log(lo) + math.log(bracket) - math.log(-q) - math.log(d)
+        bracket = -math.expm1(q * inp._log_gap)
+        log_ratio = q * math.log(inp.lo) + math.log(bracket) - math.log(-q) - math.log(inp._d)
     return math.exp(log_ratio / p)
 
 

@@ -519,7 +519,8 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
     generalized logarithmic mean strictly increasing across the p grid.
 
     L and I are the p = -1 and p = 0 entries of the p chain, which
-    means.gen_log_means computes from one logarithmic mean per pair."""
+    means.gen_log_means builds from the logarithmic mean that MeanInput
+    computes once per pair."""
     _check_count(n_samples, "n_samples")
     statement = (
         "L(a,b) < M(a,b) < I(a,b) for sampled a != b, and p -> L(p;a,b) "

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,23 @@ class TestIntegerClosedForms:
             if k >= 2:
                 s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1)
                 assert co.s_seq(k) == s, k
+
+    def test_independent_of_call_order(self):
+        # the closed forms share the odd harmonic sum of the last k asked for
+        expected = {}
+        harmonic = Fraction(0)
+        for k in range(1, 61):
+            w = Fraction(math.comb(2 * k, k), 4**k)
+            harmonic += Fraction(1, 2 * k - 1)
+            expected[co.odd_harmonic, k] = harmonic
+            expected[co.a_coeff_closed, k] = (1 - w * (harmonic - 1)) / (2 * (k + 1))
+            expected[co.g_closed, k] = w * harmonic / 2
+            if k >= 2:
+                expected[co.s_seq, k] = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1)
+        calls = list(expected) * 2
+        random.Random(3).shuffle(calls)
+        for f, k in calls:
+            assert f(k) == expected[f, k], (f.__name__, k)
 
     def test_odd_harmonic_at_zero(self):
         assert co.odd_harmonic(0) == 0

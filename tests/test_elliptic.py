@@ -93,6 +93,22 @@ class TestSeries:
             ra = k_agm(Modulus(t))
             assert abs(rs.value - ra.value) <= rs.error_estimate + ra.error_estimate
 
+    def test_series_sum_t_zero(self):
+        assert elliptic.k_series_sum(0.0, 500, 1e-17) == (1.0, 1, 0.0, True)
+
+    def test_series_sum_budget_flag(self):
+        s, terms, omitted, converged = elliptic.k_series_sum(0.81, 5, 1e-17)
+        assert not converged
+        assert terms == 5
+        assert omitted > 0.0
+
+    def test_series_tail_bound(self):
+        # the partial sum plus geometric tail bound must bracket a longer sum
+        tsq = 0.25
+        s_short, _, omitted, _ = elliptic.k_series_sum(tsq, 500, 1e-10)
+        s_long, _, _, _ = elliptic.k_series_sum(tsq, 500, 1e-17)
+        assert s_short <= s_long <= s_short + omitted / (1.0 - tsq)
+
 
 class TestAgmRoute:
     def test_t_zero(self):
@@ -142,6 +158,23 @@ class TestQuadrature:
         vq = k_quadrature(1.0, 0.5).value
         va = k_agm(m).value
         assert abs(vq - va) / va < 1e-12
+
+    def test_simpson_cross_check(self):
+        # independent composite-Simpson oracle for K(1, 0.3) in the angular form
+        a, b = 1.0, 0.3
+        n = 20000
+        h = (math.pi / 2.0) / n
+
+        def f(theta):
+            c = math.cos(theta)
+            s = math.sin(theta)
+            return 1.0 / math.sqrt(a * a * c * c + b * b * s * s)
+
+        acc = f(0.0) + f(math.pi / 2.0)
+        for i in range(1, n):
+            acc += (4.0 if i % 2 else 2.0) * f(i * h)
+        simpson = acc * h / 3.0
+        assert k_quadrature(a, b).value == pytest.approx(simpson, rel=1e-12)
 
     def test_converges_at_ratio_1e_4(self):
         # the uniform-panel route stopped at its panel budget here

@@ -1,6 +1,8 @@
 """Means: worked examples, validation, and algebraic properties."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from agmbounds import AgmTrace, MeanInput, agm, gen_log_mean, identric_mean, log_mean
 from agmbounds import means
+from agmbounds.means import agm_iterates, agm_limit, identric_mean_float, log_mean_float
+from agmbounds.verify import P_GRID
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 separated = positive.flatmap(
@@ -34,6 +38,38 @@ ALL_MEANS = [
 # the orders p that take gen_log_mean's own formula (not L or I)
 GEN_LOG_ORDERS = [-2.0, -0.5, 0.5, 1.0, 2.0]
 DBL_MAX = sys.float_info.max
+REL_TOL = means.DEFAULT_REL_TOL
+
+PAIRS = [
+    (1.0, 1.0),
+    (2.0, 8.0),
+    (math.sqrt(2.0), 1.0),
+    (1.0, 1e-8),
+    (1e-3, 1e3),
+    (5.0, 7.0),
+    (123.456, 123.457),
+    (0.062, 941.0),
+]
+
+# pairs whose ratio min/max is below the smallest normal double
+WIDE_PAIRS = [
+    (1e-300, 1e300),
+    (1e-308, 1e308),
+    (5e-324, 1.0),
+    (5e-324, 1e-10),
+    (DBL_MAX, 5e-324),
+    (1e-323, 1.5e308),
+    (1e-320, 1e300),
+]
+
+# equal and adjacent pairs at both ends of the double range; for a
+# subnormal hi, NEAR_EQUAL_REL * hi underflows to 0
+EDGE_PAIRS = [
+    (5e-324, 5e-324),
+    (5e-324, 1e-323),
+    (DBL_MAX, DBL_MAX),
+    (DBL_MAX, math.nextafter(DBL_MAX, 0.0)),
+]
 
 
 def simpson_log_mean(a, b, n=4000):
@@ -81,6 +117,30 @@ class TestMeanInput:
         with pytest.raises(AttributeError):
             del inp.b
         assert (inp.a, inp.b) == (2.0, 8.0)
+
+    def test_value_type_by_a_b_only(self):
+        # the state built for the means takes no part in ==, hash, repr,
+        # pickle or copy
+        for a, b in [(2.0, 8.0), (8.0, 2.0), (5e-324, 5e-324), (1.0, 1.0 + 1e-12),
+                     (DBL_MAX, 5e-324)]:
+            inp = MeanInput(a, b)
+            assert repr(inp) == f"MeanInput(a={a!r}, b={b!r})"
+            assert inp == MeanInput(a, b) and hash(inp) == hash((a, b))
+            assert (inp == MeanInput(b, a)) is (a == b)
+            for twin in (pickle.loads(pickle.dumps(inp)), copy.copy(inp), copy.deepcopy(inp)):
+                assert type(twin) is MeanInput
+                assert twin == inp and hash(twin) == hash(inp) and repr(twin) == repr(inp)
+                assert every_mean_bits(twin) == every_mean_bits(inp)
+
+    @pytest.mark.parametrize("name", ["a", "b", "hi", "lo", "_d", "_log_mean", "_log_gap"])
+    def test_state_is_read_only(self, name):
+        for inp in (MeanInput(3.0, 11.0), MeanInput(2.0, 2.0)):
+            before = getattr(inp, name)
+            with pytest.raises(AttributeError):
+                setattr(inp, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(inp, name)
+            assert getattr(inp, name) is before
 
 
 class TestLogMean:
@@ -231,6 +291,124 @@ class TestGenLogMeans:
         for a, b in [(1.0, 2.0), (2.0, 2.0)]:
             with pytest.raises(ValueError, match="order p must be finite"):
                 means.gen_log_means((0.5, bad, 1.0), MeanInput(a, b))
+
+
+def outcome(fn, *args):
+    """fn(*args) as the hex of its value or list of values, or the name of
+    the exception it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__
+    return [v.hex() for v in value] if isinstance(value, list) else value.hex()
+
+
+def every_mean_bits(inp):
+    """Every mean of inp, in a fixed order, as outcomes."""
+    return (
+        [outcome(log_mean, inp), outcome(identric_mean, inp), outcome(lambda i: agm(i).limit, inp)]
+        + [outcome(gen_log_mean, p, inp) for p in TestGenLogMeans.ORDERS]
+        + [outcome(means.gen_log_means, TestGenLogMeans.ORDERS, inp)]
+    )
+
+
+def per_call_gen_log_mean(p, a, b):
+    """M_p(a, b) evaluated per call from plain floats: order the pair,
+    collapse it when equal or nearly so, take L from log_mean_float, then
+    apply the formula of the order."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    if hi == lo:
+        return hi
+    d = hi - lo
+    if d < means.NEAR_EQUAL_REL * hi:
+        return 0.5 * lo + 0.5 * hi
+    lm = log_mean_float(a, b)
+    g = d / lm
+    if p == -1.0:
+        return lm
+    if p == 0.0 or (abs(p) < means.SMALL_ORDER and abs(p) * g * g < sys.float_info.epsilon):
+        return identric_mean_float(a, b)
+    if abs(p) < means.SMALL_ORDER:
+        return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
+    q = p + 1.0
+    if q > 0.0:
+        log_ratio = q * math.log(hi) + math.log(-math.expm1(-q * g)) - math.log(q) - math.log(d)
+    else:
+        log_ratio = q * math.log(lo) + math.log(-math.expm1(q * g)) - math.log(-q) - math.log(d)
+    return math.exp(log_ratio / p)
+
+
+class TestSharedState:
+    """MeanInput computes the ordered pair and its logarithmic mean once;
+    every mean reads them and gives the bits of the per-call evaluation."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(20261019)
+        out = TestGenLogMeans.pairs() + EDGE_PAIRS + PAIRS + WIDE_PAIRS
+        for _ in range(20):  # both subnormal, or one subnormal and one normal
+            tiny = [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, -1022)) for _ in range(3)]
+            out += [(tiny[0], tiny[1]), (tiny[2], math.ldexp(rng.uniform(0.5, 1.0),
+                                                             rng.randint(-1021, 1024)))]
+        return out
+
+    def test_equals_kernels_and_per_call_formulas(self):
+        # an exception counts as an outcome: at p = 1e-6 on subnormal pairs
+        # the per-call evaluation overflows too
+        orders = TestGenLogMeans.ORDERS
+        for a, b in self.pairs():
+            inp = MeanInput(a, b)
+            assert log_mean(inp).hex() == log_mean_float(a, b).hex(), (a, b)
+            assert identric_mean(inp).hex() == identric_mean_float(a, b).hex(), (a, b)
+            per_call = [outcome(per_call_gen_log_mean, p, a, b) for p in orders]
+            assert [outcome(gen_log_mean, p, inp) for p in orders] == per_call, (a, b)
+            chain = outcome(lambda ps: [per_call_gen_log_mean(p, a, b) for p in ps], orders)
+            assert outcome(means.gen_log_means, orders, inp) == chain, (a, b)
+
+    def test_independent_of_call_order_and_repetition(self):
+        rng = random.Random(7)
+        calls = [(log_mean,), (identric_mean,), (means.gen_log_means, P_GRID)]
+        calls += [(gen_log_mean, p) for p in TestGenLogMeans.ORDERS]
+        for a, b in self.pairs()[::3]:
+            fresh = {call: outcome(*call, MeanInput(a, b)) for call in calls}
+            inp = MeanInput(a, b)
+            shuffled = calls * 2
+            rng.shuffle(shuffled)
+            for call in shuffled:
+                assert outcome(*call, inp) == fresh[call], (a, b, call)
+
+    @pytest.mark.parametrize("a,b", EDGE_PAIRS)
+    def test_edge_pairs_through_every_mean(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        for inp in (MeanInput(a, b), MeanInput(b, a)):
+            values = [log_mean(inp), identric_mean(inp), agm(inp).limit]
+            values += [gen_log_mean(p, inp) for p in P_GRID]
+            values += means.gen_log_means(P_GRID, inp)
+            assert all(lo <= v <= hi for v in values), values
+            if a == b:
+                assert set(values) == {a}
+            assert log_mean(inp) == log_mean_float(a, b)
+            assert identric_mean(inp) == identric_mean_float(a, b)
+
+    def test_one_log_mean_per_pair(self, monkeypatch):
+        calls = []
+        apart = means._log_mean_apart
+
+        def counting(*args):
+            calls.append(args)
+            return apart(*args)
+
+        monkeypatch.setattr(means, "_log_mean_apart", counting)
+        for a, b in [(3.0, 11.0), (1e-300, 1e300), (5e-324, DBL_MAX), (5e-324, 1e-323),
+                     (2.0, 2.0), (1.0, 1.0 + 1e-12)]:
+            calls.clear()
+            inp = MeanInput(a, b)
+            log_mean(inp)
+            identric_mean(inp)
+            for p in P_GRID:
+                gen_log_mean(p, inp)
+            means.gen_log_means(P_GRID, inp)
+            assert len(calls) == (1 if inp._log_gap is not None else 0), (a, b)
 
 
 class TestAgm:
@@ -467,3 +645,80 @@ def test_thread_safety_of_pure_functions():
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = list(pool.map(evaluate, inputs))
     assert concurrent == serial
+
+
+class TestFloatKernels:
+    """The kernels on plain floats that the verifier and the elliptic
+    routes call directly."""
+
+    def test_agm_limit_fixed_point(self):
+        assert agm_limit(5.0, 5.0, REL_TOL) == (5.0, 0)
+
+    def test_agm_limit_symmetric(self):
+        assert agm_limit(2.0, 8.0, REL_TOL) == agm_limit(8.0, 2.0, REL_TOL)
+
+    def test_agm_iterates_match_limit(self):
+        for a, b in PAIRS + WIDE_PAIRS:
+            limit, n = agm_limit(a, b, REL_TOL)
+            pairs = agm_iterates(a, b, REL_TOL)
+            assert pairs[-1][0] == limit
+            assert len(pairs) - 1 == n
+
+    @given(whole_range, whole_range)
+    def test_whole_range_agm_bounded(self, a, b):
+        limit, n = agm_limit(a, b, REL_TOL)
+        pairs = agm_iterates(a, b, REL_TOL)
+        assert pairs[-1][0] == limit
+        assert len(pairs) - 1 == n <= 16
+        assert math.isfinite(limit) and limit > 0.0
+        assert 0.0 < log_mean_float(a, b) < math.inf
+        assert 0.0 < identric_mean_float(a, b) < math.inf
+
+    def test_agm_unscaled_steps_traced(self):
+        # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
+        pairs = agm_iterates(5e-324, DBL_MAX, REL_TOL)
+        (h0, l0), (h1, l1), (h2, l2) = pairs[:3]
+        assert (h0, l0) == (DBL_MAX, 5e-324)
+        assert (h1, l1) == (0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0))
+        assert (h2, l2) == (0.5 * h1 + 0.5 * l1, math.sqrt(h1) * math.sqrt(l1))
+        assert l1 / h1 < sys.float_info.min <= l2 / h2
+
+    def test_agm_iteration_count_moderate(self):
+        # ratios up to 1e8 converge within 8 steps after unit normalization
+        for a, b in PAIRS:
+            _, n = agm_limit(a, b, REL_TOL)
+            assert n <= 8
+
+    def test_agm_tiny_tolerance_terminates(self):
+        # below the roundoff floor the iteration must still stop
+        limit, n = agm_limit(3.0, 7.0, 1e-300)
+        assert math.isfinite(limit)
+        assert n < 30
+
+    def test_log_mean_equal_arguments(self):
+        assert log_mean_float(3.5, 3.5) == 3.5
+
+    def test_log_mean_known_value(self):
+        assert log_mean_float(2.0, 8.0) == pytest.approx(6.0 / math.log(4.0), rel=1e-15, abs=0)
+
+    def test_identric_log_space_no_overflow(self):
+        # b^b overflows for b ~ 1e3; the form through the log mean must not
+        v = identric_mean_float(1e300, 1e299)
+        assert math.isfinite(v)
+        assert 1e299 < v < 1e300
+
+    def test_log_mean_branch_seam(self):
+        # either side of lo/hi = DBL_MIN, log-difference and log1p forms agree
+        edge = 1.0 / sys.float_info.min
+        log_difference = log_mean_float(1.0, math.nextafter(edge, math.inf))
+        log1p_form = log_mean_float(1.0, math.nextafter(edge, 0.0))
+        assert log_difference == pytest.approx(log1p_form, rel=2e-15)
+        assert log_difference == pytest.approx(edge / math.log(edge), rel=2e-15)
+
+    def test_identric_either_side_of_hi_log_hi_overflow(self):
+        # hi * ln(hi) is finite at 2.5e305 and overflows at 2.6e305; the mean
+        # must agree with the homogeneous reduction on both sides
+        for hi in (2.5e305, 2.6e305):
+            for lo in (1.0, 0.5 * hi):
+                v = identric_mean_float(lo, hi)
+                assert v == pytest.approx(hi * identric_mean_float(lo / hi, 1.0), rel=1e-12)

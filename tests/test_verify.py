@@ -24,6 +24,13 @@ class TestExactChecks:
         assert r.witness is None
         assert r.checked_points > 0
 
+    def test_identities_sum_each_odd_harmonic_once(self):
+        # a_coeff_closed, g_closed and s_seq at one k share one sum
+        co._odd_harmonic_parts.cache_clear()
+        r = verify.check_coefficient_identities(40, co.build_table(40))
+        assert r.status == "pass"
+        assert co._odd_harmonic_parts.cache_info().misses == 40
+
     def test_monotonicity_pass_small(self):
         r = verify.check_coefficient_monotonicity(2)
         assert r.status == "pass"
