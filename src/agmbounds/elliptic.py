@@ -172,21 +172,31 @@ def k_series(m: Modulus, max_terms: int = DEFAULT_MAX_TERMS) -> EllipticResult:
     )
 
 
-def k_agm(m: Modulus, rel_tol: float = means.DEFAULT_REL_TOL) -> EllipticResult:
+def k_agm(m: Modulus) -> EllipticResult:
     """K(t) = pi / (2 * M(1, sqrt(1 - t^2))) via the AGM iteration.
 
     Exact rewriting of the two-argument form K(1, sqrt(1-t^2)); converges
     for every valid modulus, including arbitrarily close to 1.  A modulus
-    from a pair runs M(1, lo/hi) on its exact complement.
+    from a pair runs M(1, lo/hi) on its exact complement.  The iteration
+    stops at means.DEFAULT_REL_TOL.
     """
-    limit, iterations = means.agm_limit(1.0, m.complement(), rel_tol)
+    limit, iterations = means.agm_limit(1.0, m.complement(), means.DEFAULT_REL_TOL)
     value = math.pi / (2.0 * limit)
     return EllipticResult(
         value=value,
         method="agm",
         terms_or_iterations=iterations,
-        error_estimate=value * (rel_tol + 4.0 * sys.float_info.epsilon),
+        error_estimate=value * (means.DEFAULT_REL_TOL + 4.0 * sys.float_info.epsilon),
     )
+
+
+def _ordered_pair(a: float, b: float) -> tuple[float, float]:
+    # (hi, lo) of a pair of positive finite reals, or ValueError
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
+        raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
+    return (a, b) if a >= b else (b, a)
 
 
 def k_quadrature(a: float, b: float) -> EllipticResult:
@@ -208,11 +218,7 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
     terms_or_iterations counts the explicit evaluations and the tail terms
     computed; error_estimate is h/hi times the first omitted tail term.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
-    hi, lo = (a, b) if a >= b else (b, a)
+    hi, lo = _ordered_pair(a, b)
     r = lo / hi
     # ln lo - ln hi cancels, losing about |ln lo| eps; lo/hi is correctly
     # rounded while it stays normal
@@ -260,11 +266,7 @@ def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
     ratio lo/hi below the smallest normal double, which a double cannot
     carry exactly (k_quadrature takes such pairs directly).
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
-    hi, lo = (a, b) if a >= b else (b, a)
+    hi, lo = _ordered_pair(a, b)
     u = lo / hi
     if u < means.DBL_MIN:
         raise ValueError(

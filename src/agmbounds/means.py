@@ -6,14 +6,14 @@ operations are pure functions; every mean is symmetric in its arguments
 and homogeneous of degree one.
 
 A MeanInput computes the state its means share once, when it is built:
-the ordered pair and its logarithmic mean, from which the logarithmic,
-identric and generalized logarithmic means all follow.  So one pair,
-through every mean or through the chain of orders of gen_log_means,
-evaluates its logarithmic mean once.  The same means on plain floats are
-the kernels log_mean_float and identric_mean_float; agm_limit is the
-AGM's limit without the trace that agm builds from agm_iterates.  The
-verifier and the elliptic routes call these kernels directly in their
-hot loops.
+the ordered pair, ln(hi/lo) and the logarithmic mean, from which the
+logarithmic, identric and generalized logarithmic means all follow.  So
+one pair, through every mean or through the chain of orders of
+gen_log_means, evaluates its logarithm once.  Two kernels work on plain
+floats, for the verifier's and the elliptic routes' hot loops:
+log_mean_float, the logarithmic mean, and agm_limit, the AGM's limit and
+step count.  agm_iterates holds the one AGM loop; agm_limit and agm, which
+keeps the whole trace, both read it.
 """
 
 import math
@@ -85,9 +85,9 @@ class MeanInput(Record):
     in _log_mean.  At a == b, and below a relative gap of NEAR_EQUAL_REL,
     every mean of the pair is that value (hi, or the midpoint) and
     _log_gap is None.  Otherwise the pair also carries d = hi - lo in _d
-    and _log_gap = ln(hi/lo) = d / L, which does not cancel on close pairs
-    as the difference of the two logarithms does.  Instances compare, hash
-    and print by (a, b) only.
+    and _log_gap = ln(hi/lo), evaluated as log_mean_float evaluates it,
+    with L = d / _log_gap; unlike d / L, it keeps its bits where L is
+    subnormal.  Instances compare, hash and print by (a, b) only.
     """
 
     _fields = ("a", "b")
@@ -112,8 +112,8 @@ class MeanInput(Record):
         elif d < NEAR_EQUAL_REL * hi:
             log_mean = 0.5 * lo + 0.5 * hi
         else:
-            log_mean = _log_mean_apart(hi, lo, d)
-            log_gap = d / log_mean
+            log_gap = _log_gap(hi, lo, d)
+            log_mean = d / log_gap
         self.__dict__.update(a=fa, b=fb, hi=hi, lo=lo, _d=d, _log_mean=log_mean,
                              _log_gap=log_gap)
 
@@ -142,46 +142,24 @@ class AgmTrace(Record):
 def agm_limit(a: float, b: float, rel_tol: float) -> tuple[float, int]:
     """Common limit of the arithmetic-geometric iteration, plus step count.
 
-    Inputs are pre-scaled by 1/max(a, b) so the relative stopping test
-    |x - y| <= rel_tol * x runs on a unit-scale pair.  A pair whose ratio
-    lo/hi is below DBL_MIN first takes unscaled steps, in a form that
-    cannot overflow, until the ratio is normal: at most two, since each
-    step takes the ratio r to about 2*sqrt(r).  Terminates early if the
-    gap stops shrinking (roundoff floor for tolerances below ~2 eps).
+    The final arithmetic iterate of agm_iterates and the number of steps
+    it took; the iteration, its scaling and its stopping rule are there.
     """
-    if a == b:
-        return a, 0
-    if a >= b:
-        hi, lo = a, b
-    else:
-        hi, lo = b, a
-    n = 0
-    y = lo / hi
-    while y < DBL_MIN:
-        hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
-        n += 1
-        y = lo / hi
-    x = 1.0
-    gap = x - y
-    while gap > rel_tol * x:
-        nx = 0.5 * (x + y)
-        ny = math.sqrt(x * y)
-        x = nx
-        y = ny
-        n += 1
-        new_gap = abs(x - y)
-        if new_gap >= gap:
-            break
-        gap = new_gap
-    return hi * x, n
+    pairs = agm_iterates(a, b, rel_tol)
+    return pairs[-1][0], len(pairs) - 1
 
 
 def agm_iterates(a: float, b: float, rel_tol: float) -> list[tuple[float, float]]:
     """Full AGM iterate sequence [(a_0, b_0), ..., (a_n, b_n)], a_k >= b_k.
 
-    Same iteration and stopping rule as agm_limit, unscaled steps
-    included; the final arithmetic iterate equals agm_limit's value bit
-    for bit.
+    The package's one AGM loop: agm_limit and agm read its result.  Steps
+    run on the pair pre-scaled by 1/max(a, b), so the relative stopping
+    test |x - y| <= rel_tol * x runs on a unit-scale pair; each recorded
+    iterate is scaled back.  A pair whose ratio lo/hi is below DBL_MIN
+    first takes unscaled steps, in a form that cannot overflow, until the
+    ratio is normal: at most two, since each step takes the ratio r to
+    about 2*sqrt(r).  Terminates early if the gap stops shrinking
+    (roundoff floor for tolerances below ~2 eps).
     """
     if a == b:
         return [(a, b)]
@@ -229,36 +207,15 @@ def log_mean_float(a: float, b: float) -> float:
     d = hi - lo
     if d < NEAR_EQUAL_REL * hi:
         return 0.5 * lo + 0.5 * hi
-    return _log_mean_apart(hi, lo, d)
+    return d / _log_gap(hi, lo, d)
 
 
-def _log_mean_apart(hi: float, lo: float, d: float) -> float:
-    # L(lo, hi) for hi > lo with d = hi - lo at a relative gap of at least
-    # NEAR_EQUAL_REL, the body of log_mean_float.
+def _log_gap(hi: float, lo: float, d: float) -> float:
+    # ln(hi/lo) for hi > lo with d = hi - lo at a relative gap of at least
+    # NEAR_EQUAL_REL, in the two forms log_mean_float describes.
     if lo / hi < DBL_MIN:
-        return d / (math.log(hi) - math.log(lo))
-    return d / math.log1p(d / lo)
-
-
-def identric_mean_float(a: float, b: float) -> float:
-    """(1/e) * (b^b / a^a)^(1/(b-a)) on positive floats; a at a == b.
-
-    The exponent (hi ln hi - lo ln lo)/d - 1 equals ln hi + lo/L - 1 with
-    L the logarithmic mean, so the mean is hi * exp(lo/L - 1).  L carries
-    ln hi - ln lo without cancellation, lo/L lies in (0, 1), and nothing
-    overflows, close pairs and the whole double range included.  Below a
-    relative gap of NEAR_EQUAL_REL the midpoint is returned.
-    """
-    if a == b:
-        return a
-    if a >= b:
-        hi, lo = a, b
-    else:
-        hi, lo = b, a
-    d = hi - lo
-    if d < NEAR_EQUAL_REL * hi:
-        return 0.5 * lo + 0.5 * hi
-    return hi * math.exp(lo / _log_mean_apart(hi, lo, d) - 1.0)
+        return math.log(hi) - math.log(lo)
+    return math.log1p(d / lo)
 
 
 def log_mean(inp: MeanInput) -> float:
@@ -333,7 +290,7 @@ def _gen_log_small_p(p: float, hi: float, lo: float, d: float, log_mean_lo_hi: f
     # hi^p (1 - (lo/d) expm1(-p g)) / (1 + p).  The logarithms of the
     # bracket and of 1 + p are both about p; their difference over p is
     # the exponent ln(M/hi), with an absolute error of a few ulps, and
-    # nothing overflows.  g = d / L(lo, hi) does not cancel on close pairs.
+    # nothing overflows.  g, from _log_gap, does not cancel on close pairs.
     if abs(p) * g * g < sys.float_info.epsilon:
         # ln M_p - ln I = p Var(ln x)/2 + O(p^2) for x uniform on [lo, hi],
         # and Var(ln x) <= g^2/4: the identric mean is within eps/8.  This

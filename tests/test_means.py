@@ -11,8 +11,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from agmbounds import AgmTrace, MeanInput, agm, gen_log_mean, identric_mean, log_mean
-from agmbounds import means
-from agmbounds.means import agm_iterates, agm_limit, identric_mean_float, log_mean_float
+from agmbounds import elliptic, means
+from agmbounds.means import agm_iterates, agm_limit, log_mean_float
 from agmbounds.verify import P_GRID
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -314,20 +314,20 @@ def every_mean_bits(inp):
 
 def per_call_gen_log_mean(p, a, b):
     """M_p(a, b) evaluated per call from plain floats: order the pair,
-    collapse it when equal or nearly so, take L from log_mean_float, then
-    apply the formula of the order."""
+    collapse it when equal or nearly so, take g = ln(hi/lo) and L = d / g,
+    then apply the formula of the order."""
     hi, lo = (a, b) if a >= b else (b, a)
     if hi == lo:
         return hi
     d = hi - lo
     if d < means.NEAR_EQUAL_REL * hi:
         return 0.5 * lo + 0.5 * hi
-    lm = log_mean_float(a, b)
-    g = d / lm
+    g = math.log(hi) - math.log(lo) if lo / hi < sys.float_info.min else math.log1p(d / lo)
+    lm = d / g
     if p == -1.0:
         return lm
     if p == 0.0 or (abs(p) < means.SMALL_ORDER and abs(p) * g * g < sys.float_info.epsilon):
-        return identric_mean_float(a, b)
+        return hi * math.exp(lo / lm - 1.0)
     if abs(p) < means.SMALL_ORDER:
         return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
     q = p + 1.0
@@ -359,7 +359,7 @@ class TestSharedState:
         for a, b in self.pairs():
             inp = MeanInput(a, b)
             assert log_mean(inp).hex() == log_mean_float(a, b).hex(), (a, b)
-            assert identric_mean(inp).hex() == identric_mean_float(a, b).hex(), (a, b)
+            assert identric_mean(inp).hex() == per_call_gen_log_mean(0.0, a, b).hex(), (a, b)
             per_call = [outcome(per_call_gen_log_mean, p, a, b) for p in orders]
             assert [outcome(gen_log_mean, p, inp) for p in orders] == per_call, (a, b)
             chain = outcome(lambda ps: [per_call_gen_log_mean(p, a, b) for p in ps], orders)
@@ -388,17 +388,17 @@ class TestSharedState:
             if a == b:
                 assert set(values) == {a}
             assert log_mean(inp) == log_mean_float(a, b)
-            assert identric_mean(inp) == identric_mean_float(a, b)
+            assert identric_mean(inp) == per_call_gen_log_mean(0.0, a, b)
 
     def test_one_log_mean_per_pair(self, monkeypatch):
         calls = []
-        apart = means._log_mean_apart
+        apart = means._log_gap
 
         def counting(*args):
             calls.append(args)
             return apart(*args)
 
-        monkeypatch.setattr(means, "_log_mean_apart", counting)
+        monkeypatch.setattr(means, "_log_gap", counting)
         for a, b in [(3.0, 11.0), (1e-300, 1e300), (5e-324, DBL_MAX), (5e-324, 1e-323),
                      (2.0, 2.0), (1.0, 1.0 + 1e-12)]:
             calls.clear()
@@ -491,6 +491,27 @@ class TestWholeDoubleRange:
     def test_log_mean_ratio_below_normal(self, mp, a, b):
         v = log_mean(MeanInput(a, b))
         assert v == pytest.approx(float(self.ref_log_mean(mp, a, b)), rel=1e-12)
+
+    @staticmethod
+    def ref_gen_log_mean(mp, p, a, b):
+        if p == -1.0:
+            return TestWholeDoubleRange.ref_log_mean(mp, a, b)
+        if p == 0.0:
+            return TestWholeDoubleRange.ref_identric_mean(mp, a, b)
+        a, b, q = mp.mpf(a), mp.mpf(b), mp.mpf(p) + 1
+        return ((b ** q - a ** q) / (q * (b - a))) ** (1 / mp.mpf(p))
+
+    @pytest.mark.parametrize("a,b", [(5e-324, 1e-323), (1e-320, 3e-320)])
+    def test_subnormal_log_mean(self, mp, a, b):
+        # L is subnormal and keeps few bits; ln(hi/lo) must keep all of
+        # them, and every order must land within one step of the
+        # subnormal grid (5e-324) of its value
+        inp = MeanInput(a, b)
+        assert inp._log_gap == pytest.approx(float(mp.log(mp.mpf(b) / a)), rel=1e-15, abs=0)
+        for p in P_GRID + (1e-6, -1e-6, 9.9e-7, 1e-4, -1e-4, 0.3, -0.3, 3.7, -7.25):
+            v = gen_log_mean(p, inp)
+            assert a <= v <= b, p
+            assert abs(mp.mpf(v) - self.ref_gen_log_mean(mp, p, a, b)) <= 5e-324, p
 
     def test_identric_mean_past_hi_log_hi_overflow(self, mp):
         v = identric_mean(MeanInput(1e-308, 1e308))
@@ -649,13 +670,34 @@ def test_thread_safety_of_pure_functions():
 
 class TestFloatKernels:
     """The kernels on plain floats that the verifier and the elliptic
-    routes call directly."""
+    routes call directly, and the identric mean at the ends of the float
+    range."""
 
     def test_agm_limit_fixed_point(self):
         assert agm_limit(5.0, 5.0, REL_TOL) == (5.0, 0)
 
     def test_agm_limit_symmetric(self):
         assert agm_limit(2.0, 8.0, REL_TOL) == agm_limit(8.0, 2.0, REL_TOL)
+
+    def test_one_agm_loop(self, monkeypatch):
+        # agm_limit, agm and k_agm each read agm_iterates once per call
+        calls = []
+        iterates = means.agm_iterates
+
+        def counting(*args):
+            calls.append(args)
+            return iterates(*args)
+
+        monkeypatch.setattr(means, "agm_iterates", counting)
+        for run in (
+            lambda: agm_limit(2.0, 8.0, REL_TOL),
+            lambda: agm_limit(5e-324, DBL_MAX, REL_TOL),
+            lambda: agm(MeanInput(2.0, 8.0)),
+            lambda: elliptic.k_agm(elliptic.Modulus(0.8)),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
 
     def test_agm_iterates_match_limit(self):
         for a, b in PAIRS + WIDE_PAIRS:
@@ -672,7 +714,7 @@ class TestFloatKernels:
         assert len(pairs) - 1 == n <= 16
         assert math.isfinite(limit) and limit > 0.0
         assert 0.0 < log_mean_float(a, b) < math.inf
-        assert 0.0 < identric_mean_float(a, b) < math.inf
+        assert 0.0 < identric_mean(MeanInput(a, b)) < math.inf
 
     def test_agm_unscaled_steps_traced(self):
         # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
@@ -703,7 +745,7 @@ class TestFloatKernels:
 
     def test_identric_log_space_no_overflow(self):
         # b^b overflows for b ~ 1e3; the form through the log mean must not
-        v = identric_mean_float(1e300, 1e299)
+        v = identric_mean(MeanInput(1e300, 1e299))
         assert math.isfinite(v)
         assert 1e299 < v < 1e300
 
@@ -720,5 +762,5 @@ class TestFloatKernels:
         # must agree with the homogeneous reduction on both sides
         for hi in (2.5e305, 2.6e305):
             for lo in (1.0, 0.5 * hi):
-                v = identric_mean_float(lo, hi)
-                assert v == pytest.approx(hi * identric_mean_float(lo / hi, 1.0), rel=1e-12)
+                v = identric_mean(MeanInput(lo, hi))
+                assert v == pytest.approx(hi * identric_mean(MeanInput(lo / hi, 1.0)), rel=1e-12)
