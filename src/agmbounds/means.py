@@ -5,15 +5,14 @@ and the arithmetic-geometric mean computed by the AGM iteration.  All
 operations are pure functions; every mean is symmetric in its arguments
 and homogeneous of degree one.
 
-A MeanInput computes the state its means share once, when it is built:
-the ordered pair, ln(hi/lo) and the logarithmic mean, from which the
-logarithmic, identric and generalized logarithmic means all follow.  So
-one pair, through every mean or through the chain of orders of
-gen_log_means, evaluates its logarithm once.  Two kernels work on plain
-floats, for the verifier's and the elliptic routes' hot loops:
-log_mean_float, the logarithmic mean, and agm_limit, the AGM's limit and
-step count.  agm_iterates holds the one AGM loop; agm_limit and agm, which
-keeps the whole trace, both read it.
+A MeanInput evaluates every per-pair transcendental once, when it is
+built: ln(hi/lo), the logarithmic mean L, ln hi, ln lo, ln(hi - lo) and
+the identric mean.  The means read that state, so each order of
+gen_log_mean or gen_log_means evaluates only what depends on p.  Two
+kernels work on plain floats, for the verifier's and the elliptic
+routes' hot loops: log_mean_float, the logarithmic mean, and agm_limit,
+the AGM's limit and step count.  agm_iterates holds the one AGM loop;
+agm_limit and agm, which keeps the whole trace, both read it.
 """
 
 import math
@@ -83,11 +82,16 @@ class MeanInput(Record):
     The state every mean of the pair reads is computed once, here: hi and
     lo, the pair ordered, and the logarithmic mean L = log_mean_float(a, b)
     in _log_mean.  At a == b, and below a relative gap of NEAR_EQUAL_REL,
-    every mean of the pair is that value (hi, or the midpoint) and
-    _log_gap is None.  Otherwise the pair also carries d = hi - lo in _d
-    and _log_gap = ln(hi/lo), evaluated as log_mean_float evaluates it,
-    with L = d / _log_gap; unlike d / L, it keeps its bits where L is
-    subnormal.  Instances compare, hash and print by (a, b) only.
+    every mean of the pair is that value (hi, or the midpoint), and
+    _log_gap, _ln_hi, _ln_lo, _ln_d and _identric are None.  Otherwise the
+    pair also carries d = hi - lo in _d, _log_gap = ln(hi/lo), evaluated
+    as log_mean_float evaluates it, with L = d / _log_gap (unlike d / L,
+    it keeps its bits where L is subnormal), ln hi, ln lo and ln d in
+    _ln_hi, _ln_lo and _ln_d, and the identric mean hi * exp(lo/L - 1) in
+    _identric.  identric_mean returns _identric; gen_log_mean reads it at
+    p = 0 and for orders too small to move it, and reads _ln_hi or _ln_lo
+    and _ln_d in its log-space form.  Instances compare, hash and print by
+    (a, b) only.
     """
 
     _fields = ("a", "b")
@@ -104,7 +108,7 @@ class MeanInput(Record):
         else:
             hi, lo = fb, fa
         d = hi - lo
-        log_gap = None
+        log_gap = ln_hi = ln_lo = ln_d = identric = None
         # Equal pairs first: NEAR_EQUAL_REL * hi underflows to 0 for a
         # subnormal hi, and d / log1p(d / lo) would be 0 / 0.
         if hi == lo:
@@ -114,8 +118,13 @@ class MeanInput(Record):
         else:
             log_gap = _log_gap(hi, lo, d)
             log_mean = d / log_gap
+            ln_hi = math.log(hi)
+            ln_lo = math.log(lo)
+            ln_d = math.log(d)
+            identric = hi * math.exp(lo / log_mean - 1.0)
         self.__dict__.update(a=fa, b=fb, hi=hi, lo=lo, _d=d, _log_mean=log_mean,
-                             _log_gap=log_gap)
+                             _log_gap=log_gap, _ln_hi=ln_hi, _ln_lo=ln_lo, _ln_d=ln_d,
+                             _identric=identric)
 
     def ordered(self) -> tuple[float, float]:
         """The pair as (hi, lo); results never depend on input order."""
@@ -134,9 +143,7 @@ class AgmTrace(Record):
 
     def __init__(self, iterates: tuple[tuple[float, float], ...], limit: float,
                  iterations: int):
-        object.__setattr__(self, "iterates", iterates)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "iterations", iterations)
+        self.__dict__.update(iterates=iterates, limit=limit, iterations=iterations)
 
 
 def agm_limit(a: float, b: float, rel_tol: float) -> tuple[float, int]:
@@ -226,12 +233,13 @@ def log_mean(inp: MeanInput) -> float:
 def identric_mean(inp: MeanInput) -> float:
     """Identric (exponential) mean (1/e)(b^b/a^a)^(1/(b-a)), a at a == b.
 
-    Evaluated as hi * exp(lo/L - 1) through the logarithmic mean L, so
-    large arguments cannot overflow and close pairs do not cancel.
+    Evaluated once, when the MeanInput is built, as hi * exp(lo/L - 1)
+    through the logarithmic mean L, so large arguments cannot overflow and
+    close pairs do not cancel.
     """
     if inp._log_gap is None:
         return inp._log_mean
-    return inp.hi * math.exp(inp.lo / inp._log_mean - 1.0)
+    return inp._identric
 
 
 def gen_log_mean(p: float, inp: MeanInput) -> float:
@@ -239,7 +247,14 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
 
     [(b^(p+1) - a^(p+1)) / ((p+1)(b-a))]^(1/p) for p outside {-1, 0};
     the logarithmic mean at p = -1, the identric mean at p = 0, and a at
-    a == b.  Strictly increasing in p for fixed a != b.
+    a == b.  Strictly increasing in p for fixed a != b.  Every finite p
+    gives a finite value in [lo, hi]: where the rounded formula lands
+    outside (at large |p|, and on close pairs at orders just above
+    SMALL_ORDER), the value is clamped to that interval, and
+    beyond about |p| = 2e305, where (p + 1) ln x overflows, it is hi for
+    p > 0 and lo for p < 0, the correctly rounded value there.  The
+    log-space form keeps an absolute error of about |ln x| eps in ln M_p,
+    so a relative error of that size remains at large |p|.
     """
     p = float(p)
     if not math.isfinite(p):
@@ -269,34 +284,50 @@ def _gen_log_apart(p: float, inp: MeanInput) -> float:
     if p == -1.0:
         return inp._log_mean
     if p == 0.0:
-        return inp.hi * math.exp(inp.lo / inp._log_mean - 1.0)
+        return inp._identric
     if abs(p) < SMALL_ORDER:
-        return _gen_log_small_p(p, inp.hi, inp.lo, inp._d, inp._log_mean, inp._log_gap)
+        return _gen_log_small_p(p, inp)
     # log-space form: anchored at the dominant power so b^(p+1) is never
     # materialized; expm1 keeps the bracket accurate for p near -1.
     q = p + 1.0
     if q > 0.0:
         bracket = -math.expm1(-q * inp._log_gap)
-        log_ratio = q * math.log(inp.hi) + math.log(bracket) - math.log(q) - math.log(inp._d)
+        log_ratio = q * inp._ln_hi + math.log(bracket) - math.log(q) - inp._ln_d
     else:
         bracket = -math.expm1(q * inp._log_gap)
-        log_ratio = q * math.log(inp.lo) + math.log(bracket) - math.log(-q) - math.log(inp._d)
-    return math.exp(log_ratio / p)
+        log_ratio = q * inp._ln_lo + math.log(bracket) - math.log(-q) - inp._ln_d
+    try:
+        m = math.exp(log_ratio / p)
+    except OverflowError:
+        # hi near DBL_MAX, where the exponent rounds past ln DBL_MAX
+        return inp.hi
+    if inp.lo <= m <= inp.hi:
+        return m
+    if not math.isfinite(log_ratio):
+        # |p| above about 2e305, where q ln x overflows: M_p lies within a
+        # relative (ln(hi/d) - ln|q|)/p, below 1e-300, of hi (p > 0) or
+        # lo (p < 0), so that argument is the correctly rounded value
+        return inp.hi if p > 0.0 else inp.lo
+    # q ln x and the cancellation after it lose the last bits at large |p|,
+    # and about |ln hi| eps / |p| just above SMALL_ORDER; the true M_p lies
+    # strictly inside [lo, hi]
+    return inp.lo if m < inp.lo else inp.hi
 
 
-def _gen_log_small_p(p: float, hi: float, lo: float, d: float, log_mean_lo_hi: float,
-                     g: float) -> float:
+def _gen_log_small_p(p: float, inp: MeanInput) -> float:
     # With g = ln(hi/lo), (hi^(p+1) - lo^(p+1)) / ((p+1) d) is exactly
     # hi^p (1 - (lo/d) expm1(-p g)) / (1 + p).  The logarithms of the
     # bracket and of 1 + p are both about p; their difference over p is
     # the exponent ln(M/hi), with an absolute error of a few ulps, and
     # nothing overflows.  g, from _log_gap, does not cancel on close pairs.
+    g = inp._log_gap
     if abs(p) * g * g < sys.float_info.epsilon:
         # ln M_p - ln I = p Var(ln x)/2 + O(p^2) for x uniform on [lo, hi],
         # and Var(ln x) <= g^2/4: the identric mean is within eps/8.  This
         # also covers every p for which p g would be subnormal.
-        return hi * math.exp(lo / log_mean_lo_hi - 1.0)
-    return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
+        return inp._identric
+    x = -(inp.lo / inp._d) * math.expm1(-p * g)
+    return inp.hi * math.exp((math.log1p(x) - math.log1p(p)) / p)
 
 
 def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
@@ -313,8 +344,4 @@ def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     pairs = agm_iterates(inp.a, inp.b, rel_tol)
-    return AgmTrace(
-        iterates=tuple(pairs),
-        limit=pairs[-1][0],
-        iterations=len(pairs) - 1,
-    )
+    return AgmTrace(tuple(pairs), pairs[-1][0], len(pairs) - 1)

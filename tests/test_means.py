@@ -1,6 +1,7 @@
 """Means: worked examples, validation, and algebraic properties."""
 
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -132,7 +133,11 @@ class TestMeanInput:
                 assert twin == inp and hash(twin) == hash(inp) and repr(twin) == repr(inp)
                 assert every_mean_bits(twin) == every_mean_bits(inp)
 
-    @pytest.mark.parametrize("name", ["a", "b", "hi", "lo", "_d", "_log_mean", "_log_gap"])
+    @pytest.mark.parametrize(
+        "name",
+        ["a", "b", "hi", "lo", "_d", "_log_mean", "_log_gap", "_ln_hi", "_ln_lo", "_ln_d",
+         "_identric"],
+    )
     def test_state_is_read_only(self, name):
         for inp in (MeanInput(3.0, 11.0), MeanInput(2.0, 2.0)):
             before = getattr(inp, name)
@@ -315,7 +320,8 @@ def every_mean_bits(inp):
 def per_call_gen_log_mean(p, a, b):
     """M_p(a, b) evaluated per call from plain floats: order the pair,
     collapse it when equal or nearly so, take g = ln(hi/lo) and L = d / g,
-    then apply the formula of the order."""
+    then apply the formula of the order; the log-space form ends at hi or
+    lo where q ln x overflows and is clamped into [lo, hi]."""
     hi, lo = (a, b) if a >= b else (b, a)
     if hi == lo:
         return hi
@@ -335,7 +341,12 @@ def per_call_gen_log_mean(p, a, b):
         log_ratio = q * math.log(hi) + math.log(-math.expm1(-q * g)) - math.log(q) - math.log(d)
     else:
         log_ratio = q * math.log(lo) + math.log(-math.expm1(q * g)) - math.log(-q) - math.log(d)
-    return math.exp(log_ratio / p)
+    if not math.isfinite(log_ratio):
+        return hi if p > 0.0 else lo
+    try:
+        return min(max(math.exp(log_ratio / p), lo), hi)
+    except OverflowError:
+        return hi
 
 
 class TestSharedState:
@@ -409,6 +420,90 @@ class TestSharedState:
                 gen_log_mean(p, inp)
             means.gen_log_means(P_GRID, inp)
             assert len(calls) == (1 if inp._log_gap is not None else 0), (a, b)
+
+    def test_pair_logarithms_once(self, monkeypatch):
+        # MeanInput takes ln hi, ln lo, ln d and the identric mean's exp
+        # once each (_log_gap takes ln hi and ln lo as well below a ratio
+        # of DBL_MIN); no later mean takes the log of hi, lo or d
+        calls = []
+
+        class RecordingMath:
+            def __getattr__(self, name):
+                fn = getattr(math, name)
+                if name not in ("log", "log1p", "exp"):
+                    return fn
+                return lambda x: calls.append((name, x)) or fn(x)
+
+        monkeypatch.setattr(means, "math", RecordingMath())
+        for a, b in [(2.5, 7.25), (0.062, 941.0), (1e-320, 3e-320), (1e-300, 1e300),
+                     (5e-324, DBL_MAX)]:
+            calls.clear()
+            inp = MeanInput(a, b)
+            hi, lo, d = inp.hi, inp.lo, inp._d
+            expected = [("log", hi), ("log", lo), ("log", d), ("exp", lo / inp._log_mean - 1.0)]
+            if lo / hi < sys.float_info.min:
+                expected += [("log", hi), ("log", lo)]
+            else:
+                expected.append(("log1p", d / lo))
+            assert sorted(calls) == sorted(expected), (a, b)
+            calls.clear()
+            identric_mean(inp)
+            assert calls == [], (a, b)
+            for p in P_GRID:
+                gen_log_mean(p, inp)
+            means.gen_log_means(P_GRID, inp)
+            assert calls and not [x for name, x in calls if name == "log" and x in (hi, lo, d)]
+
+
+def agm_trace_values(inp):
+    """agm(inp) as floats: the limit, the step count and every iterate."""
+    tr = agm(inp)
+    return [tr.limit, float(tr.iterations)] + [v for pair in tr.iterates for v in pair]
+
+
+def pinned_pairs():
+    """Seeded pairs from the verifier band, near-equal pairs on both sides
+    of NEAR_EQUAL_REL and the whole double range with subnormals, then
+    PAIRS, WIDE_PAIRS and EDGE_PAIRS."""
+    rng = random.Random(20261020)
+    out = []
+    for _ in range(300):  # the verifier band
+        out.append((10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)))
+    for _ in range(300):  # relative gaps from 1e-15 to 1e-6
+        lo = 10.0 ** rng.uniform(-300.0, 300.0)
+        out.append((lo, lo * (1.0 + 10.0 ** rng.uniform(-15.0, -6.0))))
+    for _ in range(300):  # whole range, subnormals included
+        out.append(tuple(math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, 1024))
+                         for _ in range(2)))
+    for _ in range(50):  # both subnormal
+        out.append(tuple(math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, -1022))
+                         for _ in range(2)))
+    return out + PAIRS + WIDE_PAIRS + EDGE_PAIRS
+
+
+# SHA-256 of every mean's outcome on pinned_pairs(): log_mean,
+# identric_mean, gen_log_mean at TestGenLogMeans.ORDERS, gen_log_means
+# and agm (limit, step count and trace), raised errors included.  Taken
+# from the means as they were before MeanInput stored its logarithms and
+# gen_log_mean clamped into [lo, hi], with the one difference of that
+# clamp: 56 near-equal pairs there gave gen_log_mean(1e-6) up to 1.7e-7
+# outside [lo, hi], and those values are hashed at the nearer end.  Every
+# other outcome keeps its bits; a change to the means layer must keep it.
+PINNED_MEANS_SHA256 = "0c35a22b260808df543a0972f009050dcb20b8e7a7b5c12ad1136557610a44f4"
+
+
+def test_means_bits_pinned():
+    orders = TestGenLogMeans.ORDERS
+    digest = hashlib.sha256()
+    for a, b in pinned_pairs():
+        inp = MeanInput(a, b)
+        row = [a.hex(), b.hex(), outcome(log_mean, inp), outcome(identric_mean, inp)]
+        row += [outcome(gen_log_mean, p, inp) for p in orders]
+        row += [outcome(means.gen_log_means, orders, inp), outcome(agm_trace_values, inp)]
+        values = row[2:-2] + row[-2]
+        assert all(inp.lo <= float.fromhex(v) <= inp.hi for v in values), (a, b)
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == PINNED_MEANS_SHA256
 
 
 class TestAgm:
@@ -610,6 +705,47 @@ class TestClosePairs:
             assert gen_log_mean(p, MeanInput(hi, lo)) == pytest.approx(
                 float(ref), rel=5e-14, abs=0
             )
+
+
+class TestHugeOrders:
+    """gen_log_mean at |p| from 1e15 to DBL_MAX, where q ln x overflows or
+    keeps too few bits of the result: finite, within [lo, hi], and close
+    to mpmath on every pair whose means do not collapse."""
+
+    ORDERS = [s * p for p in (1e15, 1e18, 1e20, 1e100, 1e306, DBL_MAX) for s in (1.0, -1.0)]
+    PAIRS = WIDE_PAIRS + EDGE_PAIRS + [
+        (lo, lo * (1.0 + gap)) for gap in CLOSE_GAPS for lo in (1e-300, 0.0123, 1.0, 731.5, 1e300)
+    ]
+
+    @staticmethod
+    def ref_gen_log_mean(mp, p, lo, hi):
+        # in log space, anchored at the dominant power, with q in mpmath
+        lo, hi, q = mp.mpf(lo), mp.mpf(hi), mp.mpf(p) + 1
+        if q > 0:
+            num = q * mp.log(hi) + mp.log(-mp.expm1(q * mp.log(lo / hi)))
+        else:
+            num = q * mp.log(lo) + mp.log(-mp.expm1(q * mp.log(hi / lo)))
+        return mp.exp((num - mp.log(abs(q)) - mp.log(hi - lo)) / p)
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_finite_and_between(self, a, b):
+        for inp in (MeanInput(a, b), MeanInput(b, a)):
+            values = [gen_log_mean(p, inp) for p in self.ORDERS]
+            assert means.gen_log_means(self.ORDERS, inp) == values
+            assert all(inp.lo <= v <= inp.hi for v in values), values
+
+    @pytest.mark.parametrize("a,b", [pair for pair in PAIRS if MeanInput(*pair)._log_gap])
+    def test_against_mpmath(self, a, b):
+        # q ln x keeps about |ln x| eps of absolute accuracy in the
+        # exponent; a subnormal value is exact to within one step (5e-324)
+        mpmath = pytest.importorskip("mpmath")
+        inp = MeanInput(a, b)
+        tol = 4.0 * sys.float_info.epsilon * (1.0 + max(abs(math.log(a)), abs(math.log(b))))
+        with mpmath.workdps(60):
+            for p in self.ORDERS:
+                ref = self.ref_gen_log_mean(mpmath, p, inp.lo, inp.hi)
+                err = abs(mpmath.mpf(gen_log_mean(p, inp)) - ref)
+                assert err <= max(tol * ref, 5e-324), (p, float(err / ref))
 
 
 class TestSharedProperties:
