@@ -15,12 +15,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "means": (
-        "AgmTrace", "MeanInput", "agm", "gen_log_mean", "gen_log_means", "identric_mean",
-        "log_mean",
+        "AgmTrace", "MeanInput", "agm", "gen_log_mean", "identric_mean", "log_mean",
     ),
     "elliptic": (
-        "EllipticResult", "Modulus", "ModulusTooLarge", "TermBudgetExhausted",
-        "k_agm", "k_quadrature", "k_series",
+        "EllipticResult", "Modulus", "ModulusTooLarge", "k_agm", "k_quadrature", "k_series",
     ),
     "coefficients": (
         "CoefficientTable", "a_coeff_closed", "a_coeff_sum", "b_coeff", "build_table",

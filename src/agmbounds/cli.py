@@ -353,14 +353,7 @@ def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return _COMMANDS[args.command](args, out)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        if isinstance(exc, RuntimeError):
-            # TermBudgetExhausted is the one RuntimeError that is a domain
-            # error; elliptic is imported here so commands without it skip it
-            from agmbounds.elliptic import TermBudgetExhausted
-
-            if not isinstance(exc, TermBudgetExhausted):
-                raise
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

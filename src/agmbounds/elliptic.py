@@ -24,8 +24,6 @@ SERIES_T_MAX = 0.95
 # the partial sum.
 SERIES_REL_CUTOFF = 1e-17
 
-DEFAULT_MAX_TERMS = 500
-
 # The quadrature route has converged when its error_estimate is at most
 # this fraction of its value.
 QUAD_REL_TARGET = 1e-13
@@ -47,10 +45,6 @@ QUAD_TAIL_DECAY = 3.0
 
 class ModulusTooLarge(ValueError):
     """Series route refused: modulus in the slow-convergence region."""
-
-
-class TermBudgetExhausted(RuntimeError):
-    """Series hit max_terms before meeting the truncation criterion."""
 
 
 class Modulus(means.Record):
@@ -99,76 +93,39 @@ class EllipticResult(means.Record):
         object.__setattr__(self, "error_estimate", error_estimate)
 
 
-def series_coefficient(i: int) -> "Fraction":
-    """Exact coefficient of t^(2i) in (2/pi) K(t): [C(2i,i)/4^i]^2.
-
-    Built by the same ratio recurrence ((2i-1)/(2i))^2 that
-    k_series_sum uses, so it certifies the float coefficients against b_coeff.
-    """
-    # imported here so that the float routes load no exact arithmetic
-    from fractions import Fraction
-
-    if i < 0:
-        raise ValueError(f"coefficient index must be >= 0, got {i}")
-    c = Fraction(1)
-    for j in range(1, i + 1):
-        c *= Fraction((2 * j - 1) ** 2, (2 * j) ** 2)
-    return c
-
-
-def k_series_sum(tsq: float, max_terms: int, rel_cutoff: float) -> tuple[float, int, float, bool]:
-    """Partial sum of sum_i [C(2i,i)/4^i]^2 * tsq^i with its truncation data.
-
-    Term coefficients follow the exact ratio ((2i-1)/(2i))^2.  Returns
-    (partial_sum, terms_used, first_omitted_term, converged); converged is
-    False when max_terms terms were used before the next term dropped below
-    rel_cutoff relative to the partial sum.
-    """
-    s = 1.0
-    coeff = 1.0
-    tpow = 1.0
-    terms = 1
-    while True:
-        i = terms
-        r = (2.0 * i - 1.0) / (2.0 * i)
-        coeff = coeff * (r * r)
-        tpow = tpow * tsq
-        term = coeff * tpow
-        if term < rel_cutoff * s:
-            return s, terms, term, True
-        if terms >= max_terms:
-            return s, terms, term, False
-        s = s + term
-        terms += 1
-
-
-def k_series(m: Modulus, max_terms: int = DEFAULT_MAX_TERMS) -> EllipticResult:
+def k_series(m: Modulus) -> EllipticResult:
     """K(t) by the even power series (pi/2) * sum_i [C(2i,i)/4^i]^2 t^(2i).
 
-    Truncates once the next term falls below SERIES_REL_CUTOFF relative to
-    the partial sum; the reported error_estimate is the geometric tail
-    bound (first omitted term)/(1 - t^2).  Raises ModulusTooLarge for
-    t > 0.95 and TermBudgetExhausted if max_terms is insufficient.
+    Term coefficients follow the exact ratio ((2i-1)/(2i))^2.  Truncates
+    once the next term falls below SERIES_REL_CUTOFF relative to the
+    partial sum; the reported error_estimate is the geometric tail bound
+    (first omitted term)/(1 - t^2).  The term count rises with t, to 310
+    at t = 0.95.  Raises ModulusTooLarge for t > 0.95.
     """
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1, got {max_terms}")
     if m.t > SERIES_T_MAX:
         raise ModulusTooLarge(
             f"series route refuses t={m.t} > {SERIES_T_MAX}; use k_agm instead"
         )
     tsq = m.t * m.t
-    total, terms, omitted, converged = k_series_sum(tsq, max_terms, SERIES_REL_CUTOFF)
-    if not converged:
-        raise TermBudgetExhausted(
-            f"series for t={m.t} did not meet the truncation criterion "
-            f"within {max_terms} terms"
-        )
+    s = 1.0
+    coeff = 1.0
+    tpow = 1.0
+    terms = 1
+    while True:
+        r = (2.0 * terms - 1.0) / (2.0 * terms)
+        coeff = coeff * (r * r)
+        tpow = tpow * tsq
+        term = coeff * tpow
+        if term < SERIES_REL_CUTOFF * s:
+            break
+        s = s + term
+        terms += 1
     half_pi = math.pi / 2.0
     return EllipticResult(
-        value=half_pi * total,
+        value=half_pi * s,
         method="series",
         terms_or_iterations=terms,
-        error_estimate=half_pi * omitted / (1.0 - tsq),
+        error_estimate=half_pi * term / (1.0 - tsq),
     )
 
 

@@ -8,11 +8,11 @@ and homogeneous of degree one.
 A MeanInput evaluates every per-pair transcendental once, when it is
 built: ln(hi/lo), the logarithmic mean L, ln hi, ln lo, ln(hi - lo) and
 the identric mean.  The means read that state, so each order of
-gen_log_mean or gen_log_means evaluates only what depends on p.  Two
-kernels work on plain floats, for the verifier's and the elliptic
-routes' hot loops: log_mean_float, the logarithmic mean, and agm_limit,
-the AGM's limit and step count.  agm_iterates holds the one AGM loop;
-agm_limit and agm, which keeps the whole trace, both read it.
+gen_log_mean evaluates only what depends on p.  Two kernels work on
+plain floats, for the verifier's and the elliptic routes' hot loops:
+log_mean_float, the logarithmic mean, and agm_limit, the AGM's limit
+and step count.  agm_iterates holds the one AGM loop; agm_limit and
+agm, which keeps the whole trace, both read it.
 """
 
 import math
@@ -125,10 +125,6 @@ class MeanInput(Record):
         self.__dict__.update(a=fa, b=fb, hi=hi, lo=lo, _d=d, _log_mean=log_mean,
                              _log_gap=log_gap, _ln_hi=ln_hi, _ln_lo=ln_lo, _ln_d=ln_d,
                              _identric=identric)
-
-    def ordered(self) -> tuple[float, float]:
-        """The pair as (hi, lo); results never depend on input order."""
-        return self.hi, self.lo
 
 
 class AgmTrace(Record):
@@ -262,21 +258,6 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     if inp._log_gap is None:
         return inp._log_mean
     return _gen_log_apart(p, inp)
-
-
-def gen_log_means(ps, inp: MeanInput) -> list[float]:
-    """[gen_log_mean(p, inp) for p in ps], bit for bit.
-
-    Every order is validated, as gen_log_mean validates it, before any is
-    evaluated.
-    """
-    orders = [float(p) for p in ps]
-    for p in orders:
-        if not math.isfinite(p):
-            raise ValueError(f"order p must be finite, got {p}")
-    if inp._log_gap is None:
-        return [inp._log_mean] * len(orders)
-    return [_gen_log_apart(p, inp) for p in orders]
 
 
 def _gen_log_apart(p: float, inp: MeanInput) -> float:

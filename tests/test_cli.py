@@ -135,19 +135,17 @@ class TestElliptic:
         assert code == 2
         assert "k_agm" in capsys.readouterr().err
 
-    def test_term_budget_is_domain_error(self, capsys, monkeypatch):
+    def test_runtime_error_propagates(self, monkeypatch):
+        # a RuntimeError is a fault of the program, not of the input
         from agmbounds import elliptic
 
-        def raiser(exc):
-            def fn(*args, **kwargs):
-                raise exc
-            return fn
+        def faulty_series(m):
+            raise RuntimeError("fault")
 
-        monkeypatch.setattr(elliptic, "k_series", raiser(elliptic.TermBudgetExhausted("budget")))
-        code, _ = run_cli("elliptic", "--method", "series", "--t", "0.5")
-        assert code == 2
-        assert capsys.readouterr().err == "error: budget\n"
-        # any other RuntimeError is a fault of the program, not of the input
+        monkeypatch.setattr(elliptic, "k_series", faulty_series)
+        with pytest.raises(RuntimeError, match="fault"):
+            run_cli("elliptic", "--method", "series", "--t", "0.5")
+
         def faulty_rows(k_max):
             yield 0, None, Fraction(1), None, None, None
             raise RuntimeError("fault")

@@ -4,7 +4,6 @@ import math
 import random
 import re
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -13,9 +12,7 @@ from agmbounds import (
     MeanInput,
     Modulus,
     ModulusTooLarge,
-    TermBudgetExhausted,
     agm,
-    b_coeff,
     k_agm,
     k_quadrature,
     k_series,
@@ -62,16 +59,6 @@ class TestSeries:
         with pytest.raises(AttributeError):
             r.value = 0.0
 
-    def test_exact_coefficients(self):
-        assert elliptic.series_coefficient(0) == 1
-        assert elliptic.series_coefficient(1) == Fraction(1, 4)
-        assert elliptic.series_coefficient(2) == Fraction(9, 64)
-
-    def test_coefficients_match_b_sequence(self):
-        # recurrence route vs direct central-binomial route, exactly
-        for i in range(60):
-            assert elliptic.series_coefficient(i) == b_coeff(i)
-
     def test_agrees_with_agm_route(self):
         vs = k_series(Modulus(0.8)).value
         va = k_agm(Modulus(0.8)).value
@@ -81,11 +68,17 @@ class TestSeries:
         with pytest.raises(ModulusTooLarge):
             k_series(Modulus(0.96))
 
-    def test_term_budget(self):
-        with pytest.raises(TermBudgetExhausted):
-            k_series(Modulus(0.9), max_terms=5)
-        with pytest.raises(ValueError):
-            k_series(Modulus(0.5), max_terms=0)
+    def test_terms_at_largest_modulus(self):
+        r = k_series(Modulus(elliptic.SERIES_T_MAX))
+        assert r.terms_or_iterations == 310
+
+    def test_terms_never_decrease_in_t(self):
+        # with the count at t = SERIES_T_MAX, this bounds the loop of every
+        # modulus the route accepts
+        ts = [i / 10000 for i in range(9501)]
+        assert ts[-1] == elliptic.SERIES_T_MAX
+        terms = [k_series(Modulus(t)).terms_or_iterations for t in ts]
+        assert all(x <= y for x, y in zip(terms, terms[1:]))
 
     def test_error_estimate_bounds_truth(self):
         for t in (0.3, 0.6, 0.9):
@@ -93,21 +86,25 @@ class TestSeries:
             ra = k_agm(Modulus(t))
             assert abs(rs.value - ra.value) <= rs.error_estimate + ra.error_estimate
 
-    def test_series_sum_t_zero(self):
-        assert elliptic.k_series_sum(0.0, 500, 1e-17) == (1.0, 1, 0.0, True)
-
-    def test_series_sum_budget_flag(self):
-        s, terms, omitted, converged = elliptic.k_series_sum(0.81, 5, 1e-17)
-        assert not converged
-        assert terms == 5
-        assert omitted > 0.0
-
-    def test_series_tail_bound(self):
-        # the partial sum plus geometric tail bound must bracket a longer sum
-        tsq = 0.25
-        s_short, _, omitted, _ = elliptic.k_series_sum(tsq, 500, 1e-10)
-        s_long, _, _, _ = elliptic.k_series_sum(tsq, 500, 1e-17)
-        assert s_short <= s_long <= s_short + omitted / (1.0 - tsq)
+    @pytest.mark.parametrize("t", [0.25, 0.6, 0.9, 0.95])
+    def test_tail_bound_brackets_k(self, t):
+        # value <= K <= value + error_estimate, up to the rounding of value.
+        # Exactly, at the double t*t that k_series sums at, the terms it
+        # kept fall short of K by at most error_estimate (whose own
+        # rounding is far below 1e-12); value, from +, * and / only, lies
+        # within 1.8 eps of their sum on these moduli, so 4 eps of slack
+        mpmath = pytest.importorskip("mpmath")
+        r = k_series(Modulus(t))
+        slack = 4.0 * sys.float_info.epsilon * r.value
+        with mpmath.workdps(40):
+            tsq = mpmath.mpf(t * t)
+            kept = mpmath.pi / 2 * mpmath.fsum(
+                (mpmath.binomial(2 * i, i) / mpmath.mpf(4) ** i) ** 2 * tsq**i
+                for i in range(r.terms_or_iterations)
+            )
+            k = mpmath.ellipk(tsq)
+            assert abs(r.value - kept) <= slack
+            assert kept < k <= kept + r.error_estimate * (1.0 + 1e-12)
 
 
 class TestAgmRoute:

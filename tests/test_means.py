@@ -97,9 +97,8 @@ class TestMeanInput:
             MeanInput(1.0, math.nan)
 
     def test_ordered_view(self):
-        inp = MeanInput(2.0, 5.0)
-        assert inp.ordered() == (5.0, 2.0)
-        assert MeanInput(5.0, 2.0).ordered() == (5.0, 2.0)
+        for inp in (MeanInput(2.0, 5.0), MeanInput(5.0, 2.0)):
+            assert (inp.hi, inp.lo) == (5.0, 2.0)
 
     def test_coerces_ints(self):
         inp = MeanInput(2, 8)
@@ -250,9 +249,9 @@ class TestGenLogMean:
         assert all(x < y for x, y in zip(values, values[1:]))
 
 
-class TestGenLogMeans:
-    """The chain of orders from one logarithmic mean equals gen_log_mean
-    per order, bit for bit."""
+class TestOrderChain:
+    """gen_log_mean across a chain of orders on one pair, as the verifier
+    reads it: L at p = -1 and I at p = 0, bit for bit."""
 
     # the verifier's grid, orders below SMALL_ORDER and off-grid orders
     ORDERS = (
@@ -275,27 +274,24 @@ class TestGenLogMeans:
             out.append((10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)))
         return out
 
-    def test_equals_gen_log_mean_bit_for_bit(self):
+    def test_log_and_identric_orders_bit_for_bit(self):
         for a, b in self.pairs():
             inp = MeanInput(a, b)
-            chain = means.gen_log_means(self.ORDERS, inp)
-            single = [gen_log_mean(p, inp) for p in self.ORDERS]
-            assert [v.hex() for v in chain] == [v.hex() for v in single], (a, b)
+            chain = gen_log_chain(self.ORDERS, inp)
             assert chain[1].hex() == log_mean(inp).hex()
-            assert chain[3].hex() == identric_mean(inp).hex()
-
-    def test_accepts_any_iterable_of_numbers(self):
-        inp = MeanInput(3.0, 11.0)
-        assert means.gen_log_means(iter([-1, 0, 2]), inp) == [
-            gen_log_mean(-1.0, inp), gen_log_mean(0.0, inp), gen_log_mean(2.0, inp)
-        ]
-        assert means.gen_log_means((), inp) == []
+            assert chain[3].hex() == identric_mean(inp).hex() == chain[12].hex()
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite_order(self, bad):
+        # also on a pair whose means collapse to one value
         for a, b in [(1.0, 2.0), (2.0, 2.0)]:
             with pytest.raises(ValueError, match="order p must be finite"):
-                means.gen_log_means((0.5, bad, 1.0), MeanInput(a, b))
+                gen_log_mean(bad, MeanInput(a, b))
+
+
+def gen_log_chain(ps, inp):
+    """[gen_log_mean(p, inp) for p in ps]."""
+    return [gen_log_mean(p, inp) for p in ps]
 
 
 def outcome(fn, *args):
@@ -312,8 +308,8 @@ def every_mean_bits(inp):
     """Every mean of inp, in a fixed order, as outcomes."""
     return (
         [outcome(log_mean, inp), outcome(identric_mean, inp), outcome(lambda i: agm(i).limit, inp)]
-        + [outcome(gen_log_mean, p, inp) for p in TestGenLogMeans.ORDERS]
-        + [outcome(means.gen_log_means, TestGenLogMeans.ORDERS, inp)]
+        + [outcome(gen_log_mean, p, inp) for p in TestOrderChain.ORDERS]
+        + [outcome(gen_log_chain, TestOrderChain.ORDERS, inp)]
     )
 
 
@@ -356,7 +352,7 @@ class TestSharedState:
     @staticmethod
     def pairs():
         rng = random.Random(20261019)
-        out = TestGenLogMeans.pairs() + EDGE_PAIRS + PAIRS + WIDE_PAIRS
+        out = TestOrderChain.pairs() + EDGE_PAIRS + PAIRS + WIDE_PAIRS
         for _ in range(20):  # both subnormal, or one subnormal and one normal
             tiny = [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, -1022)) for _ in range(3)]
             out += [(tiny[0], tiny[1]), (tiny[2], math.ldexp(rng.uniform(0.5, 1.0),
@@ -366,20 +362,18 @@ class TestSharedState:
     def test_equals_kernels_and_per_call_formulas(self):
         # an exception counts as an outcome: at p = 1e-6 on subnormal pairs
         # the per-call evaluation overflows too
-        orders = TestGenLogMeans.ORDERS
+        orders = TestOrderChain.ORDERS
         for a, b in self.pairs():
             inp = MeanInput(a, b)
             assert log_mean(inp).hex() == log_mean_float(a, b).hex(), (a, b)
             assert identric_mean(inp).hex() == per_call_gen_log_mean(0.0, a, b).hex(), (a, b)
             per_call = [outcome(per_call_gen_log_mean, p, a, b) for p in orders]
             assert [outcome(gen_log_mean, p, inp) for p in orders] == per_call, (a, b)
-            chain = outcome(lambda ps: [per_call_gen_log_mean(p, a, b) for p in ps], orders)
-            assert outcome(means.gen_log_means, orders, inp) == chain, (a, b)
 
     def test_independent_of_call_order_and_repetition(self):
         rng = random.Random(7)
-        calls = [(log_mean,), (identric_mean,), (means.gen_log_means, P_GRID)]
-        calls += [(gen_log_mean, p) for p in TestGenLogMeans.ORDERS]
+        calls = [(log_mean,), (identric_mean,)]
+        calls += [(gen_log_mean, p) for p in TestOrderChain.ORDERS]
         for a, b in self.pairs()[::3]:
             fresh = {call: outcome(*call, MeanInput(a, b)) for call in calls}
             inp = MeanInput(a, b)
@@ -394,7 +388,6 @@ class TestSharedState:
         for inp in (MeanInput(a, b), MeanInput(b, a)):
             values = [log_mean(inp), identric_mean(inp), agm(inp).limit]
             values += [gen_log_mean(p, inp) for p in P_GRID]
-            values += means.gen_log_means(P_GRID, inp)
             assert all(lo <= v <= hi for v in values), values
             if a == b:
                 assert set(values) == {a}
@@ -418,7 +411,6 @@ class TestSharedState:
             identric_mean(inp)
             for p in P_GRID:
                 gen_log_mean(p, inp)
-            means.gen_log_means(P_GRID, inp)
             assert len(calls) == (1 if inp._log_gap is not None else 0), (a, b)
 
     def test_pair_logarithms_once(self, monkeypatch):
@@ -451,7 +443,6 @@ class TestSharedState:
             assert calls == [], (a, b)
             for p in P_GRID:
                 gen_log_mean(p, inp)
-            means.gen_log_means(P_GRID, inp)
             assert calls and not [x for name, x in calls if name == "log" and x in (hi, lo, d)]
 
 
@@ -482,24 +473,25 @@ def pinned_pairs():
 
 
 # SHA-256 of every mean's outcome on pinned_pairs(): log_mean,
-# identric_mean, gen_log_mean at TestGenLogMeans.ORDERS, gen_log_means
-# and agm (limit, step count and trace), raised errors included.  Taken
-# from the means as they were before MeanInput stored its logarithms and
-# gen_log_mean clamped into [lo, hi], with the one difference of that
-# clamp: 56 near-equal pairs there gave gen_log_mean(1e-6) up to 1.7e-7
-# outside [lo, hi], and those values are hashed at the nearer end.  Every
-# other outcome keeps its bits; a change to the means layer must keep it.
+# identric_mean, gen_log_mean at TestOrderChain.ORDERS, those orders again
+# as one gen_log_chain, and agm (limit, step count and trace), raised
+# errors included.  Taken from the means as they were before MeanInput
+# stored its logarithms and gen_log_mean clamped into [lo, hi], with the
+# one difference of that clamp: 56 near-equal pairs there gave
+# gen_log_mean(1e-6) up to 1.7e-7 outside [lo, hi], and those values are
+# hashed at the nearer end.  Every other outcome keeps its bits; a change
+# to the means layer must keep it.
 PINNED_MEANS_SHA256 = "0c35a22b260808df543a0972f009050dcb20b8e7a7b5c12ad1136557610a44f4"
 
 
 def test_means_bits_pinned():
-    orders = TestGenLogMeans.ORDERS
+    orders = TestOrderChain.ORDERS
     digest = hashlib.sha256()
     for a, b in pinned_pairs():
         inp = MeanInput(a, b)
         row = [a.hex(), b.hex(), outcome(log_mean, inp), outcome(identric_mean, inp)]
         row += [outcome(gen_log_mean, p, inp) for p in orders]
-        row += [outcome(means.gen_log_means, orders, inp), outcome(agm_trace_values, inp)]
+        row += [outcome(gen_log_chain, orders, inp), outcome(agm_trace_values, inp)]
         values = row[2:-2] + row[-2]
         assert all(inp.lo <= float.fromhex(v) <= inp.hi for v in values), (a, b)
         digest.update(repr(row).encode())
@@ -731,7 +723,6 @@ class TestHugeOrders:
     def test_finite_and_between(self, a, b):
         for inp in (MeanInput(a, b), MeanInput(b, a)):
             values = [gen_log_mean(p, inp) for p in self.ORDERS]
-            assert means.gen_log_means(self.ORDERS, inp) == values
             assert all(inp.lo <= v <= inp.hi for v in values), values
 
     @pytest.mark.parametrize("a,b", [pair for pair in PAIRS if MeanInput(*pair)._log_gap])

@@ -1,6 +1,10 @@
-"""Package surface: lazy exports, and the modules a process loads."""
+"""Package surface: lazy exports, the modules a process loads, and the
+README's library example."""
 
+import contextlib
+import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -23,6 +27,9 @@ README_CLI = [
     for line in (ROOT / "README.md").read_text().splitlines()
     if line.startswith("agmbounds ")
 ]
+# The README's library example, the body of its one ```python block.
+(README_EXAMPLE,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                               re.MULTILINE | re.DOTALL)
 CLI_MIX = [
     ["mean", "--kind", "agm", "--a", "0.0049870962373237465", "--b", "0.0012946250946879758"],
     ["mean", "--kind", "genlog", "--p=-1.0", "--a", "0.0049870962373237465", "--b", "2.5"],
@@ -142,3 +149,17 @@ class TestLazyExports:
         assert getattr(agmbounds, "BACKEND", None) is None
         with pytest.raises(ImportError):
             exec("from agmbounds import no_such_name", {})
+
+
+def test_readme_library_example():
+    # every line the example prints is the comment after its print call
+    expected = [
+        line.split("# ", 1)[1].strip()
+        for line in README_EXAMPLE.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(README_EXAMPLE, {})
+    assert len(expected) == 3
+    assert out.getvalue().splitlines() == expected

@@ -316,17 +316,17 @@ class TestMutationDetection:
     def test_chain_order_one_ulp_out_detected(self, monkeypatch, index):
         # one order's value moved one ulp past its upper neighbour, on the
         # third sampled pair
-        exact = means.gen_log_means
-        calls = []
+        exact = means.gen_log_mean
+        calls = []  # the sampled pairs, in order
 
-        def mutant(ps, inp):
-            chain = exact(ps, inp)
-            calls.append(inp)
-            if len(calls) == 3:
-                chain[index] = math.nextafter(chain[index + 1], math.inf)
-            return chain
+        def mutant(p, inp):
+            if not calls or calls[-1] is not inp:
+                calls.append(inp)
+            if len(calls) == 3 and p == verify.P_GRID[index]:
+                return math.nextafter(exact(verify.P_GRID[index + 1], inp), math.inf)
+            return exact(p, inp)
 
-        monkeypatch.setattr(means, "gen_log_means", mutant)
+        monkeypatch.setattr(means, "gen_log_mean", mutant)
         r = verify.check_mean_order(10, seed=4)
         assert r.status == "fail"
         assert r.checked_points == 3
