@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from agmbounds.means import Record
+from agmbounds.means import Record, set_fields
 
 
 def _check_index(k: int, minimum: int, name: str = "k") -> int:
@@ -168,12 +168,7 @@ class CoefficientTable(Record):
 
     def __init__(self, k_max: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...],
                  h: tuple[Fraction, ...], g: tuple[Fraction, ...], s: tuple[Fraction, ...]):
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "s", s)
+        set_fields(self, {"k_max": k_max, "a": a, "b": b, "h": h, "g": g, "s": s})
 
     def _at(self, values: tuple[Fraction, ...], k: int, minimum: int) -> Fraction:
         _check_index(k, minimum)

@@ -68,8 +68,7 @@ class Modulus(means.Record):
             raise ValueError(
                 f"exact complement must lie in [{means.DBL_MIN}, 1], got {c}"
             )
-        object.__setattr__(self, "t", ft)
-        object.__setattr__(self, "exact_complement", c)
+        means.set_fields(self, {"t": ft, "exact_complement": c})
 
     def complement(self) -> float:
         """sqrt(1 - t^2), computed as sqrt((1-t)(1+t)) for accuracy near 1,
@@ -81,16 +80,20 @@ class Modulus(means.Record):
 
 class EllipticResult(means.Record):
     """A value of K with its route ("series" | "agm" | "quadrature"), the
-    terms or iterations it took, and its error estimate."""
+    terms or iterations it took, and its error estimate.
+
+    On the series route the estimate bounds the truncated tail only, not
+    the rounding of value, which is about 40 times larger at t = 0.25
+    (see k_series).
+    """
 
     _fields = ("value", "method", "terms_or_iterations", "error_estimate")
 
     def __init__(self, value: float, method: str, terms_or_iterations: int,
                  error_estimate: float):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "terms_or_iterations", terms_or_iterations)
-        object.__setattr__(self, "error_estimate", error_estimate)
+        means.set_fields(self, {"value": value, "method": method,
+                                "terms_or_iterations": terms_or_iterations,
+                                "error_estimate": error_estimate})
 
 
 def k_series(m: Modulus) -> EllipticResult:
@@ -99,8 +102,13 @@ def k_series(m: Modulus) -> EllipticResult:
     Term coefficients follow the exact ratio ((2i-1)/(2i))^2.  Truncates
     once the next term falls below SERIES_REL_CUTOFF relative to the
     partial sum; the reported error_estimate is the geometric tail bound
-    (first omitted term)/(1 - t^2).  The term count rises with t, to 310
-    at t = 0.95.  Raises ModulusTooLarge for t > 0.95.
+    (first omitted term)/(1 - t^2).  It bounds the truncated tail only,
+    not the rounding of the sum of up to 310 terms, which is larger on
+    most moduli.  Against mpmath at 40 digits, the rounding puts value
+    3.8e-16 relative (1.7 eps) from the exact sum of its kept terms at
+    t = 0.95, where error_estimate is 9.9e-17 of the value, and 2.3e-16 at
+    t = 0.25, where it is 5.6e-18.  The term count rises with t, to 310 at
+    t = 0.95.  Raises ModulusTooLarge for t > 0.95.
     """
     if m.t > SERIES_T_MAX:
         raise ModulusTooLarge(

@@ -11,8 +11,10 @@ the identric mean.  The means read that state, so each order of
 gen_log_mean evaluates only what depends on p.  Two kernels work on
 plain floats, for the verifier's and the elliptic routes' hot loops:
 log_mean_float, the logarithmic mean, and agm_limit, the AGM's limit
-and step count.  agm_iterates holds the one AGM loop; agm_limit and
-agm, which keeps the whole trace, both read it.
+and step count.  agm_iterates holds the one AGM loop and records the
+iterates only when it is given a recorder.  agm_limit runs it once and
+builds no trace; agm runs it once as well, and the AgmTrace it returns
+records its iterates, by a second run, on their first read.
 """
 
 import math
@@ -40,15 +42,15 @@ SMALL_ORDER = 1e-6
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in _fields and sets each once, in its
-    __init__, through object.__setattr__ or, for several at once,
-    self.__dict__.update; assigning or deleting an attribute afterwards
-    raises AttributeError.  __init__ may set attributes derived from the
-    fields the same way; they take no part in comparison, hashing or
-    printing.  Instances compare and hash by the fields in _compared (all
-    of _fields when empty) and print as Name(field=value, ...).  Fields
-    stay ordinary instance attributes: reading one is as fast as on a
-    plain object, which __slots__ is not.
+    A subclass names its fields in _fields and sets them all in one step,
+    in its __init__: set_fields(self, {name: value, ...}) installs that
+    dict as the instance's attribute dict.  Assigning or deleting an
+    attribute afterwards raises AttributeError.  The dict may also hold
+    attributes derived from the fields; they take no part in comparison,
+    hashing or printing.  A field may be left out of the dict and filled
+    in on first read by the subclass's __getattr__, as AgmTrace does with
+    its iterates.  Instances compare and hash by the fields in _compared
+    (all of _fields when empty) and print as Name(field=value, ...).
     """
 
     _fields: tuple[str, ...] = ()
@@ -74,6 +76,12 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+# set_fields(record, fields) makes the dict fields the attribute dict of
+# record, a Record instance, past Record.__setattr__.
+set_fields = Record.__dict__["__dict__"].__set__
+_new = object.__new__
 
 
 class MeanInput(Record):
@@ -122,9 +130,9 @@ class MeanInput(Record):
             ln_lo = math.log(lo)
             ln_d = math.log(d)
             identric = hi * math.exp(lo / log_mean - 1.0)
-        self.__dict__.update(a=fa, b=fb, hi=hi, lo=lo, _d=d, _log_mean=log_mean,
-                             _log_gap=log_gap, _ln_hi=ln_hi, _ln_lo=ln_lo, _ln_d=ln_d,
-                             _identric=identric)
+        set_fields(self, {"a": fa, "b": fb, "hi": hi, "lo": lo, "_d": d, "_log_mean": log_mean,
+                          "_log_gap": log_gap, "_ln_hi": ln_hi, "_ln_lo": ln_lo, "_ln_d": ln_d,
+                          "_identric": identric})
 
 
 class AgmTrace(Record):
@@ -133,62 +141,92 @@ class AgmTrace(Record):
     iterates[k] = (a_k, b_k) with a_k the arithmetic and b_k the geometric
     iterate; iterates[0] is the (ordered) input pair.  The limit is the
     final arithmetic iterate.
+
+    agm() builds a trace without its iterates, from the limit and step
+    count of one unrecorded run of agm_iterates, and keeps the arguments
+    of that run, (a, b, rel_tol), in _run.  The first read of iterates runs
+    agm_iterates again on them with a recorder and keeps the tuple; reading
+    limit or iterations never runs it.  Comparison, hashing, printing,
+    pickling and copying read iterates, so such a trace behaves, and
+    pickles to the same bytes, as AgmTrace(iterates, limit, iterations).
     """
 
     _fields = ("iterates", "limit", "iterations")
 
     def __init__(self, iterates: tuple[tuple[float, float], ...], limit: float,
                  iterations: int):
-        self.__dict__.update(iterates=iterates, limit=limit, iterations=iterations)
+        set_fields(self, {"iterates": iterates, "limit": limit, "iterations": iterations})
+
+    def __getattr__(self, name):
+        # reached only for names missing from the instance dict
+        state = self.__dict__
+        if name == "iterates" and "_run" in state:
+            pairs = []
+            agm_iterates(*state["_run"], pairs.append)
+            iterates = state["iterates"] = tuple(pairs)
+            return iterates
+        raise AttributeError(f"{self.__class__.__qualname__!r} object has no attribute {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.iterates, self.limit, self.iterations)
 
 
 def agm_limit(a: float, b: float, rel_tol: float) -> tuple[float, int]:
     """Common limit of the arithmetic-geometric iteration, plus step count.
 
-    The final arithmetic iterate of agm_iterates and the number of steps
-    it took; the iteration, its scaling and its stopping rule are there.
+    One run of agm_iterates without a recorder, so no trace is built; the
+    iteration, its scaling and its stopping rule are there.
     """
-    pairs = agm_iterates(a, b, rel_tol)
-    return pairs[-1][0], len(pairs) - 1
+    return agm_iterates(a, b, rel_tol)
 
 
-def agm_iterates(a: float, b: float, rel_tol: float) -> list[tuple[float, float]]:
-    """Full AGM iterate sequence [(a_0, b_0), ..., (a_n, b_n)], a_k >= b_k.
+def agm_iterates(a: float, b: float, rel_tol: float, record=None) -> tuple[float, int]:
+    """The package's one AGM loop: the limit and the number of steps.
 
-    The package's one AGM loop: agm_limit and agm read its result.  Steps
-    run on the pair pre-scaled by 1/max(a, b), so the relative stopping
-    test |x - y| <= rel_tol * x runs on a unit-scale pair; each recorded
-    iterate is scaled back.  A pair whose ratio lo/hi is below DBL_MIN
-    first takes unscaled steps, in a form that cannot overflow, until the
-    ratio is normal: at most two, since each step takes the ratio r to
-    about 2*sqrt(r).  Terminates early if the gap stops shrinking
-    (roundoff floor for tolerances below ~2 eps).
+    The limit is the final arithmetic iterate.  Given a recorder, the loop
+    calls record((a_k, b_k)) for each iterate in turn, from (a_0, b_0) =
+    (max(a, b), min(a, b)) to the last, with a_k >= b_k; without one it
+    builds nothing.  agm_limit and agm run it without a recorder, and an
+    AgmTrace's iterates are recorded on first read.  Steps run on the pair
+    pre-scaled by 1/max(a, b), so the relative stopping test
+    |x - y| <= rel_tol * x runs on a unit-scale pair; each iterate, and the
+    limit, is scaled back.  A pair whose ratio lo/hi is below DBL_MIN first
+    takes unscaled steps, in a form that cannot overflow, until the ratio
+    is normal: at most two, since each step takes the ratio r to about
+    2*sqrt(r).  Terminates early if the gap stops shrinking (roundoff floor
+    for tolerances below ~2 eps).
     """
     if a == b:
-        return [(a, b)]
+        if record is not None:
+            record((a, b))
+        return a, 0
     if a >= b:
         hi, lo = a, b
     else:
         hi, lo = b, a
-    out = [(hi, lo)]
+    if record is not None:
+        record((hi, lo))
+    steps = 0
     y = lo / hi
     while y < DBL_MIN:
         hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
-        out.append((hi, lo))
+        steps += 1
+        if record is not None:
+            record((hi, lo))
         y = lo / hi
     x = 1.0
     gap = x - y
+    sqrt = math.sqrt
     while gap > rel_tol * x:
-        nx = 0.5 * (x + y)
-        ny = math.sqrt(x * y)
-        x = nx
-        y = ny
-        out.append((hi * x, hi * y))
+        x, y = 0.5 * (x + y), sqrt(x * y)
+        steps += 1
+        if record is not None:
+            record((hi * x, hi * y))
         new_gap = abs(x - y)
         if new_gap >= gap:
             break
         gap = new_gap
-    return out
+    return hi * x, steps
 
 
 def log_mean_float(a: float, b: float) -> float:
@@ -255,14 +293,7 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     p = float(p)
     if not math.isfinite(p):
         raise ValueError(f"order p must be finite, got {p}")
-    if inp._log_gap is None:
-        return inp._log_mean
-    return _gen_log_apart(p, inp)
-
-
-def _gen_log_apart(p: float, inp: MeanInput) -> float:
-    # M_p of a pair whose _log_gap is set, from its L and ln(hi/lo).
-    if p == -1.0:
+    if inp._log_gap is None or p == -1.0:
         return inp._log_mean
     if p == 0.0:
         return inp._identric
@@ -321,8 +352,14 @@ def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
     the trace records.  Ratios down to 1e-8 finish within 8 steps and
     every pair of positive finite doubles within 16 at the default
     tolerance.  Tolerances below the roundoff floor terminate at the floor.
+    The limit and step count come from one run of agm_iterates without a
+    recorder; the trace's iterates are recorded on their first read.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    pairs = agm_iterates(inp.a, inp.b, rel_tol)
-    return AgmTrace(tuple(pairs), pairs[-1][0], len(pairs) - 1)
+    a = inp.a
+    b = inp.b
+    limit, iterations = agm_iterates(a, b, rel_tol)
+    trace = _new(AgmTrace)
+    set_fields(trace, {"limit": limit, "iterations": iterations, "_run": (a, b, rel_tol)})
+    return trace

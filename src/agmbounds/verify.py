@@ -91,12 +91,9 @@ class VerificationReport(means.Record):
 
     def __init__(self, claim_id: str, statement: str, status: str, checked_points: int,
                  tolerances: dict, witness: str | None = None):
-        object.__setattr__(self, "claim_id", claim_id)
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "checked_points", checked_points)
-        object.__setattr__(self, "tolerances", Tolerances(tolerances))
-        object.__setattr__(self, "witness", witness)
+        means.set_fields(self, {"claim_id": claim_id, "statement": statement, "status": status,
+                                "checked_points": checked_points,
+                                "tolerances": Tolerances(tolerances), "witness": witness})
 
 
 class RatioScan(means.Record):
@@ -106,11 +103,9 @@ class RatioScan(means.Record):
 
     def __init__(self, grid: tuple[float, ...], ratio: tuple[float, ...],
                  monotone_decreasing: bool, min_value: float, max_value: float):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "ratio", ratio)
-        object.__setattr__(self, "monotone_decreasing", monotone_decreasing)
-        object.__setattr__(self, "min_value", min_value)
-        object.__setattr__(self, "max_value", max_value)
+        means.set_fields(self, {"grid": grid, "ratio": ratio,
+                                "monotone_decreasing": monotone_decreasing,
+                                "min_value": min_value, "max_value": max_value})
 
 
 def _report(claim_id, statement, checked, tolerances, witness=None):

@@ -498,6 +498,45 @@ def test_means_bits_pinned():
     assert digest.hexdigest() == PINNED_MEANS_SHA256
 
 
+def test_lazy_trace_matches_eager():
+    # agm() records a trace's iterates on its first read; read or unread,
+    # the trace compares, hashes, prints, pickles and copies as the eagerly
+    # built AgmTrace of the same run, and stays read-only
+    for a, b in pinned_pairs():
+        recorded = []
+        limit, n = agm_iterates(a, b, REL_TOL, recorded.append)
+        eager = AgmTrace(tuple(recorded), limit, n)
+        eager_repr = repr(eager)
+        eager_pickle = pickle.dumps(eager)
+
+        def unread_and_read():
+            unread, read = agm(MeanInput(a, b)), agm(MeanInput(a, b))
+            read.iterates
+            assert "iterates" not in vars(unread) and "iterates" in vars(read)
+            return unread, read
+
+        for check in (
+            lambda tr: tr == eager and eager == tr and not tr != eager,
+            lambda tr: hash(tr) == hash(eager),
+            lambda tr: repr(tr) == eager_repr,
+            lambda tr: pickle.dumps(tr) == eager_pickle,
+            lambda tr: pickle.loads(pickle.dumps(tr)) == eager,
+            lambda tr: type(copy.copy(tr)) is AgmTrace and repr(copy.copy(tr)) == eager_repr,
+            lambda tr: type(copy.deepcopy(tr)) is AgmTrace
+            and repr(copy.deepcopy(tr)) == eager_repr,
+        ):
+            for tr in unread_and_read():
+                assert check(tr), (a, b)
+        for tr in unread_and_read():
+            for name in AgmTrace._fields:
+                with pytest.raises(AttributeError):
+                    setattr(tr, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(tr, name)
+            assert not hasattr(tr, "missing")
+            assert repr(tr) == eager_repr, (a, b)
+
+
 class TestAgm:
     def test_fixed_point(self):
         tr = agm(MeanInput(5.0, 5.0))
@@ -807,7 +846,9 @@ class TestFloatKernels:
         assert agm_limit(2.0, 8.0, REL_TOL) == agm_limit(8.0, 2.0, REL_TOL)
 
     def test_one_agm_loop(self, monkeypatch):
-        # agm_limit, agm and k_agm each read agm_iterates once per call
+        # agm_limit, agm and k_agm each run agm_iterates once, with no
+        # recorder; the first read of an agm() trace's iterates runs it once
+        # more, with one, and later reads run nothing
         calls = []
         iterates = means.agm_iterates
 
@@ -816,27 +857,42 @@ class TestFloatKernels:
             return iterates(*args)
 
         monkeypatch.setattr(means, "agm_iterates", counting)
+        traces = []
         for run in (
             lambda: agm_limit(2.0, 8.0, REL_TOL),
             lambda: agm_limit(5e-324, DBL_MAX, REL_TOL),
-            lambda: agm(MeanInput(2.0, 8.0)),
+            lambda: traces.append(agm(MeanInput(2.0, 8.0))),
+            lambda: traces.append(agm(MeanInput(5e-324, DBL_MAX))),
             lambda: elliptic.k_agm(elliptic.Modulus(0.8)),
         ):
             calls.clear()
             run()
             assert len(calls) == 1
+            assert len(calls[0]) == 3 or calls[0][3] is None
+        calls.clear()
+        for tr in traces:
+            tr.limit, tr.iterations
+        assert calls == []
+        for tr in traces:
+            first = tr.iterates
+            assert len(calls) == 1 and len(calls[0]) == 4 and calls[0][3] is not None
+            calls.clear()
+            assert tr.iterates is first
+            assert calls == []
 
     def test_agm_iterates_match_limit(self):
         for a, b in PAIRS + WIDE_PAIRS:
             limit, n = agm_limit(a, b, REL_TOL)
-            pairs = agm_iterates(a, b, REL_TOL)
+            pairs = []
+            assert agm_iterates(a, b, REL_TOL, pairs.append) == (limit, n)
             assert pairs[-1][0] == limit
             assert len(pairs) - 1 == n
 
     @given(whole_range, whole_range)
     def test_whole_range_agm_bounded(self, a, b):
         limit, n = agm_limit(a, b, REL_TOL)
-        pairs = agm_iterates(a, b, REL_TOL)
+        pairs = []
+        assert agm_iterates(a, b, REL_TOL, pairs.append) == (limit, n)
         assert pairs[-1][0] == limit
         assert len(pairs) - 1 == n <= 16
         assert math.isfinite(limit) and limit > 0.0
@@ -845,7 +901,8 @@ class TestFloatKernels:
 
     def test_agm_unscaled_steps_traced(self):
         # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
-        pairs = agm_iterates(5e-324, DBL_MAX, REL_TOL)
+        pairs = []
+        agm_iterates(5e-324, DBL_MAX, REL_TOL, pairs.append)
         (h0, l0), (h1, l1), (h2, l2) = pairs[:3]
         assert (h0, l0) == (DBL_MAX, 5e-324)
         assert (h1, l1) == (0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0))
