@@ -6,9 +6,10 @@ operations are pure functions; every mean is symmetric in its arguments
 and homogeneous of degree one.
 
 A MeanInput evaluates every per-pair transcendental once, when it is
-built: ln(hi/lo), the logarithmic mean L, ln hi, ln lo, ln(hi - lo) and
-the identric mean.  The means read that state, so each order of
-gen_log_mean evaluates only what depends on p.  Two kernels work on
+built: ln(hi/lo), the logarithmic mean L, ln((hi - lo)/hi) and the
+identric mean.  The means read that state, so each order of gen_log_mean
+evaluates only what depends on p, in a form anchored at hi or lo that
+lands in [lo, hi] without a clamp.  Two kernels work on
 plain floats, for the verifier's and the elliptic routes' hot loops:
 log_mean_float, the logarithmic mean, and agm_limit, the AGM's limit
 and step count.  agm_iterates holds the one AGM loop and records the
@@ -28,15 +29,15 @@ DEFAULT_REL_TOL = 4.0 * sys.float_info.epsilon
 # log mean.
 DBL_MIN = sys.float_info.min
 
+# Machine epsilon; below |p| g^2 = _EPS the order p leaves the identric
+# mean unmoved (gen_log_mean).
+_EPS = sys.float_info.epsilon
+
 # Below this relative argument gap the log, identric and generalized
 # logarithmic means collapse to the midpoint: they differ from it by
 # O(gap^2), below double precision there, and the midpoint cannot leave
 # [lo, hi] as the rounded formulas can on adjacent doubles.
 NEAR_EQUAL_REL = 1e-9
-
-# Below this |p|, gen_log_mean switches to a form anchored at the larger
-# argument; the general form loses about |log10 p| digits to cancellation.
-SMALL_ORDER = 1e-6
 
 
 class Record:
@@ -91,15 +92,14 @@ class MeanInput(Record):
     lo, the pair ordered, and the logarithmic mean L = log_mean_float(a, b)
     in _log_mean.  At a == b, and below a relative gap of NEAR_EQUAL_REL,
     every mean of the pair is that value (hi, or the midpoint), and
-    _log_gap, _ln_hi, _ln_lo, _ln_d and _identric are None.  Otherwise the
-    pair also carries d = hi - lo in _d, _log_gap = ln(hi/lo), evaluated
-    as log_mean_float evaluates it, with L = d / _log_gap (unlike d / L,
-    it keeps its bits where L is subnormal), ln hi, ln lo and ln d in
-    _ln_hi, _ln_lo and _ln_d, and the identric mean hi * exp(lo/L - 1) in
-    _identric.  identric_mean returns _identric; gen_log_mean reads it at
-    p = 0 and for orders too small to move it, and reads _ln_hi or _ln_lo
-    and _ln_d in its log-space form.  Instances compare, hash and print by
-    (a, b) only.
+    _log_gap, _ln_d_hi and _identric are None.  Otherwise the pair also
+    carries d = hi - lo in _d, _log_gap = ln(hi/lo), evaluated as
+    log_mean_float evaluates it, with L = d / _log_gap (unlike d / L, it
+    keeps its bits where L is subnormal), ln(d/hi) in _ln_d_hi, and the
+    identric mean hi * exp(lo/L - 1) in _identric.  identric_mean returns
+    _identric; gen_log_mean reads it at p = 0 and for orders too small to
+    move it, and reads _ln_d_hi at orders p <= -1/4.  Instances compare,
+    hash and print by (a, b) only.
     """
 
     _fields = ("a", "b")
@@ -116,7 +116,7 @@ class MeanInput(Record):
         else:
             hi, lo = fb, fa
         d = hi - lo
-        log_gap = ln_hi = ln_lo = ln_d = identric = None
+        log_gap = ln_d_hi = identric = None
         # Equal pairs first: NEAR_EQUAL_REL * hi underflows to 0 for a
         # subnormal hi, and d / log1p(d / lo) would be 0 / 0.
         if hi == lo:
@@ -126,13 +126,10 @@ class MeanInput(Record):
         else:
             log_gap = _log_gap(hi, lo, d)
             log_mean = d / log_gap
-            ln_hi = math.log(hi)
-            ln_lo = math.log(lo)
-            ln_d = math.log(d)
+            ln_d_hi = math.log(d / hi)
             identric = hi * math.exp(lo / log_mean - 1.0)
         set_fields(self, {"a": fa, "b": fb, "hi": hi, "lo": lo, "_d": d, "_log_mean": log_mean,
-                          "_log_gap": log_gap, "_ln_hi": ln_hi, "_ln_lo": ln_lo, "_ln_d": ln_d,
-                          "_identric": identric})
+                          "_log_gap": log_gap, "_ln_d_hi": ln_d_hi, "_identric": identric})
 
 
 class AgmTrace(Record):
@@ -175,7 +172,8 @@ def agm_limit(a: float, b: float, rel_tol: float) -> tuple[float, int]:
     """Common limit of the arithmetic-geometric iteration, plus step count.
 
     One run of agm_iterates without a recorder, so no trace is built; the
-    iteration, its scaling and its stopping rule are there.
+    iteration, its scaling, its stopping rule and its argument checks are
+    there.
     """
     return agm_iterates(a, b, rel_tol)
 
@@ -194,8 +192,13 @@ def agm_iterates(a: float, b: float, rel_tol: float, record=None) -> tuple[float
     takes unscaled steps, in a form that cannot overflow, until the ratio
     is normal: at most two, since each step takes the ratio r to about
     2*sqrt(r).  Terminates early if the gap stops shrinking (roundoff floor
-    for tolerances below ~2 eps).
+    for tolerances below ~2 eps).  Raises ValueError for a tolerance
+    outside (0, 1) or an argument that is not positive and finite.
     """
+    if not (0.0 < rel_tol < 1.0):
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"AGM arguments must be positive and finite, got a={a}, b={b}")
     if a == b:
         if record is not None:
             record((a, b))
@@ -281,65 +284,54 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
 
     [(b^(p+1) - a^(p+1)) / ((p+1)(b-a))]^(1/p) for p outside {-1, 0};
     the logarithmic mean at p = -1, the identric mean at p = 0, and a at
-    a == b.  Strictly increasing in p for fixed a != b.  Every finite p
-    gives a finite value in [lo, hi]: where the rounded formula lands
-    outside (at large |p|, and on close pairs at orders just above
-    SMALL_ORDER), the value is clamped to that interval, and
-    beyond about |p| = 2e305, where (p + 1) ln x overflows, it is hi for
-    p > 0 and lo for p < 0, the correctly rounded value there.  The
-    log-space form keeps an absolute error of about |ln x| eps in ln M_p,
-    so a relative error of that size remains at large |p|.
+    a == b.  Strictly increasing in p for fixed a != b.
+
+    With g = ln(hi/lo), d = hi - lo and q = p + 1, each form is exact and
+    anchored at hi or lo: it takes exp of ln(M_p/hi) or ln(M_p/lo), never
+    of q ln x, so nothing overflows and every finite p gives a value in
+    [lo, hi] without a clamp: exp of a non-positive exponent times hi, or
+    of a non-negative one times lo.  Where |p| g^2 < eps the order cannot
+    move the identric mean, which is returned.  For p > -1/4,
+    ln(M_p/hi) = (log1p(x) - log1p(p))/p with x = -(lo/d) expm1(-p g).
+    For p <= -1/4, with u = |q| g and y = ln(-expm1(-u)) - ln|q| - ln(d/hi),
+    ln(M_p/hi) is y/p for -1 < p <= -1/4 and (y + u)/p for -2 <= p < -1,
+    and ln(M_p/lo) = (y - g)/p below p = -2.  An exponent of 700 or more,
+    met only on pairs wider than about e^1400, is taken as the cube of exp
+    of a third of it, so that exp neither overflows nor rounds to a
+    subnormal.
+    Near-equal pairs take the midpoint at every order, which is off by more
+    than an ulp beyond about |p| = 1e4, where M_p moves toward hi or lo.
     """
     p = float(p)
     if not math.isfinite(p):
         raise ValueError(f"order p must be finite, got {p}")
-    if inp._log_gap is None or p == -1.0:
-        return inp._log_mean
-    if p == 0.0:
-        return inp._identric
-    if abs(p) < SMALL_ORDER:
-        return _gen_log_small_p(p, inp)
-    # log-space form: anchored at the dominant power so b^(p+1) is never
-    # materialized; expm1 keeps the bracket accurate for p near -1.
-    q = p + 1.0
-    if q > 0.0:
-        bracket = -math.expm1(-q * inp._log_gap)
-        log_ratio = q * inp._ln_hi + math.log(bracket) - math.log(q) - inp._ln_d
-    else:
-        bracket = -math.expm1(q * inp._log_gap)
-        log_ratio = q * inp._ln_lo + math.log(bracket) - math.log(-q) - inp._ln_d
-    try:
-        m = math.exp(log_ratio / p)
-    except OverflowError:
-        # hi near DBL_MAX, where the exponent rounds past ln DBL_MAX
-        return inp.hi
-    if inp.lo <= m <= inp.hi:
-        return m
-    if not math.isfinite(log_ratio):
-        # |p| above about 2e305, where q ln x overflows: M_p lies within a
-        # relative (ln(hi/d) - ln|q|)/p, below 1e-300, of hi (p > 0) or
-        # lo (p < 0), so that argument is the correctly rounded value
-        return inp.hi if p > 0.0 else inp.lo
-    # q ln x and the cancellation after it lose the last bits at large |p|,
-    # and about |ln hi| eps / |p| just above SMALL_ORDER; the true M_p lies
-    # strictly inside [lo, hi]
-    return inp.lo if m < inp.lo else inp.hi
-
-
-def _gen_log_small_p(p: float, inp: MeanInput) -> float:
-    # With g = ln(hi/lo), (hi^(p+1) - lo^(p+1)) / ((p+1) d) is exactly
-    # hi^p (1 - (lo/d) expm1(-p g)) / (1 + p).  The logarithms of the
-    # bracket and of 1 + p are both about p; their difference over p is
-    # the exponent ln(M/hi), with an absolute error of a few ulps, and
-    # nothing overflows.  g, from _log_gap, does not cancel on close pairs.
     g = inp._log_gap
-    if abs(p) * g * g < sys.float_info.epsilon:
+    if g is None or p == -1.0:
+        return inp._log_mean
+    if abs(p) * g * g < _EPS:
         # ln M_p - ln I = p Var(ln x)/2 + O(p^2) for x uniform on [lo, hi],
         # and Var(ln x) <= g^2/4: the identric mean is within eps/8.  This
-        # also covers every p for which p g would be subnormal.
+        # covers p = 0 and every p for which p g would be subnormal.
         return inp._identric
-    x = -(inp.lo / inp._d) * math.expm1(-p * g)
-    return inp.hi * math.exp((math.log1p(x) - math.log1p(p)) / p)
+    if p > -0.25:
+        # expm1(-p g) stays finite while p > -0.488, since g <= ln(DBL_MAX/5e-324)
+        x = -(inp.lo / inp._d) * math.expm1(-p * g)
+        return inp.hi * math.exp((math.log1p(x) - math.log1p(p)) / p)
+    q = abs(p + 1.0)
+    u = q * g
+    y = math.log(-math.expm1(-u)) - math.log(q) - inp._ln_d_hi
+    if p < -2.0:
+        anchor = inp.lo
+        y -= g
+    else:
+        anchor = inp.hi
+        if p < -1.0:
+            y += u
+    r = y / p
+    if abs(r) < 700.0:
+        return anchor * math.exp(r)
+    e = math.exp(r / 3.0)
+    return anchor * e * e * e
 
 
 def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
@@ -353,10 +345,9 @@ def agm(inp: MeanInput, rel_tol: float = DEFAULT_REL_TOL) -> AgmTrace:
     every pair of positive finite doubles within 16 at the default
     tolerance.  Tolerances below the roundoff floor terminate at the floor.
     The limit and step count come from one run of agm_iterates without a
-    recorder; the trace's iterates are recorded on their first read.
+    recorder, which rejects a tolerance outside (0, 1); the trace's
+    iterates are recorded on their first read.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     a = inp.a
     b = inp.b
     limit, iterations = agm_iterates(a, b, rel_tol)

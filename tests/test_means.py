@@ -134,8 +134,7 @@ class TestMeanInput:
 
     @pytest.mark.parametrize(
         "name",
-        ["a", "b", "hi", "lo", "_d", "_log_mean", "_log_gap", "_ln_hi", "_ln_lo", "_ln_d",
-         "_identric"],
+        ["a", "b", "hi", "lo", "_d", "_log_mean", "_log_gap", "_ln_d_hi", "_identric"],
     )
     def test_state_is_read_only(self, name):
         for inp in (MeanInput(3.0, 11.0), MeanInput(2.0, 2.0)):
@@ -209,7 +208,7 @@ class TestGenLogMean:
         # approaching p = 0 from both sides stays glued to the identric mean
         for p in (1e-7, -1e-7, 1e-9, -1e-9):
             assert gen_log_mean(p, inp) == pytest.approx(anchor, rel=1e-6)
-        # and the branch switch at |p| = 1e-6 is seamless
+        # and neighbouring orders agree
         below = gen_log_mean(9.999e-7, inp)
         above = gen_log_mean(1.001e-6, inp)
         assert below == pytest.approx(above, rel=1e-9)
@@ -253,11 +252,13 @@ class TestOrderChain:
     """gen_log_mean across a chain of orders on one pair, as the verifier
     reads it: L at p = -1 and I at p = 0, bit for bit."""
 
-    # the verifier's grid, orders below SMALL_ORDER and off-grid orders
+    # the verifier's grid, small and off-grid orders, and orders either
+    # side of gen_log_mean's switches of form at p = -1/4 and p = -2
     ORDERS = (
         -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0,
         9.9e-7, -3e-7, 1e-9, -1e-12, 5e-324, -0.0,
         -1.3, -0.99999, 0.37, 3.7, -7.25, 1e-6, -1.000001,
+        -0.25 - 1e-9, -0.25, -0.25 + 1e-9, -2.0 - 1e-9, -2.0 + 1e-9,
     )
 
     @staticmethod
@@ -316,8 +317,8 @@ def every_mean_bits(inp):
 def per_call_gen_log_mean(p, a, b):
     """M_p(a, b) evaluated per call from plain floats: order the pair,
     collapse it when equal or nearly so, take g = ln(hi/lo) and L = d / g,
-    then apply the formula of the order; the log-space form ends at hi or
-    lo where q ln x overflows and is clamped into [lo, hi]."""
+    then apply the form of the order, anchored at hi, or at lo below
+    p = -2, with an exponent that is cubed beyond 700."""
     hi, lo = (a, b) if a >= b else (b, a)
     if hi == lo:
         return hi
@@ -328,21 +329,22 @@ def per_call_gen_log_mean(p, a, b):
     lm = d / g
     if p == -1.0:
         return lm
-    if p == 0.0 or (abs(p) < means.SMALL_ORDER and abs(p) * g * g < sys.float_info.epsilon):
+    if abs(p) * g * g < sys.float_info.epsilon:
         return hi * math.exp(lo / lm - 1.0)
-    if abs(p) < means.SMALL_ORDER:
+    if p > -0.25:
         return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
     q = p + 1.0
-    if q > 0.0:
-        log_ratio = q * math.log(hi) + math.log(-math.expm1(-q * g)) - math.log(q) - math.log(d)
+    y = math.log(-math.expm1(-abs(q) * g)) - math.log(abs(q)) - math.log(d / hi)
+    if p < -2.0:
+        anchor, r = lo, (y - g) / p
+    elif q < 0.0:
+        anchor, r = hi, (y + abs(q) * g) / p
     else:
-        log_ratio = q * math.log(lo) + math.log(-math.expm1(q * g)) - math.log(-q) - math.log(d)
-    if not math.isfinite(log_ratio):
-        return hi if p > 0.0 else lo
-    try:
-        return min(max(math.exp(log_ratio / p), lo), hi)
-    except OverflowError:
-        return hi
+        anchor, r = hi, y / p
+    if abs(r) < 700.0:
+        return anchor * math.exp(r)
+    third = math.exp(r / 3.0)
+    return anchor * third * third * third
 
 
 class TestSharedState:
@@ -360,8 +362,7 @@ class TestSharedState:
         return out
 
     def test_equals_kernels_and_per_call_formulas(self):
-        # an exception counts as an outcome: at p = 1e-6 on subnormal pairs
-        # the per-call evaluation overflows too
+        # an exception counts as an outcome, on both sides
         orders = TestOrderChain.ORDERS
         for a, b in self.pairs():
             inp = MeanInput(a, b)
@@ -414,9 +415,9 @@ class TestSharedState:
             assert len(calls) == (1 if inp._log_gap is not None else 0), (a, b)
 
     def test_pair_logarithms_once(self, monkeypatch):
-        # MeanInput takes ln hi, ln lo, ln d and the identric mean's exp
-        # once each (_log_gap takes ln hi and ln lo as well below a ratio
-        # of DBL_MIN); no later mean takes the log of hi, lo or d
+        # MeanInput takes ln(d/hi) and the identric mean's exp once each
+        # (_log_gap takes ln hi and ln lo below a ratio of DBL_MIN); no
+        # later mean takes the log of hi, lo or d
         calls = []
 
         class RecordingMath:
@@ -432,7 +433,7 @@ class TestSharedState:
             calls.clear()
             inp = MeanInput(a, b)
             hi, lo, d = inp.hi, inp.lo, inp._d
-            expected = [("log", hi), ("log", lo), ("log", d), ("exp", lo / inp._log_mean - 1.0)]
+            expected = [("log", d / hi), ("exp", lo / inp._log_mean - 1.0)]
             if lo / hi < sys.float_info.min:
                 expected += [("log", hi), ("log", lo)]
             else:
@@ -475,13 +476,11 @@ def pinned_pairs():
 # SHA-256 of every mean's outcome on pinned_pairs(): log_mean,
 # identric_mean, gen_log_mean at TestOrderChain.ORDERS, those orders again
 # as one gen_log_chain, and agm (limit, step count and trace), raised
-# errors included.  Taken from the means as they were before MeanInput
-# stored its logarithms and gen_log_mean clamped into [lo, hi], with the
-# one difference of that clamp: 56 near-equal pairs there gave
-# gen_log_mean(1e-6) up to 1.7e-7 outside [lo, hi], and those values are
-# hashed at the nearer end.  Every other outcome keeps its bits; a change
-# to the means layer must keep it.
-PINNED_MEANS_SHA256 = "0c35a22b260808df543a0972f009050dcb20b8e7a7b5c12ad1136557610a44f4"
+# errors included.  Taken from the means once gen_log_mean took the forms
+# anchored at hi or lo at every order; against the forms before them, only
+# gen_log_mean at orders outside {-1, 0} and at or above 1e-6 in magnitude
+# changed bits.  A change to the means layer must keep it.
+PINNED_MEANS_SHA256 = "6794fb2812e1f5a78e026f4ebc1fa924b17f9fec605c92941d028631275dc5ad"
 
 
 def test_means_bits_pinned():
@@ -663,7 +662,7 @@ class TestWholeDoubleRange:
         ],
     )
     def test_gen_log_mean_small_order(self, mp, p, a, b):
-        # orders below SMALL_ORDER, across the whole double range and on a close pair
+        # small orders, across the whole double range and on a close pair
         q = mp.mpf(p) + 1
         ref = ((mp.mpf(b) ** q - mp.mpf(a) ** q) / (q * (mp.mpf(b) - a))) ** (1 / mp.mpf(p))
         assert gen_log_mean(p, MeanInput(a, b)) == pytest.approx(float(ref), rel=2e-15, abs=0)
@@ -766,8 +765,8 @@ class TestHugeOrders:
 
     @pytest.mark.parametrize("a,b", [pair for pair in PAIRS if MeanInput(*pair)._log_gap])
     def test_against_mpmath(self, a, b):
-        # q ln x keeps about |ln x| eps of absolute accuracy in the
-        # exponent; a subnormal value is exact to within one step (5e-324)
+        # within 4 (1 + max |ln x|) eps relative, or one subnormal step
+        # (5e-324) for a subnormal value
         mpmath = pytest.importorskip("mpmath")
         inp = MeanInput(a, b)
         tol = 4.0 * sys.float_info.epsilon * (1.0 + max(abs(math.log(a)), abs(math.log(b))))
@@ -776,6 +775,67 @@ class TestHugeOrders:
                 ref = self.ref_gen_log_mean(mpmath, p, inp.lo, inp.hi)
                 err = abs(mpmath.mpf(gen_log_mean(p, inp)) - ref)
                 assert err <= max(tol * ref, 5e-324), (p, float(err / ref))
+
+
+class TestGenLogAccuracy:
+    """gen_log_mean against the defining formula in mpmath at 80 digits,
+    in ulps of the reference, on seeded pairs from the verifier band, close
+    pairs, the whole range and (5e-324, DBL_MAX), at orders from 1e-9 to
+    1e100 in magnitude and either side of each switch of form.  Orders
+    above -1/4 keep within 8 ulps; at p <= -1/4 the exponent's absolute
+    error of a few eps is divided by |p| and the error is bounded by
+    4 (s + 2) ulps, with s = (|ln(d/hi)| + |ln|q|| + min(|q|, 1) g + 1)/|p|,
+    g = ln(hi/lo), d = hi - lo and q = p + 1."""
+
+    MAGNITUDES = (1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6, 1e12, 1e100)
+    ORDERS = sorted(
+        ({s * m for m in MAGNITUDES for s in (1.0, -1.0)} - {-1.0})
+        | {-0.25 - 1e-9, -0.25, -0.25 + 1e-9, -2.0 - 1e-9, -2.0 + 1e-9, -1.0 - 1e-9,
+           -1.0 + 1e-9, -0.4, -0.95, -1.05}
+    )
+
+    @staticmethod
+    def pairs(kind):
+        rng = random.Random(f"gen-log-accuracy-{kind}")
+        if kind == "verifier":
+            return [(10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0))
+                    for _ in range(25)]
+        if kind == "close":  # relative gaps from 1.3e-9 to 0.1
+            return [(lo, lo * (1.0 + 10.0 ** rng.uniform(-8.9, -1.0)))
+                    for lo in [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(25)]]
+        return [(5e-324, DBL_MAX)] + [
+            tuple(math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, 1024)) for _ in range(2))
+            for _ in range(40)
+        ]
+
+    @pytest.mark.parametrize("kind", ["verifier", "close", "whole"])
+    def test_within_bound(self, kind):
+        mpmath = pytest.importorskip("mpmath")
+        over = []
+        with mpmath.workdps(80):
+            for a, b in self.pairs(kind):
+                inp = MeanInput(a, b)
+                if inp._log_gap is None:
+                    continue
+                lo, hi = inp.lo, inp.hi
+                g = float(mpmath.log(mpmath.mpf(hi) / lo))
+                mlo, mhi = mpmath.mpf(lo), mpmath.mpf(hi)
+                for p in self.ORDERS:
+                    v = gen_log_mean(p, inp)
+                    assert lo <= v <= hi, (a, b, p)
+                    mq = mpmath.mpf(p) + 1
+                    ref = ((mhi ** mq - mlo ** mq) / (mq * (mhi - mlo))) ** (1 / mpmath.mpf(p))
+                    ulps = float(abs(mpmath.mpf(v) - ref)) / math.ulp(float(ref))
+                    if p > -0.25:
+                        bound = 8.0
+                    else:
+                        q = p + 1.0
+                        s = (abs(math.log((hi - lo) / hi)) + abs(math.log(abs(q)))
+                             + min(abs(q), 1.0) * g + 1.0) / abs(p)
+                        bound = 4.0 * (s + 2.0)
+                    if ulps > bound:
+                        over.append((a, b, p, ulps, bound))
+        assert over == []
 
 
 class TestSharedProperties:
@@ -879,6 +939,21 @@ class TestFloatKernels:
             calls.clear()
             assert tr.iterates is first
             assert calls == []
+
+    @pytest.mark.parametrize(
+        "a,b,rel_tol",
+        [(1.0, 2.0, 1.0), (1.0, 2.0, math.nan), (1.0, math.inf, 1e-15), (0.0, 1.0, REL_TOL),
+         (math.nan, 1.0, REL_TOL)],
+    )
+    def test_agm_rejects_bad_arguments(self, a, b, rel_tol):
+        # the one AGM loop checks its tolerance and arguments, before
+        # recording anything
+        pairs = []
+        for run in (lambda: agm_limit(a, b, rel_tol), lambda: agm_limit(b, a, rel_tol),
+                    lambda: agm_iterates(a, b, rel_tol, pairs.append)):
+            with pytest.raises(ValueError, match="^rel_tol must lie|^AGM arguments must be"):
+                run()
+        assert pairs == []
 
     def test_agm_iterates_match_limit(self):
         for a, b in PAIRS + WIDE_PAIRS:
