@@ -60,7 +60,11 @@ class Modulus(means.Record):
     _compared = ("t",)
 
     def __init__(self, t: float, exact_complement: float | None = None):
-        ft = float(t)
+        try:
+            ft = float(t)
+        except OverflowError:
+            # an int too large for a double; rejected below as non-finite
+            ft = math.inf
         if not math.isfinite(ft) or ft < 0.0 or ft >= 1.0:
             raise ValueError(f"modulus must satisfy 0 <= t < 1, got {t}")
         c = exact_complement
@@ -145,7 +149,7 @@ def k_agm(m: Modulus) -> EllipticResult:
     from a pair runs M(1, lo/hi) on its exact complement.  The iteration
     stops at means.DEFAULT_REL_TOL.
     """
-    limit, iterations = means.agm_limit(1.0, m.complement(), means.DEFAULT_REL_TOL)
+    limit, iterations = means.agm_iterates(1.0, m.complement())
     value = math.pi / (2.0 * limit)
     return EllipticResult(
         value=value,
@@ -157,11 +161,15 @@ def k_agm(m: Modulus) -> EllipticResult:
 
 def _ordered_pair(a: float, b: float) -> tuple[float, float]:
     # (hi, lo) of a pair of positive finite reals, or ValueError
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
+    try:
+        fa = float(a)
+        fb = float(b)
+    except OverflowError:
+        # an int too large for a double; rejected below as non-finite
+        fa = fb = math.inf
+    if not (math.isfinite(fa) and math.isfinite(fb)) or fa <= 0.0 or fb <= 0.0:
         raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
-    return (a, b) if a >= b else (b, a)
+    return (fa, fb) if fa >= fb else (fb, fa)
 
 
 def k_quadrature(a: float, b: float) -> EllipticResult:

@@ -39,10 +39,17 @@ SHARPNESS_HIGH_EPS = 1e-4
 SHARPNESS_HIGH_MARGIN = 0.01
 DEFAULT_SHARPNESS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
+# The t range of check_ratio_scan's grid.
+RATIO_SCAN_T_MIN = 1e-8
+RATIO_SCAN_T_MAX = 1.0 - 1e-4
+
 # Sampling: log-uniform over [10^-3, 10^3] per coordinate, rejecting
 # near-equal pairs.
 SAMPLE_LOG_RANGE = 3.0
 MIN_REL_GAP = 1e-12
+
+# Random moduli per check_k_consistency run, at every profile.
+K_CONSISTENCY_MODULI = 100
 
 P_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # Positions in P_GRID of the logarithmic (p = -1) and identric (p = 0) means.
@@ -50,10 +57,8 @@ _P_LOG = P_GRID.index(-1.0)
 _P_IDENTRIC = P_GRID.index(0.0)
 
 PROFILES = {
-    "quick": {"k_max": 50, "samples": 1000, "recip_samples": 250,
-              "scan_points": 100, "moduli": 100},
-    "full": {"k_max": 500, "samples": 10000, "recip_samples": 1000,
-             "scan_points": 200, "moduli": 100},
+    "quick": {"k_max": 50, "samples": 1000, "recip_samples": 250, "scan_points": 100},
+    "full": {"k_max": 500, "samples": 10000, "recip_samples": 1000, "scan_points": 200},
 }
 
 DEFAULT_SEED = 42
@@ -121,7 +126,7 @@ def _report(claim_id, statement, checked, tolerances, witness=None):
 
 def _mean_ratio(t: float) -> float:
     """M(1, t) / L(1, t) for t in (0, 1)."""
-    m, _ = means.agm_limit(1.0, t, means.DEFAULT_REL_TOL)
+    m, _ = means.agm_iterates(1.0, t)
     return m / means.log_mean_float(1.0, t)
 
 
@@ -141,13 +146,10 @@ def _sample_pair(rng: random.Random) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # exact claims
 
-def check_coefficient_identities(
-    k_max: int, table: coeffs.CoefficientTable | None = None
-) -> VerificationReport:
+def check_coefficient_identities(table: coeffs.CoefficientTable) -> VerificationReport:
     """Exact agreement of every summation form, closed form, stored table
-    value, and the g recurrence, for 1 <= k <= k_max."""
-    if table is None:
-        table = coeffs.build_table(k_max)
+    value, and the g recurrence, for 1 <= k <= table.k_max."""
+    k_max = table.k_max
     statement = (
         "summation and closed forms of a_k, h(k), g(k) agree exactly and match "
         "the stored table, b_k and S_k match their definitions, and g satisfies "
@@ -197,12 +199,9 @@ def check_coefficient_identities(
     return _report("coeff-identities", statement, checked, {"exact": 0.0}, witness)
 
 
-def check_coefficient_monotonicity(
-    k_max: int, table: coeffs.CoefficientTable | None = None
-) -> VerificationReport:
-    """a_k/b_k strictly increasing for 1 <= k <= k_max, exactly."""
-    if table is None:
-        table = coeffs.build_table(k_max)
+def check_coefficient_monotonicity(table: coeffs.CoefficientTable) -> VerificationReport:
+    """a_k/b_k strictly increasing for 1 <= k <= table.k_max, exactly."""
+    k_max = table.k_max
     statement = (
         "a_{k+1}/a_k > ((2k+1)/(2k+2))^2 = b_{k+1}/b_k exactly, i.e. the "
         "coefficient ratio a_k/b_k is strictly increasing"
@@ -255,13 +254,10 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
     )
 
 
-def check_sign_change(
-    k_max: int, table: coeffs.CoefficientTable | None = None
-) -> VerificationReport:
-    """S_k strictly decreasing on [2, k_max] with its single sign change
+def check_sign_change(table: coeffs.CoefficientTable) -> VerificationReport:
+    """S_k strictly decreasing on [2, table.k_max] with its single sign change
     located between k = 10 and k = 11, exactly."""
-    if table is None:
-        table = coeffs.build_table(k_max)
+    k_max = table.k_max
     statement = (
         "S_k is strictly decreasing with exactly one sign change: "
         "S_10 > 0 > S_11 (so S_k < 0 iff k >= 11)"
@@ -287,10 +283,10 @@ def check_sign_change(
 # ---------------------------------------------------------------------------
 # floating claims
 
-def check_k_consistency(n_moduli: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Pairwise agreement of the three K routes on random moduli in
-    [0, 0.95], plus the near-singular AGM-vs-quadrature probe."""
-    _check_count(n_moduli, "n_moduli")
+def check_k_consistency(seed: int = DEFAULT_SEED) -> VerificationReport:
+    """Pairwise agreement of the three K routes on K_CONSISTENCY_MODULI
+    random moduli in [0, 0.95], plus the near-singular AGM-vs-quadrature
+    probe."""
     statement = (
         "series, AGM and quadrature values of K agree pairwise within "
         "1e-11 relative on [0, 0.95]; AGM and quadrature agree within "
@@ -303,7 +299,7 @@ def check_k_consistency(n_moduli: int = 100, seed: int = DEFAULT_SEED) -> Verifi
     rng = random.Random(seed)
     witness = None
     checked = 0
-    for _ in range(n_moduli):
+    for _ in range(K_CONSISTENCY_MODULI):
         t = rng.uniform(0.0, elliptic.SERIES_T_MAX)
         m = elliptic.Modulus(t)
         vs = elliptic.k_series(m).value
@@ -352,7 +348,7 @@ def check_reciprocal(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Verific
     checked = 0
     for _ in range(n_samples):
         a, b = _sample_pair(rng)
-        m_agm, _ = means.agm_limit(a, b, means.DEFAULT_REL_TOL)
+        m_agm, _ = means.agm_iterates(a, b)
         mod, scale = elliptic.modulus_from_pair(a, b)
         if mod.t <= elliptic.SERIES_T_MAX:
             k_val = elliptic.k_series(mod).value / scale
@@ -386,7 +382,7 @@ def check_double_inequality(n_samples: int, seed: int) -> VerificationReport:
     for _ in range(n_samples):
         a, b = _sample_pair(rng)
         lm = means.log_mean_float(a, b)
-        m, _ = means.agm_limit(a, b, means.DEFAULT_REL_TOL)
+        m, _ = means.agm_iterates(a, b)
         upper = HALF_PI * lm
         checked += 1
         if not (m > lm * (1.0 - DOUBLE_INEQ_SLACK) and m < upper * (1.0 + DOUBLE_INEQ_SLACK)):
@@ -428,17 +424,16 @@ def scan_ratio(n_points: int, t_min: float, t_max: float) -> RatioScan:
     )
 
 
-def check_ratio_scan(
-    n_points: int = 200, t_min: float = 1e-8, t_max: float = 1.0 - 1e-4
-) -> VerificationReport:
-    """Strict decrease of M(1,t)/L(1,t) along the grid, all values inside
-    the open interval (1, pi/2): the assertable form of the sharp bounds."""
+def check_ratio_scan(n_points: int = 200) -> VerificationReport:
+    """Strict decrease of M(1,t)/L(1,t) along a grid of n_points in
+    [RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX], all values inside the open
+    interval (1, pi/2): the assertable form of the sharp bounds."""
     statement = (
         "M(1,t)/L(1,t) is strictly decreasing on a log-spaced grid and "
         "every value lies strictly inside (1, pi/2)"
     )
     tolerances = {"lower_bound": 1.0, "upper_bound": HALF_PI}
-    scan = scan_ratio(n_points, t_min, t_max)
+    scan = scan_ratio(n_points, RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX)
     witness = None
     if not scan.monotone_decreasing:
         for i in range(n_points - 1):
@@ -456,10 +451,11 @@ def check_ratio_scan(
     return _report("ratio-scan", statement, n_points, tolerances, witness)
 
 
-def check_sharpness(t_sequence=DEFAULT_SHARPNESS_SEQUENCE) -> VerificationReport:
-    """Monotone approach of M/L to its limits: the ratio increases along a
-    sequence of t decreasing toward 0 while staying below pi/2, exceeds
-    pi/2 - 0.15 by t = 1e-8, and sits within 0.01 of 1 at t = 1 - 1e-4.
+def check_sharpness() -> VerificationReport:
+    """Monotone approach of M/L to its limits: the ratio increases along
+    DEFAULT_SHARPNESS_SEQUENCE, t decreasing toward 0, while staying below
+    pi/2, exceeds pi/2 - 0.15 by t = 1e-8, and sits within 0.01 of 1 at
+    t = 1 - 1e-4.
     Convergence to the limits is logarithmic, hence the loose margins."""
     statement = (
         "no constant below pi/2 bounds M/L from above and no constant "
@@ -472,15 +468,10 @@ def check_sharpness(t_sequence=DEFAULT_SHARPNESS_SEQUENCE) -> VerificationReport
         "high_eps": SHARPNESS_HIGH_EPS,
         "high_margin": SHARPNESS_HIGH_MARGIN,
     }
-    seq = tuple(t_sequence)
-    if not seq or not all(0.0 < t < 1.0 for t in seq):
-        raise ValueError("t_sequence must lie inside (0, 1)")
-    if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1)):
-        raise ValueError("t_sequence must be strictly decreasing")
     witness = None
     checked = 0
     prev = None
-    for t in seq:
+    for t in DEFAULT_SHARPNESS_SEQUENCE:
         r = _mean_ratio(t)
         checked += 1
         if not r < HALF_PI:
@@ -531,7 +522,7 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
         chain = [means.gen_log_mean(p, inp) for p in P_GRID]
         lm = chain[_P_LOG]
         im = chain[_P_IDENTRIC]
-        m, _ = means.agm_limit(a, b, means.DEFAULT_REL_TOL)
+        m, _ = means.agm_iterates(a, b)
         checked += 1
         if not (lm < m < im):
             witness = f"a={a!r} b={b!r}: order violated: L={lm!r} M={m!r} I={im!r}"
@@ -561,11 +552,11 @@ def run_all(
     p = PROFILES[profile]
     table = coeffs.build_table(p["k_max"])
     checks: list[Callable[[], VerificationReport]] = [
-        lambda: check_coefficient_identities(p["k_max"], table),
-        lambda: check_coefficient_monotonicity(p["k_max"], table),
+        lambda: check_coefficient_identities(table),
+        lambda: check_coefficient_monotonicity(table),
         lambda: check_series_ratio_inequality(p["k_max"]),
-        lambda: check_sign_change(p["k_max"], table),
-        lambda: check_k_consistency(p["moduli"], seed),
+        lambda: check_sign_change(table),
+        lambda: check_k_consistency(seed),
         lambda: check_reciprocal(p["recip_samples"], seed + 1),
         lambda: check_double_inequality(p["samples"], seed + 2),
         lambda: check_ratio_scan(p["scan_points"]),

@@ -96,7 +96,7 @@ def test_criterion_2_exact_ratio_tables():
 def test_criterion_3_identity_suite(table500):
     """Sum = closed for a, h, g plus the g recurrence, k = 1..500, < 30 s."""
     start = time.perf_counter()
-    r = verify.check_coefficient_identities(500, table500)
+    r = verify.check_coefficient_identities(table500)
     elapsed = time.perf_counter() - start
     ok = r.status == "pass" and elapsed < 30.0
     report(3, ok, f"{r.checked_points} exact identity checks in {elapsed:.1f}s")
@@ -118,7 +118,7 @@ def test_criterion_4_sign_change(table500):
     ok &= co.s_seq(9) > 0
     ok &= abs(float(s10) - 0.0191254222) < 1e-9
     ok &= abs(float(s11) + 0.0425346568) < 1e-9
-    r = verify.check_sign_change(500, table500)
+    r = verify.check_sign_change(table500)
     ok &= r.status == "pass"
     report(4, ok, "S_10 > 0 > S_11 exactly; S_k strictly decreasing to k=500")
 
@@ -126,7 +126,7 @@ def test_criterion_4_sign_change(table500):
 def test_criterion_5_three_way_consistency():
     """Series/AGM/quadrature pairwise within 1e-11 on 100 random moduli;
     AGM vs quadrature within 1e-9 at t = 0.999999."""
-    r = verify.check_k_consistency(100, seed=verify.DEFAULT_SEED)
+    r = verify.check_k_consistency(seed=verify.DEFAULT_SEED)
     report(5, r.status == "pass", f"{r.checked_points} modulus points, {r.witness}")
 
 
@@ -142,7 +142,7 @@ def test_criterion_7_sharp_bounds():
     (1, pi/2); r(1e-8) > pi/2 - 0.15 and r(1-1e-4) < 1.01."""
     r_pairs = verify.check_double_inequality(10000, seed=verify.DEFAULT_SEED)
     scan = verify.scan_ratio(200, 1e-8, 1.0 - 1e-4)
-    r_scan = verify.check_ratio_scan(200, 1e-8, 1.0 - 1e-4)
+    r_scan = verify.check_ratio_scan(200)
     r_low = verify._mean_ratio(1e-8)
     r_high = verify._mean_ratio(1.0 - 1e-4)
     ok = r_pairs.status == "pass"
@@ -181,9 +181,9 @@ def test_criterion_9_mutation_sanity():
             fields = {f: getattr(table, f) for f in ("k_max", "a", "b", "h", "g", "s")}
             corrupted = co.CoefficientTable(**{**fields, field: tuple(mutated)})
             reports = [
-                verify.check_coefficient_identities(k_max, corrupted),
-                verify.check_coefficient_monotonicity(k_max, corrupted),
-                verify.check_sign_change(k_max, corrupted),
+                verify.check_coefficient_identities(corrupted),
+                verify.check_coefficient_monotonicity(corrupted),
+                verify.check_sign_change(corrupted),
             ]
             failing = [r for r in reports if r.status == "fail"]
             ok &= bool(failing) and all(r.witness for r in failing)
@@ -232,6 +232,6 @@ def test_sample_rejection_excludes_equal_pairs():
 
 def test_double_inequality_example_pair():
     lm = means.log_mean_float(1.0, 2.0)
-    m, _ = means.agm_limit(1.0, 2.0, means.DEFAULT_REL_TOL)
+    m, _ = means.agm_iterates(1.0, 2.0)
     assert lm == pytest.approx(1.4426950408889634, rel=1e-15, abs=0)
     assert lm < m < HALF_PI * lm

@@ -12,8 +12,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from agmbounds import AgmTrace, MeanInput, agm, gen_log_mean, identric_mean, log_mean
-from agmbounds import elliptic, means
-from agmbounds.means import agm_iterates, agm_limit, log_mean_float
+from agmbounds import elliptic, means, verify
+from agmbounds.means import agm_iterates, log_mean_float
 from agmbounds.verify import P_GRID
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -39,7 +39,6 @@ ALL_MEANS = [
 # the orders p that take gen_log_mean's own formula (not L or I)
 GEN_LOG_ORDERS = [-2.0, -0.5, 0.5, 1.0, 2.0]
 DBL_MAX = sys.float_info.max
-REL_TOL = means.DEFAULT_REL_TOL
 
 PAIRS = [
     (1.0, 1.0),
@@ -144,6 +143,28 @@ class TestMeanInput:
             with pytest.raises(AttributeError):
                 delattr(inp, name)
             assert getattr(inp, name) is before
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: MeanInput(10**400, 2), "mean arguments must be finite"),
+        (lambda: MeanInput(2.0, -(10**400)), "mean arguments must be finite"),
+        (lambda: gen_log_mean(10**400, MeanInput(1, 2)), "order p must be finite"),
+        (lambda: gen_log_mean(-(10**400), MeanInput(1, 2)), "order p must be finite"),
+        (lambda: elliptic.Modulus(10**400), "modulus must satisfy"),
+        (lambda: elliptic.k_quadrature(10**400, 1.0),
+         r"arguments must be positive finite reals, got a=10{400}, b=1\.0$"),
+        (lambda: elliptic.modulus_from_pair(1.0, 10**400), "arguments must be positive finite"),
+    ],
+    ids=["MeanInput-a", "MeanInput-b", "gen_log_mean", "gen_log_mean-negative", "Modulus",
+         "k_quadrature", "modulus_from_pair"],
+)
+def test_int_beyond_doubles_rejected_as_non_finite(call, message):
+    # float() raises OverflowError on such an int; each entry reports it
+    # as it reports any other non-finite value
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 class TestLogMean:
@@ -503,7 +524,7 @@ def test_lazy_trace_matches_eager():
     # built AgmTrace of the same run, and stays read-only
     for a, b in pinned_pairs():
         recorded = []
-        limit, n = agm_iterates(a, b, REL_TOL, recorded.append)
+        limit, n = agm_iterates(a, b, recorded.append)
         eager = AgmTrace(tuple(recorded), limit, n)
         eager_repr = repr(eager)
         eager_pickle = pickle.dumps(eager)
@@ -559,11 +580,6 @@ class TestAgm:
         limit = agm(inp).limit
         lm = log_mean(inp)
         assert lm < limit < (math.pi / 2.0) * lm
-
-    def test_rel_tol_validation(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                agm(MeanInput(1.0, 2.0), rel_tol=bad)
 
     def test_trace_invariants(self):
         tr = agm(MeanInput(9.0, 0.004))
@@ -899,16 +915,17 @@ class TestFloatKernels:
     routes call directly, and the identric mean at the ends of the float
     range."""
 
-    def test_agm_limit_fixed_point(self):
-        assert agm_limit(5.0, 5.0, REL_TOL) == (5.0, 0)
+    def test_agm_iterates_fixed_point(self):
+        assert agm_iterates(5.0, 5.0) == (5.0, 0)
 
-    def test_agm_limit_symmetric(self):
-        assert agm_limit(2.0, 8.0, REL_TOL) == agm_limit(8.0, 2.0, REL_TOL)
+    def test_agm_iterates_symmetric(self):
+        assert agm_iterates(2.0, 8.0) == agm_iterates(8.0, 2.0)
 
     def test_one_agm_loop(self, monkeypatch):
-        # agm_limit, agm and k_agm each run agm_iterates once, with no
-        # recorder; the first read of an agm() trace's iterates runs it once
-        # more, with one, and later reads run nothing
+        # a verifier check on one pair, agm and k_agm each run agm_iterates
+        # once, on the pair alone; the first read of an agm() trace's
+        # iterates runs it once more, with a recorder, and later reads run
+        # nothing
         calls = []
         iterates = means.agm_iterates
 
@@ -919,55 +936,48 @@ class TestFloatKernels:
         monkeypatch.setattr(means, "agm_iterates", counting)
         traces = []
         for run in (
-            lambda: agm_limit(2.0, 8.0, REL_TOL),
-            lambda: agm_limit(5e-324, DBL_MAX, REL_TOL),
+            lambda: verify.check_double_inequality(1, 0),
             lambda: traces.append(agm(MeanInput(2.0, 8.0))),
             lambda: traces.append(agm(MeanInput(5e-324, DBL_MAX))),
             lambda: elliptic.k_agm(elliptic.Modulus(0.8)),
         ):
             calls.clear()
             run()
-            assert len(calls) == 1
-            assert len(calls[0]) == 3 or calls[0][3] is None
+            assert len(calls) == 1 and len(calls[0]) == 2
         calls.clear()
         for tr in traces:
             tr.limit, tr.iterations
         assert calls == []
         for tr in traces:
             first = tr.iterates
-            assert len(calls) == 1 and len(calls[0]) == 4 and calls[0][3] is not None
+            assert len(calls) == 1 and len(calls[0]) == 3 and calls[0][2] is not None
             calls.clear()
             assert tr.iterates is first
             assert calls == []
 
-    @pytest.mark.parametrize(
-        "a,b,rel_tol",
-        [(1.0, 2.0, 1.0), (1.0, 2.0, math.nan), (1.0, math.inf, 1e-15), (0.0, 1.0, REL_TOL),
-         (math.nan, 1.0, REL_TOL)],
-    )
-    def test_agm_rejects_bad_arguments(self, a, b, rel_tol):
-        # the one AGM loop checks its tolerance and arguments, before
-        # recording anything
+    @pytest.mark.parametrize("a,b", [(1.0, math.inf), (0.0, 1.0), (math.nan, 1.0)])
+    def test_agm_rejects_bad_arguments(self, a, b):
+        # the one AGM loop checks its arguments, before recording anything
         pairs = []
-        for run in (lambda: agm_limit(a, b, rel_tol), lambda: agm_limit(b, a, rel_tol),
-                    lambda: agm_iterates(a, b, rel_tol, pairs.append)):
-            with pytest.raises(ValueError, match="^rel_tol must lie|^AGM arguments must be"):
+        for run in (lambda: agm_iterates(a, b), lambda: agm_iterates(b, a),
+                    lambda: agm_iterates(a, b, pairs.append)):
+            with pytest.raises(ValueError, match="^AGM arguments must be"):
                 run()
         assert pairs == []
 
     def test_agm_iterates_match_limit(self):
         for a, b in PAIRS + WIDE_PAIRS:
-            limit, n = agm_limit(a, b, REL_TOL)
+            limit, n = agm_iterates(a, b)
             pairs = []
-            assert agm_iterates(a, b, REL_TOL, pairs.append) == (limit, n)
+            assert agm_iterates(a, b, pairs.append) == (limit, n)
             assert pairs[-1][0] == limit
             assert len(pairs) - 1 == n
 
     @given(whole_range, whole_range)
     def test_whole_range_agm_bounded(self, a, b):
-        limit, n = agm_limit(a, b, REL_TOL)
+        limit, n = agm_iterates(a, b)
         pairs = []
-        assert agm_iterates(a, b, REL_TOL, pairs.append) == (limit, n)
+        assert agm_iterates(a, b, pairs.append) == (limit, n)
         assert pairs[-1][0] == limit
         assert len(pairs) - 1 == n <= 16
         assert math.isfinite(limit) and limit > 0.0
@@ -977,7 +987,7 @@ class TestFloatKernels:
     def test_agm_unscaled_steps_traced(self):
         # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
         pairs = []
-        agm_iterates(5e-324, DBL_MAX, REL_TOL, pairs.append)
+        agm_iterates(5e-324, DBL_MAX, pairs.append)
         (h0, l0), (h1, l1), (h2, l2) = pairs[:3]
         assert (h0, l0) == (DBL_MAX, 5e-324)
         assert (h1, l1) == (0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0))
@@ -987,14 +997,21 @@ class TestFloatKernels:
     def test_agm_iteration_count_moderate(self):
         # ratios up to 1e8 converge within 8 steps after unit normalization
         for a, b in PAIRS:
-            _, n = agm_limit(a, b, REL_TOL)
+            _, n = agm_iterates(a, b)
             assert n <= 8
 
-    def test_agm_tiny_tolerance_terminates(self):
-        # below the roundoff floor the iteration must still stop
-        limit, n = agm_limit(3.0, 7.0, 1e-300)
-        assert math.isfinite(limit)
-        assert n < 30
+    def test_agm_tiny_tolerance_terminates(self, monkeypatch):
+        # below the roundoff floor the iteration must still stop: (3, 7)
+        # reaches a zero gap, and (2, 8) stalls at a nonzero gap, so that
+        # only the floor exit ends its loop, one step later than at the
+        # fixed tolerance
+        _, n_fixed = agm_iterates(2.0, 8.0)
+        monkeypatch.setattr(means, "DEFAULT_REL_TOL", 1e-300)
+        for a, b in ((3.0, 7.0), (2.0, 8.0)):
+            limit, n = agm_iterates(a, b)
+            assert math.isfinite(limit)
+            assert n < 30
+        assert n == n_fixed + 1
 
     def test_log_mean_equal_arguments(self):
         assert log_mean_float(3.5, 3.5) == 3.5

@@ -19,7 +19,7 @@ def _corrupt(table, field, index, delta=Fraction(1, 7)):
 
 class TestExactChecks:
     def test_identities_pass(self):
-        r = verify.check_coefficient_identities(30)
+        r = verify.check_coefficient_identities(co.build_table(30))
         assert r.status == "pass"
         assert r.witness is None
         assert r.checked_points > 0
@@ -27,17 +27,17 @@ class TestExactChecks:
     def test_identities_sum_each_odd_harmonic_once(self):
         # a_coeff_closed, g_closed and s_seq at one k share one sum
         co._odd_harmonic_parts.cache_clear()
-        r = verify.check_coefficient_identities(40, co.build_table(40))
+        r = verify.check_coefficient_identities(co.build_table(40))
         assert r.status == "pass"
         assert co._odd_harmonic_parts.cache_info().misses == 40
 
     def test_monotonicity_pass_small(self):
-        r = verify.check_coefficient_monotonicity(2)
+        r = verify.check_coefficient_monotonicity(co.build_table(2))
         assert r.status == "pass"
         # the single comparison is 7/12 > 9/16
 
     def test_monotonicity_pass_k10(self):
-        assert verify.check_coefficient_monotonicity(10).status == "pass"
+        assert verify.check_coefficient_monotonicity(co.build_table(10)).status == "pass"
 
     def test_series_ratio_inequality(self):
         r = verify.check_series_ratio_inequality(60)
@@ -45,20 +45,20 @@ class TestExactChecks:
         assert r.checked_points == 59
 
     def test_sign_change(self):
-        r = verify.check_sign_change(30)
+        r = verify.check_sign_change(co.build_table(30))
         assert r.status == "pass"
 
     def test_sign_change_locates_first_negative(self):
         table = co.build_table(30)
         bad = _corrupt(table, "s", 0, Fraction(-10))  # S_2 forced negative
-        r = verify.check_sign_change(30, bad)
+        r = verify.check_sign_change(bad)
         assert r.status == "fail"
         assert r.witness is not None
 
 
 class TestFloatingChecks:
     def test_k_consistency(self):
-        r = verify.check_k_consistency(20, seed=1)
+        r = verify.check_k_consistency(seed=1)
         assert r.status == "pass"
 
     def test_reciprocal(self):
@@ -95,12 +95,6 @@ class TestFloatingChecks:
         r6 = verify._mean_ratio(1e-6)
         assert r4 < r6 < math.pi / 2.0
 
-    def test_sharpness_rejects_bad_sequence(self):
-        with pytest.raises(ValueError):
-            verify.check_sharpness((0.5, 0.6))
-        with pytest.raises(ValueError):
-            verify.check_sharpness((1.5, 0.5))
-
 
 class TestCountValidation:
     """A sampled check with nothing to sample is an error, not a pass."""
@@ -112,7 +106,6 @@ class TestCountValidation:
             (verify.check_double_inequality, "n_samples"),
             (verify.check_reciprocal, "n_samples"),
             (verify.check_mean_order, "n_samples"),
-            (verify.check_k_consistency, "n_moduli"),
         ],
     )
     def test_rejects_counts_below_one(self, check, name, count):
@@ -128,8 +121,8 @@ class TestCountValidation:
         assert r.status == "pass" and r.checked_points == 1
 
     def test_one_modulus_and_the_probe(self):
-        r = verify.check_k_consistency(1, 5)
-        assert r.status == "pass" and r.checked_points == 2
+        r = verify.check_k_consistency(5)
+        assert r.status == "pass" and r.checked_points == verify.K_CONSISTENCY_MODULI + 1 == 101
 
 
 class TestScan:
@@ -163,7 +156,7 @@ class TestScan:
             verify.scan_ratio(10, 0.0, 0.5)
 
     def test_report_wrapper(self):
-        r = verify.check_ratio_scan(25, 1e-6, 0.99)
+        r = verify.check_ratio_scan(25)
         assert r.status == "pass"
         assert r.checked_points == 25
 
@@ -272,11 +265,11 @@ class TestRunAll:
 class TestMutationDetection:
     """Corrupting any stored coefficient must flip at least one report."""
 
-    def _any_failure(self, k_max, table):
+    def _any_failure(self, table):
         reports = [
-            verify.check_coefficient_identities(k_max, table),
-            verify.check_coefficient_monotonicity(k_max, table),
-            verify.check_sign_change(k_max, table),
+            verify.check_coefficient_identities(table),
+            verify.check_coefficient_monotonicity(table),
+            verify.check_sign_change(table),
         ]
         failing = [r for r in reports if r.status == "fail"]
         for r in failing:
@@ -285,17 +278,15 @@ class TestMutationDetection:
 
     @pytest.mark.parametrize("field", ["a", "b", "h", "g", "s"])
     def test_every_entry_is_load_bearing(self, field):
-        k_max = 12
-        table = co.build_table(k_max)
+        table = co.build_table(12)
         for index in range(len(getattr(table, field))):
             corrupted = _corrupt(table, field, index)
-            assert self._any_failure(k_max, corrupted), (field, index)
+            assert self._any_failure(corrupted), (field, index)
 
     def test_tiny_corruption_detected(self):
-        k_max = 12
-        table = co.build_table(k_max)
+        table = co.build_table(12)
         corrupted = _corrupt(table, "a", 7, Fraction(1, 10**40))
-        assert self._any_failure(k_max, corrupted)
+        assert self._any_failure(corrupted)
 
     @pytest.mark.parametrize(
         "name",
@@ -308,7 +299,7 @@ class TestMutationDetection:
         monkeypatch.setattr(
             co, name, lambda k: exact(k) + (Fraction(1, 10**40) if k == 7 else 0)
         )
-        r = verify.check_coefficient_identities(12, co.build_table(12))
+        r = verify.check_coefficient_identities(co.build_table(12))
         assert r.status == "fail"
         assert r.witness.startswith("k=7:")
 
@@ -333,6 +324,4 @@ class TestMutationDetection:
         assert r.witness.startswith(f"a={calls[2].a!r} b={calls[2].b!r}:")
 
     def test_clean_table_passes(self):
-        k_max = 12
-        table = co.build_table(k_max)
-        assert not self._any_failure(k_max, table)
+        assert not self._any_failure(co.build_table(12))
