@@ -21,8 +21,8 @@ _EXPORTS = {
         "EllipticResult", "Modulus", "ModulusTooLarge", "k_agm", "k_quadrature", "k_series",
     ),
     "coefficients": (
-        "CoefficientTable", "a_coeff_closed", "a_coeff_sum", "b_coeff", "build_table",
-        "g_closed", "g_sum", "h_closed", "h_sum", "odd_harmonic", "s_seq", "wallis_ratio",
+        "a_coeff_closed", "a_coeff_sum", "b_coeff", "g_closed", "g_sum", "h_closed", "h_sum",
+        "odd_harmonic", "s_seq", "table_rows", "wallis_ratio",
     ),
     "verify": (
         "RatioScan", "VerificationReport", "check_coefficient_identities",

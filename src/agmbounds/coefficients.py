@@ -5,15 +5,13 @@ Everything here is computed in arbitrary-precision rational arithmetic
 module provides the Wallis quotient, the series coefficients a_k and b_k,
 the summation identities h(k) and g(k) with their closed forms, the
 sign-changing sequence S_k, and one O(1)-per-index recurrence for all
-sequences.  table_rows streams that recurrence one row at a time;
-build_table collects the same rows into a CoefficientTable.  The CSV
-and JSON formatters, write_csv and write_json, take any such rows and a
-write callable, so the CLI prints rows as they are produced without
-holding the table or its text, and CoefficientTable.to_csv and to_json
-run the same formatters over the stored rows.  CoefficientTable is a
-plain immutable class on means.Record, and the JSON text is written
-directly, so no table output needs class generation at import or the
-json module.
+sequences, which table_rows streams as rows (k, a, b, h, g, s), one
+index at a time.  Both the coeffs command and the verifier read those
+rows.  The CSV and JSON formatters, write_csv and write_json, take the
+rows and a write callable, so the CLI prints rows as they are produced
+without holding them or their text.  The JSON text is written directly,
+so no table output needs the json module, and the module imports nothing
+from the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -26,8 +24,6 @@ identity exactly decidable.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-
-from agmbounds.means import Record, set_fields
 
 
 def _check_index(k: int, minimum: int, name: str = "k") -> int:
@@ -157,88 +153,12 @@ def s_seq(k: int) -> Fraction:
     return Fraction(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
 
 
-class CoefficientTable(Record):
-    """Exact values of a_k, b_k, h(k), g(k), S_k up to k_max.
-
-    Index ranges: a, h, g cover k = 1..k_max; b covers k = 0..k_max;
-    s covers k = 2..k_max.  Immutable after construction.
-    """
-
-    _fields = ("k_max", "a", "b", "h", "g", "s")
-
-    def __init__(self, k_max: int, a: tuple[Fraction, ...], b: tuple[Fraction, ...],
-                 h: tuple[Fraction, ...], g: tuple[Fraction, ...], s: tuple[Fraction, ...]):
-        set_fields(self, {"k_max": k_max, "a": a, "b": b, "h": h, "g": g, "s": s})
-
-    def _at(self, values: tuple[Fraction, ...], k: int, minimum: int) -> Fraction:
-        _check_index(k, minimum)
-        if k > self.k_max:
-            raise ValueError(f"k must be <= k_max = {self.k_max}, got {k}")
-        return values[k - minimum]
-
-    def a_at(self, k: int) -> Fraction:
-        return self._at(self.a, k, 1)
-
-    def b_at(self, k: int) -> Fraction:
-        return self._at(self.b, k, 0)
-
-    def h_at(self, k: int) -> Fraction:
-        return self._at(self.h, k, 1)
-
-    def g_at(self, k: int) -> Fraction:
-        return self._at(self.g, k, 1)
-
-    def s_at(self, k: int) -> Fraction:
-        return self._at(self.s, k, 2)
-
-    def rows(self):
-        """The stored values as rows (k, a, b, h, g, s) for k = 0..k_max,
-        with None where a sequence is not defined at k."""
-        return zip(range(self.k_max + 1), (None, *self.a), self.b, (None, *self.h),
-                   (None, *self.g), (None, None, *self.s))
-
-    def to_csv(self) -> str:
-        """CSV rows k=0..k_max with exact "numerator/denominator" cells;
-        blank where a sequence is not defined at k."""
-        parts: list[str] = []
-        write_csv(self.rows(), parts.append)
-        return "".join(parts)
-
-    def to_json(self) -> str:
-        """Exact JSON form, with each value's numerator and denominator as
-        decimal strings: {"k_max": n, "rows": [{"a": .., "b": .., "g": ..,
-        "h": .., "k": k, "s": ..}, ...]}, keys sorted and each key present
-        where its sequence is defined.  The text equals json.dumps of that
-        object with sort_keys=True, written without the json module."""
-        parts: list[str] = []
-        write_json(self.k_max, self.rows(), parts.append)
-        return "".join(parts)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CoefficientTable":
-        """Lossless inverse of to_json, applied to its parsed text."""
-        k_max = data["k_max"]
-        by_k = {row["k"]: row for row in data["rows"]}
-        return cls(
-            k_max=k_max,
-            a=tuple(_frac_parse(by_k[k]["a"]) for k in range(1, k_max + 1)),
-            b=tuple(_frac_parse(by_k[k]["b"]) for k in range(k_max + 1)),
-            h=tuple(_frac_parse(by_k[k]["h"]) for k in range(1, k_max + 1)),
-            g=tuple(_frac_parse(by_k[k]["g"]) for k in range(1, k_max + 1)),
-            s=tuple(_frac_parse(by_k[k]["s"]) for k in range(2, k_max + 1)),
-        )
-
-
 def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
 def _frac_json(v: Fraction) -> str:
     return f'{{"denominator": "{v.denominator}", "numerator": "{v.numerator}"}}'
-
-
-def _frac_parse(obj: dict) -> Fraction:
-    return Fraction(int(obj["numerator"]), int(obj["denominator"]))
 
 
 def write_csv(rows, write) -> None:
@@ -250,9 +170,14 @@ def write_csv(rows, write) -> None:
 
 
 def write_json(k_max: int, rows, write) -> None:
-    """Write the JSON form of CoefficientTable.to_json from rows
-    (k, a, b, h, g, s), with None where a sequence is not defined, through
-    one write call per row; no trailing newline."""
+    """Write the exact JSON form of rows (k, a, b, h, g, s), with None
+    where a sequence is not defined, through one write call per row:
+    {"k_max": n, "rows": [{"a": .., "b": .., "g": .., "h": .., "k": k,
+    "s": ..}, ...]}, each value as {"denominator": .., "numerator": ..}
+    in decimal strings, keys sorted and each key present where its
+    sequence is defined.  The text equals json.dumps of that object with
+    sort_keys=True, written without the json module; no trailing
+    newline."""
     write(f'{{"k_max": {k_max}, "rows": [')
     sep = ""
     for k, a, b, h, g, s in rows:
@@ -268,7 +193,9 @@ def write_json(k_max: int, rows, write) -> None:
 
 def table_rows(k_max: int):
     """Rows (k, a, b, h, g, s) for k = 0..k_max, with None where a
-    sequence is not defined at k, computed one index at a time.
+    sequence is not defined at k, computed one index at a time by O(1)
+    recurrences; the quadratic definitional sums are the verifier's
+    independent cross-check.
 
     k_max is checked at the call, before the first row, so a caller can
     stream the rows and still fail before writing anything.
@@ -293,14 +220,3 @@ def _rows(k_max: int):
         s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1) if k >= 2 else None
         yield k, (1 + w - wh) / (2 * (k + 1)), w**2, Fraction(1, 2) - w / 2, wh / 2, s
 
-
-def build_table(k_max: int) -> CoefficientTable:
-    """All sequences up to k_max via O(1)-per-index recurrences: the
-    rows of table_rows, collected into the table's tuples.
-
-    Reductions of big numerators and denominators are most of the cost;
-    the definitional sums are quadratic and live in the verification
-    layer as the independent cross-check.
-    """
-    _, a, b, h, g, s = zip(*table_rows(k_max))
-    return CoefficientTable(k_max=k_max, a=a[1:], b=b, h=h[1:], g=g[1:], s=s[2:])

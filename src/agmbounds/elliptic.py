@@ -66,7 +66,7 @@ class Modulus(means.Record):
             # an int too large for a double; rejected below as non-finite
             ft = math.inf
         if not math.isfinite(ft) or ft < 0.0 or ft >= 1.0:
-            raise ValueError(f"modulus must satisfy 0 <= t < 1, got {t}")
+            raise ValueError(f"modulus must satisfy 0 <= t < 1, got {means.arg_text(t)}")
         c = exact_complement
         if c is not None and not means.DBL_MIN <= c <= 1.0:
             raise ValueError(
@@ -168,7 +168,10 @@ def _ordered_pair(a: float, b: float) -> tuple[float, float]:
         # an int too large for a double; rejected below as non-finite
         fa = fb = math.inf
     if not (math.isfinite(fa) and math.isfinite(fb)) or fa <= 0.0 or fb <= 0.0:
-        raise ValueError(f"arguments must be positive finite reals, got a={a}, b={b}")
+        raise ValueError(
+            "arguments must be positive finite reals, "
+            f"got a={means.arg_text(a)}, b={means.arg_text(b)}"
+        )
     return (fa, fb) if fa >= fb else (fb, fa)
 
 

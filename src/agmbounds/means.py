@@ -85,6 +85,16 @@ set_fields = Record.__dict__["__dict__"].__set__
 _new = object.__new__
 
 
+def arg_text(x) -> str:
+    """x as an error message shows it.  An int past the interpreter's
+    int-to-str digit limit shows as its sign and bit length, where
+    formatting it would raise in place of the message."""
+    try:
+        return f"{x}"
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{abs(x).bit_length()}-bit int>"
+
+
 class MeanInput(Record):
     """Validated pair of positive reals; the argument of every mean.
 
@@ -112,7 +122,7 @@ class MeanInput(Record):
             # an int too large for a double; rejected below as non-finite
             fa = fb = math.inf
         if not (math.isfinite(fa) and math.isfinite(fb)):
-            raise ValueError(f"mean arguments must be finite, got a={a}, b={b}")
+            raise ValueError(f"mean arguments must be finite, got a={arg_text(a)}, b={arg_text(b)}")
         if fa <= 0.0 or fb <= 0.0:
             raise ValueError(f"mean arguments must be positive, got a={a}, b={b}")
         if fa >= fb:

@@ -7,10 +7,12 @@ zero tolerance; floating claims carry explicit named tolerances and a
 witness for the first failing input.  Identical seeds and profiles
 reproduce byte-identical report lists.
 
-VerificationReport and RatioScan are plain immutable classes on
-means.Record, and json is imported only by reports_to_json and
-reports_from_json, so a verify or scan process that prints text needs
-neither class generation at import nor the JSON encoder.
+The exact claims read the coefficient rows (k, a, b, h, g, s) that
+coefficients.table_rows streams, collected once per run; row k holds
+index k.  VerificationReport and RatioScan are plain immutable classes
+on means.Record, and json is imported only by reports_to_json, so a
+verify or scan process that prints text needs neither class generation
+at import nor the JSON encoder.
 """
 
 import math
@@ -37,7 +39,7 @@ SHARPNESS_LOW_T = 1e-8
 SHARPNESS_LOW_MARGIN = 0.15
 SHARPNESS_HIGH_EPS = 1e-4
 SHARPNESS_HIGH_MARGIN = 0.01
-DEFAULT_SHARPNESS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+SHARPNESS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
 # The t range of check_ratio_scan's grid.
 RATIO_SCAN_T_MIN = 1e-8
@@ -50,6 +52,9 @@ MIN_REL_GAP = 1e-12
 
 # Random moduli per check_k_consistency run, at every profile.
 K_CONSISTENCY_MODULI = 100
+
+# Columns of a coefficients.table_rows row (k, a, b, h, g, s).
+_A, _B, _H, _G, _S = range(1, 6)
 
 P_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # Positions in P_GRID of the logarithmic (p = -1) and identric (p = 0) means.
@@ -146,10 +151,10 @@ def _sample_pair(rng: random.Random) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # exact claims
 
-def check_coefficient_identities(table: coeffs.CoefficientTable) -> VerificationReport:
-    """Exact agreement of every summation form, closed form, stored table
-    value, and the g recurrence, for 1 <= k <= table.k_max."""
-    k_max = table.k_max
+def check_coefficient_identities(rows) -> VerificationReport:
+    """Exact agreement of every summation form, closed form, table row
+    value, and the g recurrence, for 1 <= k <= k_max = len(rows) - 1."""
+    k_max = len(rows) - 1
     statement = (
         "summation and closed forms of a_k, h(k), g(k) agree exactly and match "
         "the stored table, b_k and S_k match their definitions, and g satisfies "
@@ -158,8 +163,8 @@ def check_coefficient_identities(table: coeffs.CoefficientTable) -> Verification
     checked = 0
     witness = None
     g_values: list[Fraction] = []
-    if table.b_at(0) != coeffs.b_coeff(0):
-        witness = f"k=0: table b={table.b_at(0)} definition={coeffs.b_coeff(0)}"
+    if rows[0][_B] != coeffs.b_coeff(0):
+        witness = f"k=0: table b={rows[0][_B]} definition={coeffs.b_coeff(0)}"
     checked += 1
     for k in range(1, k_max + 1):
         if witness is not None:
@@ -168,14 +173,15 @@ def check_coefficient_identities(table: coeffs.CoefficientTable) -> Verification
         gs = coeffs.g_sum(k)
         g_values.append(gs)
         h_c = coeffs.h_closed(k)
+        row = rows[k]
         cases = (
             ("a sum vs closed", a_s, coeffs.a_coeff_closed(k)),
-            ("a vs table", a_s, table.a_at(k)),
+            ("a vs table", a_s, row[_A]),
             ("h sum vs closed", coeffs.h_sum(k), h_c),
-            ("h vs table", h_c, table.h_at(k)),
+            ("h vs table", h_c, row[_H]),
             ("g sum vs closed", gs, coeffs.g_closed(k)),
-            ("g vs table", gs, table.g_at(k)),
-            ("b vs table", coeffs.b_coeff(k), table.b_at(k)),
+            ("g vs table", gs, row[_G]),
+            ("b vs table", coeffs.b_coeff(k), row[_B]),
         )
         for name, left, right in cases:
             checked += 1
@@ -185,8 +191,8 @@ def check_coefficient_identities(table: coeffs.CoefficientTable) -> Verification
         if witness is None and k >= 2:
             checked += 1
             s_k = coeffs.s_seq(k)
-            if s_k != table.s_at(k):
-                witness = f"k={k}: S_k: {s_k} != {table.s_at(k)}"
+            if s_k != row[_S]:
+                witness = f"k={k}: S_k: {s_k} != {row[_S]}"
     if witness is None:
         g_values.append(coeffs.g_sum(k_max + 1))
         for k in range(1, k_max + 1):
@@ -199,9 +205,9 @@ def check_coefficient_identities(table: coeffs.CoefficientTable) -> Verification
     return _report("coeff-identities", statement, checked, {"exact": 0.0}, witness)
 
 
-def check_coefficient_monotonicity(table: coeffs.CoefficientTable) -> VerificationReport:
-    """a_k/b_k strictly increasing for 1 <= k <= table.k_max, exactly."""
-    k_max = table.k_max
+def check_coefficient_monotonicity(rows) -> VerificationReport:
+    """a_k/b_k strictly increasing for 1 <= k <= len(rows) - 1, exactly."""
+    k_max = len(rows) - 1
     statement = (
         "a_{k+1}/a_k > ((2k+1)/(2k+2))^2 = b_{k+1}/b_k exactly, i.e. the "
         "coefficient ratio a_k/b_k is strictly increasing"
@@ -210,8 +216,8 @@ def check_coefficient_monotonicity(table: coeffs.CoefficientTable) -> Verificati
     checked = 0
     for k in range(1, k_max):
         checked += 1
-        a_ratio = table.a_at(k + 1) / table.a_at(k)
-        b_ratio = table.b_at(k + 1) / table.b_at(k)
+        a_ratio = rows[k + 1][_A] / rows[k][_A]
+        b_ratio = rows[k + 1][_B] / rows[k][_B]
         if b_ratio != Fraction((2 * k + 1) ** 2, (2 * k + 2) ** 2):
             witness = f"k={k}: b ratio {b_ratio} is not ((2k+1)/(2k+2))^2"
             break
@@ -254,10 +260,10 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
     )
 
 
-def check_sign_change(table: coeffs.CoefficientTable) -> VerificationReport:
-    """S_k strictly decreasing on [2, table.k_max] with its single sign change
-    located between k = 10 and k = 11, exactly."""
-    k_max = table.k_max
+def check_sign_change(rows) -> VerificationReport:
+    """S_k strictly decreasing on [2, k_max], k_max = len(rows) - 1, with
+    its single sign change located between k = 10 and k = 11, exactly."""
+    k_max = len(rows) - 1
     statement = (
         "S_k is strictly decreasing with exactly one sign change: "
         "S_10 > 0 > S_11 (so S_k < 0 iff k >= 11)"
@@ -267,7 +273,7 @@ def check_sign_change(table: coeffs.CoefficientTable) -> VerificationReport:
     prev = None
     first_negative = None
     for k in range(2, k_max + 1):
-        s = table.s_at(k)
+        s = rows[k][_S]
         checked += 1
         if prev is not None and not s < prev:
             witness = f"k={k}: S_k={s} is not below S_(k-1)={prev}"
@@ -453,7 +459,7 @@ def check_ratio_scan(n_points: int = 200) -> VerificationReport:
 
 def check_sharpness() -> VerificationReport:
     """Monotone approach of M/L to its limits: the ratio increases along
-    DEFAULT_SHARPNESS_SEQUENCE, t decreasing toward 0, while staying below
+    SHARPNESS_SEQUENCE, t decreasing toward 0, while staying below
     pi/2, exceeds pi/2 - 0.15 by t = 1e-8, and sits within 0.01 of 1 at
     t = 1 - 1e-4.
     Convergence to the limits is logarithmic, hence the loose margins."""
@@ -471,7 +477,7 @@ def check_sharpness() -> VerificationReport:
     witness = None
     checked = 0
     prev = None
-    for t in DEFAULT_SHARPNESS_SEQUENCE:
+    for t in SHARPNESS_SEQUENCE:
         r = _mean_ratio(t)
         checked += 1
         if not r < HALF_PI:
@@ -550,12 +556,12 @@ def run_all(
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {sorted(PROFILES)}")
     p = PROFILES[profile]
-    table = coeffs.build_table(p["k_max"])
+    rows = tuple(coeffs.table_rows(p["k_max"]))
     checks: list[Callable[[], VerificationReport]] = [
-        lambda: check_coefficient_identities(table),
-        lambda: check_coefficient_monotonicity(table),
+        lambda: check_coefficient_identities(rows),
+        lambda: check_coefficient_monotonicity(rows),
         lambda: check_series_ratio_inequality(p["k_max"]),
-        lambda: check_sign_change(table),
+        lambda: check_sign_change(rows),
         lambda: check_k_consistency(seed),
         lambda: check_reciprocal(p["recip_samples"], seed + 1),
         lambda: check_double_inequality(p["samples"], seed + 2),
@@ -576,20 +582,12 @@ def all_passed(reports) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
-def reports_to_json(reports, indent: int | None = None) -> str:
+def reports_to_json(reports) -> str:
     """Lossless JSON array of reports (claim_id, status, counts, witness,
     tolerances)."""
     import json
 
-    return json.dumps(
-        [{f: getattr(r, f) for f in r._fields} for r in reports], sort_keys=True, indent=indent
-    )
-
-
-def reports_from_json(text: str) -> list[VerificationReport]:
-    import json
-
-    return [VerificationReport(**obj) for obj in json.loads(text)]
+    return json.dumps([{f: getattr(r, f) for f in r._fields} for r in reports], sort_keys=True)
 
 
 def reports_to_text(reports) -> str:

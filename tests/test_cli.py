@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agmbounds import cli, coefficients, verify
-from agmbounds.coefficients import CoefficientTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -179,9 +178,11 @@ class TestCoeffs:
     def test_json_round_trip(self):
         code, out = run_cli("coeffs", "--kmax", "6", "--format", "json")
         assert code == 0
-        table = CoefficientTable.from_json_dict(json.loads(out))
-        assert table.k_max == 6
-        assert table.a_at(1) == Fraction(1, 4)
+        data = json.loads(out)
+        assert data["k_max"] == 6
+        assert [row["k"] for row in data["rows"]] == list(range(7))
+        a_1 = data["rows"][1]["a"]
+        assert Fraction(int(a_1["numerator"]), int(a_1["denominator"])) == Fraction(1, 4)
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("k_max", [1, 0])
@@ -193,13 +194,31 @@ class TestCoeffs:
 
     @pytest.mark.parametrize("k_max", [2, 3, 11, 50])
     def test_output_equals_table_export(self, k_max):
-        table = coefficients.build_table(k_max)
+        # the expected texts are built from the standalone sequence functions
+        co = coefficients
+        values = [
+            {"b": co.b_coeff(k),
+             **({"a": co.a_coeff_closed(k), "h": co.h_closed(k), "g": co.g_closed(k)}
+                if k >= 1 else {}),
+             **({"s": co.s_seq(k)} if k >= 2 else {})}
+            for k in range(k_max + 1)
+        ]
+        rows = [
+            {"k": k, **{name: {"numerator": str(v.numerator), "denominator": str(v.denominator)}
+                        for name, v in row.items()}}
+            for k, row in enumerate(values)
+        ]
         assert run_cli("coeffs", "--kmax", str(k_max), "--format", "json") == (
-            0, table.to_json() + "\n"
+            0, json.dumps({"k_max": k_max, "rows": rows}, sort_keys=True) + "\n"
         )
-        assert run_cli("coeffs", "--kmax", str(k_max), "--format", "csv") == (0, table.to_csv())
+        csv = "k,a,b,h,g,s\n" + "".join(
+            f"{k}," + ",".join(f"{row[n].numerator}/{row[n].denominator}" if n in row else ""
+                               for n in "abhgs") + "\n"
+            for k, row in enumerate(values)
+        )
+        assert run_cli("coeffs", "--kmax", str(k_max), "--format", "csv") == (0, csv)
         assert run_cli("coeffs", "--kmax", str(k_max)) == (
-            0, "".join(f"a_{k} = {table.a_at(k)}\n" for k in range(1, k_max + 1))
+            0, "".join(f"a_{k} = {values[k]['a']}\n" for k in range(1, k_max + 1))
         )
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -260,7 +279,7 @@ class TestVerify:
         reports = json.loads(out)
         assert len(reports) == 10
         assert all(r["status"] == "pass" for r in reports)
-        parsed = verify.reports_from_json(out)
+        parsed = [verify.VerificationReport(**obj) for obj in reports]
         assert verify.all_passed(parsed)
 
     def test_idempotent_output(self):

@@ -2,7 +2,6 @@
 
 import json
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -218,125 +217,96 @@ class TestSignSequence:
             co.s_seq(1)
 
 
+def column(k_max, index, first):
+    """Column index of the rows up to k_max, from row first on."""
+    return [row[index] for row in co.table_rows(k_max)][first:]
+
+
+def csv_text(k_max):
+    parts = []
+    co.write_csv(co.table_rows(k_max), parts.append)
+    return "".join(parts)
+
+
+def json_text(k_max):
+    parts = []
+    co.write_json(k_max, co.table_rows(k_max), parts.append)
+    return "".join(parts)
+
+
 class TestTable:
     def test_frozen_a_column(self):
-        table = co.build_table(10)
-        assert list(table.a) == A_TABLE
+        assert column(10, 1, 1) == A_TABLE
 
     def test_b_column(self):
-        table = co.build_table(2)
-        assert list(table.b) == [Fraction(1), Fraction(1, 4), Fraction(9, 64)]
+        assert column(2, 2, 0) == [Fraction(1), Fraction(1, 4), Fraction(9, 64)]
 
     def test_h_column(self):
-        table = co.build_table(3)
-        assert list(table.h) == [Fraction(1, 4), Fraction(5, 16), Fraction(11, 32)]
+        assert column(3, 3, 1) == [Fraction(1, 4), Fraction(5, 16), Fraction(11, 32)]
 
     def test_matches_standalone_functions(self):
-        table = co.build_table(30)
-        for k in range(1, 31):
-            assert table.a_at(k) == co.a_coeff_sum(k)
-            assert table.b_at(k) == co.b_coeff(k)
-            assert table.h_at(k) == co.h_sum(k)
-            assert table.g_at(k) == co.g_sum(k)
+        for k, a, b, h, g, s in list(co.table_rows(30))[1:]:
+            assert a == co.a_coeff_sum(k)
+            assert b == co.b_coeff(k)
+            assert h == co.h_sum(k)
+            assert g == co.g_sum(k)
             if k >= 2:
-                assert table.s_at(k) == co.s_seq(k)
+                assert s == co.s_seq(k)
 
     def test_positive_entries(self):
-        table = co.build_table(50)
-        assert all(v > 0 for v in table.a)
-        assert all(v > 0 for v in table.b)
-
-    def test_index_validation(self):
-        table = co.build_table(5)
-        with pytest.raises(ValueError):
-            table.a_at(0)
-        with pytest.raises(ValueError):
-            table.s_at(1)
-        with pytest.raises(ValueError):
-            co.build_table(1)
-
-    @pytest.mark.parametrize("name,minimum", [("a", 1), ("b", 0), ("h", 1), ("g", 1), ("s", 2)])
-    def test_index_past_k_max(self, name, minimum):
-        table = co.build_table(5)
-        at = getattr(table, f"{name}_at")
-        assert at(5) == getattr(table, name)[-1]
-        for k in (6, 7, 10**6):
-            with pytest.raises(ValueError, match=f"k must be <= k_max = 5, got {k}"):
-                at(k)
-        with pytest.raises(ValueError, match=f"k must be >= {minimum}"):
-            at(minimum - 1)
+        assert all(v > 0 for v in column(50, 1, 1))
+        assert all(v > 0 for v in column(50, 2, 0))
 
     def test_entries_are_reduced(self):
         # b_k is w_k ** 2, which Fraction builds without a gcd
-        table = co.build_table(120)
-        for name in ("a", "b", "h", "g", "s"):
-            for v in getattr(table, name):
-                assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+        for row in co.table_rows(120):
+            for v in row[1:]:
+                if v is not None:
+                    assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
 
     def test_csv_layout(self):
-        text = co.build_table(3).to_csv()
-        lines = text.strip().split("\n")
+        lines = csv_text(3).strip().split("\n")
         assert lines[0] == "k,a,b,h,g,s"
         assert lines[1] == "0,,1/1,,,"
         assert lines[2] == "1,1/4,1/4,1/4,1/4,"
         assert lines[3].startswith("2,7/48,9/64,5/16,1/4,22/15")
 
     def test_json_round_trip(self):
-        table = co.build_table(12)
-        blob = table.to_json()
-        parsed = co.CoefficientTable.from_json_dict(json.loads(blob))
-        assert parsed == table
-
-    def test_value_semantics(self):
-        table = co.build_table(2)
-        fields = (table.k_max, table.a, table.b, table.h, table.g, table.s)
-        assert co.CoefficientTable(*fields) == table
-        keyword = co.CoefficientTable(
-            s=table.s, g=table.g, h=table.h, b=table.b, a=table.a, k_max=2
-        )
-        assert keyword == table and hash(keyword) == hash(table)
-        assert table != co.CoefficientTable(2, table.a, table.b, table.h, table.g, table.s[:0])
-        assert repr(table) == (
-            "CoefficientTable(k_max=2, a=(Fraction(1, 4), Fraction(7, 48)), "
-            "b=(Fraction(1, 1), Fraction(1, 4), Fraction(9, 64)), "
-            "h=(Fraction(1, 4), Fraction(5, 16)), g=(Fraction(1, 4), Fraction(1, 4)), "
-            "s=(Fraction(22, 15),))"
-        )
-        assert pickle.loads(pickle.dumps(table)) == table
-        with pytest.raises(AttributeError):
-            table.k_max = 3
-        with pytest.raises(AttributeError):
-            del table.a
-        assert table.k_max == 2 and len(table.a) == 2
+        data = json.loads(json_text(12))
+        assert data["k_max"] == 12
+        parsed = [
+            (row["k"], *(Fraction(int(row[name]["numerator"]), int(row[name]["denominator"]))
+                         if name in row else None for name in "abhgs"))
+            for row in data["rows"]
+        ]
+        assert parsed == list(co.table_rows(12))
 
     @pytest.mark.parametrize("k_max", [2, 11, 50, 500])
     def test_json_text_equals_json_dumps(self, k_max):
-        table = co.build_table(k_max)
-
         def cell(v):
             return {"numerator": str(v.numerator), "denominator": str(v.denominator)}
 
         rows = []
         for k in range(k_max + 1):
-            row = {"k": k, "b": cell(table.b_at(k))}
+            row = {"k": k, "b": cell(co.b_coeff(k))}
             if k >= 1:
-                row.update(a=cell(table.a_at(k)), h=cell(table.h_at(k)), g=cell(table.g_at(k)))
+                row.update(a=cell(co.a_coeff_closed(k)), h=cell(co.h_closed(k)),
+                           g=cell(co.g_closed(k)))
             if k >= 2:
-                row["s"] = cell(table.s_at(k))
+                row["s"] = cell(co.s_seq(k))
             rows.append(row)
         expected = json.dumps({"k_max": k_max, "rows": rows}, sort_keys=True)
-        assert table.to_json() == expected
+        assert json_text(k_max) == expected
 
     @pytest.mark.parametrize("k_max", [2, 3, 11, 50])
-    def test_streamed_rows_equal_stored_rows(self, k_max):
+    def test_row_layout(self, k_max):
         rows = list(co.table_rows(k_max))
-        assert rows == list(co.build_table(k_max).rows())
         assert [row[0] for row in rows] == list(range(k_max + 1))
         # None exactly where a sequence is not defined: a, h, g at k = 0, s below 2
-        assert [[v is None for v in row[1:]] for row in rows[:3]] == [
+        assert [[v is None for v in row[1:]] for row in rows] == [
             [True, False, True, True, True],
             [False, False, False, False, True],
-            [False, False, False, False, False],
+            *[[False] * 5] * (k_max - 1),
         ]
 
     @pytest.mark.parametrize("k_max", [1, 0, -1, 2.0, True])
@@ -346,16 +316,12 @@ class TestTable:
             co.table_rows(k_max)
 
     def test_formatters_write_once_per_row(self):
-        table = co.build_table(11)
         csv_parts, json_parts = [], []
         co.write_csv(co.table_rows(11), csv_parts.append)
         co.write_json(11, co.table_rows(11), json_parts.append)
         assert len(csv_parts) == 1 + 12  # header, then one line per row
         assert len(json_parts) == 12 + 2  # head, one part per row, tail
-        assert "".join(csv_parts) == table.to_csv()
-        assert "".join(json_parts) == table.to_json()
 
     def test_json_uses_decimal_strings(self):
-        data = json.loads(co.build_table(2).to_json())
-        cell = data["rows"][1]["a"]
+        cell = json.loads(json_text(2))["rows"][1]["a"]
         assert cell == {"numerator": "1", "denominator": "4"}

@@ -156,13 +156,28 @@ class TestMeanInput:
         (lambda: elliptic.k_quadrature(10**400, 1.0),
          r"arguments must be positive finite reals, got a=10{400}, b=1\.0$"),
         (lambda: elliptic.modulus_from_pair(1.0, 10**400), "arguments must be positive finite"),
+        # past the int-to-str digit limit the message shows the int's bit length
+        (lambda: MeanInput(10**5000, 2),
+         r"mean arguments must be finite, got a=<16610-bit int>, b=2$"),
+        (lambda: MeanInput(2.0, -(10**5000)),
+         r"mean arguments must be finite, got a=2\.0, b=-<16610-bit int>$"),
+        (lambda: gen_log_mean(10**5000, MeanInput(1, 2)), r"order p must be finite, got inf$"),
+        (lambda: elliptic.Modulus(10**5000),
+         r"modulus must satisfy 0 <= t < 1, got <16610-bit int>$"),
+        (lambda: elliptic.k_quadrature(10**5000, 1.0),
+         r"arguments must be positive finite reals, got a=<16610-bit int>, b=1\.0$"),
+        (lambda: elliptic.modulus_from_pair(1.0, 10**5000),
+         r"arguments must be positive finite reals, got a=1\.0, b=<16610-bit int>$"),
     ],
     ids=["MeanInput-a", "MeanInput-b", "gen_log_mean", "gen_log_mean-negative", "Modulus",
-         "k_quadrature", "modulus_from_pair"],
+         "k_quadrature", "modulus_from_pair", "MeanInput-a-5000-digits",
+         "MeanInput-b-5000-digits", "gen_log_mean-5000-digits", "Modulus-5000-digits",
+         "k_quadrature-5000-digits", "modulus_from_pair-5000-digits"],
 )
 def test_int_beyond_doubles_rejected_as_non_finite(call, message):
     # float() raises OverflowError on such an int; each entry reports it
-    # as it reports any other non-finite value
+    # as it reports any other non-finite value, and the message is its own
+    # even where the int has too many digits to print
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
 

@@ -105,6 +105,8 @@ class TestImportFootprint:
         )
         assert "agmbounds.coefficients" in loaded
         assert "dataclasses" not in loaded
+        # the exact layer imports nothing from the floating layer
+        assert ("agmbounds.means" in loaded) == (argv[0] != "coeffs")
         # coeffs writes its JSON text itself
         assert ("json" in loaded) == (argv[-1] == "json" and argv[0] != "coeffs")
 

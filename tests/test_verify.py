@@ -1,5 +1,6 @@
 """Verification layer: reports, determinism, mutation detection."""
 
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -10,16 +11,24 @@ from agmbounds import coefficients as co
 from agmbounds import means, verify
 
 
-def _corrupt(table, field, index, delta=Fraction(1, 7)):
-    values = list(getattr(table, field))
-    values[index] += delta
-    fields = {f: getattr(table, f) for f in ("k_max", "a", "b", "h", "g", "s")}
-    return co.CoefficientTable(**{**fields, field: tuple(values)})
+# Column of each sequence in a table row (k, a, b, h, g, s), and the
+# first k at which it is defined.
+COLUMNS = {"a": (1, 1), "b": (2, 0), "h": (3, 1), "g": (4, 1), "s": (5, 2)}
+
+
+def _rows(k_max):
+    return tuple(co.table_rows(k_max))
+
+
+def _corrupt(rows, field, k, delta=Fraction(1, 7)):
+    row = list(rows[k])
+    row[COLUMNS[field][0]] += delta
+    return (*rows[:k], tuple(row), *rows[k + 1:])
 
 
 class TestExactChecks:
     def test_identities_pass(self):
-        r = verify.check_coefficient_identities(co.build_table(30))
+        r = verify.check_coefficient_identities(_rows(30))
         assert r.status == "pass"
         assert r.witness is None
         assert r.checked_points > 0
@@ -27,17 +36,17 @@ class TestExactChecks:
     def test_identities_sum_each_odd_harmonic_once(self):
         # a_coeff_closed, g_closed and s_seq at one k share one sum
         co._odd_harmonic_parts.cache_clear()
-        r = verify.check_coefficient_identities(co.build_table(40))
+        r = verify.check_coefficient_identities(_rows(40))
         assert r.status == "pass"
         assert co._odd_harmonic_parts.cache_info().misses == 40
 
     def test_monotonicity_pass_small(self):
-        r = verify.check_coefficient_monotonicity(co.build_table(2))
+        r = verify.check_coefficient_monotonicity(_rows(2))
         assert r.status == "pass"
         # the single comparison is 7/12 > 9/16
 
     def test_monotonicity_pass_k10(self):
-        assert verify.check_coefficient_monotonicity(co.build_table(10)).status == "pass"
+        assert verify.check_coefficient_monotonicity(_rows(10)).status == "pass"
 
     def test_series_ratio_inequality(self):
         r = verify.check_series_ratio_inequality(60)
@@ -45,12 +54,11 @@ class TestExactChecks:
         assert r.checked_points == 59
 
     def test_sign_change(self):
-        r = verify.check_sign_change(co.build_table(30))
+        r = verify.check_sign_change(_rows(30))
         assert r.status == "pass"
 
     def test_sign_change_locates_first_negative(self):
-        table = co.build_table(30)
-        bad = _corrupt(table, "s", 0, Fraction(-10))  # S_2 forced negative
+        bad = _corrupt(_rows(30), "s", 2, Fraction(-10))  # S_2 forced negative
         r = verify.check_sign_change(bad)
         assert r.status == "fail"
         assert r.witness is not None
@@ -209,7 +217,7 @@ class TestValueTypes:
         assert type(pickle.loads(pickle.dumps(r)).tolerances) is verify.Tolerances
         blob = verify.reports_to_json([r])
         assert '"tolerances": {"high_margin": 0.01, "low_margin": 0.15}' in blob
-        assert verify.reports_from_json(blob) == [r]
+        assert [verify.VerificationReport(**obj) for obj in json.loads(blob)] == [r]
 
     def test_ratio_scan(self):
         scan = verify.RatioScan((0.1, 0.5), (1.2, 1.1), True, 1.1, 1.2)
@@ -245,6 +253,13 @@ class TestRunAll:
         with pytest.raises(ValueError):
             verify.run_all("exhaustive")
 
+    def test_exact_claims_share_one_row_stream(self, monkeypatch):
+        calls = []
+        stream = co.table_rows
+        monkeypatch.setattr(co, "table_rows", lambda k_max: calls.append(k_max) or stream(k_max))
+        assert verify.all_passed(verify.run_all("quick"))
+        assert calls == [verify.PROFILES["quick"]["k_max"]]
+
     def test_determinism_byte_identical(self):
         first = verify.reports_to_json(verify.run_all("quick", seed=7))
         second = verify.reports_to_json(verify.run_all("quick", seed=7))
@@ -253,7 +268,7 @@ class TestRunAll:
     def test_json_round_trip(self):
         reports = verify.run_all("quick")
         blob = verify.reports_to_json(reports)
-        assert verify.reports_from_json(blob) == reports
+        assert [verify.VerificationReport(**obj) for obj in json.loads(blob)] == reports
 
     def test_text_rendering(self):
         reports = verify.run_all("quick")
@@ -265,11 +280,11 @@ class TestRunAll:
 class TestMutationDetection:
     """Corrupting any stored coefficient must flip at least one report."""
 
-    def _any_failure(self, table):
+    def _any_failure(self, rows):
         reports = [
-            verify.check_coefficient_identities(table),
-            verify.check_coefficient_monotonicity(table),
-            verify.check_sign_change(table),
+            verify.check_coefficient_identities(rows),
+            verify.check_coefficient_monotonicity(rows),
+            verify.check_sign_change(rows),
         ]
         failing = [r for r in reports if r.status == "fail"]
         for r in failing:
@@ -278,14 +293,13 @@ class TestMutationDetection:
 
     @pytest.mark.parametrize("field", ["a", "b", "h", "g", "s"])
     def test_every_entry_is_load_bearing(self, field):
-        table = co.build_table(12)
-        for index in range(len(getattr(table, field))):
-            corrupted = _corrupt(table, field, index)
-            assert self._any_failure(corrupted), (field, index)
+        rows = _rows(12)
+        for k in range(COLUMNS[field][1], len(rows)):
+            corrupted = _corrupt(rows, field, k)
+            assert self._any_failure(corrupted), (field, k)
 
     def test_tiny_corruption_detected(self):
-        table = co.build_table(12)
-        corrupted = _corrupt(table, "a", 7, Fraction(1, 10**40))
+        corrupted = _corrupt(_rows(12), "a", 8, Fraction(1, 10**40))
         assert self._any_failure(corrupted)
 
     @pytest.mark.parametrize(
@@ -299,7 +313,7 @@ class TestMutationDetection:
         monkeypatch.setattr(
             co, name, lambda k: exact(k) + (Fraction(1, 10**40) if k == 7 else 0)
         )
-        r = verify.check_coefficient_identities(co.build_table(12))
+        r = verify.check_coefficient_identities(_rows(12))
         assert r.status == "fail"
         assert r.witness.startswith("k=7:")
 
@@ -324,4 +338,4 @@ class TestMutationDetection:
         assert r.witness.startswith(f"a={calls[2].a!r} b={calls[2].b!r}:")
 
     def test_clean_table_passes(self):
-        assert not self._any_failure(co.build_table(12))
+        assert not self._any_failure(_rows(12))
