@@ -266,7 +266,7 @@ def _cmd_coeffs(args, out) -> int:
     else:
         for k, a, *_ in rows:
             if a is not None:
-                out.write(f"a_{k} = {a.numerator}/{a.denominator}\n")
+                out.write(f"a_{k} = {a[0]}/{a[1]}\n")
     return 0
 
 

@@ -1,17 +1,20 @@
 """Exact rational sequences behind the mean-ratio monotonicity argument.
 
-Everything here is computed in arbitrary-precision rational arithmetic
-(fractions.Fraction over Python ints); no rounding ever occurs.  The
-module provides the Wallis quotient, the series coefficients a_k and b_k,
-the summation identities h(k) and g(k) with their closed forms, the
-sign-changing sequence S_k, and one O(1)-per-index recurrence for all
-sequences, which table_rows streams as rows (k, a, b, h, g, s), one
-index at a time.  Both the coeffs command and the verifier read those
-rows.  The CSV and JSON formatters, write_csv and write_json, take the
-rows and a write callable, so the CLI prints rows as they are produced
-without holding them or their text.  The JSON text is written directly,
-so no table output needs the json module, and the module imports nothing
-from the floating layers.
+Everything here is exact arithmetic over Python ints; no rounding ever
+occurs.  The module provides the Wallis quotient, the series coefficients
+a_k and b_k, the summation identities h(k) and g(k) with their closed
+forms, and the sign-changing sequence S_k, each as a fractions.Fraction,
+and one O(1)-per-index recurrence for all sequences, which table_rows
+streams as rows (k, a, b, h, g, s), one index at a time.  Each value in
+a row is a (numerator, denominator) pair of ints in lowest terms with a
+positive denominator, not a Fraction: the recurrence keeps integer state
+and reduces each row with at most one gcd of two large operands, where
+Fraction arithmetic would take several.  Both the coeffs command and the
+verifier read those rows.  The CSV and JSON formatters, write_csv and
+write_json, take the rows and a write callable, so the CLI prints rows
+as they are produced without holding them or their text.  The JSON text
+is written directly, so no table output needs the json module, and the
+module imports nothing from the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -23,7 +26,7 @@ identity exactly decidable.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 
 def _check_index(k: int, minimum: int, name: str = "k") -> int:
@@ -153,20 +156,17 @@ def s_seq(k: int) -> Fraction:
     return Fraction(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
 
 
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
-
-
-def _frac_json(v: Fraction) -> str:
-    return f'{{"denominator": "{v.denominator}", "numerator": "{v.numerator}"}}'
+def _cell_json(cell) -> str:
+    num, den = cell
+    return f'{{"denominator": "{den}", "numerator": "{num}"}}'
 
 
 def write_csv(rows, write) -> None:
     """Write the CSV form of rows (k, a, b, h, g, s), with None where a
     sequence is not defined, through one write call per line."""
     write("k,a,b,h,g,s\n")
-    for k, *values in rows:
-        write(f"{k},{','.join('' if v is None else _frac_str(v) for v in values)}\n")
+    for k, *cells in rows:
+        write(f"{k},{','.join('' if c is None else f'{c[0]}/{c[1]}' for c in cells)}\n")
 
 
 def write_json(k_max: int, rows, write) -> None:
@@ -181,11 +181,11 @@ def write_json(k_max: int, rows, write) -> None:
     write(f'{{"k_max": {k_max}, "rows": [')
     sep = ""
     for k, a, b, h, g, s in rows:
-        cells = [f'"{name}": {_frac_json(v)}'
-                 for name, v in (("a", a), ("b", b), ("g", g), ("h", h)) if v is not None]
+        cells = [f'"{name}": {_cell_json(c)}'
+                 for name, c in (("a", a), ("b", b), ("g", g), ("h", h)) if c is not None]
         cells.append(f'"k": {k}')
         if s is not None:
-            cells.append(f'"s": {_frac_json(s)}')
+            cells.append(f'"s": {_cell_json(s)}')
         write(f'{sep}{{{", ".join(cells)}}}')
         sep = ", "
     write("]}")
@@ -197,6 +197,14 @@ def table_rows(k_max: int):
     recurrences; the quadratic definitional sums are the verifier's
     independent cross-check.
 
+    Each value is a (numerator, denominator) pair of ints in lowest terms
+    with a positive denominator, so Fraction(*cell) is the value and the
+    pair is what the formatters print.  The rows keep integer state,
+    the odd part W of C(2k,k) and the odd harmonic sum in lowest terms,
+    take the powers of two off by shifts, and reduce each row with one
+    gcd of two large operands, gcd(W, q) for the harmonic denominator q;
+    every other gcd has a small operand.
+
     k_max is checked at the call, before the first row, so a caller can
     stream the rows and still fail before writing anything.
     """
@@ -204,19 +212,57 @@ def table_rows(k_max: int):
     return _rows(k_max)
 
 
-def _rows(k_max: int):
-    # Shared state: w_k = C(2k,k)/4^k (ratio recurrence), the odd
-    # harmonic partial sum H_k, and their product w_k H_k, which gives both
-    # g_k = w_k H_k / 2 and a_k = (1 + w_k - w_k H_k) / (2(k+1)).  b_k is
-    # w_k ** 2: the square of a reduced fraction is reduced, and
-    # Fraction.__pow__ takes no gcd.
-    w = Fraction(1)
-    harmonic = Fraction(0)
-    yield 0, None, w, None, None, None
-    for k in range(1, k_max + 1):
-        w *= Fraction(2 * k - 1, 2 * k)
-        harmonic += Fraction(1, 2 * k - 1)
-        wh = w * harmonic
-        s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1) if k >= 2 else None
-        yield k, (1 + w - wh) / (2 * (k + 1)), w**2, Fraction(1, 2) - w / 2, wh / 2, s
+def _twos(n: int) -> int:
+    # the exponent of 2 in n != 0, read off its lowest set bit
+    return (n & -n).bit_length() - 1
 
+
+def _rows(k_max: int):
+    # Integer state: the odd part W of C(2k,k), updated by the exact step
+    # C(2k,k) = C(2k-2,k-1) 2(2k-1)/k with the twos left out, and the odd
+    # harmonic sum H_k = p/q in lowest terms, q odd.  By Kummer the twos
+    # of C(2k,k) number popcount(k), so w_k = C(2k,k)/4^k = W/2^e with
+    # e = 2k - popcount(k), and every power of two comes off by shifts:
+    # b_k = w_k^2 = W^2/2^(2e) and h(k) = (1 - w_k)/2 = (2^e - W)/2^(e+1)
+    # have odd numerators, so they are in lowest terms as built.
+    #
+    # g(k) = w_k H_k/2 = W p/(2^(e+1) q) and
+    # a_k = (1 + w_k (1 - H_k))/(2(k+1)) = (2^e q + W (q - p))/(2^(e+1) (k+1) q)
+    # share the row's one large gcd G = gcd(W, q): gcd(p, q) = 1 makes G
+    # the whole common factor of either numerator with q.  What is left
+    # of a_k's denominator, 2^(e+1) (k+1), shares only twos and a factor
+    # of the small k+1.  S_k = (2(k+1)^2 q - kk (p - q))/(kk q) with
+    # kk = k(2k+1) shares with q only primes of kk, each at most to the
+    # power it has in kk gcd(q, kk), so its gcd is taken against that
+    # small number.  Adding 1/m to H_k, any common factor divides
+    # d = gcd(q, m), so H_k stays reduced by gcds against small numbers.
+    big_w, e = 1, 0
+    p, q = 0, 1
+    yield 0, None, (1, 1), None, None, None
+    for k in range(1, k_max + 1):
+        m = 2 * k - 1
+        big_w = big_w * m // (k >> _twos(k))
+        e = 2 * k - k.bit_count()
+        d = gcd(q, m)
+        p, q = p * (m // d) + q // d, q * (m // d)
+        if d > 1:
+            t = gcd(p, d)
+            p, q = p // t, q // t
+        two_e = 1 << e
+        big_g = gcd(big_w, q)
+        w_g, q_g = big_w // big_g, q // big_g
+        shift = min(_twos(p), e + 1)
+        g = ((w_g * p) >> shift, q_g << (e + 1 - shift))
+        num = two_e * q_g + w_g * (q - p)
+        z = _twos(k + 1)
+        odd = (k + 1) >> z
+        t = gcd(num, odd)
+        shift = min(_twos(num), e + 1 + z)
+        a = ((num // t) >> shift, ((odd // t) * q_g) << (e + 1 + z - shift))
+        s = None
+        if k >= 2:
+            kk = k * (2 * k + 1)
+            num = 2 * (k + 1) ** 2 * q - kk * (p - q)
+            t = gcd(num, kk * gcd(q, kk))
+            s = (num // t, kk * q // t)
+        yield k, a, (big_w * big_w, two_e * two_e), (two_e - big_w, two_e << 1), g, s

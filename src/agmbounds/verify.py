@@ -9,10 +9,15 @@ reproduce byte-identical report lists.
 
 The exact claims read the coefficient rows (k, a, b, h, g, s) that
 coefficients.table_rows streams, collected once per run; row k holds
-index k.  VerificationReport and RatioScan are plain immutable classes
-on means.Record, and json is imported only by reports_to_json, so a
-verify or scan process that prints text needs neither class generation
-at import nor the JSON encoder.
+index k, each value as a (numerator, denominator) pair of ints.  The
+identity check compares each pair with the numerator and denominator of
+an independent Fraction, so it also proves every cell is in lowest terms
+with a positive denominator; the monotonicity and sign-change checks
+compare pairs by cross-multiplication.  Each raises ValueError on fewer
+than the three rows of table_rows(2).  VerificationReport and RatioScan
+are plain immutable classes on means.Record, and json is imported only
+by reports_to_json, so a verify or scan process that prints text needs
+neither class generation at import nor the JSON encoder.
 """
 
 import math
@@ -151,10 +156,31 @@ def _sample_pair(rng: random.Random) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # exact claims
 
+def _check_rows(rows) -> int:
+    # the least table_rows gives is rows for k = 0, 1, 2
+    if len(rows) < 3:
+        raise ValueError(f"need the coefficient rows for k = 0..k_max with k_max >= 2, "
+                         f"got {len(rows)} rows")
+    return len(rows) - 1
+
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _cell_str(cell) -> str:
+    return f"{cell[0]}/{cell[1]}"
+
+
 def check_coefficient_identities(rows) -> VerificationReport:
     """Exact agreement of every summation form, closed form, table row
-    value, and the g recurrence, for 1 <= k <= k_max = len(rows) - 1."""
-    k_max = len(rows) - 1
+    value, and the g recurrence, for 1 <= k <= k_max = len(rows) - 1.
+
+    Each table cell must equal the (numerator, denominator) of the
+    independent Fraction, so every cell is also checked to be in lowest
+    terms with a positive denominator.
+    """
+    k_max = _check_rows(rows)
     statement = (
         "summation and closed forms of a_k, h(k), g(k) agree exactly and match "
         "the stored table, b_k and S_k match their definitions, and g satisfies "
@@ -163,36 +189,38 @@ def check_coefficient_identities(rows) -> VerificationReport:
     checked = 0
     witness = None
     g_values: list[Fraction] = []
-    if rows[0][_B] != coeffs.b_coeff(0):
-        witness = f"k=0: table b={rows[0][_B]} definition={coeffs.b_coeff(0)}"
+    b_0 = _pair(coeffs.b_coeff(0))
+    if b_0 != rows[0][_B]:
+        witness = f"k=0: b vs table: {_cell_str(b_0)} != {_cell_str(rows[0][_B])}"
     checked += 1
     for k in range(1, k_max + 1):
         if witness is not None:
             break
-        a_s = coeffs.a_coeff_sum(k)
+        a_s = _pair(coeffs.a_coeff_sum(k))
         gs = coeffs.g_sum(k)
         g_values.append(gs)
-        h_c = coeffs.h_closed(k)
+        g_s = _pair(gs)
+        h_c = _pair(coeffs.h_closed(k))
         row = rows[k]
         cases = (
-            ("a sum vs closed", a_s, coeffs.a_coeff_closed(k)),
+            ("a sum vs closed", a_s, _pair(coeffs.a_coeff_closed(k))),
             ("a vs table", a_s, row[_A]),
-            ("h sum vs closed", coeffs.h_sum(k), h_c),
+            ("h sum vs closed", _pair(coeffs.h_sum(k)), h_c),
             ("h vs table", h_c, row[_H]),
-            ("g sum vs closed", gs, coeffs.g_closed(k)),
-            ("g vs table", gs, row[_G]),
-            ("b vs table", coeffs.b_coeff(k), row[_B]),
+            ("g sum vs closed", g_s, _pair(coeffs.g_closed(k))),
+            ("g vs table", g_s, row[_G]),
+            ("b vs table", _pair(coeffs.b_coeff(k)), row[_B]),
         )
         for name, left, right in cases:
             checked += 1
             if left != right:
-                witness = f"k={k}: {name}: {left} != {right}"
+                witness = f"k={k}: {name}: {_cell_str(left)} != {_cell_str(right)}"
                 break
         if witness is None and k >= 2:
             checked += 1
-            s_k = coeffs.s_seq(k)
+            s_k = _pair(coeffs.s_seq(k))
             if s_k != row[_S]:
-                witness = f"k={k}: S_k: {s_k} != {row[_S]}"
+                witness = f"k={k}: S_k: {_cell_str(s_k)} != {_cell_str(row[_S])}"
     if witness is None:
         g_values.append(coeffs.g_sum(k_max + 1))
         for k in range(1, k_max + 1):
@@ -205,9 +233,21 @@ def check_coefficient_identities(rows) -> VerificationReport:
     return _report("coeff-identities", statement, checked, {"exact": 0.0}, witness)
 
 
+def _ratio(upper, lower) -> tuple[int, int]:
+    # upper/lower for cells (n, d) with d > 0, as a pair with a positive
+    # denominator; a zero lower cell divides by zero, as a Fraction would
+    (n1, d1), (n0, d0) = upper, lower
+    if n0 == 0:
+        raise ZeroDivisionError(f"ratio to the zero cell {_cell_str(lower)}")
+    return (n1 * d0, d1 * n0) if n0 > 0 else (-n1 * d0, -d1 * n0)
+
+
 def check_coefficient_monotonicity(rows) -> VerificationReport:
-    """a_k/b_k strictly increasing for 1 <= k <= len(rows) - 1, exactly."""
-    k_max = len(rows) - 1
+    """a_k/b_k strictly increasing for 1 <= k <= len(rows) - 1, exactly.
+
+    The ratios of the (numerator, denominator) cells are compared by
+    cross-multiplication, with no gcd."""
+    k_max = _check_rows(rows)
     statement = (
         "a_{k+1}/a_k > ((2k+1)/(2k+2))^2 = b_{k+1}/b_k exactly, i.e. the "
         "coefficient ratio a_k/b_k is strictly increasing"
@@ -216,13 +256,13 @@ def check_coefficient_monotonicity(rows) -> VerificationReport:
     checked = 0
     for k in range(1, k_max):
         checked += 1
-        a_ratio = rows[k + 1][_A] / rows[k][_A]
-        b_ratio = rows[k + 1][_B] / rows[k][_B]
-        if b_ratio != Fraction((2 * k + 1) ** 2, (2 * k + 2) ** 2):
-            witness = f"k={k}: b ratio {b_ratio} is not ((2k+1)/(2k+2))^2"
+        an, ad = _ratio(rows[k + 1][_A], rows[k][_A])
+        bn, bd = _ratio(rows[k + 1][_B], rows[k][_B])
+        if bn * (2 * k + 2) ** 2 != bd * (2 * k + 1) ** 2:
+            witness = f"k={k}: b ratio {Fraction(bn, bd)} is not ((2k+1)/(2k+2))^2"
             break
-        if not a_ratio > b_ratio:
-            witness = f"k={k}: a ratio {a_ratio} <= b ratio {b_ratio}"
+        if not an * bd > bn * ad:
+            witness = f"k={k}: a ratio {Fraction(an, ad)} <= b ratio {Fraction(bn, bd)}"
             break
     return _report(
         "coeff-ratio-monotone", statement, checked, {"exact": 0.0}, witness
@@ -262,8 +302,11 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
 
 def check_sign_change(rows) -> VerificationReport:
     """S_k strictly decreasing on [2, k_max], k_max = len(rows) - 1, with
-    its single sign change located between k = 10 and k = 11, exactly."""
-    k_max = len(rows) - 1
+    its single sign change located between k = 10 and k = 11, exactly.
+
+    Neighbouring (numerator, denominator) cells are compared by
+    cross-multiplication over their positive denominators."""
+    k_max = _check_rows(rows)
     statement = (
         "S_k is strictly decreasing with exactly one sign change: "
         "S_10 > 0 > S_11 (so S_k < 0 iff k >= 11)"
@@ -275,10 +318,10 @@ def check_sign_change(rows) -> VerificationReport:
     for k in range(2, k_max + 1):
         s = rows[k][_S]
         checked += 1
-        if prev is not None and not s < prev:
-            witness = f"k={k}: S_k={s} is not below S_(k-1)={prev}"
+        if prev is not None and not s[0] * prev[1] < prev[0] * s[1]:
+            witness = f"k={k}: S_k={_cell_str(s)} is not below S_(k-1)={_cell_str(prev)}"
             break
-        if s < 0 and first_negative is None:
+        if s[0] < 0 and first_negative is None:
             first_negative = k
         prev = s
     if witness is None and k_max >= 11 and first_negative != 11:

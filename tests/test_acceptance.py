@@ -177,7 +177,8 @@ def test_criterion_9_mutation_sanity():
     for column, first in ((1, 1), (2, 0), (3, 1), (4, 1), (5, 2)):
         for k in range(first, k_max + 1):
             row = list(rows[k])
-            row[column] += Fraction(1, 9973)
+            value = Fraction(*row[column]) + Fraction(1, 9973)
+            row[column] = (value.numerator, value.denominator)
             corrupted = (*rows[:k], tuple(row), *rows[k + 1:])
             reports = [
                 verify.check_coefficient_identities(corrupted),

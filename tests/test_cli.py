@@ -146,7 +146,7 @@ class TestElliptic:
             run_cli("elliptic", "--method", "series", "--t", "0.5")
 
         def faulty_rows(k_max):
-            yield 0, None, Fraction(1), None, None, None
+            yield 0, None, (1, 1), None, None, None
             raise RuntimeError("fault")
 
         monkeypatch.setattr(coefficients, "_rows", faulty_rows)

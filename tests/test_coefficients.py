@@ -59,6 +59,11 @@ def odd_harmonic_per_term(k):
     return sum((Fraction(1, 2 * i - 1) for i in range(1, k + 1)), Fraction(0))
 
 
+def pair(x):
+    """The (numerator, denominator) cell of a table row holding x."""
+    return x.numerator, x.denominator
+
+
 class TestWallisRatio:
     @given(st.integers(min_value=0, max_value=40))
     def test_double_factorial_quotient(self, k):
@@ -236,33 +241,74 @@ def json_text(k_max):
 
 class TestTable:
     def test_frozen_a_column(self):
-        assert column(10, 1, 1) == A_TABLE
+        assert column(10, 1, 1) == [pair(a) for a in A_TABLE]
 
     def test_b_column(self):
-        assert column(2, 2, 0) == [Fraction(1), Fraction(1, 4), Fraction(9, 64)]
+        assert column(2, 2, 0) == [(1, 1), (1, 4), (9, 64)]
 
     def test_h_column(self):
-        assert column(3, 3, 1) == [Fraction(1, 4), Fraction(5, 16), Fraction(11, 32)]
+        assert column(3, 3, 1) == [(1, 4), (5, 16), (11, 32)]
 
     def test_matches_standalone_functions(self):
         for k, a, b, h, g, s in list(co.table_rows(30))[1:]:
-            assert a == co.a_coeff_sum(k)
-            assert b == co.b_coeff(k)
-            assert h == co.h_sum(k)
-            assert g == co.g_sum(k)
+            assert a == pair(co.a_coeff_sum(k))
+            assert b == pair(co.b_coeff(k))
+            assert h == pair(co.h_sum(k))
+            assert g == pair(co.g_sum(k))
             if k >= 2:
-                assert s == co.s_seq(k)
+                assert s == pair(co.s_seq(k))
 
     def test_positive_entries(self):
-        assert all(v > 0 for v in column(50, 1, 1))
-        assert all(v > 0 for v in column(50, 2, 0))
+        assert all(n > 0 for n, _ in column(50, 1, 1))
+        assert all(n > 0 for n, _ in column(50, 2, 0))
 
     def test_entries_are_reduced(self):
-        # b_k is w_k ** 2, which Fraction builds without a gcd
+        # b_k = W^2/2^(2e) and h(k) = (2^e - W)/2^(e+1) are built without a gcd
         for row in co.table_rows(120):
-            for v in row[1:]:
-                if v is not None:
-                    assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+            for cell in row[1:]:
+                if cell is not None:
+                    n, d = cell
+                    assert d > 0 and math.gcd(n, d) == 1
+
+    def test_row_contract(self):
+        # every cell is a pair of ints in lowest terms with a positive
+        # denominator, equal to the reduced closed form; k = 1023, 1024
+        # and 1200 put popcount(k), the twos of C(2k,k), at its edges
+        ks = {*range(601), 1023, 1024, 1200}
+        for k, *cells in co.table_rows(1200):
+            if k not in ks:
+                continue
+            expected = [
+                pair(co.a_coeff_closed(k)) if k >= 1 else None,
+                pair(co.b_coeff(k)),
+                pair(co.h_closed(k)) if k >= 1 else None,
+                pair(co.g_closed(k)) if k >= 1 else None,
+                pair(co.s_seq(k)) if k >= 2 else None,
+            ]
+            assert cells == expected, k
+            for cell in cells:
+                if cell is not None:
+                    n, d = cell
+                    assert type(n) is int and type(d) is int, k
+                    assert d > 0 and math.gcd(n, d) == 1, k
+
+    def test_one_large_gcd_per_row(self, monkeypatch):
+        # The rows take at most one gcd per index with both operands wider
+        # than 64 bits; Fraction arithmetic takes several (through
+        # math.gcd), so this guards the cost without timing it.
+        exact = math.gcd
+        large = []
+
+        def counting_gcd(x, y):
+            if x.bit_length() > 64 and y.bit_length() > 64:
+                large.append((x, y))
+            return exact(x, y)
+
+        monkeypatch.setattr(co, "gcd", counting_gcd)
+        monkeypatch.setattr(math, "gcd", counting_gcd)  # Fraction reduces through math.gcd
+        for _ in co.table_rows(500):
+            pass
+        assert 0 < len(large) <= 500
 
     def test_csv_layout(self):
         lines = csv_text(3).strip().split("\n")
@@ -275,7 +321,7 @@ class TestTable:
         data = json.loads(json_text(12))
         assert data["k_max"] == 12
         parsed = [
-            (row["k"], *(Fraction(int(row[name]["numerator"]), int(row[name]["denominator"]))
+            (row["k"], *((int(row[name]["numerator"]), int(row[name]["denominator"]))
                          if name in row else None for name in "abhgs"))
             for row in data["rows"]
         ]

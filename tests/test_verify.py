@@ -22,8 +22,16 @@ def _rows(k_max):
 
 def _corrupt(rows, field, k, delta=Fraction(1, 7)):
     row = list(rows[k])
-    row[COLUMNS[field][0]] += delta
+    value = Fraction(*row[COLUMNS[field][0]]) + delta
+    row[COLUMNS[field][0]] = (value.numerator, value.denominator)
     return (*rows[:k], tuple(row), *rows[k + 1:])
+
+
+ROW_CHECKS = [
+    verify.check_coefficient_identities,
+    verify.check_coefficient_monotonicity,
+    verify.check_sign_change,
+]
 
 
 class TestExactChecks:
@@ -56,6 +64,18 @@ class TestExactChecks:
     def test_sign_change(self):
         r = verify.check_sign_change(_rows(30))
         assert r.status == "pass"
+
+    @pytest.mark.parametrize("check", ROW_CHECKS)
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_rows_below_k_max_two_rejected(self, check, n_rows):
+        # fewer rows than table_rows(2) gives would check nothing
+        with pytest.raises(ValueError, match=f"got {n_rows} rows"):
+            check(_rows(2)[:n_rows])
+
+    @pytest.mark.parametrize("check", ROW_CHECKS)
+    def test_least_table_checked(self, check):
+        r = check(_rows(2))
+        assert r.status == "pass" and r.checked_points > 0
 
     def test_sign_change_locates_first_negative(self):
         bad = _corrupt(_rows(30), "s", 2, Fraction(-10))  # S_2 forced negative
@@ -336,6 +356,24 @@ class TestMutationDetection:
         assert r.status == "fail"
         assert r.checked_points == 3
         assert r.witness.startswith(f"a={calls[2].a!r} b={calls[2].b!r}:")
+
+    @pytest.mark.parametrize("field", ["a", "b", "h", "g", "s"])
+    def test_cell_not_in_lowest_terms_detected(self, field):
+        # (2n, 2d) holds the same value, so only the lowest-terms
+        # comparison of coeff-identities can catch it
+        rows = _rows(12)
+        column, first = COLUMNS[field]
+        for k in range(first, len(rows)):
+            row = list(rows[k])
+            n, d = row[column]
+            row[column] = (2 * n, 2 * d)
+            corrupted = (*rows[:k], tuple(row), *rows[k + 1:])
+            r = verify.check_coefficient_identities(corrupted)
+            assert r.status == "fail", (field, k)
+            assert r.witness.startswith(f"k={k}:"), (field, k)
+            assert r.witness.endswith(f"{2 * n}/{2 * d}"), (field, k)
+            assert verify.check_coefficient_monotonicity(corrupted).status == "pass"
+            assert verify.check_sign_change(corrupted).status == "pass"
 
     def test_clean_table_passes(self):
         assert not self._any_failure(_rows(12))
