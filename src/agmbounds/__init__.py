@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "means": (
-        "AgmTrace", "MeanInput", "agm", "gen_log_mean", "identric_mean", "log_mean",
+        "AgmTrace", "MeanInput", "RatioScan", "agm", "gen_log_mean", "identric_mean",
+        "log_mean", "scan_ratio",
     ),
     "elliptic": (
         "EllipticResult", "Modulus", "ModulusTooLarge", "k_agm", "k_quadrature", "k_series",
@@ -25,11 +26,10 @@ _EXPORTS = {
         "odd_harmonic", "s_seq", "table_rows", "wallis_ratio",
     ),
     "verify": (
-        "RatioScan", "VerificationReport", "check_coefficient_identities",
+        "VerificationReport", "check_coefficient_identities",
         "check_coefficient_monotonicity", "check_double_inequality", "check_mean_order",
         "check_ratio_scan", "check_reciprocal", "check_series_ratio_inequality",
         "check_sharpness", "check_sign_change", "check_k_consistency", "run_all",
-        "scan_ratio",
     ),
 }
 

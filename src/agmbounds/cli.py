@@ -17,12 +17,14 @@ written without `=`) goes to the argparse parser that _build_parser
 makes from the same table, so argparse loads only for those.
 
 Each subcommand imports only the layer it runs, and json only where it
-prints JSON through json.dumps, so that a fresh `mean` or `elliptic`
-process loads neither the exact-rational layer nor the verifier.
-coeffs writes each row, in every format, as the recurrence produces
-it, and never builds the table or loads json.  The value types of
-every layer are plain classes on means.Record, so no command generates
-classes at import.
+prints JSON through json.dumps, so that a fresh `mean`, `elliptic` or
+`scan` process loads neither the exact-rational layer nor the verifier.
+scan runs in the means layer and prints its text or CSV as one joined
+string.  coeffs writes each row, in every format, as the recurrence
+produces it, and never builds the table or loads json.  The exact layer
+works in int pairs, so no command loads fractions, decimal or numbers.
+The value types of every layer are plain classes on means.Record, so no
+command generates classes at import.
 """
 
 import math
@@ -271,9 +273,9 @@ def _cmd_coeffs(args, out) -> int:
 
 
 def _cmd_scan(args, out) -> int:
-    from agmbounds import verify
+    from agmbounds import means
 
-    scan = verify.scan_ratio(args.points, args.tmin, args.tmax)
+    scan = means.scan_ratio(args.points, args.tmin, args.tmax)
     upper = math.pi / 2.0
     if args.format == "json":
         import json
@@ -294,14 +296,15 @@ def _cmd_scan(args, out) -> int:
             file=out,
         )
     else:
-        # text and csv share the plottable four-column layout
-        print("t,ratio,lower_bound,upper_bound", file=out)
-        for t, r in zip(scan.grid, scan.ratio):
-            print(
-                f"{_fmt(t, args.digits)},{_fmt(r, args.digits)},1,"
-                f"{_fmt(upper, args.digits)}",
-                file=out,
-            )
+        # text and csv share the plottable four-column layout, joined into
+        # one string with the constant bound cells formatted once.  print
+        # writes it, then its newline: on an unbuffered stdout a reader
+        # that closes it during the first write makes the second one fail
+        digits = args.digits
+        bounds = f",1,{_fmt(upper, digits)}"
+        print("t,ratio,lower_bound,upper_bound\n" + "\n".join(
+            [f"{t:.{digits}g},{r:.{digits}g}{bounds}" for t, r in zip(scan.grid, scan.ratio)]
+        ), file=out)
     return 0
 
 

@@ -3,18 +3,20 @@
 Everything here is exact arithmetic over Python ints; no rounding ever
 occurs.  The module provides the Wallis quotient, the series coefficients
 a_k and b_k, the summation identities h(k) and g(k) with their closed
-forms, and the sign-changing sequence S_k, each as a fractions.Fraction,
-and one O(1)-per-index recurrence for all sequences, which table_rows
-streams as rows (k, a, b, h, g, s), one index at a time.  Each value in
-a row is a (numerator, denominator) pair of ints in lowest terms with a
-positive denominator, not a Fraction: the recurrence keeps integer state
-and reduces each row with at most one gcd of two large operands, where
-Fraction arithmetic would take several.  Both the coeffs command and the
-verifier read those rows.  The CSV and JSON formatters, write_csv and
-write_json, take the rows and a write callable, so the CLI prints rows
-as they are produced without holding them or their text.  The JSON text
-is written directly, so no table output needs the json module, and the
-module imports nothing from the floating layers.
+forms, and the sign-changing sequence S_k, and one O(1)-per-index
+recurrence for all sequences, which table_rows streams as rows
+(k, a, b, h, g, s), one index at a time.  Every value, from a closed
+form, a sum or a row, is a (numerator, denominator) pair of ints in
+lowest terms with a positive denominator, so Fraction(*x) is the value;
+the module never imports fractions.  Each closed form and sum is built
+from integers over one common denominator and reduced by one gcd; the
+recurrence keeps integer state and reduces each row with at most one
+gcd of two large operands.  Both the coeffs command and the verifier
+read the rows.  The CSV and JSON formatters, write_csv and write_json,
+take the rows and a write callable, so the CLI prints rows as they are
+produced without holding them or their text.  The JSON text is written
+directly, so no table output needs the json module, and the module
+imports nothing from the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -24,7 +26,6 @@ psi(k+1/2) = -gamma - 2 ln 2 + 2 sum_{i<=k} 1/(2i-1), making every
 identity exactly decidable.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
@@ -37,10 +38,16 @@ def _check_index(k: int, minimum: int, name: str = "k") -> int:
     return k
 
 
-def wallis_ratio(k: int) -> Fraction:
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    # num/den, den > 0, in lowest terms
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def wallis_ratio(k: int) -> tuple[int, int]:
     """(2k-1)!!/(2k)!! = C(2k, k)/4^k, the Wallis quotient."""
     _check_index(k, 0)
-    return Fraction(comb(2 * k, k), 4**k)
+    return _reduced(comb(2 * k, k), 1 << (2 * k))
 
 
 @lru_cache(maxsize=1)
@@ -54,26 +61,25 @@ def _odd_harmonic_parts(k: int) -> tuple[int, int]:
     return sum(den // (2 * i - 1) for i in range(1, k + 1)), den
 
 
-def odd_harmonic(k: int) -> Fraction:
-    """sum_{i=1}^{k} 1/(2i-1); zero at k = 0.
+def odd_harmonic(k: int) -> tuple[int, int]:
+    """sum_{i=1}^{k} 1/(2i-1); zero, (0, 1), at k = 0.
 
     The terms are added as integer numerators over their common
     denominator lcm(1, 3, ..., 2k-1), and reduced once at the end.
     """
     _check_index(k, 0)
-    return Fraction(*_odd_harmonic_parts(k))
+    return _reduced(*_odd_harmonic_parts(k))
 
 
-def b_coeff(k: int) -> Fraction:
+def b_coeff(k: int) -> tuple[int, int]:
     """b_k = [C(2k,k)]^2 / 2^(4k): coefficient of (1-t^2)^k in (2/pi)K."""
     _check_index(k, 0)
-    return Fraction(comb(2 * k, k) ** 2, 16**k)
+    return _reduced(comb(2 * k, k) ** 2, 1 << (4 * k))
 
 
-def _binomial_sum(dens: list[int]) -> Fraction:
+def _binomial_sum(dens: list[int]) -> tuple[int, int]:
     """sum_{i=1}^{k} C(2i-2, i-1) / (dens[i-1] 4^i) with k = len(dens),
-    added as integer numerators over lcm(dens) * 4^k and reduced once at
-    the end."""
+    added as integer numerators over lcm(dens) * 4^k, unreduced."""
     k = len(dens)
     base = lcm(*dens)
     num = 0
@@ -81,22 +87,25 @@ def _binomial_sum(dens: list[int]) -> Fraction:
     for i, d in enumerate(dens, start=1):
         num += (c << (2 * (k - i))) * (base // d)
         c = c * 2 * (2 * i - 1) // i
-    return Fraction(num, base << (2 * k))
+    return num, base << (2 * k)
 
 
-def a_coeff_sum(k: int) -> Fraction:
+def a_coeff_sum(k: int) -> tuple[int, int]:
     """a_k from its defining sum:
     1/(k+1) - (1/2) sum_{i=1}^{k} (2i-1)!!/[(2i)!! (2i-1) (k-i+1)].
 
     Term i equals C(2i-2, i-1) / (i (k-i+1) 4^i), since
     (2i-1)!!/(2i)!! = C(2i,i)/4^i = 2(2i-1) C(2i-2,i-1)/(i 4^i).  The
-    empty sum at k = 0 leaves a_0 = 1.
+    empty sum at k = 0 leaves a_0 = 1.  With the sum num/den over its
+    common denominator, a_k = (den - (k+1) num) / ((k+1) den), reduced
+    once.
     """
     _check_index(k, 0)
-    return Fraction(1, k + 1) - _binomial_sum([i * (k - i + 1) for i in range(1, k + 1)])
+    num, den = _binomial_sum([i * (k - i + 1) for i in range(1, k + 1)])
+    return _reduced(den - (k + 1) * num, (k + 1) * den)
 
 
-def a_coeff_closed(k: int) -> Fraction:
+def a_coeff_closed(k: int) -> tuple[int, int]:
     """a_k in closed form after the digamma reduction:
     (1/(2(k+1))) [1 - (C(2k,k)/4^k)(sum_{i=1}^{k} 1/(2i-1) - 1)].
 
@@ -106,31 +115,31 @@ def a_coeff_closed(k: int) -> Fraction:
     """
     _check_index(k, 1)
     num, den = _odd_harmonic_parts(k)
-    return Fraction(
+    return _reduced(
         (den << (2 * k)) - comb(2 * k, k) * (num - den), (k + 1) * den << (2 * k + 1)
     )
 
 
-def h_sum(k: int) -> Fraction:
+def h_sum(k: int) -> tuple[int, int]:
     """h(k) = sum_{i=1}^{k} C(2i-2, i-1) / (i 4^i)."""
     _check_index(k, 1)
-    return _binomial_sum(list(range(1, k + 1)))
+    return _reduced(*_binomial_sum(list(range(1, k + 1))))
 
 
-def h_closed(k: int) -> Fraction:
+def h_closed(k: int) -> tuple[int, int]:
     """h(k) = 1/2 - (2/4^(k+1)) C(2k, k) = (4^k - C(2k,k)) / (2 4^k);
     equals h_sum(k) exactly."""
     _check_index(k, 1)
-    return Fraction((1 << (2 * k)) - comb(2 * k, k), 1 << (2 * k + 1))
+    return _reduced((1 << (2 * k)) - comb(2 * k, k), 1 << (2 * k + 1))
 
 
-def g_sum(k: int) -> Fraction:
+def g_sum(k: int) -> tuple[int, int]:
     """g(k) = sum_{i=1}^{k} C(2i-2, i-1) / ((k-i+1) 4^i)."""
     _check_index(k, 1)
-    return _binomial_sum([k - i + 1 for i in range(1, k + 1)])
+    return _reduced(*_binomial_sum([k - i + 1 for i in range(1, k + 1)]))
 
 
-def g_closed(k: int) -> Fraction:
+def g_closed(k: int) -> tuple[int, int]:
     """g(k) reduced to the exact rational
     (C(2k,k)/4^k) * (1/2) * sum_{i=1}^{k} 1/(2i-1).
 
@@ -140,10 +149,10 @@ def g_closed(k: int) -> Fraction:
     """
     _check_index(k, 1)
     num, den = _odd_harmonic_parts(k)
-    return Fraction(comb(2 * k, k) * num, den << (2 * k + 1))
+    return _reduced(comb(2 * k, k) * num, den << (2 * k + 1))
 
 
-def s_seq(k: int) -> Fraction:
+def s_seq(k: int) -> tuple[int, int]:
     """S_k = 2(k+1)^2/(k(2k+1)) - sum_{i=2}^{k} 1/(2i-1) for k >= 2.
 
     Strictly decreasing, with exactly one sign change: S_10 > 0 > S_11.
@@ -153,7 +162,7 @@ def s_seq(k: int) -> Fraction:
     _check_index(k, 2)
     num, den = _odd_harmonic_parts(k)
     kk = k * (2 * k + 1)
-    return Fraction(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
+    return _reduced(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
 
 
 def _cell_json(cell) -> str:
@@ -198,7 +207,7 @@ def table_rows(k_max: int):
     independent cross-check.
 
     Each value is a (numerator, denominator) pair of ints in lowest terms
-    with a positive denominator, so Fraction(*cell) is the value and the
+    with a positive denominator, as the closed forms return it, and the
     pair is what the formatters print.  The rows keep integer state,
     the odd part W of C(2k,k) and the odd harmonic sum in lowest terms,
     take the powers of two off by shifts, and reduce each row with one

@@ -15,6 +15,10 @@ log_mean_float, the logarithmic mean, and agm_iterates, the one AGM
 loop, which returns the limit and step count and records the iterates
 only when it is given a recorder.  agm runs it once, and the AgmTrace
 it returns records its iterates, by a second run, on their first read.
+
+scan_ratio samples M(1,t)/L(1,t) from those two kernels on a log-spaced
+grid and returns it as a RatioScan, so the scan command and the
+verifier's ratio checks need nothing beyond this module.
 """
 
 import math
@@ -362,3 +366,62 @@ def agm(inp: MeanInput) -> AgmTrace:
     trace = _new(AgmTrace)
     set_fields(trace, {"limit": limit, "iterations": iterations, "_run": (a, b)})
     return trace
+
+
+class RatioScan(Record):
+    """M(1,t)/L(1,t) sampled on a strictly increasing grid in (0, 1)."""
+
+    _fields = ("grid", "ratio", "monotone_decreasing", "min_value", "max_value")
+
+    def __init__(self, grid: tuple[float, ...], ratio: tuple[float, ...],
+                 monotone_decreasing: bool, min_value: float, max_value: float):
+        set_fields(self, {"grid": grid, "ratio": ratio,
+                          "monotone_decreasing": monotone_decreasing,
+                          "min_value": min_value, "max_value": max_value})
+
+
+def _mean_ratio(t: float) -> float:
+    """M(1, t) / L(1, t) for t in (0, 1)."""
+    m, _ = agm_iterates(1.0, t)
+    return m / log_mean_float(1.0, t)
+
+
+def scan_ratio(n_points: int, t_min: float, t_max: float) -> RatioScan:
+    """M(1,t)/L(1,t) on a log-spaced grid of n_points in [t_min, t_max].
+
+    Raises ValueError unless 0 < t_min < t_max < 1 and n_points >= 3, and
+    also when the grid is not strictly increasing, as it cannot be when
+    [t_min, t_max] holds fewer doubles than n_points.
+    """
+    if not (0.0 < t_min < t_max < 1.0):
+        raise ValueError(
+            f"need 0 < t_min < t_max < 1, got t_min={t_min}, t_max={t_max}"
+        )
+    if n_points < 3:
+        raise ValueError(f"n_points must be >= 3, got {n_points}")
+    log_lo = math.log(t_min)
+    log_hi = math.log(t_max)
+    grid = [
+        math.exp(log_lo + i * (log_hi - log_lo) / (n_points - 1))
+        for i in range(n_points)
+    ]
+    grid[0] = t_min
+    grid[-1] = t_max
+    for i in range(n_points - 1):
+        if not grid[i] < grid[i + 1]:
+            raise ValueError(
+                f"the grid of {n_points} points in [{t_min!r}, {t_max!r}] is not strictly "
+                f"increasing: point {i} is {grid[i]!r} and point {i + 1} is {grid[i + 1]!r}"
+            )
+    ratio = [_mean_ratio(t) for t in grid]
+    for t, r in zip(grid, ratio):
+        if not math.isfinite(r):
+            raise ArithmeticError(f"ratio evaluation failed at t={t!r}: {r!r}")
+    decreasing = all(ratio[i] > ratio[i + 1] for i in range(n_points - 1))
+    return RatioScan(
+        grid=tuple(grid),
+        ratio=tuple(ratio),
+        monotone_decreasing=decreasing,
+        min_value=min(ratio),
+        max_value=max(ratio),
+    )

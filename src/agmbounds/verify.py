@@ -2,7 +2,7 @@
 
 Each check returns a VerificationReport; run_all executes the whole claim
 list at a profile-dependent depth.  Exact claims (coefficient identities,
-ratio monotonicity, sign change) are decided in rational arithmetic with
+ratio monotonicity, sign change) are decided in integer arithmetic with
 zero tolerance; floating claims carry explicit named tolerances and a
 witness for the first failing input.  Identical seeds and profiles
 reproduce byte-identical report lists.
@@ -10,13 +10,16 @@ reproduce byte-identical report lists.
 The exact claims read the coefficient rows (k, a, b, h, g, s) that
 coefficients.table_rows streams, collected once per run; row k holds
 index k, each value as a (numerator, denominator) pair of ints.  The
-identity check compares each pair with the numerator and denominator of
-an independent Fraction, so it also proves every cell is in lowest terms
-with a positive denominator; the monotonicity and sign-change checks
-compare pairs by cross-multiplication.  Each raises ValueError on fewer
-than the three rows of table_rows(2).  VerificationReport and RatioScan
-are plain immutable classes on means.Record, and json is imported only
-by reports_to_json, so a verify or scan process that prints text needs
+identity check compares each pair for equality with the reduced pair of
+an independent sum or closed form, so it also proves every cell is in
+lowest terms with a positive denominator; the other exact claims compare
+pairs by cross-multiplication, so no claim imports fractions.  A
+witness that names a computed rational reduces it, on the failure path
+only, and prints it as a Fraction prints: n where the denominator is 1,
+else n/d.  Each row check raises ValueError on fewer than the three rows
+of table_rows(2).  VerificationReport is a plain immutable class on
+means.Record, and the ratio scan lives in means, so json is imported
+only by reports_to_json and a verify process that prints text needs
 neither class generation at import nor the JSON encoder.
 """
 
@@ -24,7 +27,6 @@ import math
 import random
 import time
 from collections.abc import Callable
-from fractions import Fraction
 
 from agmbounds import coefficients as coeffs
 from agmbounds import elliptic, means
@@ -111,18 +113,6 @@ class VerificationReport(means.Record):
                                 "tolerances": Tolerances(tolerances), "witness": witness})
 
 
-class RatioScan(means.Record):
-    """M(1,t)/L(1,t) sampled on a strictly increasing grid in (0, 1)."""
-
-    _fields = ("grid", "ratio", "monotone_decreasing", "min_value", "max_value")
-
-    def __init__(self, grid: tuple[float, ...], ratio: tuple[float, ...],
-                 monotone_decreasing: bool, min_value: float, max_value: float):
-        means.set_fields(self, {"grid": grid, "ratio": ratio,
-                                "monotone_decreasing": monotone_decreasing,
-                                "min_value": min_value, "max_value": max_value})
-
-
 def _report(claim_id, statement, checked, tolerances, witness=None):
     return VerificationReport(
         claim_id=claim_id,
@@ -132,12 +122,6 @@ def _report(claim_id, statement, checked, tolerances, witness=None):
         tolerances=tolerances,
         witness=witness,
     )
-
-
-def _mean_ratio(t: float) -> float:
-    """M(1, t) / L(1, t) for t in (0, 1)."""
-    m, _ = means.agm_iterates(1.0, t)
-    return m / means.log_mean_float(1.0, t)
 
 
 def _check_count(n: int, name: str) -> None:
@@ -164,21 +148,27 @@ def _check_rows(rows) -> int:
     return len(rows) - 1
 
 
-def _pair(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
-
-
 def _cell_str(cell) -> str:
     return f"{cell[0]}/{cell[1]}"
+
+
+def _rational_str(num: int, den: int) -> str:
+    # num/den, den != 0, as str(Fraction(num, den)) prints it
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 def check_coefficient_identities(rows) -> VerificationReport:
     """Exact agreement of every summation form, closed form, table row
     value, and the g recurrence, for 1 <= k <= k_max = len(rows) - 1.
 
-    Each table cell must equal the (numerator, denominator) of the
-    independent Fraction, so every cell is also checked to be in lowest
-    terms with a positive denominator.
+    Each table cell must equal the reduced (numerator, denominator) pair
+    of the independent sum or closed form, so every cell is also checked
+    to be in lowest terms with a positive denominator.  The recurrence is
+    compared by cross-multiplication.
     """
     k_max = _check_rows(rows)
     statement = (
@@ -188,28 +178,27 @@ def check_coefficient_identities(rows) -> VerificationReport:
     )
     checked = 0
     witness = None
-    g_values: list[Fraction] = []
-    b_0 = _pair(coeffs.b_coeff(0))
+    g_values: list[tuple[int, int]] = []
+    b_0 = coeffs.b_coeff(0)
     if b_0 != rows[0][_B]:
         witness = f"k=0: b vs table: {_cell_str(b_0)} != {_cell_str(rows[0][_B])}"
     checked += 1
     for k in range(1, k_max + 1):
         if witness is not None:
             break
-        a_s = _pair(coeffs.a_coeff_sum(k))
-        gs = coeffs.g_sum(k)
-        g_values.append(gs)
-        g_s = _pair(gs)
-        h_c = _pair(coeffs.h_closed(k))
+        a_s = coeffs.a_coeff_sum(k)
+        g_s = coeffs.g_sum(k)
+        g_values.append(g_s)
+        h_c = coeffs.h_closed(k)
         row = rows[k]
         cases = (
-            ("a sum vs closed", a_s, _pair(coeffs.a_coeff_closed(k))),
+            ("a sum vs closed", a_s, coeffs.a_coeff_closed(k)),
             ("a vs table", a_s, row[_A]),
-            ("h sum vs closed", _pair(coeffs.h_sum(k)), h_c),
+            ("h sum vs closed", coeffs.h_sum(k), h_c),
             ("h vs table", h_c, row[_H]),
-            ("g sum vs closed", g_s, _pair(coeffs.g_closed(k))),
+            ("g sum vs closed", g_s, coeffs.g_closed(k)),
             ("g vs table", g_s, row[_G]),
-            ("b vs table", _pair(coeffs.b_coeff(k)), row[_B]),
+            ("b vs table", coeffs.b_coeff(k), row[_B]),
         )
         for name, left, right in cases:
             checked += 1
@@ -218,17 +207,21 @@ def check_coefficient_identities(rows) -> VerificationReport:
                 break
         if witness is None and k >= 2:
             checked += 1
-            s_k = _pair(coeffs.s_seq(k))
+            s_k = coeffs.s_seq(k)
             if s_k != row[_S]:
                 witness = f"k={k}: S_k: {_cell_str(s_k)} != {_cell_str(row[_S])}"
     if witness is None:
         g_values.append(coeffs.g_sum(k_max + 1))
         for k in range(1, k_max + 1):
             checked += 1
-            lhs = 2 * (k + 1) * g_values[k] - (2 * k + 1) * g_values[k - 1]
-            rhs = coeffs.wallis_ratio(k) / 2
-            if lhs != rhs:
-                witness = f"k={k}: recurrence: {lhs} != {rhs}"
+            # lhs = 2(k+1) g(k) - (2k+1) g(k-1) over d1 d0, and
+            # rhs = C(2k,k)/2^(2k+1) = wn / (2 wd)
+            (n1, d1), (n0, d0) = g_values[k], g_values[k - 1]
+            lhs = 2 * (k + 1) * n1 * d0 - (2 * k + 1) * n0 * d1
+            wn, wd = coeffs.wallis_ratio(k)
+            if lhs * 2 * wd != wn * d1 * d0:
+                witness = (f"k={k}: recurrence: {_rational_str(lhs, d1 * d0)} != "
+                           f"{_rational_str(wn, 2 * wd)}")
                 break
     return _report("coeff-identities", statement, checked, {"exact": 0.0}, witness)
 
@@ -259,10 +252,11 @@ def check_coefficient_monotonicity(rows) -> VerificationReport:
         an, ad = _ratio(rows[k + 1][_A], rows[k][_A])
         bn, bd = _ratio(rows[k + 1][_B], rows[k][_B])
         if bn * (2 * k + 2) ** 2 != bd * (2 * k + 1) ** 2:
-            witness = f"k={k}: b ratio {Fraction(bn, bd)} is not ((2k+1)/(2k+2))^2"
+            witness = f"k={k}: b ratio {_rational_str(bn, bd)} is not ((2k+1)/(2k+2))^2"
             break
         if not an * bd > bn * ad:
-            witness = f"k={k}: a ratio {Fraction(an, ad)} <= b ratio {Fraction(bn, bd)}"
+            witness = (f"k={k}: a ratio {_rational_str(an, ad)} <= "
+                       f"b ratio {_rational_str(bn, bd)}")
             break
     return _report(
         "coeff-ratio-monotone", statement, checked, {"exact": 0.0}, witness
@@ -275,7 +269,10 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
     [T_{k+1} - (2k+1)(k+2)/(2(k+1)^2) T_k] * C(2k+2,k+1)/4^(k+1)
         < 1 - (2k+1)^2 (k+2)/(4(k+1)^3),
     where T_k = sum_{i=2}^{k} 1/(2i-1).  Recomputed independently of any
-    table.
+    table, in ints: T_k = p/q and w_{k+1} = C(2k+2,k+1)/4^(k+1) = wn/wd
+    are kept in lowest terms by gcds against small numbers only, and the
+    two sides are compared by cross-multiplication over positive
+    denominators.
     """
     statement = (
         "rearranged coefficient-ratio inequality holds exactly for every "
@@ -283,18 +280,32 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
     )
     witness = None
     checked = 0
-    t_k = Fraction(1, 3)  # T_2
-    w = coeffs.wallis_ratio(3)  # C(6,3)/4^3, i.e. w_{k+1} at k = 2
+    p, q = 1, 3  # T_2
+    wn, wd = coeffs.wallis_ratio(3)  # C(6,3)/4^3, i.e. w_{k+1} at k = 2
     for k in range(2, k_max + 1):
-        t_k1 = t_k + Fraction(1, 2 * k + 1)
-        lhs = (t_k1 - Fraction((2 * k + 1) * (k + 2), 2 * (k + 1) ** 2) * t_k) * w
-        rhs = 1 - Fraction((2 * k + 1) ** 2 * (k + 2), 4 * (k + 1) ** 3)
+        # T_{k+1} = T_k + 1/m: a common factor of the sum divides gcd(q, m)
+        m = 2 * k + 1
+        d = math.gcd(q, m)
+        p1, q1 = p * (m // d) + q // d, q * (m // d)
+        if d > 1:
+            t = math.gcd(p1, d)
+            p1, q1 = p1 // t, q1 // t
+        # lhs = (T_{k+1} - (cn/cd) T_k) w_{k+1} and rhs = 1 - rn/rd, each
+        # as a numerator over a positive denominator
+        cn, cd = m * (k + 2), 2 * (k + 1) ** 2
+        lhs_num, lhs_den = (p1 * cd * q - cn * p * q1) * wn, cd * q * q1 * wd
+        rn, rd = m * m * (k + 2), 4 * (k + 1) ** 3
         checked += 1
-        if not lhs < rhs:
-            witness = f"k={k}: {lhs} >= {rhs}"
+        if not lhs_num * rd < (rd - rn) * lhs_den:
+            witness = (f"k={k}: {_rational_str(lhs_num, lhs_den)} >= "
+                       f"{_rational_str(rd - rn, rd)}")
             break
-        t_k = t_k1
-        w *= Fraction(2 * k + 3, 2 * k + 4)
+        p, q = p1, q1
+        # w_{k+2} = w_{k+1} (2k+3)/(2k+4); the step is in lowest terms, so
+        # the only common factors are gcd(wn, 2k+4) and gcd(wd, 2k+3)
+        up, down = m + 2, m + 3
+        g_up, g_down = math.gcd(wd, up), math.gcd(wn, down)
+        wn, wd = (wn // g_down) * (up // g_up), (wd // g_up) * (down // g_down)
     return _report(
         "series-ratio-inequality", statement, checked, {"exact": 0.0}, witness
     )
@@ -443,36 +454,6 @@ def check_double_inequality(n_samples: int, seed: int) -> VerificationReport:
     return _report("double-inequality", statement, checked, tolerances, witness)
 
 
-def scan_ratio(n_points: int, t_min: float, t_max: float) -> RatioScan:
-    """M(1,t)/L(1,t) on a log-spaced grid of n_points in [t_min, t_max]."""
-    if not (0.0 < t_min < t_max < 1.0):
-        raise ValueError(
-            f"need 0 < t_min < t_max < 1, got t_min={t_min}, t_max={t_max}"
-        )
-    if n_points < 3:
-        raise ValueError(f"n_points must be >= 3, got {n_points}")
-    log_lo = math.log(t_min)
-    log_hi = math.log(t_max)
-    grid = [
-        math.exp(log_lo + i * (log_hi - log_lo) / (n_points - 1))
-        for i in range(n_points)
-    ]
-    grid[0] = t_min
-    grid[-1] = t_max
-    ratio = [_mean_ratio(t) for t in grid]
-    for t, r in zip(grid, ratio):
-        if not math.isfinite(r):
-            raise ArithmeticError(f"ratio evaluation failed at t={t!r}: {r!r}")
-    decreasing = all(ratio[i] > ratio[i + 1] for i in range(n_points - 1))
-    return RatioScan(
-        grid=tuple(grid),
-        ratio=tuple(ratio),
-        monotone_decreasing=decreasing,
-        min_value=min(ratio),
-        max_value=max(ratio),
-    )
-
-
 def check_ratio_scan(n_points: int = 200) -> VerificationReport:
     """Strict decrease of M(1,t)/L(1,t) along a grid of n_points in
     [RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX], all values inside the open
@@ -482,7 +463,7 @@ def check_ratio_scan(n_points: int = 200) -> VerificationReport:
         "every value lies strictly inside (1, pi/2)"
     )
     tolerances = {"lower_bound": 1.0, "upper_bound": HALF_PI}
-    scan = scan_ratio(n_points, RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX)
+    scan = means.scan_ratio(n_points, RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX)
     witness = None
     if not scan.monotone_decreasing:
         for i in range(n_points - 1):
@@ -521,7 +502,7 @@ def check_sharpness() -> VerificationReport:
     checked = 0
     prev = None
     for t in SHARPNESS_SEQUENCE:
-        r = _mean_ratio(t)
+        r = means._mean_ratio(t)
         checked += 1
         if not r < HALF_PI:
             witness = f"t={t!r}: ratio {r!r} is not < pi/2"
@@ -532,7 +513,7 @@ def check_sharpness() -> VerificationReport:
         prev = r
     if witness is None:
         checked += 1
-        r_low = _mean_ratio(SHARPNESS_LOW_T)
+        r_low = means._mean_ratio(SHARPNESS_LOW_T)
         if not r_low > HALF_PI - SHARPNESS_LOW_MARGIN:
             witness = (
                 f"t={SHARPNESS_LOW_T}: ratio {r_low!r} did not exceed "
@@ -540,7 +521,7 @@ def check_sharpness() -> VerificationReport:
             )
     if witness is None:
         checked += 1
-        r_high = _mean_ratio(1.0 - SHARPNESS_HIGH_EPS)
+        r_high = means._mean_ratio(1.0 - SHARPNESS_HIGH_EPS)
         if not (1.0 < r_high < 1.0 + SHARPNESS_HIGH_MARGIN):
             witness = (
                 f"t={1.0 - SHARPNESS_HIGH_EPS}: ratio {r_high!r} not within "

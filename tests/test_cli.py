@@ -204,21 +204,21 @@ class TestCoeffs:
             for k in range(k_max + 1)
         ]
         rows = [
-            {"k": k, **{name: {"numerator": str(v.numerator), "denominator": str(v.denominator)}
-                        for name, v in row.items()}}
+            {"k": k, **{name: {"numerator": str(n), "denominator": str(d)}
+                        for name, (n, d) in row.items()}}
             for k, row in enumerate(values)
         ]
         assert run_cli("coeffs", "--kmax", str(k_max), "--format", "json") == (
             0, json.dumps({"k_max": k_max, "rows": rows}, sort_keys=True) + "\n"
         )
         csv = "k,a,b,h,g,s\n" + "".join(
-            f"{k}," + ",".join(f"{row[n].numerator}/{row[n].denominator}" if n in row else ""
+            f"{k}," + ",".join("/".join(map(str, row[n])) if n in row else ""
                                for n in "abhgs") + "\n"
             for k, row in enumerate(values)
         )
         assert run_cli("coeffs", "--kmax", str(k_max), "--format", "csv") == (0, csv)
         assert run_cli("coeffs", "--kmax", str(k_max)) == (
-            0, "".join(f"a_{k} = {values[k]['a']}\n" for k in range(1, k_max + 1))
+            0, "".join(f"a_{k} = {Fraction(*values[k]['a'])}\n" for k in range(1, k_max + 1))
         )
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -269,6 +269,13 @@ class TestScan:
     def test_invalid_window(self):
         code, _ = run_cli("scan", "--points", "5", "--tmin", "0.9", "--tmax", "0.1")
         assert code == 2
+
+    def test_window_too_narrow_for_its_points(self, capsys):
+        # [0.5, 0.5 + 2 ulp] holds three doubles: five grid points would repeat one
+        code, out = run_cli("scan", "--points", "5", "--tmin", "0.5",
+                            "--tmax", "0.5000000000000002")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: the grid of 5 points")
 
 
 class TestVerify:
@@ -338,11 +345,15 @@ class TestUsage:
         assert "mean" in capsys.readouterr().out
 
 
-# SHA-256 of stdout for the verify and coeffs commands whose cost sets the
-# CLI tail, and for coeffs in every format, which streams its rows: a
-# faster mean chain or exact layer must keep these outputs byte-identical.
-# Every quick seed passes every claim, so their reports are equal.
+# SHA-256 of stdout for the verify, coeffs and scan commands whose cost
+# sets the CLI tail, for coeffs in every format, which streams its rows,
+# and for scan in every format and at 17 digits, which joins its text
+# into one string: a faster mean chain, exact layer or writer must keep
+# these outputs byte-identical.  Every quick seed passes every claim, so
+# their reports are equal; scan's text and CSV share one layout.
 QUICK_JSON_SHA256 = "7408d966ce9fda195b07046bdf8ad665dea2e28de98f7ef75d2d2c94a5011f6f"
+SCAN_TEXT_SHA256 = "48231bf30a3b9a537a329bdd61fefc23bf419bb5d4f1a3bcdd2922eabd0a0b17"
+SCAN_ARGV = ("scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999")
 PINNED_STDOUT_SHA256 = [
     (("verify", "--profile", "quick", "--seed", "1", "--format", "json"), QUICK_JSON_SHA256),
     (("verify", "--profile", "quick", "--seed", "2", "--format", "json"), QUICK_JSON_SHA256),
@@ -363,6 +374,16 @@ PINNED_STDOUT_SHA256 = [
     (
         ("coeffs", "--kmax", "500", "--format", "text"),
         "725b3c96db4fde91a51238902728fe07ddaefcfb315c852cf0a328ae3c09ea22",
+    ),
+    ((*SCAN_ARGV, "--format", "text"), SCAN_TEXT_SHA256),
+    ((*SCAN_ARGV, "--format", "csv"), SCAN_TEXT_SHA256),
+    (
+        (*SCAN_ARGV, "--format", "json"),
+        "637cfe38ce8d7a910f16595ebd06319a630a5ec6de32d6caaf3d7ea494ad670b",
+    ),
+    (
+        (*SCAN_ARGV, "--digits", "17"),
+        "669ab7d00b171e5531fe4715239285f7028c48978a43fe51e71e7a463b925c6f",
     ),
 ]
 

@@ -60,15 +60,20 @@ def odd_harmonic_per_term(k):
 
 
 def pair(x):
-    """The (numerator, denominator) cell of a table row holding x."""
+    """The (numerator, denominator) pair that stands for the Fraction x."""
     return x.numerator, x.denominator
+
+
+def value(x):
+    """The Fraction that the (numerator, denominator) pair x stands for."""
+    return Fraction(*x)
 
 
 class TestWallisRatio:
     @given(st.integers(min_value=0, max_value=40))
     def test_double_factorial_quotient(self, k):
         direct = Fraction(math.prod(range(2 * k - 1, 0, -2)), math.prod(range(2 * k, 0, -2)))
-        assert co.wallis_ratio(k) == direct
+        assert value(co.wallis_ratio(k)) == direct
 
 
 class TestCommonDenominatorSums:
@@ -77,34 +82,34 @@ class TestCommonDenominatorSums:
 
     def test_a_sum(self):
         for k in range(0, 201):
-            assert co.a_coeff_sum(k) == a_sum_per_term(k), k
+            assert value(co.a_coeff_sum(k)) == a_sum_per_term(k), k
 
     def test_h_and_g_sums(self):
         for k in range(1, 201):
-            assert co.h_sum(k) == h_sum_per_term(k), k
-            assert co.g_sum(k) == g_sum_per_term(k), k
+            assert value(co.h_sum(k)) == h_sum_per_term(k), k
+            assert value(co.g_sum(k)) == g_sum_per_term(k), k
 
     def test_odd_harmonic(self):
         for k in range(0, 201):
-            assert co.odd_harmonic(k) == odd_harmonic_per_term(k), k
+            assert value(co.odd_harmonic(k)) == odd_harmonic_per_term(k), k
 
 
 class TestIntegerClosedForms:
-    """The closed forms are built as one Fraction from integers; each must
-    equal the Fraction expression it replaces, written out here."""
+    """The closed forms are built as one reduced pair from integers; each
+    must stand for the Fraction expression it replaces, written out here."""
 
     def test_against_fraction_expressions(self):
         harmonic = Fraction(0)
         for k in range(1, 301):
             w = Fraction(math.comb(2 * k, k), 4**k)
             harmonic += Fraction(1, 2 * k - 1)
-            assert co.odd_harmonic(k) == harmonic, k
-            assert co.a_coeff_closed(k) == (1 - w * (harmonic - 1)) / (2 * (k + 1)), k
-            assert co.h_closed(k) == Fraction(1, 2) - w / 2, k
-            assert co.g_closed(k) == w * harmonic / 2, k
+            assert value(co.odd_harmonic(k)) == harmonic, k
+            assert value(co.a_coeff_closed(k)) == (1 - w * (harmonic - 1)) / (2 * (k + 1)), k
+            assert value(co.h_closed(k)) == Fraction(1, 2) - w / 2, k
+            assert value(co.g_closed(k)) == w * harmonic / 2, k
             if k >= 2:
                 s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1)
-                assert co.s_seq(k) == s, k
+                assert value(co.s_seq(k)) == s, k
 
     def test_independent_of_call_order(self):
         # the closed forms share the odd harmonic sum of the last k asked for
@@ -121,48 +126,53 @@ class TestIntegerClosedForms:
         calls = list(expected) * 2
         random.Random(3).shuffle(calls)
         for f, k in calls:
-            assert f(k) == expected[f, k], (f.__name__, k)
+            assert f(k) == pair(expected[f, k]), (f.__name__, k)
 
     def test_odd_harmonic_at_zero(self):
-        assert co.odd_harmonic(0) == 0
+        assert value(co.odd_harmonic(0)) == 0
 
     def test_results_are_reduced(self):
+        # every closed form and sum returns the pair of ints in lowest terms
+        # with a positive denominator that Fraction would hold
+        fns = (co.wallis_ratio, co.odd_harmonic, co.b_coeff, co.a_coeff_sum, co.a_coeff_closed,
+               co.h_sum, co.h_closed, co.g_sum, co.g_closed, co.s_seq)
         for k in (1, 2, 7, 64, 255, 256):
-            for f in (co.a_coeff_closed, co.h_closed, co.g_closed, co.s_seq, co.odd_harmonic):
+            for f in fns:
                 if f is co.s_seq and k < 2:
                     continue
-                v = f(k)
-                assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+                n, d = f(k)
+                assert type(n) is int and type(d) is int, (f.__name__, k)
+                assert d > 0 and math.gcd(n, d) == 1, (f.__name__, k)
 
 
 class TestBCoefficients:
     def test_first_three(self):
-        assert co.b_coeff(0) == 1
-        assert co.b_coeff(1) == Fraction(1, 4)
-        assert co.b_coeff(2) == Fraction(9, 64)
+        assert value(co.b_coeff(0)) == 1
+        assert value(co.b_coeff(1)) == Fraction(1, 4)
+        assert value(co.b_coeff(2)) == Fraction(9, 64)
 
     @given(st.integers(min_value=0, max_value=60))
     def test_ratio_recurrence(self, k):
-        assert co.b_coeff(k + 1) / co.b_coeff(k) == Fraction(
+        assert value(co.b_coeff(k + 1)) / value(co.b_coeff(k)) == Fraction(
             (2 * k + 1) ** 2, (2 * k + 2) ** 2
         )
 
 
 class TestACoefficients:
     def test_empty_sum_at_zero(self):
-        assert co.a_coeff_sum(0) == 1
+        assert value(co.a_coeff_sum(0)) == 1
 
     def test_table_values(self):
         for k, expected in enumerate(A_TABLE, start=1):
-            assert co.a_coeff_sum(k) == expected
-            assert co.a_coeff_closed(k) == expected
+            assert value(co.a_coeff_sum(k)) == expected
+            assert value(co.a_coeff_closed(k)) == expected
 
     def test_sum_equals_closed(self):
         for k in range(1, 80):
             assert co.a_coeff_sum(k) == co.a_coeff_closed(k)
 
     def test_strictly_decreasing(self):
-        values = [co.a_coeff_sum(k) for k in range(1, 40)]
+        values = [value(co.a_coeff_sum(k)) for k in range(1, 40)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_closed_form_needs_positive_index(self):
@@ -172,24 +182,24 @@ class TestACoefficients:
 
 class TestSummationIdentities:
     def test_h_base_case(self):
-        assert co.h_sum(1) == Fraction(1, 4)
-        assert co.h_closed(1) == Fraction(1, 4)
+        assert value(co.h_sum(1)) == Fraction(1, 4)
+        assert value(co.h_closed(1)) == Fraction(1, 4)
 
     def test_h_k2(self):
-        assert co.h_sum(2) == Fraction(5, 16)
-        assert co.h_closed(2) == Fraction(5, 16)
+        assert value(co.h_sum(2)) == Fraction(5, 16)
+        assert value(co.h_closed(2)) == Fraction(5, 16)
 
     def test_h_monotone_approach_to_half(self):
-        values = [co.h_closed(k) for k in range(1, 60)]
+        values = [value(co.h_closed(k)) for k in range(1, 60)]
         assert all(x < y for x, y in zip(values, values[1:]))
         assert all(v < Fraction(1, 2) for v in values)
         assert float(Fraction(1, 2) - values[-1]) < 0.07
 
     def test_g_small(self):
-        assert co.g_sum(1) == Fraction(1, 4)
-        assert co.g_closed(1) == Fraction(1, 4)
-        assert co.g_sum(2) == Fraction(1, 4)
-        assert co.g_closed(2) == Fraction(1, 4)
+        assert value(co.g_sum(1)) == Fraction(1, 4)
+        assert value(co.g_closed(1)) == Fraction(1, 4)
+        assert value(co.g_sum(2)) == Fraction(1, 4)
+        assert value(co.g_closed(2)) == Fraction(1, 4)
         assert co.g_sum(3) == co.g_closed(3)
 
     def test_sum_equals_closed(self):
@@ -200,21 +210,21 @@ class TestSummationIdentities:
 
 class TestSignSequence:
     def test_k2(self):
-        assert co.s_seq(2) == Fraction(9, 5) - Fraction(1, 3)
-        assert co.s_seq(2) == Fraction(22, 15)
+        assert value(co.s_seq(2)) == Fraction(9, 5) - Fraction(1, 3)
+        assert value(co.s_seq(2)) == Fraction(22, 15)
 
     def test_sign_change_exact(self):
         # exact fractions frozen from the rational evaluation
-        assert co.s_seq(10) == Fraction(278266, 14549535)
-        assert co.s_seq(11) == Fraction(-14233768, 334639305)
-        assert co.s_seq(10) > 0 > co.s_seq(11)
+        assert value(co.s_seq(10)) == Fraction(278266, 14549535)
+        assert value(co.s_seq(11)) == Fraction(-14233768, 334639305)
+        assert value(co.s_seq(10)) > 0 > value(co.s_seq(11))
 
     def test_decimal_expansions(self):
-        assert float(co.s_seq(10)) == pytest.approx(0.0191254222, abs=1e-10)
-        assert float(co.s_seq(11)) == pytest.approx(-0.0425346568, abs=1e-10)
+        assert float(value(co.s_seq(10))) == pytest.approx(0.0191254222, abs=1e-10)
+        assert float(value(co.s_seq(11))) == pytest.approx(-0.0425346568, abs=1e-10)
 
     def test_strictly_decreasing(self):
-        values = [co.s_seq(k) for k in range(2, 60)]
+        values = [value(co.s_seq(k)) for k in range(2, 60)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_requires_k_at_least_two(self):
@@ -251,12 +261,12 @@ class TestTable:
 
     def test_matches_standalone_functions(self):
         for k, a, b, h, g, s in list(co.table_rows(30))[1:]:
-            assert a == pair(co.a_coeff_sum(k))
-            assert b == pair(co.b_coeff(k))
-            assert h == pair(co.h_sum(k))
-            assert g == pair(co.g_sum(k))
+            assert a == co.a_coeff_sum(k)
+            assert b == co.b_coeff(k)
+            assert h == co.h_sum(k)
+            assert g == co.g_sum(k)
             if k >= 2:
-                assert s == pair(co.s_seq(k))
+                assert s == co.s_seq(k)
 
     def test_positive_entries(self):
         assert all(n > 0 for n, _ in column(50, 1, 1))
@@ -279,11 +289,11 @@ class TestTable:
             if k not in ks:
                 continue
             expected = [
-                pair(co.a_coeff_closed(k)) if k >= 1 else None,
-                pair(co.b_coeff(k)),
-                pair(co.h_closed(k)) if k >= 1 else None,
-                pair(co.g_closed(k)) if k >= 1 else None,
-                pair(co.s_seq(k)) if k >= 2 else None,
+                co.a_coeff_closed(k) if k >= 1 else None,
+                co.b_coeff(k),
+                co.h_closed(k) if k >= 1 else None,
+                co.g_closed(k) if k >= 1 else None,
+                co.s_seq(k) if k >= 2 else None,
             ]
             assert cells == expected, k
             for cell in cells:
@@ -330,7 +340,8 @@ class TestTable:
     @pytest.mark.parametrize("k_max", [2, 11, 50, 500])
     def test_json_text_equals_json_dumps(self, k_max):
         def cell(v):
-            return {"numerator": str(v.numerator), "denominator": str(v.denominator)}
+            n, d = v
+            return {"numerator": str(n), "denominator": str(d)}
 
         rows = []
         for k in range(k_max + 1):

@@ -17,7 +17,9 @@ import agmbounds
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 LAYERS = ["agmbounds.coefficients", "agmbounds.elliptic", "agmbounds.means", "agmbounds.verify"]
-HEAVY_STDLIB = ["dataclasses", "fractions", "json"]
+# fractions also loads decimal and numbers
+HEAVY_STDLIB = ["dataclasses", "decimal", "fractions", "json", "numbers"]
+FRACTIONS = {"decimal", "fractions", "numbers"}
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 # The CLI examples of the README, and argv shaped like each process of
@@ -79,6 +81,8 @@ class TestImportFootprint:
             ["mean", "--kind", "agm", "--a", "2", "--b", "3"],
             ["mean", "--kind", "genlog", "--p", "0.5", "--a", "2", "--b", "3"],
             *(["elliptic", "--method", m, "--t", "0.5"] for m in ("series", "agm", "quadrature")),
+            *(["scan", "--points", "20", "--tmin", "1e-8", "--tmax", "0.9999", "--format", f]
+              for f in ("text", "csv")),
         ],
         ids=" ".join,
     )
@@ -88,13 +92,13 @@ class TestImportFootprint:
         )
         assert "agmbounds.means" in loaded
         assert not loaded & {"agmbounds.coefficients", "agmbounds.verify", *HEAVY_STDLIB}
+        # scan runs in the means layer
+        assert ("agmbounds.elliptic" in loaded) == (argv[0] == "elliptic")
 
     @pytest.mark.parametrize(
         "argv",
         [
             *(["coeffs", "--kmax", "5", "--format", f] for f in ("text", "csv", "json")),
-            ["scan", "--points", "20", "--tmin", "1e-8", "--tmax", "0.9999"],
-            ["scan", "--points", "20", "--tmin", "1e-8", "--tmax", "0.9999", "--format", "json"],
             *(["verify", "--profile", "quick", "--format", f] for f in ("text", "json")),
         ],
         ids=" ".join,
@@ -115,6 +119,16 @@ class TestImportFootprint:
         loaded = loaded_by_cli(argv)
         assert "agmbounds.cli" in loaded
         assert not loaded & ARGPARSE
+        # the exact layer works in int pairs, so no command loads fractions
+        assert not loaded & FRACTIONS
+
+    def test_scan_json_loads_only_the_means_layer(self):
+        loaded = loaded_by_cli(
+            ["scan", "--points", "20", "--tmin", "1e-8", "--tmax", "0.9999", "--format", "json"]
+        )
+        assert "agmbounds.means" in loaded and "json" in loaded
+        assert not loaded & {"agmbounds.coefficients", "agmbounds.elliptic",
+                             "agmbounds.verify", *FRACTIONS}
 
     def test_readme_examples_found(self):
         assert len(README_CLI) == 7

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,15 @@ def _rows(k_max):
     return tuple(co.table_rows(k_max))
 
 
+def _plus(cell, delta):
+    """The reduced pair of the value of the pair cell plus delta."""
+    value = Fraction(*cell) + delta
+    return value.numerator, value.denominator
+
+
 def _corrupt(rows, field, k, delta=Fraction(1, 7)):
     row = list(rows[k])
-    value = Fraction(*row[COLUMNS[field][0]]) + delta
-    row[COLUMNS[field][0]] = (value.numerator, value.denominator)
+    row[COLUMNS[field][0]] = _plus(row[COLUMNS[field][0]], delta)
     return (*rows[:k], tuple(row), *rows[k + 1:])
 
 
@@ -119,8 +125,8 @@ class TestFloatingChecks:
         assert r.status == "pass"
 
     def test_sharpness_monotone_toward_limit(self):
-        r4 = verify._mean_ratio(1e-4)
-        r6 = verify._mean_ratio(1e-6)
+        r4 = means._mean_ratio(1e-4)
+        r6 = means._mean_ratio(1e-6)
         assert r4 < r6 < math.pi / 2.0
 
 
@@ -155,33 +161,63 @@ class TestCountValidation:
 
 class TestScan:
     def test_bounds_and_monotonicity(self):
-        scan = verify.scan_ratio(50, 1e-6, 0.999)
+        scan = means.scan_ratio(50, 1e-6, 0.999)
         assert scan.monotone_decreasing
         assert 1.0 < scan.min_value < scan.max_value < math.pi / 2.0
 
     def test_grid_strictly_increasing_with_exact_endpoints(self):
-        scan = verify.scan_ratio(20, 1e-4, 0.9)
+        scan = means.scan_ratio(20, 1e-4, 0.9)
         assert scan.grid[0] == 1e-4
         assert scan.grid[-1] == 0.9
         assert all(x < y for x, y in zip(scan.grid, scan.grid[1:]))
 
     def test_ratio_near_one_from_above(self):
-        scan = verify.scan_ratio(3, 0.99, 0.9999)
+        scan = means.scan_ratio(3, 0.99, 0.9999)
         assert all(1.0 < r < 1.01 for r in scan.ratio)
 
     def test_small_t_larger_than_mid_t(self):
-        assert verify._mean_ratio(1e-6) > verify._mean_ratio(1e-3)
+        assert means._mean_ratio(1e-6) > means._mean_ratio(1e-3)
 
     def test_midpoint_ratio_inside_bounds(self):
-        assert 1.0 < verify._mean_ratio(0.5) < math.pi / 2.0
+        assert 1.0 < means._mean_ratio(0.5) < math.pi / 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            verify.scan_ratio(2, 0.1, 0.5)
+            means.scan_ratio(2, 0.1, 0.5)
         with pytest.raises(ValueError):
-            verify.scan_ratio(10, 0.5, 0.1)
+            means.scan_ratio(10, 0.5, 0.1)
         with pytest.raises(ValueError):
-            verify.scan_ratio(10, 0.0, 0.5)
+            means.scan_ratio(10, 0.0, 0.5)
+
+    @pytest.mark.parametrize("n_points,ulps", [(5, 2), (3, 1), (2000, 1000)])
+    def test_grid_narrower_than_its_points_rejected(self, n_points, ulps):
+        # [0.5, 0.5 + ulps ulp] holds ulps + 1 doubles, too few for n_points
+        # strictly increasing grid points; the grid would repeat a point
+        t_max = 0.5
+        for _ in range(ulps):
+            t_max = math.nextafter(t_max, 1.0)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            means.scan_ratio(n_points, 0.5, t_max)
+
+    def test_narrowest_grid_with_enough_doubles(self):
+        t_max = math.nextafter(math.nextafter(0.5, 1.0), 1.0)
+        scan = means.scan_ratio(3, 0.5, t_max)
+        assert scan.grid == (0.5, math.nextafter(0.5, 1.0), t_max)
+
+    def test_narrow_ranges_give_an_increasing_grid_or_an_error(self):
+        # ranges 1e-15 to 1e-10 wide hold from a few to about 1e6 doubles
+        rng = random.Random(20)
+        rejected = 0
+        for _ in range(500):
+            t_min = rng.uniform(1e-3, 0.99)
+            t_max = t_min + 10.0 ** rng.uniform(-15.0, -10.0)
+            try:
+                scan = means.scan_ratio(50, t_min, t_max)
+            except ValueError:
+                rejected += 1
+                continue
+            assert all(x < y for x, y in zip(scan.grid, scan.grid[1:])), (t_min, t_max)
+        assert 0 < rejected < 500
 
     def test_report_wrapper(self):
         r = verify.check_ratio_scan(25)
@@ -240,13 +276,13 @@ class TestValueTypes:
         assert [verify.VerificationReport(**obj) for obj in json.loads(blob)] == [r]
 
     def test_ratio_scan(self):
-        scan = verify.RatioScan((0.1, 0.5), (1.2, 1.1), True, 1.1, 1.2)
-        same = verify.RatioScan(
+        scan = means.RatioScan((0.1, 0.5), (1.2, 1.1), True, 1.1, 1.2)
+        same = means.RatioScan(
             max_value=1.2, min_value=1.1, monotone_decreasing=True, ratio=(1.2, 1.1),
             grid=(0.1, 0.5),
         )
         assert scan == same and hash(scan) == hash(same)
-        assert scan != verify.RatioScan((0.1, 0.5), (1.2, 1.1), False, 1.1, 1.2)
+        assert scan != means.RatioScan((0.1, 0.5), (1.2, 1.1), False, 1.1, 1.2)
         assert repr(scan) == (
             "RatioScan(grid=(0.1, 0.5), ratio=(1.2, 1.1), monotone_decreasing=True, "
             "min_value=1.1, max_value=1.2)"
@@ -331,7 +367,7 @@ class TestMutationDetection:
         # forms are built from integers, apart from the table's recurrences
         exact = getattr(co, name)
         monkeypatch.setattr(
-            co, name, lambda k: exact(k) + (Fraction(1, 10**40) if k == 7 else 0)
+            co, name, lambda k: _plus(exact(k), Fraction(1, 10**40) if k == 7 else 0)
         )
         r = verify.check_coefficient_identities(_rows(12))
         assert r.status == "fail"
@@ -377,3 +413,59 @@ class TestMutationDetection:
 
     def test_clean_table_passes(self):
         assert not self._any_failure(_rows(12))
+
+
+class TestWitnessText:
+    """Witnesses that name a computed rational print it as str(Fraction)
+    does: n where the denominator is 1, else n/d in lowest terms.  Each
+    expected text was taken from the Fraction-based checks on the same
+    mutant."""
+
+    def test_b_ratio(self):
+        r = verify.check_coefficient_monotonicity(_corrupt(_rows(12), "b", 4))
+        assert r.witness == "k=3: b ratio 24959/11200 is not ((2k+1)/(2k+2))^2"
+
+    def test_b_ratio_integer(self):
+        rows = _rows(12)
+        b_3, b_4 = Fraction(*rows[3][2]), Fraction(*rows[4][2])
+        r = verify.check_coefficient_monotonicity(_corrupt(rows, "b", 4, 3 * b_3 - b_4))
+        assert r.witness == "k=3: b ratio 3 is not ((2k+1)/(2k+2))^2"
+
+    def test_a_ratio(self):
+        r = verify.check_coefficient_monotonicity(_corrupt(_rows(12), "a", 6, Fraction(-1, 500)))
+        assert r.witness == "k=5: a ratio 6911/8400 <= b ratio 121/144"
+
+    def test_series_ratio(self, monkeypatch):
+        # w_3 = 5/16 replaced by -25/4 flips the sign of the left side, which
+        # then exceeds the right side first at k = 11
+        exact = co.wallis_ratio
+        monkeypatch.setattr(co, "wallis_ratio", lambda k: (-25, 4) if k == 3 else exact(k))
+        r = verify.check_series_ratio_inequality(50)
+        assert r.checked_points == 10
+        assert r.witness == "k=11: 1779221/339738624 >= 35/6912"
+
+    @pytest.mark.parametrize(
+        "mutant,expected",
+        [
+            (lambda w: _plus(w, Fraction(1, 2**20)), "k=5: recurrence: 63/512 != 258049/2097152"),
+            (lambda w: (2, 1), "k=5: recurrence: 63/512 != 1"),
+        ],
+        ids=["fraction", "integer"],
+    )
+    def test_recurrence(self, monkeypatch, mutant, expected):
+        # only the recurrence reads the Wallis quotient, so every other case passes
+        exact = co.wallis_ratio
+        monkeypatch.setattr(co, "wallis_ratio", lambda k: mutant(exact(k)) if k == 5 else exact(k))
+        r = verify.check_coefficient_identities(_rows(12))
+        assert r.checked_points == 101
+        assert r.witness == expected
+
+    def test_recurrence_at_k_max(self, monkeypatch):
+        # g(k_max + 1) enters only the last step of the recurrence
+        exact = co.g_sum
+        monkeypatch.setattr(
+            co, "g_sum", lambda k: _plus(exact(k), 2 * Fraction(*exact(k))) if k == 13 else exact(k)
+        )
+        r = verify.check_coefficient_identities(_rows(12))
+        assert r.checked_points == 108
+        assert r.witness == "k=12: recurrence: 7644342463/830472192 != 676039/8388608"
