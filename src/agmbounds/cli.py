@@ -303,7 +303,8 @@ def _cmd_scan(args, out) -> int:
         digits = args.digits
         bounds = f",1,{_fmt(upper, digits)}"
         print("t,ratio,lower_bound,upper_bound\n" + "\n".join(
-            [f"{t:.{digits}g},{r:.{digits}g}{bounds}" for t, r in zip(scan.grid, scan.ratio)]
+            [f"{_fmt(t, digits)},{_fmt(r, digits)}{bounds}"
+             for t, r in zip(scan.grid, scan.ratio)]
         ), file=out)
     return 0
 

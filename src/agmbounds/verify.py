@@ -153,11 +153,8 @@ def _cell_str(cell) -> str:
 
 
 def _rational_str(num: int, den: int) -> str:
-    # num/den, den != 0, as str(Fraction(num, den)) prints it
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    num, den = num // g, den // g
+    # num/den, den > 0, as str(Fraction(num, den)) prints it
+    num, den = coeffs._reduced(num, den)
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
@@ -214,7 +211,7 @@ def check_coefficient_identities(rows) -> VerificationReport:
         g_values.append(coeffs.g_sum(k_max + 1))
         for k in range(1, k_max + 1):
             checked += 1
-            # lhs = 2(k+1) g(k) - (2k+1) g(k-1) over d1 d0, and
+            # lhs = 2(k+1) g(k+1) - (2k+1) g(k) over d1 d0, and
             # rhs = C(2k,k)/2^(2k+1) = wn / (2 wd)
             (n1, d1), (n0, d0) = g_values[k], g_values[k - 1]
             lhs = 2 * (k + 1) * n1 * d0 - (2 * k + 1) * n0 * d1
@@ -270,9 +267,8 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
         < 1 - (2k+1)^2 (k+2)/(4(k+1)^3),
     where T_k = sum_{i=2}^{k} 1/(2i-1).  Recomputed independently of any
     table, in ints: T_k = p/q and w_{k+1} = C(2k+2,k+1)/4^(k+1) = wn/wd
-    are kept in lowest terms by gcds against small numbers only, and the
-    two sides are compared by cross-multiplication over positive
-    denominators.
+    are kept in lowest terms by one gcd per step, and the two sides are
+    compared by cross-multiplication over positive denominators.
     """
     statement = (
         "rearranged coefficient-ratio inequality holds exactly for every "
@@ -283,13 +279,9 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
     p, q = 1, 3  # T_2
     wn, wd = coeffs.wallis_ratio(3)  # C(6,3)/4^3, i.e. w_{k+1} at k = 2
     for k in range(2, k_max + 1):
-        # T_{k+1} = T_k + 1/m: a common factor of the sum divides gcd(q, m)
+        # T_{k+1} = T_k + 1/m
         m = 2 * k + 1
-        d = math.gcd(q, m)
-        p1, q1 = p * (m // d) + q // d, q * (m // d)
-        if d > 1:
-            t = math.gcd(p1, d)
-            p1, q1 = p1 // t, q1 // t
+        p1, q1 = coeffs._reduced(p * m + q, q * m)
         # lhs = (T_{k+1} - (cn/cd) T_k) w_{k+1} and rhs = 1 - rn/rd, each
         # as a numerator over a positive denominator
         cn, cd = m * (k + 2), 2 * (k + 1) ** 2
@@ -301,11 +293,8 @@ def check_series_ratio_inequality(k_max: int) -> VerificationReport:
                        f"{_rational_str(rd - rn, rd)}")
             break
         p, q = p1, q1
-        # w_{k+2} = w_{k+1} (2k+3)/(2k+4); the step is in lowest terms, so
-        # the only common factors are gcd(wn, 2k+4) and gcd(wd, 2k+3)
-        up, down = m + 2, m + 3
-        g_up, g_down = math.gcd(wd, up), math.gcd(wn, down)
-        wn, wd = (wn // g_down) * (up // g_up), (wd // g_up) * (down // g_down)
+        # w_{k+2} = w_{k+1} (2k+3)/(2k+4)
+        wn, wd = coeffs._reduced(wn * (m + 2), wd * (m + 3))
     return _report(
         "series-ratio-inequality", statement, checked, {"exact": 0.0}, witness
     )

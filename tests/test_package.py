@@ -128,7 +128,7 @@ class TestImportFootprint:
         )
         assert "agmbounds.means" in loaded and "json" in loaded
         assert not loaded & {"agmbounds.coefficients", "agmbounds.elliptic",
-                             "agmbounds.verify", *FRACTIONS}
+                             "agmbounds.verify", "dataclasses", *FRACTIONS}
 
     def test_readme_examples_found(self):
         assert len(README_CLI) == 7
