@@ -53,26 +53,17 @@ class Modulus(means.Record):
     A modulus reduced from a pair (modulus_from_pair) also carries its
     exact complement lo/hi, which t cannot give back near t = 1: t rounds
     towards 1 and sqrt(1 - t^2) loses the low bits.  The carried value
-    takes no part in comparison.
+    takes no part in comparison; Modulus(t) carries None.
     """
 
     _fields = ("t", "exact_complement")
     _compared = ("t",)
 
-    def __init__(self, t: float, exact_complement: float | None = None):
-        try:
-            ft = float(t)
-        except OverflowError:
-            # an int too large for a double; rejected below as non-finite
-            ft = math.inf
+    def __init__(self, t: float):
+        ft = means._float(t)
         if not math.isfinite(ft) or ft < 0.0 or ft >= 1.0:
             raise ValueError(f"modulus must satisfy 0 <= t < 1, got {means.arg_text(t)}")
-        c = exact_complement
-        if c is not None and not means.DBL_MIN <= c <= 1.0:
-            raise ValueError(
-                f"exact complement must lie in [{means.DBL_MIN}, 1], got {c}"
-            )
-        means.set_fields(self, {"t": ft, "exact_complement": c})
+        means.set_fields(self, {"t": ft, "exact_complement": None})
 
     def complement(self) -> float:
         """sqrt(1 - t^2), computed as sqrt((1-t)(1+t)) for accuracy near 1,
@@ -161,12 +152,8 @@ def k_agm(m: Modulus) -> EllipticResult:
 
 def _ordered_pair(a: float, b: float) -> tuple[float, float]:
     # (hi, lo) of a pair of positive finite reals, or ValueError
-    try:
-        fa = float(a)
-        fb = float(b)
-    except OverflowError:
-        # an int too large for a double; rejected below as non-finite
-        fa = fb = math.inf
+    fa = means._float(a)
+    fb = means._float(b)
     if not (math.isfinite(fa) and math.isfinite(fb)) or fa <= 0.0 or fb <= 0.0:
         raise ValueError(
             "arguments must be positive finite reals, "
@@ -237,7 +224,8 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
 def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
     """Reduce K(a, b) to the modulus form: K(a, b) = K(t)/scale.
 
-    Returns (Modulus(sqrt(1 - (lo/hi)^2), exact_complement=lo/hi), hi).
+    Returns (m, hi) with m.t = sqrt(1 - (lo/hi)^2) and
+    m.exact_complement = lo/hi.
     Raises ValueError for non-positive or non-finite input, and for a
     ratio lo/hi below the smallest normal double, which a double cannot
     carry exactly (k_quadrature takes such pairs directly).
@@ -252,4 +240,6 @@ def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
     t = math.sqrt((1.0 - u) * (1.0 + u))
     if t >= 1.0:  # t rounds to 1 below u ~ 1e-8; the complement stays exact
         t = math.nextafter(1.0, 0.0)
-    return Modulus(t, exact_complement=u), hi
+    m = object.__new__(Modulus)
+    means.set_fields(m, {"t": t, "exact_complement": u})
+    return m, hi

@@ -12,9 +12,8 @@ evaluates only what depends on p, in a form anchored at hi or lo that
 lands in [lo, hi] without a clamp.  Two kernels work on
 plain floats, for the verifier's and the elliptic routes' hot loops:
 log_mean_float, the logarithmic mean, and agm_iterates, the one AGM
-loop, which returns the limit and step count and records the iterates
-only when it is given a recorder.  agm runs it once, and the AgmTrace
-it returns records its iterates, by a second run, on their first read.
+loop, which returns the limit and step count.  agm runs it once and
+returns the two as an AgmTrace.
 
 scan_ratio samples M(1,t)/L(1,t) from those two kernels on a log-spaced
 grid and returns it as a RatioScan, so the scan command and the
@@ -48,14 +47,13 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in _fields and sets them all in one step,
-    in its __init__: set_fields(self, {name: value, ...}) installs that
-    dict as the instance's attribute dict.  Assigning or deleting an
-    attribute afterwards raises AttributeError.  The dict may also hold
-    attributes derived from the fields; they take no part in comparison,
-    hashing or printing.  A field may be left out of the dict and filled
-    in on first read by the subclass's __getattr__, as AgmTrace does with
-    its iterates.  Instances compare and hash by the fields in _compared
-    (all of _fields when empty) and print as Name(field=value, ...).
+    usually in its __init__: set_fields(self, {name: value, ...})
+    installs that dict as the instance's attribute dict.  Assigning or
+    deleting an attribute afterwards raises AttributeError.  The dict may
+    also hold attributes derived from the fields; they take no part in
+    comparison, hashing or printing.  Instances compare and hash by the
+    fields in _compared (all of _fields when empty) and print as
+    Name(field=value, ...).
     """
 
     _fields: tuple[str, ...] = ()
@@ -83,10 +81,18 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-# set_fields(record, fields) makes the dict fields the attribute dict of
-# record, a Record instance, past Record.__setattr__.
+# set_fields(r, fields) makes the dict fields the attribute dict of r,
+# a Record instance, past Record.__setattr__.
 set_fields = Record.__dict__["__dict__"].__set__
-_new = object.__new__
+
+
+def _float(x) -> float:
+    # float(x), with an int too large for a double taken as inf, which the
+    # caller's finiteness check then rejects
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def arg_text(x) -> str:
@@ -119,12 +125,8 @@ class MeanInput(Record):
     _fields = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        try:
-            fa = float(a)
-            fb = float(b)
-        except OverflowError:
-            # an int too large for a double; rejected below as non-finite
-            fa = fb = math.inf
+        fa = _float(a)
+        fb = _float(b)
         if not (math.isfinite(fa) and math.isfinite(fb)):
             raise ValueError(f"mean arguments must be finite, got a={arg_text(a)}, b={arg_text(b)}")
         if fa <= 0.0 or fb <= 0.0:
@@ -151,52 +153,22 @@ class MeanInput(Record):
 
 
 class AgmTrace(Record):
-    """AGM iterate sequence with its limit and step count.
+    """The AGM's limit and the number of steps agm_iterates took to it."""
 
-    iterates[k] = (a_k, b_k) with a_k the arithmetic and b_k the geometric
-    iterate; iterates[0] is the (ordered) input pair.  The limit is the
-    final arithmetic iterate.
+    _fields = ("limit", "iterations")
 
-    agm() builds a trace without its iterates, from the limit and step
-    count of one unrecorded run of agm_iterates, and keeps the arguments
-    of that run, (a, b), in _run.  The first read of iterates runs
-    agm_iterates again on them with a recorder and keeps the tuple; reading
-    limit or iterations never runs it.  Comparison, hashing, printing,
-    pickling and copying read iterates, so such a trace behaves, and
-    pickles to the same bytes, as AgmTrace(iterates, limit, iterations).
-    """
-
-    _fields = ("iterates", "limit", "iterations")
-
-    def __init__(self, iterates: tuple[tuple[float, float], ...], limit: float,
-                 iterations: int):
-        set_fields(self, {"iterates": iterates, "limit": limit, "iterations": iterations})
-
-    def __getattr__(self, name):
-        # reached only for names missing from the instance dict
-        state = self.__dict__
-        if name == "iterates" and "_run" in state:
-            pairs = []
-            agm_iterates(*state["_run"], pairs.append)
-            iterates = state["iterates"] = tuple(pairs)
-            return iterates
-        raise AttributeError(f"{self.__class__.__qualname__!r} object has no attribute {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.iterates, self.limit, self.iterations)
+    def __init__(self, limit: float, iterations: int):
+        set_fields(self, {"limit": limit, "iterations": iterations})
 
 
-def agm_iterates(a: float, b: float, record=None) -> tuple[float, int]:
+def agm_iterates(a: float, b: float) -> tuple[float, int]:
     """The package's one AGM loop: the limit and the number of steps.
 
-    The limit is the final arithmetic iterate.  Given a recorder, the loop
-    calls record((a_k, b_k)) for each iterate in turn, from (a_0, b_0) =
-    (max(a, b), min(a, b)) to the last, with a_k >= b_k; without one it
-    builds nothing.  agm, the verifier and k_agm run it without a
-    recorder, and an AgmTrace's iterates are recorded on first read.
-    Steps run on the pair pre-scaled by 1/max(a, b), so the relative
-    stopping test |x - y| <= DEFAULT_REL_TOL * x runs on a unit-scale
-    pair; each iterate, and the limit, is scaled back.  A pair whose ratio
+    The loop runs from (a_0, b_0) = (max(a, b), min(a, b)) with a_k >= b_k,
+    and the limit is the final arithmetic iterate.  agm, the verifier and
+    k_agm all run it.  Steps run on the pair pre-scaled by 1/max(a, b), so
+    the relative stopping test |x - y| <= DEFAULT_REL_TOL * x runs on a
+    unit-scale pair, and the limit is scaled back.  A pair whose ratio
     lo/hi is below DBL_MIN first takes unscaled steps, in a form that
     cannot overflow, until the ratio is normal: at most two, since each
     step takes the ratio r to about 2*sqrt(r).  The loop also stops if the
@@ -209,22 +181,16 @@ def agm_iterates(a: float, b: float, record=None) -> tuple[float, int]:
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"AGM arguments must be positive and finite, got a={a}, b={b}")
     if a == b:
-        if record is not None:
-            record((a, b))
         return a, 0
     if a >= b:
         hi, lo = a, b
     else:
         hi, lo = b, a
-    if record is not None:
-        record((hi, lo))
     steps = 0
     y = lo / hi
     while y < DBL_MIN:
         hi, lo = 0.5 * hi + 0.5 * lo, math.sqrt(hi) * math.sqrt(lo)
         steps += 1
-        if record is not None:
-            record((hi, lo))
         y = lo / hi
     x = 1.0
     gap = x - y
@@ -233,8 +199,6 @@ def agm_iterates(a: float, b: float, record=None) -> tuple[float, int]:
     while gap > tol * x:
         x, y = 0.5 * (x + y), sqrt(x * y)
         steps += 1
-        if record is not None:
-            record((hi * x, hi * y))
         new_gap = abs(x - y)
         if new_gap >= gap:
             break
@@ -312,11 +276,7 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     Near-equal pairs take the midpoint at every order, which is off by more
     than an ulp beyond about |p| = 1e4, where M_p moves toward hi or lo.
     """
-    try:
-        p = float(p)
-    except OverflowError:
-        # an int too large for a double; rejected below as non-finite
-        p = math.inf
+    p = _float(p)
     if not math.isfinite(p):
         raise ValueError(f"order p must be finite, got {p}")
     g = inp._log_gap
@@ -354,18 +314,12 @@ def agm(inp: MeanInput) -> AgmTrace:
     Stops once |a_k - b_k| <= DEFAULT_REL_TOL * a_k; the iteration runs on
     the pair pre-scaled by 1/max(a, b), so quadratic convergence bounds
     apply uniformly.  A pair whose ratio min/max is below the smallest
-    normal double first takes at most two steps on the unscaled values,
-    which the trace records.  Ratios down to 1e-8 finish within 8 steps
-    and every pair of positive finite doubles within 16.  The limit and
-    step count come from one run of agm_iterates without a recorder; the
-    trace's iterates are recorded on their first read.
+    normal double first takes at most two steps on the unscaled values.
+    Ratios down to 1e-8 finish within 8 steps and every pair of positive
+    finite doubles within 16.  The limit and step count come from one run
+    of agm_iterates.
     """
-    a = inp.a
-    b = inp.b
-    limit, iterations = agm_iterates(a, b)
-    trace = _new(AgmTrace)
-    set_fields(trace, {"limit": limit, "iterations": iterations, "_run": (a, b)})
-    return trace
+    return AgmTrace(*agm_iterates(inp.a, inp.b))
 
 
 class RatioScan(Record):

@@ -324,14 +324,21 @@ class TestModulusFromPair:
         assert m.complement() == 0.5
         assert m == Modulus(m.t)
         assert hash(m) == hash(Modulus(m.t))
-        assert m == Modulus(t=m.t, exact_complement=0.25)
-        assert m != Modulus(0.5, exact_complement=0.5)
+        # t rounds to the same double on both pairs; the complements differ
+        near, _ = elliptic.modulus_from_pair(1.0, 1e-9)
+        nearer, _ = elliptic.modulus_from_pair(1.0, 1e-10)
+        assert near.t == nearer.t and near.complement() != nearer.complement()
+        assert near == nearer and hash(near) == hash(nearer)
+        assert m != near
         assert repr(m) == f"Modulus(t={m.t!r}, exact_complement=0.5)"
+        assert Modulus(m.t).exact_complement is None
         assert Modulus(m.t).complement() == pytest.approx(0.5, rel=1e-15, abs=0)
-        message = f"exact complement must lie in [{sys.float_info.min}, 1], got 0.0"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Modulus(0.5, exact_complement=0.0)
         for name in ("t", "exact_complement"):
             with pytest.raises(AttributeError):
                 setattr(m, name, 0.25)
         assert m.complement() == 0.5
+
+    def test_complement_only_from_a_pair(self):
+        # a caller cannot give a complement that contradicts t
+        with pytest.raises(TypeError):
+            Modulus(0.1, exact_complement=0.5)

@@ -484,9 +484,9 @@ class TestSharedState:
 
 
 def agm_trace_values(inp):
-    """agm(inp) as floats: the limit, the step count and every iterate."""
+    """agm(inp) as floats: the limit and the step count."""
     tr = agm(inp)
-    return [tr.limit, float(tr.iterations)] + [v for pair in tr.iterates for v in pair]
+    return [tr.limit, float(tr.iterations)]
 
 
 def pinned_pairs():
@@ -511,12 +511,11 @@ def pinned_pairs():
 
 # SHA-256 of every mean's outcome on pinned_pairs(): log_mean,
 # identric_mean, gen_log_mean at TestOrderChain.ORDERS, those orders again
-# as one gen_log_chain, and agm (limit, step count and trace), raised
-# errors included.  Taken from the means once gen_log_mean took the forms
-# anchored at hi or lo at every order; against the forms before them, only
-# gen_log_mean at orders outside {-1, 0} and at or above 1e-6 in magnitude
-# changed bits.  A change to the means layer must keep it.
-PINNED_MEANS_SHA256 = "6794fb2812e1f5a78e026f4ebc1fa924b17f9fec605c92941d028631275dc5ad"
+# as one gen_log_chain, and agm (limit and step count), raised errors
+# included.  Taken from the means once AgmTrace lost its iterates, at the
+# code before that change, so it shows that no limit or step count moved.
+# A change to the means layer must keep it.
+PINNED_MEANS_SHA256 = "7d68d50b47162f9770e8d50f54337991451cade98d690f427da322a564457825"
 
 
 def test_means_bits_pinned():
@@ -533,43 +532,27 @@ def test_means_bits_pinned():
     assert digest.hexdigest() == PINNED_MEANS_SHA256
 
 
-def test_lazy_trace_matches_eager():
-    # agm() records a trace's iterates on its first read; read or unread,
-    # the trace compares, hashes, prints, pickles and copies as the eagerly
-    # built AgmTrace of the same run, and stays read-only
+def test_agm_trace_is_plain_record():
+    # an AgmTrace compares, hashes, prints, copies and pickles by its limit
+    # and step count alone, and stays read-only
     for a, b in pinned_pairs():
-        recorded = []
-        limit, n = agm_iterates(a, b, recorded.append)
-        eager = AgmTrace(tuple(recorded), limit, n)
-        eager_repr = repr(eager)
-        eager_pickle = pickle.dumps(eager)
-
-        def unread_and_read():
-            unread, read = agm(MeanInput(a, b)), agm(MeanInput(a, b))
-            read.iterates
-            assert "iterates" not in vars(unread) and "iterates" in vars(read)
-            return unread, read
-
-        for check in (
-            lambda tr: tr == eager and eager == tr and not tr != eager,
-            lambda tr: hash(tr) == hash(eager),
-            lambda tr: repr(tr) == eager_repr,
-            lambda tr: pickle.dumps(tr) == eager_pickle,
-            lambda tr: pickle.loads(pickle.dumps(tr)) == eager,
-            lambda tr: type(copy.copy(tr)) is AgmTrace and repr(copy.copy(tr)) == eager_repr,
-            lambda tr: type(copy.deepcopy(tr)) is AgmTrace
-            and repr(copy.deepcopy(tr)) == eager_repr,
-        ):
-            for tr in unread_and_read():
-                assert check(tr), (a, b)
-        for tr in unread_and_read():
-            for name in AgmTrace._fields:
-                with pytest.raises(AttributeError):
-                    setattr(tr, name, None)
-                with pytest.raises(AttributeError):
-                    delattr(tr, name)
-            assert not hasattr(tr, "missing")
-            assert repr(tr) == eager_repr, (a, b)
+        limit, n = agm_iterates(a, b)
+        tr = agm(MeanInput(a, b))
+        assert vars(tr) == {"limit": limit, "iterations": n}, (a, b)
+        built = AgmTrace(limit, n)
+        assert pickle.dumps(tr) == pickle.dumps(built)
+        for other in (built, pickle.loads(pickle.dumps(tr)), copy.copy(tr), copy.deepcopy(tr)):
+            assert type(other) is AgmTrace
+            assert other == tr and tr == other and not other != tr
+            assert hash(other) == hash(tr) == hash((limit, n))
+            assert repr(other) == f"AgmTrace(limit={limit!r}, iterations={n})"
+        assert tr != AgmTrace(limit, n + 1)
+        for name in AgmTrace._fields:
+            with pytest.raises(AttributeError):
+                setattr(tr, name, None)
+            with pytest.raises(AttributeError):
+                delattr(tr, name)
+        assert not hasattr(tr, "iterates")
 
 
 class TestAgm:
@@ -577,11 +560,10 @@ class TestAgm:
         tr = agm(MeanInput(5.0, 5.0))
         assert tr.limit == 5.0
         assert tr.iterations == 0
-        assert tr.iterates == ((5.0, 5.0),)
-        assert tr == AgmTrace(iterates=((5.0, 5.0),), limit=5.0, iterations=0)
-        assert hash(tr) == hash(AgmTrace(((5.0, 5.0),), 5.0, 0))
-        assert tr != AgmTrace(((5.0, 5.0),), 5.0, 1)
-        assert repr(tr) == "AgmTrace(iterates=((5.0, 5.0),), limit=5.0, iterations=0)"
+        assert tr == AgmTrace(limit=5.0, iterations=0)
+        assert hash(tr) == hash(AgmTrace(5.0, 0))
+        assert tr != AgmTrace(5.0, 1)
+        assert repr(tr) == "AgmTrace(limit=5.0, iterations=0)"
         with pytest.raises(AttributeError):
             tr.limit = 4.0
 
@@ -596,32 +578,9 @@ class TestAgm:
         lm = log_mean(inp)
         assert lm < limit < (math.pi / 2.0) * lm
 
-    def test_trace_invariants(self):
-        tr = agm(MeanInput(9.0, 0.004))
-        arith = [p[0] for p in tr.iterates]
-        geom = [p[1] for p in tr.iterates]
-        slack = 4.0 * math.ulp(arith[0])
-        assert all(x >= y - slack for x, y in zip(arith, arith[1:]))
-        assert all(x <= y + slack for x, y in zip(geom[1:], geom[2:]))
-        for ak, bk in tr.iterates:
-            assert bk <= tr.limit * (1.0 + 1e-15)
-            assert tr.limit <= ak * (1.0 + 1e-15)
-        gaps = [ak - bk for ak, bk in tr.iterates]
-        assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= means.DEFAULT_REL_TOL * arith[-1]
-        assert isinstance(tr, AgmTrace)
-
     def test_trace_length_moderate(self):
         for a, b in [(1.0, 1e-6), (1e-3, 1e3), (2.0, 8.0), (7.0, 7.0001)]:
             assert agm(MeanInput(a, b)).iterations <= 8
-
-    def test_quadratic_convergence_gap_bound(self):
-        tr = agm(MeanInput(1.0, 0.3))
-        gaps = [(ak - bk) for ak, bk in tr.iterates]
-        b0 = tr.iterates[0][1]
-        for g_prev, g_next in zip(gaps, gaps[1:]):
-            if g_prev < 0.5 * b0:  # bound applies once iterates are close
-                assert g_next <= g_prev * g_prev / (8.0 * b0) * (1.0 + 1e-12) + 1e-18
 
 
 class TestWholeDoubleRange:
@@ -679,10 +638,24 @@ class TestWholeDoubleRange:
     def test_agm_ratio_below_normal(self, mp, a, b):
         assert agm(MeanInput(a, b)).limit == pytest.approx(float(mp.agm(a, b)), rel=1e-12)
 
-    def test_agm_extreme_pair_iterations(self):
-        tr = agm(MeanInput(5e-324, sys.float_info.max))
-        assert tr.iterations <= 16
-        assert tr.iterates[0] == (sys.float_info.max, 5e-324)
+    @pytest.mark.parametrize(
+        "a,b",
+        [(9.0, 0.004), (1.0, 0.3), (2.0, 8.0), (1.0, 1e-8), (5e-324, DBL_MAX), (1e-300, 1e300)],
+    )
+    def test_agm_limit_and_steps(self, mp, a, b):
+        # the limit is the AGM to within two ulps, and the loop takes as
+        # many steps as the exact iteration from (max, min) needs to pass
+        # the stopping test
+        tr = agm(MeanInput(a, b))
+        ref = mp.agm(a, b)
+        assert abs(mp.mpf(tr.limit) / ref - 1) <= 2 * sys.float_info.epsilon
+        x, y = mp.mpf(max(a, b)), mp.mpf(min(a, b))
+        steps = 0
+        while x - y > means.DEFAULT_REL_TOL * x:
+            x, y = (x + y) / 2, mp.sqrt(x * y)
+            steps += 1
+        assert tr.iterations == steps <= 16
+        assert min(a, b) < tr.limit < max(a, b)
 
     @pytest.mark.parametrize("p", [1e-7, -1e-7, 1e-9, -1e-9])
     @pytest.mark.parametrize(
@@ -938,9 +911,7 @@ class TestFloatKernels:
 
     def test_one_agm_loop(self, monkeypatch):
         # a verifier check on one pair, agm and k_agm each run agm_iterates
-        # once, on the pair alone; the first read of an agm() trace's
-        # iterates runs it once more, with a recorder, and later reads run
-        # nothing
+        # once, on the pair alone, and reading a trace runs nothing
         calls = []
         iterates = means.agm_iterates
 
@@ -961,53 +932,37 @@ class TestFloatKernels:
             assert len(calls) == 1 and len(calls[0]) == 2
         calls.clear()
         for tr in traces:
-            tr.limit, tr.iterations
+            tr.limit, tr.iterations, repr(tr), hash(tr)
         assert calls == []
-        for tr in traces:
-            first = tr.iterates
-            assert len(calls) == 1 and len(calls[0]) == 3 and calls[0][2] is not None
-            calls.clear()
-            assert tr.iterates is first
-            assert calls == []
 
     @pytest.mark.parametrize("a,b", [(1.0, math.inf), (0.0, 1.0), (math.nan, 1.0)])
     def test_agm_rejects_bad_arguments(self, a, b):
-        # the one AGM loop checks its arguments, before recording anything
-        pairs = []
-        for run in (lambda: agm_iterates(a, b), lambda: agm_iterates(b, a),
-                    lambda: agm_iterates(a, b, pairs.append)):
+        # the one AGM loop checks its arguments
+        for run in (lambda: agm_iterates(a, b), lambda: agm_iterates(b, a)):
             with pytest.raises(ValueError, match="^AGM arguments must be"):
                 run()
-        assert pairs == []
 
-    def test_agm_iterates_match_limit(self):
-        for a, b in PAIRS + WIDE_PAIRS:
-            limit, n = agm_iterates(a, b)
-            pairs = []
-            assert agm_iterates(a, b, pairs.append) == (limit, n)
-            assert pairs[-1][0] == limit
-            assert len(pairs) - 1 == n
+    def test_agm_iterates_takes_no_recorder(self):
+        with pytest.raises(TypeError):
+            agm_iterates(1.0, 2.0, print)
 
     @given(whole_range, whole_range)
     def test_whole_range_agm_bounded(self, a, b):
         limit, n = agm_iterates(a, b)
-        pairs = []
-        assert agm_iterates(a, b, pairs.append) == (limit, n)
-        assert pairs[-1][0] == limit
-        assert len(pairs) - 1 == n <= 16
+        assert n <= 16
         assert math.isfinite(limit) and limit > 0.0
         assert 0.0 < log_mean_float(a, b) < math.inf
         assert 0.0 < identric_mean(MeanInput(a, b)) < math.inf
 
-    def test_agm_unscaled_steps_traced(self):
-        # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is normal
-        pairs = []
-        agm_iterates(5e-324, DBL_MAX, pairs.append)
-        (h0, l0), (h1, l1), (h2, l2) = pairs[:3]
-        assert (h0, l0) == (DBL_MAX, 5e-324)
-        assert (h1, l1) == (0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0))
-        assert (h2, l2) == (0.5 * h1 + 0.5 * l1, math.sqrt(h1) * math.sqrt(l1))
+    def test_agm_unscaled_steps(self):
+        # (5e-324, DBL_MAX) takes two unscaled steps before its ratio is
+        # normal; from the pair they reach, the loop runs as on a fresh call
+        h0, l0 = DBL_MAX, 5e-324
+        h1, l1 = 0.5 * h0 + 0.5 * l0, math.sqrt(h0) * math.sqrt(l0)
+        h2, l2 = 0.5 * h1 + 0.5 * l1, math.sqrt(h1) * math.sqrt(l1)
         assert l1 / h1 < sys.float_info.min <= l2 / h2
+        limit, n = agm_iterates(l0, h0)
+        assert agm_iterates(l2, h2) == (limit, n - 2)
 
     def test_agm_iteration_count_moderate(self):
         # ratios up to 1e8 converge within 8 steps after unit normalization
