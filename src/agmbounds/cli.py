@@ -21,7 +21,9 @@ prints JSON through json.dumps, so that a fresh `mean`, `elliptic` or
 `scan` process loads neither the exact-rational layer nor the verifier.
 scan runs in the means layer and prints its text or CSV as one joined
 string.  coeffs writes each row, in every format, as the recurrence
-produces it, and never builds the table or loads json.  The exact layer
+produces it, and never builds the table or loads json; verify writes its
+report JSON itself too, and loads json only for a report string that
+needs escaping, which no passing run has.  The exact layer
 works in int pairs, so no command loads fractions, decimal or numbers.
 The value types of every layer are plain classes on means.Record, so no
 command generates classes at import.

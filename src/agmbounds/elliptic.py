@@ -24,6 +24,21 @@ SERIES_T_MAX = 0.95
 # the partial sum.
 SERIES_REL_CUTOFF = 1e-17
 
+
+def _series_coeffs(n: int) -> tuple[float, ...]:
+    # [C(2i,i)/4^i]^2 for i < n, built by the exact ratio ((2i-1)/(2i))^2
+    coeffs = [1.0]
+    for i in range(1, n):
+        r = (2.0 * i - 1.0) / (2.0 * i)
+        coeffs.append(coeffs[-1] * (r * r))
+    return tuple(coeffs)
+
+
+# The coefficients k_series reads, for i = 0..314.  t = SERIES_T_MAX stops
+# at term 310; the last four are margin, and k_series raises if it ever
+# runs past them.
+_SERIES_COEFFS = _series_coeffs(315)
+
 # The quadrature route has converged when its error_estimate is at most
 # this fraction of its value.
 QUAD_REL_TARGET = 1e-13
@@ -41,6 +56,13 @@ QUAD_TERM_CUTOFF = 1e-17
 # rho = e^(-2u)/r <= e^(-QUAD_TAIL_DECAY); the tail series in rho then
 # shrinks at least as fast as a geometric series of that ratio.
 QUAD_TAIL_DECAY = 3.0
+
+# The denominators 1 - e^(-(2j+1)h) of k_quadrature's tail terms, as
+# -expm1(-(2j+1) QUAD_STEP), for j = 0..15.  Since rho <= e^-3, |c_j| <= 1
+# and the sum is at least its first node 1/(1 + r) >= 1/2, term j is below
+# 2.02 e^(-3j), under QUAD_TERM_CUTOFF of the sum from j = 14 on; the tail
+# raises if it ever reads past the table.
+_QUAD_TAIL_DENOMS = tuple(-math.expm1(-(2 * j + 1) * QUAD_STEP) for j in range(16))
 
 
 class ModulusTooLarge(ValueError):
@@ -94,16 +116,21 @@ class EllipticResult(means.Record):
 def k_series(m: Modulus) -> EllipticResult:
     """K(t) by the even power series (pi/2) * sum_i [C(2i,i)/4^i]^2 t^(2i).
 
-    Term coefficients follow the exact ratio ((2i-1)/(2i))^2.  Truncates
-    once the next term falls below SERIES_REL_CUTOFF relative to the
-    partial sum; the reported error_estimate is the geometric tail bound
+    The coefficients come from _SERIES_COEFFS, built once at import by
+    the exact ratio ((2i-1)/(2i))^2, so each term costs two products and
+    every value is bit for bit what the per-term recurrence gave.
+    Truncates once the next term falls below SERIES_REL_CUTOFF relative to
+    the partial sum; the reported error_estimate is the geometric tail bound
     (first omitted term)/(1 - t^2).  It bounds the truncated tail only,
     not the rounding of the sum of up to 310 terms, which is larger on
     most moduli.  Against mpmath at 40 digits, the rounding puts value
     3.8e-16 relative (1.7 eps) from the exact sum of its kept terms at
     t = 0.95, where error_estimate is 9.9e-17 of the value, and 2.3e-16 at
     t = 0.25, where it is 5.6e-18.  The term count rises with t, to 310 at
-    t = 0.95.  Raises ModulusTooLarge for t > 0.95.
+    t = 0.95, inside the 315 coefficients of the table.  Raises
+    ModulusTooLarge for t > 0.95, and ArithmeticError, in place of a
+    truncated sum, if a modulus ever needs more coefficients than the
+    table holds.
     """
     if m.t > SERIES_T_MAX:
         raise ModulusTooLarge(
@@ -111,18 +138,16 @@ def k_series(m: Modulus) -> EllipticResult:
         )
     tsq = m.t * m.t
     s = 1.0
-    coeff = 1.0
     tpow = 1.0
-    terms = 1
-    while True:
-        r = (2.0 * terms - 1.0) / (2.0 * terms)
-        coeff = coeff * (r * r)
+    coeffs = _SERIES_COEFFS
+    for terms in range(1, len(coeffs)):
         tpow = tpow * tsq
-        term = coeff * tpow
+        term = coeffs[terms] * tpow
         if term < SERIES_REL_CUTOFF * s:
             break
         s = s + term
-        terms += 1
+    else:
+        raise ArithmeticError(f"series at t={m.t!r} ran past its {len(coeffs)} coefficients")
     half_pi = math.pi / 2.0
     return EllipticResult(
         value=half_pi * s,
@@ -152,8 +177,8 @@ def k_agm(m: Modulus) -> EllipticResult:
 
 def _ordered_pair(a: float, b: float) -> tuple[float, float]:
     # (hi, lo) of a pair of positive finite reals, or ValueError
-    fa = means._float(a)
-    fb = means._float(b)
+    fa = a if a.__class__ is float else means._float(a)
+    fb = b if b.__class__ is float else means._float(b)
     if not (math.isfinite(fa) and math.isfinite(fb)) or fa <= 0.0 or fb <= 0.0:
         raise ValueError(
             "arguments must be positive finite reals, "
@@ -175,7 +200,10 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
     c_j = (-r)^j P_j((r + 1/r)/2) (Legendre), |c_j| <= 1, so the tail of
     the sum over n >= N is, in closed form,
     2 sum_j c_j rho_N^(j+1/2) / (1 - e^(-(2j+1)h)), summed until a term
-    falls below QUAD_TERM_CUTOFF of the partial sum.  r e^(+-2nh) is
+    falls below QUAD_TERM_CUTOFF of the partial sum.  The denominators
+    come from _QUAD_TAIL_DENOMS, computed once at import; the sum stops by
+    j = 14 (see the table), and raises ArithmeticError if it ever reads
+    past the table's 16 entries.  r e^(+-2nh) is
     evaluated as exp(+-2nh + ln r), which neither overflows nor underflows
     to a wrong value anywhere in the positive doubles.  Never calls the AGM.
     terms_or_iterations counts the explicit evaluations and the tail terms
@@ -200,9 +228,8 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
     rho = math.exp(log_rho)
     power = 2.0 * math.exp(0.5 * log_rho)  # 2 rho^(j + 1/2)
     c_prev, c = 0.0, 1.0
-    j = 0
-    while True:
-        term = c * power / -math.expm1(-(2 * j + 1) * h)
+    for j, denom in enumerate(_QUAD_TAIL_DENOMS):
+        term = c * power / denom
         if abs(term) < QUAD_TERM_CUTOFF * total:
             break
         terms.append(term)
@@ -211,7 +238,9 @@ def k_quadrature(a: float, b: float) -> EllipticResult:
         # recurrence scaled by (-r)^(j+1); forward it is stable
         c_prev, c = c, (-(2 * j + 1) * half_base * c - j * rsq * c_prev) / (j + 1)
         power *= rho
-        j += 1
+    else:
+        raise ArithmeticError(f"quadrature tail at r={r!r} ran past its "
+                              f"{len(_QUAD_TAIL_DENOMS)} terms")
     # the tail terms alternate in sign; fsum adds every term exactly
     return EllipticResult(
         value=h * math.fsum(terms) / hi,

@@ -88,7 +88,8 @@ set_fields = Record.__dict__["__dict__"].__set__
 
 def _float(x) -> float:
     # float(x), with an int too large for a double taken as inf, which the
-    # caller's finiteness check then rejects
+    # caller's finiteness check then rejects.  The hot callers pass an
+    # argument whose class is float through without this call.
     try:
         return float(x)
     except OverflowError:
@@ -125,8 +126,8 @@ class MeanInput(Record):
     _fields = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        fa = _float(a)
-        fb = _float(b)
+        fa = a if a.__class__ is float else _float(a)
+        fb = b if b.__class__ is float else _float(b)
         if not (math.isfinite(fa) and math.isfinite(fb)):
             raise ValueError(f"mean arguments must be finite, got a={arg_text(a)}, b={arg_text(b)}")
         if fa <= 0.0 or fb <= 0.0:
@@ -276,7 +277,8 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     Near-equal pairs take the midpoint at every order, which is off by more
     than an ulp beyond about |p| = 1e4, where M_p moves toward hi or lo.
     """
-    p = _float(p)
+    if p.__class__ is not float:
+        p = _float(p)
     if not math.isfinite(p):
         raise ValueError(f"order p must be finite, got {p}")
     g = inp._log_gap

@@ -4,7 +4,9 @@ Each check returns a VerificationReport; run_all executes the whole claim
 list at a profile-dependent depth.  Exact claims (coefficient identities,
 ratio monotonicity, sign change) are decided in integer arithmetic with
 zero tolerance; floating claims carry explicit named tolerances and a
-witness for the first failing input.  Identical seeds and profiles
+witness for the first failing input.  Every floating pass condition is
+written positively, as dev <= tol or one chained <, so a NaN from any
+route, mean or order fails its claim.  Identical seeds and profiles
 reproduce byte-identical report lists.
 
 The exact claims read the coefficient rows (k, a, b, h, g, s) that
@@ -18,9 +20,13 @@ witness that names a computed rational reduces it, on the failure path
 only, and prints it as a Fraction prints: n where the denominator is 1,
 else n/d.  Each row check raises ValueError on fewer than the three rows
 of table_rows(2).  VerificationReport is a plain immutable class on
-means.Record, and the ratio scan lives in means, so json is imported
-only by reports_to_json and a verify process that prints text needs
-neither class generation at import nor the JSON encoder.
+means.Record, and the ratio scan lives in means, so a verify process
+needs no class generation at import.  reports_to_json writes the text of
+json.dumps(..., sort_keys=True) itself and imports json only for a
+string that needs escaping, so a passing verify process loads no json in
+any format.  The sampled checks draw each pair with rng.random() in the
+arithmetic of rng.uniform, and pass floats, which the means and the K
+routes take without conversion.
 """
 
 import math
@@ -130,9 +136,11 @@ def _check_count(n: int, name: str) -> None:
 
 
 def _sample_pair(rng: random.Random) -> tuple[float, float]:
+    # each exponent is -R + 2R u, u = rng.random(), which is exactly what
+    # rng.uniform(-R, R) computes, without its frame
     while True:
-        a = 10.0 ** rng.uniform(-SAMPLE_LOG_RANGE, SAMPLE_LOG_RANGE)
-        b = 10.0 ** rng.uniform(-SAMPLE_LOG_RANGE, SAMPLE_LOG_RANGE)
+        a = 10.0 ** (-SAMPLE_LOG_RANGE + 2.0 * SAMPLE_LOG_RANGE * rng.random())
+        b = 10.0 ** (-SAMPLE_LOG_RANGE + 2.0 * SAMPLE_LOG_RANGE * rng.random())
         if abs(a - b) >= MIN_REL_GAP * max(a, b):
             return a, b
 
@@ -354,9 +362,13 @@ def check_k_consistency(seed: int = DEFAULT_SEED) -> VerificationReport:
         vs = elliptic.k_series(m).value
         va = elliptic.k_agm(m).value
         vq = elliptic.k_quadrature(1.0, m.complement()).value
-        dev = max(abs(vs - va), abs(vs - vq), abs(va - vq)) / vs
+        devs = (abs(vs - va) / vs, abs(vs - vq) / vs, abs(va - vq) / vs)
         checked += 1
-        if dev > THREE_WAY_REL:
+        # each pair must be within the tolerance: a NaN fails every
+        # comparison, and max() would drop it from the middle or the end
+        if not (devs[0] <= THREE_WAY_REL and devs[1] <= THREE_WAY_REL
+                and devs[2] <= THREE_WAY_REL):
+            dev = math.nan if math.isnan(sum(devs)) else max(devs)
             witness = (
                 f"t={t!r}: series={vs!r} agm={va!r} quadrature={vq!r} "
                 f"max pairwise rel dev {dev!r} > {THREE_WAY_REL}"
@@ -368,7 +380,7 @@ def check_k_consistency(seed: int = DEFAULT_SEED) -> VerificationReport:
         vq = elliptic.k_quadrature(1.0, m.complement()).value
         checked += 1
         dev = abs(va - vq) / va
-        if dev > NEAR_SINGULAR_REL:
+        if not dev <= NEAR_SINGULAR_REL:
             witness = (
                 f"t={NEAR_SINGULAR_T}: agm={va!r} quadrature={vq!r} "
                 f"rel dev {dev!r} > {NEAR_SINGULAR_REL}"
@@ -407,7 +419,7 @@ def check_reciprocal(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Verific
             route = "quadrature"
         resid = abs(m_agm * (2.0 / math.pi) * k_val - 1.0)
         checked += 1
-        if resid > RECIPROCAL_REL:
+        if not resid <= RECIPROCAL_REL:
             witness = (
                 f"a={a!r} b={b!r} ({route}): |M*(2/pi)*K - 1| = {resid!r} "
                 f"> {RECIPROCAL_REL}"
@@ -546,7 +558,9 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
         if not (lm < m < im):
             witness = f"a={a!r} b={b!r}: order violated: L={lm!r} M={m!r} I={im!r}"
             break
-        if any(chain[i] >= chain[i + 1] for i in range(len(chain) - 1)):
+        # one chained < over the seven orders, false on any NaN
+        c0, c1, c2, c3, c4, c5, c6 = chain
+        if not (c0 < c1 < c2 < c3 < c4 < c5 < c6):
             witness = f"a={a!r} b={b!r}: p-chain not strictly increasing: {chain!r}"
             break
     return _report("mean-ordering", statement, checked, tolerances, witness)
@@ -595,12 +609,46 @@ def all_passed(reports) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
+def _json_text(value) -> str | None:
+    # value as json.dumps(value, sort_keys=True) writes it, for the value
+    # types of a report: a str that needs no escape, None, an int, a finite
+    # float, or a dict of those under str keys; None for anything else
+    cls = value.__class__
+    if cls is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return None
+    if value is None:
+        return "null"
+    if cls is int or (cls is float and math.isfinite(value)):
+        return repr(value)
+    if isinstance(value, dict) and all(key.__class__ is str for key in value):
+        cells = []
+        for key in sorted(value):
+            key_text, value_text = _json_text(key), _json_text(value[key])
+            if key_text is None or value_text is None:
+                return None
+            cells.append(f"{key_text}: {value_text}")
+        return "{" + ", ".join(cells) + "}"
+    return None
+
+
 def reports_to_json(reports) -> str:
     """Lossless JSON array of reports (claim_id, status, counts, witness,
-    tolerances)."""
+    tolerances).
+
+    The text equals json.dumps(..., sort_keys=True) of the reports' field
+    dicts.  It is written directly, so a run whose strings need no
+    escaping loads no json; a string with a quote, a backslash, a control
+    or a non-ASCII character sends the whole list through json.dumps.
+    """
+    objects = [{f: getattr(r, f) for f in r._fields} for r in reports]
+    texts = [_json_text(o) for o in objects]
+    if None not in texts:
+        return "[" + ", ".join(texts) + "]"
     import json
 
-    return json.dumps([{f: getattr(r, f) for f in r._fields} for r in reports], sort_keys=True)
+    return json.dumps(objects, sort_keys=True)
 
 
 def reports_to_text(reports) -> str:

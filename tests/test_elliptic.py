@@ -342,3 +342,128 @@ class TestModulusFromPair:
         # a caller cannot give a complement that contradicts t
         with pytest.raises(TypeError):
             Modulus(0.1, exact_complement=0.5)
+
+
+# The per-term loops that k_series and k_quadrature's tail ran before
+# they read their coefficients and denominators from tables, kept as the
+# oracle the tables must reproduce bit for bit.
+def _k_series_per_term(t):
+    tsq = t * t
+    s = 1.0
+    coeff = 1.0
+    tpow = 1.0
+    terms = 1
+    while True:
+        r = (2.0 * terms - 1.0) / (2.0 * terms)
+        coeff = coeff * (r * r)
+        tpow = tpow * tsq
+        term = coeff * tpow
+        if term < elliptic.SERIES_REL_CUTOFF * s:
+            break
+        s = s + term
+        terms += 1
+    half_pi = math.pi / 2.0
+    return half_pi * s, terms, half_pi * term / (1.0 - tsq)
+
+
+def _k_quadrature_per_term(a, b):
+    hi, lo = max(a, b), min(a, b)
+    r = lo / hi
+    log_r = math.log(r) if r >= means.DBL_MIN else math.log(lo) - math.log(hi)
+    rsq = r * r
+    base = 1.0 + rsq
+    half_base = 0.5 * base
+    h = elliptic.QUAD_STEP
+    n_tail = math.ceil((elliptic.QUAD_TAIL_DECAY - log_r) / (2.0 * h))
+    terms = [1.0 / math.sqrt(base + 2.0 * r)]
+    for n in range(1, n_tail):
+        x = 2.0 * h * n
+        terms.append(2.0 / math.sqrt(base + math.exp(x + log_r) + math.exp(log_r - x)))
+    total = sum(terms)
+    log_rho = -2.0 * h * n_tail - log_r
+    rho = math.exp(log_rho)
+    power = 2.0 * math.exp(0.5 * log_rho)
+    c_prev, c = 0.0, 1.0
+    j = 0
+    while True:
+        term = c * power / -math.expm1(-(2 * j + 1) * h)
+        if abs(term) < elliptic.QUAD_TERM_CUTOFF * total:
+            break
+        terms.append(term)
+        total += term
+        c_prev, c = c, (-(2 * j + 1) * half_base * c - j * rsq * c_prev) / (j + 1)
+        power *= rho
+        j += 1
+    return h * math.fsum(terms) / hi, n_tail + j + 1, h * abs(term) / hi
+
+
+def _fields(result):
+    return result.value, result.terms_or_iterations, result.error_estimate
+
+
+def _tail_terms(a, b):
+    # the closed-form tail terms k_quadrature computed on (a, b)
+    hi, lo = max(a, b), min(a, b)
+    log_r = math.log(lo / hi) if lo / hi >= means.DBL_MIN else math.log(lo) - math.log(hi)
+    n_tail = math.ceil((elliptic.QUAD_TAIL_DECAY - log_r) / (2.0 * elliptic.QUAD_STEP))
+    return k_quadrature(a, b).terms_or_iterations - n_tail
+
+
+class TestKernelTables:
+    """k_series and k_quadrature read constants that depend only on the
+    fixed step from module tables; every value stays bit for bit the
+    per-term loops', and a loop that would run past its table raises."""
+
+    def test_series_matches_per_term_loop(self):
+        rng = random.Random(22)
+        ts = [rng.uniform(0.0, elliptic.SERIES_T_MAX) for _ in range(400)]
+        ts += [0.0, 5e-324, 1e-8, 0.5, elliptic.SERIES_T_MAX,
+               math.nextafter(elliptic.SERIES_T_MAX, 0.0)]
+        for t in ts:
+            assert _fields(k_series(Modulus(t))) == _k_series_per_term(t), t
+        for a, b in ((5.0, 8.0), (1.0, 0.32), (3e-300, 1e-300)):
+            m, _ = elliptic.modulus_from_pair(a, b)
+            assert _fields(k_series(m)) == _k_series_per_term(m.t), (a, b)
+
+    def test_quadrature_matches_per_term_loop(self):
+        rng = random.Random(23)
+        pairs = [(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)) for _ in range(150)]
+        pairs += [(2.0 ** rng.uniform(-1074, 1023), 2.0 ** rng.uniform(-1074, 1023))
+                  for _ in range(100)]
+        pairs += [(1.0, Modulus(rng.uniform(0.0, 0.95)).complement()) for _ in range(100)]
+        pairs += [(1.0, 1.0), (1.0, 1e-4), (5e-324, sys.float_info.max),
+                  (sys.float_info.max, 5e-324), (1e-300, 1e300)]
+        for a, b in pairs:
+            assert _fields(k_quadrature(a, b)) == _k_quadrature_per_term(a, b), (a, b)
+
+    @pytest.mark.parametrize("t", [elliptic.SERIES_T_MAX,
+                                   math.nextafter(elliptic.SERIES_T_MAX, 0.0)])
+    def test_largest_moduli_stop_inside_the_table(self, t):
+        # the loop reads the coefficient of the first omitted term last
+        assert k_series(Modulus(t)).terms_or_iterations < len(elliptic._SERIES_COEFFS)
+
+    def test_series_past_its_table_raises(self, monkeypatch):
+        # one coefficient short of what t = SERIES_T_MAX reads
+        monkeypatch.setattr(elliptic, "_SERIES_COEFFS", elliptic._SERIES_COEFFS[:310])
+        assert k_series(Modulus(0.9)).terms_or_iterations == 155
+        with pytest.raises(ArithmeticError, match="^series at t=0.95 ran past its 310 "):
+            k_series(Modulus(elliptic.SERIES_T_MAX))
+
+    def test_quadrature_tail_stops_inside_the_table(self):
+        # the bound in elliptic puts the last tail term at j = 14; ratios
+        # near 1 take the most
+        rng = random.Random(24)
+        ratios = [1.0, 0.999, 0.5, 1e-3, 5e-324] + [rng.uniform(0.0, 1.0) for _ in range(300)]
+        most = max(_tail_terms(1.0, r) for r in ratios if r > 0.0)
+        assert most <= 15 < len(elliptic._QUAD_TAIL_DENOMS)
+
+    def test_quadrature_past_its_table_raises(self, monkeypatch):
+        # r = 1 reads need denominators, the last for its first omitted term
+        need = _tail_terms(1.0, 1.0)
+        table = elliptic._QUAD_TAIL_DENOMS
+        monkeypatch.setattr(elliptic, "_QUAD_TAIL_DENOMS", table[:need])
+        assert _tail_terms(1.0, 1.0) == need
+        monkeypatch.setattr(elliptic, "_QUAD_TAIL_DENOMS", table[:need - 1])
+        with pytest.raises(ArithmeticError,
+                           match=f"^quadrature tail at r=1.0 ran past its {need - 1} terms$"):
+            k_quadrature(1.0, 1.0)

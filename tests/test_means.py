@@ -672,12 +672,6 @@ class TestWholeDoubleRange:
         assert gen_log_mean(p, MeanInput(a, b)) == pytest.approx(float(ref), rel=2e-15, abs=0)
 
     @given(whole_range, whole_range)
-    def test_agm_bounded_finite_positive(self, a, b):
-        tr = agm(MeanInput(a, b))
-        assert tr.iterations <= 16
-        assert math.isfinite(tr.limit) and tr.limit > 0.0
-
-    @given(whole_range, whole_range)
     def test_double_inequality(self, a, b):
         # the paper's claim, and M below the identric mean, on separated
         # pairs whose means lie well above the subnormal range
@@ -948,8 +942,13 @@ class TestFloatKernels:
 
     @given(whole_range, whole_range)
     def test_whole_range_agm_bounded(self, a, b):
+        # agm() and agm_iterates give the same run: at most 16 steps to a
+        # finite positive limit
         limit, n = agm_iterates(a, b)
-        assert n <= 16
+        tr = agm(MeanInput(a, b))
+        assert (tr.limit, tr.iterations) == (limit, n)
+        assert tr.iterations <= 16 and n <= 16
+        assert math.isfinite(tr.limit) and tr.limit > 0.0
         assert math.isfinite(limit) and limit > 0.0
         assert 0.0 < log_mean_float(a, b) < math.inf
         assert 0.0 < identric_mean(MeanInput(a, b)) < math.inf

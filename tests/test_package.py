@@ -111,8 +111,8 @@ class TestImportFootprint:
         assert "dataclasses" not in loaded
         # the exact layer imports nothing from the floating layer
         assert ("agmbounds.means" in loaded) == (argv[0] != "coeffs")
-        # coeffs writes its JSON text itself
-        assert ("json" in loaded) == (argv[-1] == "json" and argv[0] != "coeffs")
+        # coeffs and a passing verify write their JSON text themselves
+        assert "json" not in loaded
 
     @pytest.mark.parametrize("argv", [*README_CLI, *CLI_MIX], ids=" ".join)
     def test_well_formed_argv_loads_no_argparse(self, argv):
@@ -121,6 +121,16 @@ class TestImportFootprint:
         assert not loaded & ARGPARSE
         # the exact layer works in int pairs, so no command loads fractions
         assert not loaded & FRACTIONS
+
+    @pytest.mark.parametrize("witness,needs_json", [("a=1.0 b=2.0: order violated", False),
+                                                    ("caf\u00e9", True), ('say "hi"', True)])
+    def test_report_json_loads_json_only_to_escape(self, witness, needs_json):
+        loaded = loaded_after(
+            "from agmbounds import verify\n"
+            f"r = verify.VerificationReport('c', 's', 'fail', 1, {{'rel': 1e-11}}, {witness!r})\n"
+            "verify.reports_to_json([r])"
+        )
+        assert ("json" in loaded) == needs_json
 
     def test_scan_json_loads_only_the_means_layer(self):
         loaded = loaded_by_cli(

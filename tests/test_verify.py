@@ -7,9 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agmbounds import coefficients as co
-from agmbounds import means, verify
+from agmbounds import elliptic, means, verify
 
 
 # Column of each sequence in a table row (k, a, b, h, g, s), and the
@@ -469,3 +471,132 @@ class TestWitnessText:
         r = verify.check_coefficient_identities(_rows(12))
         assert r.checked_points == 108
         assert r.witness == "k=12: recurrence: 7644342463/830472192 != 676039/8388608"
+
+
+def _nan_route(monkeypatch, route, when=lambda *args: True):
+    # elliptic.<route> returning a NaN value on the calls where when(*args)
+    exact = getattr(elliptic, route)
+
+    def mutant(*args):
+        r = exact(*args)
+        if not when(*args):
+            return r
+        return elliptic.EllipticResult(math.nan, r.method, r.terms_or_iterations,
+                                       r.error_estimate)
+
+    monkeypatch.setattr(elliptic, route, mutant)
+
+
+class TestNanFails:
+    """A NaN from any K route, the AGM or any order of the p chain fails
+    its claim.  Each pass condition is written positively (dev <= tol, a
+    chained <), so no comparison with a NaN can pass."""
+
+    @pytest.mark.parametrize("route", ["k_series", "k_agm", "k_quadrature"])
+    def test_three_way_sweep(self, monkeypatch, route):
+        _nan_route(monkeypatch, route)
+        r = verify.check_k_consistency(seed=1)
+        assert r.status == "fail" and r.checked_points == 1
+        assert "max pairwise rel dev nan > 1e-11" in r.witness
+
+    @pytest.mark.parametrize("route", ["k_agm", "k_quadrature"])
+    def test_near_singular_probe(self, monkeypatch, route):
+        # only the probe's modulus, whose complement no swept modulus has
+        probe = elliptic.Modulus(verify.NEAR_SINGULAR_T)
+        _nan_route(monkeypatch, route, lambda *args: args[-1] in (probe, probe.complement()))
+        r = verify.check_k_consistency(seed=1)
+        assert r.status == "fail"
+        assert r.checked_points == verify.K_CONSISTENCY_MODULI + 1
+        assert r.witness.startswith(f"t={verify.NEAR_SINGULAR_T}: ")
+        assert r.witness.endswith("rel dev nan > 1e-09")
+
+    @pytest.mark.parametrize("route,name", [("k_series", "series"),
+                                            ("k_quadrature", "quadrature")])
+    def test_reciprocal_route(self, monkeypatch, route, name):
+        _nan_route(monkeypatch, route)
+        r = verify.check_reciprocal(50, seed=2)
+        assert r.status == "fail"
+        assert f"({name}): |M*(2/pi)*K - 1| = nan > 1e-11" in r.witness
+
+    def test_reciprocal_agm(self, monkeypatch):
+        iterates = means.agm_iterates
+        monkeypatch.setattr(means, "agm_iterates", lambda a, b: (math.nan, iterates(a, b)[1]))
+        r = verify.check_reciprocal(50, seed=2)
+        assert r.status == "fail" and r.checked_points == 1
+        assert r.witness.endswith("= nan > 1e-11")
+
+    @pytest.mark.parametrize("index", range(len(verify.P_GRID)))
+    def test_chain_order(self, monkeypatch, index):
+        # a NaN at one order, on the third sampled pair
+        exact = means.gen_log_mean
+        calls = []  # the sampled pairs, in order
+
+        def mutant(p, inp):
+            if not calls or calls[-1] is not inp:
+                calls.append(inp)
+            if len(calls) == 3 and p == verify.P_GRID[index]:
+                return math.nan
+            return exact(p, inp)
+
+        monkeypatch.setattr(means, "gen_log_mean", mutant)
+        r = verify.check_mean_order(10, seed=4)
+        assert r.status == "fail" and r.checked_points == 3
+        assert r.witness.startswith(f"a={calls[2].a!r} b={calls[2].b!r}: ")
+        assert "nan" in r.witness
+
+
+def _dumps(reports):
+    return json.dumps([{f: getattr(r, f) for f in r._fields} for r in reports], sort_keys=True)
+
+
+def _failing(witness, claim_id="mean-ordering", tolerances=None):
+    return verify.VerificationReport(claim_id, "a statement", "fail", 3,
+                                     {"strict": 0.0} if tolerances is None else tolerances,
+                                     witness)
+
+
+class TestJsonWriter:
+    """reports_to_json writes the text of json.dumps(sort_keys=True)
+    itself, and hands a list whose strings need escaping to json."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_passing_reports(self, seed):
+        reports = verify.run_all("quick", seed=seed)
+        assert verify.reports_to_json(reports) == _dumps(reports)
+
+    def test_failing_reports(self, monkeypatch):
+        _nan_route(monkeypatch, "k_quadrature")
+        reports = [verify.check_k_consistency(seed=1), verify.check_reciprocal(20, seed=2),
+                   verify.check_sharpness(), _failing("a=1.0 b=2.0: order violated")]
+        assert [r.status for r in reports] == ["fail", "fail", "pass", "fail"]
+        assert verify.reports_to_json(reports) == _dumps(reports)
+
+    @pytest.mark.parametrize(
+        "witness",
+        ['say "hi"', "back\\slash", "two\nlines", "tab\there", "nul\x00", "del\x7f",
+         "caf\u00e9", "clef \U0001d11e", "", None, "plain ascii ~!@#$%^&*()"],
+        ids=["quote", "backslash", "newline", "tab", "nul", "del", "latin", "astral",
+             "empty", "none", "plain"],
+    )
+    def test_witness_strings(self, witness):
+        reports = [*verify.run_all("quick", seed=3)[:2], _failing(witness)]
+        assert verify.reports_to_json(reports) == _dumps(reports)
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{}, {"rel": math.nan}, {"rel": math.inf}, {"rel": -math.inf}, {"rel": -0.0},
+         {"rel": 5e-324, "abs": 1.7976931348623157e308}, {"n": 10**30}, {"flag": True},
+         {"none": None}, {"b": 1.0, "a": 2.0, "é": 3.0}, {"x\"y": 1.0}],
+        ids=repr,
+    )
+    def test_tolerance_values(self, tolerances):
+        reports = [_failing("w", tolerances=tolerances)]
+        assert verify.reports_to_json(reports) == _dumps(reports)
+
+    def test_empty_list(self):
+        assert verify.reports_to_json([]) == "[]" == json.dumps([])
+
+    @given(st.text(), st.one_of(st.none(), st.text()), st.integers(min_value=0))
+    def test_any_strings(self, claim_id, witness, checked):
+        report = verify.VerificationReport(claim_id, "s", "fail", checked, {"rel": 1e-11}, witness)
+        assert verify.reports_to_json([report]) == _dumps([report])
