@@ -277,7 +277,7 @@ def _cmd_coeffs(args, out) -> int:
 def _cmd_scan(args, out) -> int:
     from agmbounds import means
 
-    scan = means.scan_ratio(args.points, args.tmin, args.tmax)
+    grid, ratio = means.scan_ratio(args.points, args.tmin, args.tmax)
     upper = math.pi / 2.0
     if args.format == "json":
         import json
@@ -285,11 +285,11 @@ def _cmd_scan(args, out) -> int:
         print(
             json.dumps(
                 {
-                    "grid": list(scan.grid),
-                    "ratio": list(scan.ratio),
-                    "monotone_decreasing": scan.monotone_decreasing,
-                    "min_value": scan.min_value,
-                    "max_value": scan.max_value,
+                    "grid": grid,
+                    "ratio": ratio,
+                    "monotone_decreasing": all(x > y for x, y in zip(ratio, ratio[1:])),
+                    "min_value": min(ratio),
+                    "max_value": max(ratio),
                     "lower_bound": 1.0,
                     "upper_bound": upper,
                 },
@@ -306,7 +306,7 @@ def _cmd_scan(args, out) -> int:
         bounds = f",1,{_fmt(upper, digits)}"
         print("t,ratio,lower_bound,upper_bound\n" + "\n".join(
             [f"{_fmt(t, digits)},{_fmt(r, digits)}{bounds}"
-             for t, r in zip(scan.grid, scan.ratio)]
+             for t, r in zip(grid, ratio)]
         ), file=out)
     return 0
 

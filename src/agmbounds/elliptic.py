@@ -72,27 +72,24 @@ class ModulusTooLarge(ValueError):
 class Modulus(means.Record):
     """Elliptic modulus t with 0 <= t < 1 (t = 1 is a log singularity).
 
-    A modulus reduced from a pair (modulus_from_pair) also carries its
-    exact complement lo/hi, which t cannot give back near t = 1: t rounds
-    towards 1 and sqrt(1 - t^2) loses the low bits.  The carried value
-    takes no part in comparison; Modulus(t) carries None.
+    Each modulus stores its complement sqrt(1 - t^2) when it is built:
+    Modulus(t) as sqrt((1-t)(1+t)), for accuracy near 1, and a modulus
+    reduced from a pair (modulus_from_pair) as the exact lo/hi, which t
+    cannot give back near t = 1, where t rounds towards 1.  Moduli
+    compare, hash and print by t only.
     """
 
-    _fields = ("t", "exact_complement")
-    _compared = ("t",)
+    _fields = ("t",)
 
     def __init__(self, t: float):
         ft = means._float(t)
         if not math.isfinite(ft) or ft < 0.0 or ft >= 1.0:
             raise ValueError(f"modulus must satisfy 0 <= t < 1, got {means.arg_text(t)}")
-        means.set_fields(self, {"t": ft, "exact_complement": None})
+        means.set_fields(self, {"t": ft, "_complement": math.sqrt((1.0 - ft) * (1.0 + ft))})
 
     def complement(self) -> float:
-        """sqrt(1 - t^2), computed as sqrt((1-t)(1+t)) for accuracy near 1,
-        or the exact complement when one is carried."""
-        if self.exact_complement is not None:
-            return self.exact_complement
-        return math.sqrt((1.0 - self.t) * (1.0 + self.t))
+        """sqrt(1 - t^2), as the modulus stored it when it was built."""
+        return self._complement
 
 
 class EllipticResult(means.Record):
@@ -254,7 +251,7 @@ def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
     """Reduce K(a, b) to the modulus form: K(a, b) = K(t)/scale.
 
     Returns (m, hi) with m.t = sqrt(1 - (lo/hi)^2) and
-    m.exact_complement = lo/hi.
+    m.complement() = lo/hi, exactly.
     Raises ValueError for non-positive or non-finite input, and for a
     ratio lo/hi below the smallest normal double, which a double cannot
     carry exactly (k_quadrature takes such pairs directly).
@@ -270,5 +267,5 @@ def modulus_from_pair(a: float, b: float) -> tuple[Modulus, float]:
     if t >= 1.0:  # t rounds to 1 below u ~ 1e-8; the complement stays exact
         t = math.nextafter(1.0, 0.0)
     m = object.__new__(Modulus)
-    means.set_fields(m, {"t": t, "exact_complement": u})
+    means.set_fields(m, {"t": t, "_complement": u})
     return m, hi

@@ -16,7 +16,7 @@ loop, which returns the limit and step count.  agm runs it once and
 returns the two as an AgmTrace.
 
 scan_ratio samples M(1,t)/L(1,t) from those two kernels on a log-spaced
-grid and returns it as a RatioScan, so the scan command and the
+grid and returns the grid and the ratios, so the scan command and the
 verifier's ratio checks need nothing beyond this module.
 """
 
@@ -50,14 +50,12 @@ class Record:
     usually in its __init__: set_fields(self, {name: value, ...})
     installs that dict as the instance's attribute dict.  Assigning or
     deleting an attribute afterwards raises AttributeError.  The dict may
-    also hold attributes derived from the fields; they take no part in
-    comparison, hashing or printing.  Instances compare and hash by the
-    fields in _compared (all of _fields when empty) and print as
-    Name(field=value, ...).
+    also hold other attributes, such as values derived from the fields;
+    they take no part in comparison, hashing or printing.  Instances compare and hash by their
+    fields and print as Name(field=value, ...).
     """
 
     _fields: tuple[str, ...] = ()
-    _compared: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,7 +64,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self):
-        return tuple([getattr(self, f) for f in self._compared or self._fields])
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -324,30 +322,20 @@ def agm(inp: MeanInput) -> AgmTrace:
     return AgmTrace(*agm_iterates(inp.a, inp.b))
 
 
-class RatioScan(Record):
-    """M(1,t)/L(1,t) sampled on a strictly increasing grid in (0, 1)."""
-
-    _fields = ("grid", "ratio", "monotone_decreasing", "min_value", "max_value")
-
-    def __init__(self, grid: tuple[float, ...], ratio: tuple[float, ...],
-                 monotone_decreasing: bool, min_value: float, max_value: float):
-        set_fields(self, {"grid": grid, "ratio": ratio,
-                          "monotone_decreasing": monotone_decreasing,
-                          "min_value": min_value, "max_value": max_value})
-
-
 def _mean_ratio(t: float) -> float:
     """M(1, t) / L(1, t) for t in (0, 1)."""
     m, _ = agm_iterates(1.0, t)
     return m / log_mean_float(1.0, t)
 
 
-def scan_ratio(n_points: int, t_min: float, t_max: float) -> RatioScan:
-    """M(1,t)/L(1,t) on a log-spaced grid of n_points in [t_min, t_max].
+def scan_ratio(n_points: int, t_min: float, t_max: float) -> tuple[list[float], list[float]]:
+    """(grid, ratio): M(1,t)/L(1,t) on a log-spaced grid of n_points in
+    [t_min, t_max].
 
     Raises ValueError unless 0 < t_min < t_max < 1 and n_points >= 3, and
     also when the grid is not strictly increasing, as it cannot be when
-    [t_min, t_max] holds fewer doubles than n_points.
+    [t_min, t_max] holds fewer doubles than n_points.  Raises
+    ArithmeticError, naming t, at the first ratio that is not finite.
     """
     if not (0.0 < t_min < t_max < 1.0):
         raise ValueError(
@@ -373,11 +361,4 @@ def scan_ratio(n_points: int, t_min: float, t_max: float) -> RatioScan:
     for t, r in zip(grid, ratio):
         if not math.isfinite(r):
             raise ArithmeticError(f"ratio evaluation failed at t={t!r}: {r!r}")
-    decreasing = all(ratio[i] > ratio[i + 1] for i in range(n_points - 1))
-    return RatioScan(
-        grid=tuple(grid),
-        ratio=tuple(ratio),
-        monotone_decreasing=decreasing,
-        min_value=min(ratio),
-        max_value=max(ratio),
-    )
+    return grid, ratio

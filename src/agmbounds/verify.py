@@ -340,7 +340,7 @@ def check_sign_change(rows) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # floating claims
 
-def check_k_consistency(seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_k_consistency(seed: int) -> VerificationReport:
     """Pairwise agreement of the three K routes on K_CONSISTENCY_MODULI
     random moduli in [0, 0.95], plus the near-singular AGM-vs-quadrature
     probe."""
@@ -388,12 +388,12 @@ def check_k_consistency(seed: int = DEFAULT_SEED) -> VerificationReport:
     return _report("k-three-way", statement, checked, tolerances, witness)
 
 
-def check_reciprocal(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_reciprocal(n_samples: int, seed: int) -> VerificationReport:
     """|M(a,b) * (2/pi) * K(a,b) - 1| <= 1e-11 over log-uniform pairs.
 
-    K route per pair: series for modulus <= 0.95, otherwise quadrature,
-    at any argument ratio.  Neither route calls the AGM, so the relation
-    is checked between independent computations of M and K.
+    K route per pair, on its modulus from modulus_from_pair: series up to
+    0.95, otherwise quadrature on (1, lo/hi).  Neither route calls the
+    AGM, so the relation is checked between independent M and K.
     """
     _check_count(n_samples, "n_samples")
     statement = (
@@ -415,7 +415,7 @@ def check_reciprocal(n_samples: int = 1000, seed: int = DEFAULT_SEED) -> Verific
             k_val = elliptic.k_series(mod).value / scale
             route = "series"
         else:
-            k_val = elliptic.k_quadrature(a, b).value
+            k_val = elliptic.k_quadrature(1.0, mod.complement()).value / scale
             route = "quadrature"
         resid = abs(m_agm * (2.0 / math.pi) * k_val - 1.0)
         checked += 1
@@ -455,30 +455,31 @@ def check_double_inequality(n_samples: int, seed: int) -> VerificationReport:
     return _report("double-inequality", statement, checked, tolerances, witness)
 
 
-def check_ratio_scan(n_points: int = 200) -> VerificationReport:
+def check_ratio_scan(n_points: int) -> VerificationReport:
     """Strict decrease of M(1,t)/L(1,t) along a grid of n_points in
     [RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX], all values inside the open
-    interval (1, pi/2): the assertable form of the sharp bounds."""
+    interval (1, pi/2): the assertable form of the sharp bounds.  A ratio
+    that is not finite fails it, with scan_ratio's message as witness."""
     statement = (
         "M(1,t)/L(1,t) is strictly decreasing on a log-spaced grid and "
         "every value lies strictly inside (1, pi/2)"
     )
     tolerances = {"lower_bound": 1.0, "upper_bound": HALF_PI}
-    scan = means.scan_ratio(n_points, RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX)
+    try:
+        grid, ratio = means.scan_ratio(n_points, RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX)
+    except ArithmeticError as exc:
+        return _report("ratio-scan", statement, n_points, tolerances, str(exc))
     witness = None
-    if not scan.monotone_decreasing:
-        for i in range(n_points - 1):
-            if not scan.ratio[i] > scan.ratio[i + 1]:
-                witness = (
-                    f"not strictly decreasing between t={scan.grid[i]!r} "
-                    f"(r={scan.ratio[i]!r}) and t={scan.grid[i+1]!r} "
-                    f"(r={scan.ratio[i+1]!r})"
-                )
-                break
-    if witness is None and not scan.min_value > 1.0:
-        witness = f"min ratio {scan.min_value!r} is not > 1"
-    if witness is None and not scan.max_value < HALF_PI:
-        witness = f"max ratio {scan.max_value!r} is not < pi/2"
+    for i in range(n_points - 1):
+        if not ratio[i] > ratio[i + 1]:
+            witness = (f"not strictly decreasing between t={grid[i]!r} (r={ratio[i]!r}) "
+                       f"and t={grid[i + 1]!r} (r={ratio[i + 1]!r})")
+            break
+    # past the walk the ratios decrease, so the last is the least
+    if witness is None and not ratio[-1] > 1.0:
+        witness = f"min ratio {ratio[-1]!r} is not > 1"
+    if witness is None and not ratio[0] < HALF_PI:
+        witness = f"max ratio {ratio[0]!r} is not < pi/2"
     return _report("ratio-scan", statement, n_points, tolerances, witness)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agmbounds import cli, coefficients, verify
+from agmbounds import cli, coefficients, means, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +35,12 @@ def cli_process(argv, **kwargs):
     """Popen arguments of a fresh `python -m agmbounds.cli` process."""
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     return dict(args=[sys.executable, "-m", "agmbounds.cli", *argv], env=env, **kwargs)
+
+
+def _nan_ratio_at(monkeypatch, t_nan):
+    """means._mean_ratio returning NaN at t_nan, as a faulty M or L would."""
+    exact = means._mean_ratio
+    monkeypatch.setattr(means, "_mean_ratio", lambda t: math.nan if t == t_nan else exact(t))
 
 
 class TestMean:
@@ -64,6 +70,12 @@ class TestMean:
         assert header == "kind,p,a,b,value"
         assert row.split(",")[0] == "genlog"
         assert float(row.split(",")[-1]) == pytest.approx(4.0, rel=1e-13)
+
+    def test_identric_text(self):
+        # I(2, 8) = (1/e) (8^8 / 2^2)^(1/6) = 2^(11/3) / e
+        code, out = run_cli("mean", "--kind", "identric", "--a", "2", "--b", "8")
+        assert code == 0
+        assert float(out) == pytest.approx(2.0 ** (11.0 / 3.0) / math.e, rel=1e-14)
 
     def test_genlog_requires_p(self):
         code, _ = run_cli("mean", "--kind", "genlog", "--a", "3", "--b", "5")
@@ -115,6 +127,26 @@ class TestElliptic:
                             "--format", "json")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.pi / 2.0, rel=1e-14)
+
+    def test_quadrature_with_pair(self):
+        # K(a, b) = pi / (2 M(a, b)), and K(2a, 2b) = K(a, b) / 2
+        m, _ = means.agm_iterates(1.0, 0.01)
+        for a, b, scale in (("1", "0.01", 1.0), ("2", "0.02", 0.5)):
+            code, out = run_cli("elliptic", "--method", "quadrature", "--a", a, "--b", b,
+                                "--format", "json", "--digits", "17")
+            assert code == 0
+            data = json.loads(out)
+            assert data["method"] == "quadrature"
+            assert data["value"] == pytest.approx(scale * math.pi / (2.0 * m), rel=1e-13)
+
+    def test_csv_format(self):
+        code, out = run_cli("elliptic", "--method", "series", "--t", "0.5", "--format", "csv")
+        assert code == 0
+        header, row = out.strip().split("\n")
+        assert header == "method,value,terms_or_iterations,error_estimate"
+        method, value, terms, err = row.split(",")
+        assert method == "series" and int(terms) > 0 and 0.0 < float(err) < 1e-15
+        assert float(value) == pytest.approx(1.6857503548125963, rel=1e-14)
 
     def test_text_fields(self):
         code, out = run_cli("elliptic", "--method", "agm", "--t", "0.5")
@@ -270,6 +302,12 @@ class TestScan:
         code, _ = run_cli("scan", "--points", "5", "--tmin", "0.9", "--tmax", "0.1")
         assert code == 2
 
+    def test_non_finite_ratio_is_a_domain_error(self, monkeypatch, capsys):
+        _nan_ratio_at(monkeypatch, 0.9999)
+        code, out = run_cli("scan", "--points", "5", "--tmin", "0.5", "--tmax", "0.9999")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: ratio evaluation failed at t=0.9999: nan\n"
+
     def test_window_too_narrow_for_its_points(self, capsys):
         # [0.5, 0.5 + 2 ulp] holds three doubles: five grid points would repeat one
         code, out = run_cli("scan", "--points", "5", "--tmin", "0.5",
@@ -321,6 +359,19 @@ class TestVerify:
             r["claim_id"] for r in json.loads(plain)
         ]
         assert all(float(line.split()[1]) >= 0.0 for line in lines)
+
+    def test_non_finite_ratio_fails_its_claims(self, monkeypatch, capsys):
+        # every report is written, and the run exits 1, not 2
+        _nan_ratio_at(monkeypatch, 0.9999)
+        code, out = run_cli("verify", "--format", "json")
+        assert code == 1 and capsys.readouterr().err == ""
+        reports = {r["claim_id"]: r for r in json.loads(out)}
+        assert len(reports) == 10
+        failed = {cid: r["witness"] for cid, r in reports.items() if r["status"] == "fail"}
+        assert failed == {
+            "ratio-scan": "ratio evaluation failed at t=0.9999: nan",
+            "sharpness": "t=0.9999: ratio nan not within (1, 1 + 0.01)",
+        }
 
     def test_failure_exit_code(self, monkeypatch):
         failing = verify.VerificationReport(

@@ -1,23 +1,23 @@
 """Elliptic integral routes: examples, errors, and cross-method agreement."""
 
 import math
+import pickle
 import random
 import re
 import sys
 
 import pytest
 
-from agmbounds import (
+from agmbounds import elliptic, means
+from agmbounds.elliptic import (
     EllipticResult,
-    MeanInput,
     Modulus,
     ModulusTooLarge,
-    agm,
     k_agm,
     k_quadrature,
     k_series,
 )
-from agmbounds import elliptic, means
+from agmbounds.means import MeanInput, agm
 
 HALF_PI = math.pi / 2.0
 
@@ -330,18 +330,27 @@ class TestModulusFromPair:
         assert near.t == nearer.t and near.complement() != nearer.complement()
         assert near == nearer and hash(near) == hash(nearer)
         assert m != near
-        assert repr(m) == f"Modulus(t={m.t!r}, exact_complement=0.5)"
-        assert Modulus(m.t).exact_complement is None
+        assert repr(m) == repr(Modulus(m.t)) == f"Modulus(t={m.t!r})"
         assert Modulus(m.t).complement() == pytest.approx(0.5, rel=1e-15, abs=0)
-        for name in ("t", "exact_complement"):
+        for name in ("t", "_complement"):
             with pytest.raises(AttributeError):
                 setattr(m, name, 0.25)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
         assert m.complement() == 0.5
+        assert pickle.loads(pickle.dumps(m)).complement() == 0.5
+
+    def test_complement_stored_at_construction(self):
+        for t in (0.0, 0.25, 0.5, 0.95, 0.999999, math.nextafter(1.0, 0.0)):
+            m = Modulus(t)
+            assert m.complement() == math.sqrt((1.0 - t) * (1.0 + t))
+            assert m.__dict__ == {"t": t, "_complement": m.complement()}
 
     def test_complement_only_from_a_pair(self):
         # a caller cannot give a complement that contradicts t
-        with pytest.raises(TypeError):
-            Modulus(0.1, exact_complement=0.5)
+        for name in ("exact_complement", "_complement"):
+            with pytest.raises(TypeError):
+                Modulus(0.1, **{name: 0.5})
 
 
 # The per-term loops that k_series and k_quadrature's tail ran before

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from agmbounds import AgmTrace, MeanInput, agm, gen_log_mean, identric_mean, log_mean
+from agmbounds.means import AgmTrace, MeanInput, agm, gen_log_mean, identric_mean, log_mean
 from agmbounds import elliptic, means, verify
 from agmbounds.means import agm_iterates, log_mean_float
 from agmbounds.verify import P_GRID

@@ -1,7 +1,8 @@
-"""Package surface: lazy exports, the modules a process loads, and the
-README's library example."""
+"""Package surface: the package namespace, the modules a process loads,
+the README's library example, and the library calls the benchmark makes."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import re
@@ -150,24 +151,13 @@ class TestImportFootprint:
         assert "argparse" in loaded_by_cli(argv)
 
 
-class TestLazyExports:
-    def test_every_name_resolves_to_its_definition(self):
-        for name in agmbounds.__all__:
-            obj = getattr(agmbounds, name)
-            if name == "__version__":
-                assert obj == "0.1.0"
-                continue
-            assert obj.__module__ in LAYERS
-            assert getattr(sys.modules[obj.__module__], name) is obj
-
-    def test_star_import_binds_all(self):
-        namespace = {}
-        exec("from agmbounds import *", namespace)
-        for name in agmbounds.__all__:
-            assert namespace[name] is getattr(agmbounds, name)
-
-    def test_dir_lists_all(self):
-        assert set(agmbounds.__all__) <= set(dir(agmbounds))
+class TestPackageNamespace:
+    def test_package_defines_only_its_version(self):
+        # every other name is imported from its own module
+        public = {name for name in vars(agmbounds) if not name.startswith("_")}
+        assert public <= {layer.rsplit(".", 1)[1] for layer in LAYERS} | {"cli"}
+        assert agmbounds.__version__ == "0.1.0"
+        assert not hasattr(agmbounds, "__all__")
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
@@ -189,3 +179,35 @@ def test_readme_library_example():
         exec(README_EXAMPLE, {})
     assert len(expected) == 3
     assert out.getvalue().splitlines() == expected
+
+
+def _perfbench_module(name):
+    # a module of perfbench/, loaded from its file, as the benchmark runs it
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkCalls:
+    """The benchmark's worker calls the library by name; a change to that
+    surface must fail here, not only as a refused benchmark run."""
+
+    def test_means_op_over_means_wide(self):
+        from agmbounds import means
+
+        worker, workloads = _perfbench_module("worker"), _perfbench_module("workloads")
+        inputs = workloads.means_inputs(1)
+        assert len(inputs) == 3003
+        for _, a, b in inputs:
+            values = worker.means_op(means, workloads.P_GRID, a, b)
+            assert len(values) == len(workloads.MEAN_SLOTS)
+            assert not [v for v in values if isinstance(v, str)], (a, b, values)
+
+    def test_cli_mix_rotation_in_process(self):
+        worker, workloads = _perfbench_module("worker"), _perfbench_module("workloads")
+        rotation = workloads.cli_rotation(1)
+        results = worker.run_in_process_cli(rotation)
+        assert [code for code, _ in results] == [0] * len(rotation) == [0] * 8
+        assert all(stdout for _, stdout in results)

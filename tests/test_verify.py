@@ -91,6 +91,24 @@ class TestExactChecks:
         assert r.status == "fail"
         assert r.witness is not None
 
+    @pytest.mark.parametrize("delta,first", [(Fraction(-1, 20), 10), (Fraction(1, 10), None)])
+    def test_sign_change_at_another_index(self, delta, first):
+        # every S_k shifted by delta: still strictly decreasing, but S_10
+        # turns negative, or no S_k up to k = 12 does
+        rows = _rows(12)
+        for k in range(2, 13):
+            rows = _corrupt(rows, "s", k, delta)
+        r = verify.check_sign_change(rows)
+        assert r.status == "fail" and r.checked_points == 11
+        assert r.witness == f"first negative S_k at k={first}, expected 11"
+
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_ratio_to_a_zero_cell_raises(self, field):
+        # a_1 or b_1 = 0: the ratio at k = 1 divides by zero, as a Fraction would
+        rows = _corrupt(_rows(12), field, 1, -Fraction(*_rows(12)[1][COLUMNS[field][0]]))
+        with pytest.raises(ZeroDivisionError, match="^ratio to the zero cell 0/1$"):
+            verify.check_coefficient_monotonicity(rows)
+
 
 class TestFloatingChecks:
     def test_k_consistency(self):
@@ -163,19 +181,21 @@ class TestCountValidation:
 
 class TestScan:
     def test_bounds_and_monotonicity(self):
-        scan = means.scan_ratio(50, 1e-6, 0.999)
-        assert scan.monotone_decreasing
-        assert 1.0 < scan.min_value < scan.max_value < math.pi / 2.0
+        _, ratio = means.scan_ratio(50, 1e-6, 0.999)
+        assert len(ratio) == 50
+        assert all(x > y for x, y in zip(ratio, ratio[1:]))
+        assert 1.0 < min(ratio) < max(ratio) < math.pi / 2.0
 
     def test_grid_strictly_increasing_with_exact_endpoints(self):
-        scan = means.scan_ratio(20, 1e-4, 0.9)
-        assert scan.grid[0] == 1e-4
-        assert scan.grid[-1] == 0.9
-        assert all(x < y for x, y in zip(scan.grid, scan.grid[1:]))
+        grid, ratio = means.scan_ratio(20, 1e-4, 0.9)
+        assert grid[0] == 1e-4
+        assert grid[-1] == 0.9
+        assert all(x < y for x, y in zip(grid, grid[1:]))
+        assert ratio == [means._mean_ratio(t) for t in grid]
 
     def test_ratio_near_one_from_above(self):
-        scan = means.scan_ratio(3, 0.99, 0.9999)
-        assert all(1.0 < r < 1.01 for r in scan.ratio)
+        _, ratio = means.scan_ratio(3, 0.99, 0.9999)
+        assert all(1.0 < r < 1.01 for r in ratio)
 
     def test_small_t_larger_than_mid_t(self):
         assert means._mean_ratio(1e-6) > means._mean_ratio(1e-3)
@@ -203,8 +223,8 @@ class TestScan:
 
     def test_narrowest_grid_with_enough_doubles(self):
         t_max = math.nextafter(math.nextafter(0.5, 1.0), 1.0)
-        scan = means.scan_ratio(3, 0.5, t_max)
-        assert scan.grid == (0.5, math.nextafter(0.5, 1.0), t_max)
+        grid, _ = means.scan_ratio(3, 0.5, t_max)
+        assert grid == [0.5, math.nextafter(0.5, 1.0), t_max]
 
     def test_narrow_ranges_give_an_increasing_grid_or_an_error(self):
         # ranges 1e-15 to 1e-10 wide hold from a few to about 1e6 doubles
@@ -214,17 +234,24 @@ class TestScan:
             t_min = rng.uniform(1e-3, 0.99)
             t_max = t_min + 10.0 ** rng.uniform(-15.0, -10.0)
             try:
-                scan = means.scan_ratio(50, t_min, t_max)
+                grid, _ = means.scan_ratio(50, t_min, t_max)
             except ValueError:
                 rejected += 1
                 continue
-            assert all(x < y for x, y in zip(scan.grid, scan.grid[1:])), (t_min, t_max)
+            assert all(x < y for x, y in zip(grid, grid[1:])), (t_min, t_max)
         assert 0 < rejected < 500
 
     def test_report_wrapper(self):
         r = verify.check_ratio_scan(25)
         assert r.status == "pass"
         assert r.checked_points == 25
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ratio_raises(self, monkeypatch, bad):
+        exact = means._mean_ratio
+        monkeypatch.setattr(means, "_mean_ratio", lambda t: bad if t == 0.9 else exact(t))
+        with pytest.raises(ArithmeticError, match=f"^ratio evaluation failed at t=0.9: {bad}$"):
+            means.scan_ratio(5, 0.1, 0.9)
 
 
 class TestValueTypes:
@@ -276,25 +303,6 @@ class TestValueTypes:
         blob = verify.reports_to_json([r])
         assert '"tolerances": {"high_margin": 0.01, "low_margin": 0.15}' in blob
         assert [verify.VerificationReport(**obj) for obj in json.loads(blob)] == [r]
-
-    def test_ratio_scan(self):
-        scan = means.RatioScan((0.1, 0.5), (1.2, 1.1), True, 1.1, 1.2)
-        same = means.RatioScan(
-            max_value=1.2, min_value=1.1, monotone_decreasing=True, ratio=(1.2, 1.1),
-            grid=(0.1, 0.5),
-        )
-        assert scan == same and hash(scan) == hash(same)
-        assert scan != means.RatioScan((0.1, 0.5), (1.2, 1.1), False, 1.1, 1.2)
-        assert repr(scan) == (
-            "RatioScan(grid=(0.1, 0.5), ratio=(1.2, 1.1), monotone_decreasing=True, "
-            "min_value=1.1, max_value=1.2)"
-        )
-        assert pickle.loads(pickle.dumps(scan)) == scan
-        with pytest.raises(AttributeError):
-            scan.min_value = 0.0
-        with pytest.raises(AttributeError):
-            del scan.grid
-        assert scan.min_value == 1.1 and scan.grid == (0.1, 0.5)
 
 
 class TestRunAll:
@@ -543,6 +551,84 @@ class TestNanFails:
         assert r.status == "fail" and r.checked_points == 3
         assert r.witness.startswith(f"a={calls[2].a!r} b={calls[2].b!r}: ")
         assert "nan" in r.witness
+
+
+class TestFloatWitnesses:
+    """The witness each floating claim gives on a mutant of the ratio
+    M(1,t)/L(1,t) or of a mean."""
+
+    @pytest.mark.parametrize("name", ["log_mean_float", "agm_iterates"])
+    def test_double_inequality(self, monkeypatch, name):
+        exact = getattr(means, name)
+        mutant = {"log_mean_float": lambda a, b: math.nan,
+                  "agm_iterates": lambda a, b: (math.nan, exact(a, b)[1])}[name]
+        monkeypatch.setattr(means, name, mutant)
+        r = verify.check_double_inequality(10, seed=3)
+        assert r.status == "fail" and r.checked_points == 1
+        assert r.witness.startswith("a=")
+        assert ": expected L < M < (pi/2)L, got L=" in r.witness and "nan" in r.witness
+
+    def _ratio_mutant(self, monkeypatch, mutant):
+        exact = means._mean_ratio
+        monkeypatch.setattr(means, "_mean_ratio", lambda t: mutant(t, exact(t)))
+        return exact
+
+    def test_ratio_scan_not_decreasing(self, monkeypatch):
+        self._ratio_mutant(monkeypatch, lambda t, r: 1.25)
+        grid, _ = means.scan_ratio(10, verify.RATIO_SCAN_T_MIN, verify.RATIO_SCAN_T_MAX)
+        r = verify.check_ratio_scan(10)
+        assert r.status == "fail" and r.checked_points == 10
+        assert r.witness == ("not strictly decreasing between t=1e-08 (r=1.25) "
+                             f"and t={grid[1]!r} (r=1.25)")
+
+    def test_ratio_scan_min(self, monkeypatch):
+        exact = self._ratio_mutant(monkeypatch, lambda t, r: r - 0.1)
+        r = verify.check_ratio_scan(10)
+        assert r.witness == f"min ratio {exact(verify.RATIO_SCAN_T_MAX) - 0.1!r} is not > 1"
+
+    def test_ratio_scan_max(self, monkeypatch):
+        exact = self._ratio_mutant(monkeypatch, lambda t, r: r + 0.2)
+        r = verify.check_ratio_scan(10)
+        assert r.witness == f"max ratio {exact(verify.RATIO_SCAN_T_MIN) + 0.2!r} is not < pi/2"
+
+    def test_ratio_scan_non_finite(self, monkeypatch):
+        # the claim fails, naming t, where scan_ratio raises
+        self._ratio_mutant(monkeypatch, lambda t, r: math.nan if t == 0.9999 else r)
+        r = verify.check_ratio_scan(10)
+        assert r.status == "fail" and r.checked_points == 10
+        assert r.witness == "ratio evaluation failed at t=0.9999: nan"
+
+    def test_sharpness_not_increasing(self, monkeypatch):
+        # the ratio at t = 1e-5 repeats the one at 1e-4
+        exact = means._mean_ratio
+        monkeypatch.setattr(means, "_mean_ratio", lambda t: exact(1e-4 if t == 1e-5 else t))
+        r = verify.check_sharpness()
+        assert r.status == "fail" and r.checked_points == 4
+        assert r.witness == (f"t=1e-05: ratio {exact(1e-4)!r} did not increase "
+                             f"(previous {exact(1e-4)!r})")
+
+    @pytest.mark.parametrize(
+        "at,call,checked,witness",
+        [
+            (1e-5, 1, 4, "t=1e-05: ratio nan is not < pi/2"),
+            (1e-8, 2, 8, "t=1e-08: ratio nan did not exceed pi/2 - 0.15"),
+            (0.9999, 1, 9, "t=0.9999: ratio nan not within (1, 1 + 0.01)"),
+        ],
+        ids=["sequence", "low", "high"],
+    )
+    def test_sharpness_nan(self, monkeypatch, at, call, checked, witness):
+        # a NaN on the call-th evaluation at t = at; t = 1e-8 is probed by
+        # the sequence and again as the low limit
+        calls = []
+
+        def mutant(t, r):
+            calls.append(t)
+            return math.nan if t == at and calls.count(at) == call else r
+
+        self._ratio_mutant(monkeypatch, mutant)
+        r = verify.check_sharpness()
+        assert r.status == "fail" and r.checked_points == checked
+        assert r.witness == witness
 
 
 def _dumps(reports):
