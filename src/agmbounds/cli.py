@@ -16,14 +16,16 @@ or repeated options, and option values that start with `-` and are
 written without `=`) goes to the argparse parser that _build_parser
 makes from the same table, so argparse loads only for those.
 
-Each subcommand imports only the layer it runs, and json only where it
-prints JSON through json.dumps, so that a fresh `mean`, `elliptic` or
-`scan` process loads neither the exact-rational layer nor the verifier.
-scan runs in the means layer and prints its text or CSV as one joined
-string.  coeffs writes each row, in every format, as the recurrence
-produces it, and never builds the table or loads json; verify writes its
-report JSON itself too, and loads json only for a report string that
-needs escaping, which no passing run has.  The exact layer
+Each subcommand imports only the layer it runs, so that a fresh `mean`,
+`elliptic` or `scan` process loads neither the exact-rational layer nor
+the verifier.  scan runs in the means layer: it computes every ratio
+first, then writes its output in every format, JSON included, in chunks
+of _SCAN_CHUNK grid points, so it never holds its whole text.  coeffs
+writes each row, in every format, as the recurrence produces it, and
+never builds the table.  mean, elliptic and verify write their JSON
+through means._json_dumps, which loads json only for a string that needs
+escaping or a float that is not finite; no passing command prints one,
+so no passing command loads json.  The exact layer
 works in int pairs, so no command loads fractions, decimal or numbers.
 The value types of every layer are plain classes on means.Record, so no
 command generates classes at import.
@@ -33,6 +35,7 @@ import math
 import os
 import sys
 import types
+from itertools import pairwise
 
 # The default of an option that must be given.
 _REQUIRED = object()
@@ -183,26 +186,18 @@ def _cmd_mean(args, out) -> int:
             file=out,
         )
     else:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "kind": args.kind,
-                    "p": args.p,
-                    "a": args.a,
-                    "b": args.b,
-                    "value": _rounded(value, args.digits),
-                },
-                sort_keys=True,
-            ),
-            file=out,
-        )
+        print(means._json_dumps({
+            "kind": args.kind,
+            "p": args.p,
+            "a": args.a,
+            "b": args.b,
+            "value": _rounded(value, args.digits),
+        }), file=out)
     return 0
 
 
 def _cmd_elliptic(args, out) -> int:
-    from agmbounds import elliptic
+    from agmbounds import elliptic, means
 
     has_pair = args.a is not None or args.b is not None
     if args.t is not None and has_pair:
@@ -239,20 +234,12 @@ def _cmd_elliptic(args, out) -> int:
             file=out,
         )
     else:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "method": result.method,
-                    "value": _rounded(value, args.digits),
-                    "terms_or_iterations": result.terms_or_iterations,
-                    "error_estimate": _rounded(err, args.digits),
-                },
-                sort_keys=True,
-            ),
-            file=out,
-        )
+        print(means._json_dumps({
+            "method": result.method,
+            "value": _rounded(value, args.digits),
+            "terms_or_iterations": result.terms_or_iterations,
+            "error_estimate": _rounded(err, args.digits),
+        }), file=out)
     return 0
 
 
@@ -274,40 +261,48 @@ def _cmd_coeffs(args, out) -> int:
     return 0
 
 
+# The grid points whose output scan joins into one write: its text is
+# written chunk by chunk, so a scan holds one chunk of it at a time.
+_SCAN_CHUNK = 256
+
+
 def _cmd_scan(args, out) -> int:
     from agmbounds import means
 
+    # every ratio is computed, and checked finite, before the first write
     grid, ratio = means.scan_ratio(args.points, args.tmin, args.tmax)
     upper = math.pi / 2.0
+    starts = range(0, len(grid), _SCAN_CHUNK)
+    # The output's final newline is a write of its own: on an unbuffered
+    # stdout a reader that closes it during the last chunk's write cuts
+    # that write short without an error, and only a further write fails.
     if args.format == "json":
-        import json
+        # the text of json.dumps(..., sort_keys=True): the keys in sorted
+        # order, and each float, all finite, as its repr
+        def write_floats(values):
+            for i in starts:
+                out.write((", " if i else "") + ", ".join(map(repr, values[i:i + _SCAN_CHUNK])))
 
-        print(
-            json.dumps(
-                {
-                    "grid": grid,
-                    "ratio": ratio,
-                    "monotone_decreasing": all(x > y for x, y in zip(ratio, ratio[1:])),
-                    "min_value": min(ratio),
-                    "max_value": max(ratio),
-                    "lower_bound": 1.0,
-                    "upper_bound": upper,
-                },
-                sort_keys=True,
-            ),
-            file=out,
-        )
+        monotone = all(x > y for x, y in pairwise(ratio))
+        tail = (f'], "lower_bound": 1.0, "max_value": {max(ratio)!r}, '
+                f'"min_value": {min(ratio)!r}, '
+                f'"monotone_decreasing": {"true" if monotone else "false"}, "ratio": [')
+        out.write('{"grid": [')
+        write_floats(grid)
+        out.write(tail)
+        write_floats(ratio)
+        out.write(f'], "upper_bound": {upper!r}}}')
     else:
-        # text and csv share the plottable four-column layout, joined into
-        # one string with the constant bound cells formatted once.  print
-        # writes it, then its newline: on an unbuffered stdout a reader
-        # that closes it during the first write makes the second one fail
+        # text and csv share the plottable four-column layout, with the
+        # constant bound cells formatted once
         digits = args.digits
         bounds = f",1,{_fmt(upper, digits)}"
-        print("t,ratio,lower_bound,upper_bound\n" + "\n".join(
-            [f"{_fmt(t, digits)},{_fmt(r, digits)}{bounds}"
-             for t, r in zip(grid, ratio)]
-        ), file=out)
+        out.write("t,ratio,lower_bound,upper_bound")
+        for i in starts:
+            out.write("".join([f"\n{_fmt(t, digits)},{_fmt(r, digits)}{bounds}"
+                               for t, r in zip(grid[i:i + _SCAN_CHUNK],
+                                               ratio[i:i + _SCAN_CHUNK])]))
+    out.write("\n")
     return 0
 
 

@@ -18,6 +18,10 @@ returns the two as an AgmTrace.
 scan_ratio samples M(1,t)/L(1,t) from those two kernels on a log-spaced
 grid and returns the grid and the ratios, so the scan command and the
 verifier's ratio checks need nothing beyond this module.
+
+_json_dumps is the package's one JSON writer: it writes the text of
+json.dumps(value, sort_keys=True) itself, and loads json only for a
+value whose strings need escaping or whose floats are not finite.
 """
 
 import math
@@ -362,3 +366,44 @@ def scan_ratio(n_points: int, t_min: float, t_max: float) -> tuple[list[float], 
         if not math.isfinite(r):
             raise ArithmeticError(f"ratio evaluation failed at t={t!r}: {r!r}")
     return grid, ratio
+
+
+def _json_text(value) -> str | None:
+    # value as json.dumps(value, sort_keys=True) writes it, for a str that
+    # needs no escape, None, an int, a finite float, or a list of those or
+    # a dict of those under str keys, nested; None for anything else
+    cls = value.__class__
+    if cls is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        return None
+    if value is None:
+        return "null"
+    if cls is int or (cls is float and math.isfinite(value)):
+        return repr(value)
+    if cls is list:
+        cells = [_json_text(item) for item in value]
+        return None if None in cells else "[" + ", ".join(cells) + "]"
+    if isinstance(value, dict) and all(key.__class__ is str for key in value):
+        cells = []
+        for key in sorted(value):
+            key_text, value_text = _json_text(key), _json_text(value[key])
+            if key_text is None or value_text is None:
+                return None
+            cells.append(f"{key_text}: {value_text}")
+        return "{" + ", ".join(cells) + "}"
+    return None
+
+
+def _json_dumps(value) -> str:
+    """json.dumps(value, sort_keys=True), the package's one JSON writer.
+
+    _json_text writes the text itself; a value it cannot write (a string
+    that needs escaping, a float that is not finite, a bool) goes whole
+    through json.dumps, so json loads only for such a value."""
+    text = _json_text(value)
+    if text is None:
+        import json
+
+        text = json.dumps(value, sort_keys=True)
+    return text

@@ -22,11 +22,11 @@ else n/d.  Each row check raises ValueError on fewer than the three rows
 of table_rows(2).  VerificationReport is a plain immutable class on
 means.Record, and the ratio scan lives in means, so a verify process
 needs no class generation at import.  reports_to_json writes the text of
-json.dumps(..., sort_keys=True) itself and imports json only for a
-string that needs escaping, so a passing verify process loads no json in
-any format.  The sampled checks draw each pair with rng.random() in the
-arithmetic of rng.uniform, and pass floats, which the means and the K
-routes take without conversion.
+json.dumps(..., sort_keys=True) through means._json_dumps, which imports
+json only for a string that needs escaping, so a passing verify process
+loads no json in any format.  The sampled checks draw each pair with
+rng.random() in the arithmetic of rng.uniform, and pass floats, which
+the means and the K routes take without conversion.
 """
 
 import math
@@ -52,7 +52,9 @@ SHARPNESS_LOW_T = 1e-8
 SHARPNESS_LOW_MARGIN = 0.15
 SHARPNESS_HIGH_EPS = 1e-4
 SHARPNESS_HIGH_MARGIN = 0.01
-SHARPNESS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+# The sequence ends at SHARPNESS_LOW_T, so check_sharpness evaluates the
+# ratio there once.
+SHARPNESS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, SHARPNESS_LOW_T)
 
 # The t range of check_ratio_scan's grid.
 RATIO_SCAN_T_MIN = 1e-8
@@ -486,8 +488,8 @@ def check_ratio_scan(n_points: int) -> VerificationReport:
 def check_sharpness() -> VerificationReport:
     """Monotone approach of M/L to its limits: the ratio increases along
     SHARPNESS_SEQUENCE, t decreasing toward 0, while staying below
-    pi/2, exceeds pi/2 - 0.15 by t = 1e-8, and sits within 0.01 of 1 at
-    t = 1 - 1e-4.
+    pi/2, exceeds pi/2 - 0.15 at t = 1e-8, the sequence's last point, and
+    sits within 0.01 of 1 at t = 1 - 1e-4.  Each t is evaluated once.
     Convergence to the limits is logarithmic, hence the loose margins."""
     statement = (
         "no constant below pi/2 bounds M/L from above and no constant "
@@ -515,7 +517,7 @@ def check_sharpness() -> VerificationReport:
         prev = r
     if witness is None:
         checked += 1
-        r_low = means._mean_ratio(SHARPNESS_LOW_T)
+        r_low = prev  # the ratio at SHARPNESS_LOW_T, the sequence's last point
         if not r_low > HALF_PI - SHARPNESS_LOW_MARGIN:
             witness = (
                 f"t={SHARPNESS_LOW_T}: ratio {r_low!r} did not exceed "
@@ -610,46 +612,16 @@ def all_passed(reports) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
-def _json_text(value) -> str | None:
-    # value as json.dumps(value, sort_keys=True) writes it, for the value
-    # types of a report: a str that needs no escape, None, an int, a finite
-    # float, or a dict of those under str keys; None for anything else
-    cls = value.__class__
-    if cls is str:
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-            return f'"{value}"'
-        return None
-    if value is None:
-        return "null"
-    if cls is int or (cls is float and math.isfinite(value)):
-        return repr(value)
-    if isinstance(value, dict) and all(key.__class__ is str for key in value):
-        cells = []
-        for key in sorted(value):
-            key_text, value_text = _json_text(key), _json_text(value[key])
-            if key_text is None or value_text is None:
-                return None
-            cells.append(f"{key_text}: {value_text}")
-        return "{" + ", ".join(cells) + "}"
-    return None
-
-
 def reports_to_json(reports) -> str:
     """Lossless JSON array of reports (claim_id, status, counts, witness,
     tolerances).
 
     The text equals json.dumps(..., sort_keys=True) of the reports' field
-    dicts.  It is written directly, so a run whose strings need no
+    dicts.  means._json_dumps writes it, so a run whose strings need no
     escaping loads no json; a string with a quote, a backslash, a control
     or a non-ASCII character sends the whole list through json.dumps.
     """
-    objects = [{f: getattr(r, f) for f in r._fields} for r in reports]
-    texts = [_json_text(o) for o in objects]
-    if None not in texts:
-        return "[" + ", ".join(texts) + "]"
-    import json
-
-    return json.dumps(objects, sort_keys=True)
+    return means._json_dumps([{f: getattr(r, f) for f in r._fields} for r in reports])
 
 
 def reports_to_text(reports) -> str:

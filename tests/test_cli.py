@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +36,34 @@ def cli_process(argv, **kwargs):
     """Popen arguments of a fresh `python -m agmbounds.cli` process."""
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     return dict(args=[sys.executable, "-m", "agmbounds.cli", *argv], env=env, **kwargs)
+
+
+# The grid points of one scan write.
+SCAN_CHUNK = cli._SCAN_CHUNK
+
+
+def _scan_as_one_string(points, t_min, t_max, fmt, digits):
+    """scan's output built as one string, as it was before scan wrote it
+    in chunks: the oracle of its chunked writes."""
+    grid, ratio = means.scan_ratio(points, t_min, t_max)
+    upper = math.pi / 2.0
+    if fmt == "json":
+        return json.dumps(
+            {
+                "grid": grid,
+                "ratio": ratio,
+                "monotone_decreasing": all(x > y for x, y in zip(ratio, ratio[1:])),
+                "min_value": min(ratio),
+                "max_value": max(ratio),
+                "lower_bound": 1.0,
+                "upper_bound": upper,
+            },
+            sort_keys=True,
+        ) + "\n"
+    bounds = f",1,{upper:.{digits}g}"
+    return "t,ratio,lower_bound,upper_bound\n" + "\n".join(
+        [f"{t:.{digits}g},{r:.{digits}g}{bounds}" for t, r in zip(grid, ratio)]
+    ) + "\n"
 
 
 def _nan_ratio_at(monkeypatch, t_nan):
@@ -191,6 +220,52 @@ class TestElliptic:
         assert code == 2
 
 
+def _seeded_float_argv(seed):
+    """mean argv of every kind and elliptic argv of every route, on
+    log-uniform pairs and uniform moduli drawn from seed; each elliptic
+    pair has a modulus that the series route takes."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(8):
+        a, b = (10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2))
+        pair = ["--a", repr(a), "--b", repr(b)]
+        argvs += [["mean", "--kind", kind, *pair] for kind in ("log", "identric", "agm")]
+        argvs.append(["mean", "--kind", "genlog", "--p", repr(rng.uniform(-4.0, 4.0)), *pair])
+        t = repr(rng.uniform(0.0, 0.95))
+        near_pair = ["--a", repr(a), "--b", repr(a * rng.uniform(0.35, 1.0))]
+        for method in ("series", "agm", "quadrature"):
+            argvs += [["elliptic", "--method", method, "--t", t],
+                      ["elliptic", "--method", method, *near_pair]]
+    return argvs
+
+
+class TestJsonText:
+    """mean and elliptic write the text of json.dumps(sort_keys=True)
+    through means._json_dumps, without loading json."""
+
+    @pytest.mark.parametrize("digits", ["15", "17"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_json_dumps(self, monkeypatch, seed, digits):
+        written = [run_cli(*argv, "--format", "json", "--digits", digits)
+                   for argv in _seeded_float_argv(seed)]
+        assert len(written) == 80
+        assert all(code == 0 and means._json_text(json.loads(text)) for code, text in written)
+        # with the writer refusing every value, each text goes through json.dumps
+        monkeypatch.setattr(means, "_json_text", lambda value: None)
+        for argv, text in zip(_seeded_float_argv(seed), written):
+            assert run_cli(*argv, "--format", "json", "--digits", digits) == text
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, [1, -0.0, 5e-324, 1.7976931348623157e308, 10**30, None, "s"],
+         {"b": [1.5, {"c": None}], "a": "x"}, [True], [math.nan], [math.inf], ["\u00e9"],
+         ['"'], {1: 2}, (1, 2), {"k": (1,)}],
+        ids=repr,
+    )
+    def test_values(self, value):
+        assert means._json_dumps(value) == json.dumps(value, sort_keys=True)
+
+
 class TestCoeffs:
     def test_csv_matches_exact_table(self):
         code, out = run_cli("coeffs", "--kmax", "10", "--format", "csv")
@@ -297,6 +372,51 @@ class TestScan:
         assert data["monotone_decreasing"] is True
         assert data["lower_bound"] == 1.0
         assert len(data["grid"]) == len(data["ratio"]) == 4
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_memory_does_not_grow_with_points(self, fmt):
+        # The text is written chunk by chunk, so past the grid and ratio
+        # lists that scan_ratio returns, the traced peak at 20000 points
+        # stays within 0.25 MB of the peak at 2000 (writing the text as one
+        # string took 3.3 MB more in text and csv and 2.3 MB more in json).
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        def traced(call):
+            tracemalloc.start()
+            try:
+                result = call()
+                return result, tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        def peak(points):
+            argv = ["scan", "--points", str(points), "--tmin", "1e-8", "--tmax", "0.9999",
+                    "--format", fmt]
+            code, (_, peak) = traced(lambda: cli.run(argv, out=Sink()))
+            assert code == 0
+            return peak
+
+        def lists(points):
+            # the memory the returned grid and ratio lists hold, floats included
+            _, (current, _) = traced(lambda: means.scan_ratio(points, 1e-8, 0.9999))
+            return current
+
+        peak(2000)  # imports and first-call caches are not part of either peak
+        assert peak(20000) - peak(2000) <= lists(20000) - lists(2000) + 250_000
+
+    @pytest.mark.parametrize("digits", ["15", "17"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize(
+        "points", [3, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 1],
+        ids=["3", "C-1", "C", "C+1", "2C+1"],
+    )
+    def test_chunk_boundaries(self, points, fmt, digits):
+        # the chunked writes give the bytes of the text written as one string
+        argv = ["scan", "--points", str(points), "--tmin", "1e-8", "--tmax", "0.9999",
+                "--format", fmt, "--digits", digits]
+        assert run_cli(*argv) == (0, _scan_as_one_string(points, 1e-8, 0.9999, fmt, int(digits)))
 
     def test_invalid_window(self):
         code, _ = run_cli("scan", "--points", "5", "--tmin", "0.9", "--tmax", "0.1")
@@ -454,6 +574,8 @@ class TestClosedPipe:
         [
             ["coeffs", "--kmax", "500"],
             ["scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999"],
+            *(["scan", "--points", "20000", "--tmin", "1e-8", "--tmax", "0.9999", "--format", f]
+              for f in ("csv", "json")),
         ],
         ids=" ".join,
     )
@@ -463,7 +585,7 @@ class TestClosedPipe:
         with subprocess.Popen(
             **cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         ) as proc:
-            assert proc.stdout.readline().startswith((b"a_1 = ", b"t,"))
+            assert proc.stdout.read(10) in (b"a_1 = 1/4\n", b"t,ratio,lo", b'{"grid": [')
             proc.stdout.close()
             err = proc.stderr.read()
             assert (proc.wait(timeout=60), err) == (141, b"")

@@ -608,27 +608,38 @@ class TestFloatWitnesses:
                              f"(previous {exact(1e-4)!r})")
 
     @pytest.mark.parametrize(
-        "at,call,checked,witness",
+        "at,checked,witness",
         [
-            (1e-5, 1, 4, "t=1e-05: ratio nan is not < pi/2"),
-            (1e-8, 2, 8, "t=1e-08: ratio nan did not exceed pi/2 - 0.15"),
-            (0.9999, 1, 9, "t=0.9999: ratio nan not within (1, 1 + 0.01)"),
+            (1e-5, 4, "t=1e-05: ratio nan is not < pi/2"),
+            # the low limit reads the sequence's value at its last point
+            (1e-8, 7, "t=1e-08: ratio nan is not < pi/2"),
+            (0.9999, 9, "t=0.9999: ratio nan not within (1, 1 + 0.01)"),
         ],
         ids=["sequence", "low", "high"],
     )
-    def test_sharpness_nan(self, monkeypatch, at, call, checked, witness):
-        # a NaN on the call-th evaluation at t = at; t = 1e-8 is probed by
-        # the sequence and again as the low limit
-        calls = []
-
-        def mutant(t, r):
-            calls.append(t)
-            return math.nan if t == at and calls.count(at) == call else r
-
-        self._ratio_mutant(monkeypatch, mutant)
+    def test_sharpness_nan(self, monkeypatch, at, checked, witness):
+        self._ratio_mutant(monkeypatch, lambda t, r: math.nan if t == at else r)
         r = verify.check_sharpness()
         assert r.status == "fail" and r.checked_points == checked
         assert r.witness == witness
+
+    def test_sharpness_low_limit(self, monkeypatch):
+        # scaled by 0.9 the ratio still increases along the sequence below
+        # pi/2, but at its last point falls short of pi/2 - 0.15
+        exact = self._ratio_mutant(monkeypatch, lambda t, r: 0.9 * r)
+        r = verify.check_sharpness()
+        assert r.status == "fail" and r.checked_points == 8
+        assert r.witness == f"t=1e-08: ratio {0.9 * exact(1e-8)!r} did not exceed pi/2 - 0.15"
+
+    def test_sharpness_evaluates_each_t_once(self, monkeypatch):
+        # the low limit is the sequence's last point, so the check reads
+        # the value the sequence computed there
+        assert verify.SHARPNESS_SEQUENCE[-1] == verify.SHARPNESS_LOW_T
+        calls = []
+        self._ratio_mutant(monkeypatch, lambda t, r: calls.append(t) or r)
+        r = verify.check_sharpness()
+        assert r.status == "pass" and r.checked_points == 9
+        assert calls == [*verify.SHARPNESS_SEQUENCE, 1.0 - verify.SHARPNESS_HIGH_EPS]
 
 
 def _dumps(reports):
