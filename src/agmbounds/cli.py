@@ -4,9 +4,11 @@ Subcommands: mean, elliptic, coeffs, scan, verify.  Output formats: text
 (default), csv, json.  Exit codes: 0 success, 1 verification failure,
 2 usage or domain error, 141 (128 + SIGPIPE) when the reader of stdout
 closes it before the output ends.  Exact rationals print as num/den in
-text and CSV and as paired decimal strings in JSON; floats print with
---digits significant digits (display only, never fed back into
-computation).
+text and CSV and as paired decimal strings in JSON.  Floats print with
+--digits significant digits in text and CSV (display only, never fed
+back into computation), and as their repr in JSON, so the JSON of every
+command is the same at every --digits and parses back to the doubles
+computed.
 
 The grammar is stated once, in _GRAMMAR.  _read_argv reads well-formed
 argv from it without argparse: each option spelled in full, at most
@@ -46,7 +48,7 @@ _REQUIRED = object()
 # given.  _COMMON follows the options of every subcommand.
 _COMMON = {
     "--format": (str, ("text", "csv", "json"), "text", None),
-    "--digits": (int, None, 15, "significant digits for floating output (1..17)"),
+    "--digits": (int, None, 15, "significant digits for text and CSV floats (1..17)"),
 }
 _GRAMMAR = {
     "mean": ("evaluate a bivariate mean", {
@@ -81,10 +83,6 @@ _GRAMMAR = {
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
-
-
-def _rounded(value: float, digits: int) -> float:
-    return float(_fmt(value, digits))
 
 
 def _build_parser():
@@ -191,7 +189,7 @@ def _cmd_mean(args, out) -> int:
             "p": args.p,
             "a": args.a,
             "b": args.b,
-            "value": _rounded(value, args.digits),
+            "value": value,
         }), file=out)
     return 0
 
@@ -236,9 +234,9 @@ def _cmd_elliptic(args, out) -> int:
     else:
         print(means._json_dumps({
             "method": result.method,
-            "value": _rounded(value, args.digits),
+            "value": value,
             "terms_or_iterations": result.terms_or_iterations,
-            "error_estimate": _rounded(err, args.digits),
+            "error_estimate": err,
         }), file=out)
     return 0
 

@@ -61,16 +61,6 @@ def _odd_harmonic_parts(k: int) -> tuple[int, int]:
     return sum(den // (2 * i - 1) for i in range(1, k + 1)), den
 
 
-def odd_harmonic(k: int) -> tuple[int, int]:
-    """sum_{i=1}^{k} 1/(2i-1); zero, (0, 1), at k = 0.
-
-    The terms are added as integer numerators over their common
-    denominator lcm(1, 3, ..., 2k-1), and reduced once at the end.
-    """
-    _check_index(k, 0)
-    return _reduced(*_odd_harmonic_parts(k))
-
-
 def b_coeff(k: int) -> tuple[int, int]:
     """b_k = [C(2k,k)]^2 / 2^(4k): coefficient of (1-t^2)^k in (2/pi)K."""
     _check_index(k, 0)

@@ -266,6 +266,67 @@ class TestJsonText:
         assert means._json_dumps(value) == json.dumps(value, sort_keys=True)
 
 
+def _library_floats(argv):
+    """The floats that a mean or elliptic argv of _seeded_float_argv
+    computes, keyed as in its JSON, from the library called directly."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "mean":
+        inp = means.MeanInput(float(opts["--a"]), float(opts["--b"]))
+        kind = opts["--kind"]
+        if kind == "genlog":
+            return {"value": means.gen_log_mean(float(opts["--p"]), inp)}
+        if kind == "agm":
+            return {"value": means.agm(inp).limit}
+        return {"value": (means.log_mean if kind == "log" else means.identric_mean)(inp)}
+    from agmbounds import elliptic
+
+    if opts["--method"] == "quadrature":
+        scale = 1.0
+        if "--t" in opts:
+            result = elliptic.k_quadrature(1.0, elliptic.Modulus(float(opts["--t"])).complement())
+        else:
+            result = elliptic.k_quadrature(float(opts["--a"]), float(opts["--b"]))
+    else:
+        if "--t" in opts:
+            m, scale = elliptic.Modulus(float(opts["--t"])), 1.0
+        else:
+            m, scale = elliptic.modulus_from_pair(float(opts["--a"]), float(opts["--b"]))
+        result = (elliptic.k_series if opts["--method"] == "series" else elliptic.k_agm)(m)
+    return {"value": result.value / scale, "error_estimate": result.error_estimate / scale}
+
+
+# The JSON argv of the commands that _seeded_float_argv does not cover.
+OTHER_JSON_ARGV = [
+    ["scan", "--points", "7", "--tmin", "0.1", "--tmax", "0.9"],
+    ["coeffs", "--kmax", "6"],
+    ["verify", "--profile", "quick", "--seed", "5"],
+]
+
+
+class TestJsonFloats:
+    """JSON writes every float as its repr, whatever --digits is, so it
+    reads back as the double the library computed."""
+
+    @pytest.mark.parametrize(
+        "argv", [*_seeded_float_argv(1), *OTHER_JSON_ARGV], ids=" ".join
+    )
+    def test_same_at_every_digits(self, argv):
+        written = {run_cli(*argv, "--format", "json", "--digits", digits)
+                   for digits in ("1", "5", "15", "17")}
+        assert len(written) == 1
+        (code, text), = written
+        assert code == 0 and json.loads(text)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_doubles(self, seed):
+        for argv in _seeded_float_argv(seed):
+            code, text = run_cli(*argv, "--format", "json")
+            assert code == 0
+            data = json.loads(text)
+            for key, value in _library_floats(argv).items():
+                assert float.hex(data[key]) == float.hex(value), (argv, key)
+
+
 class TestCoeffs:
     def test_csv_matches_exact_table(self):
         code, out = run_cli("coeffs", "--kmax", "10", "--format", "csv")
@@ -518,10 +579,11 @@ class TestUsage:
 
 # SHA-256 of stdout for the verify, coeffs and scan commands whose cost
 # sets the CLI tail, for coeffs in every format, which streams its rows,
-# and for scan in every format and at 17 digits, which joins its text
-# into one string: a faster mean chain, exact layer or writer must keep
-# these outputs byte-identical.  Every quick seed passes every claim, so
-# their reports are equal; scan's text and CSV share one layout.
+# for scan in every format and at 17 digits, which writes its text in
+# chunks, and for the JSON of mean and elliptic, whose floats are written
+# in full: a faster mean chain, exact layer or writer must keep these
+# outputs byte-identical.  Every quick seed passes every claim, so their
+# reports are equal; scan's text and CSV share one layout.
 QUICK_JSON_SHA256 = "7408d966ce9fda195b07046bdf8ad665dea2e28de98f7ef75d2d2c94a5011f6f"
 SCAN_TEXT_SHA256 = "48231bf30a3b9a537a329bdd61fefc23bf419bb5d4f1a3bcdd2922eabd0a0b17"
 SCAN_ARGV = ("scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999")
@@ -555,6 +617,22 @@ PINNED_STDOUT_SHA256 = [
     (
         (*SCAN_ARGV, "--digits", "17"),
         "669ab7d00b171e5531fe4715239285f7028c48978a43fe51e71e7a463b925c6f",
+    ),
+    (
+        ("mean", "--kind", "agm", "--a", "1.4142135623730951", "--b", "1", "--format", "json"),
+        "74d1f5e42f3902bd265034389abd65421711de239ae35225d1569a834a56b2b2",
+    ),
+    (
+        ("mean", "--kind", "genlog", "--p=-1.5", "--a", "2", "--b", "8", "--format", "json"),
+        "00fa9495c9275b3bef02d5ea96484b4b118310b94e1ae65f7c98c8a8a5b53565",
+    ),
+    (
+        ("elliptic", "--method", "series", "--t", "0.5", "--format", "json"),
+        "d81ccc6028e091adeee18ba1783f3f9e0e20edf139e5d5adf198ae6ffa8c3cca",
+    ),
+    (
+        ("elliptic", "--method", "quadrature", "--a", "1", "--b", "0.01", "--format", "json"),
+        "809286535f4d339b1170ffd78b7946b7b807dc6baa114e058fb4d0b1a96d06e0",
     ),
 ]
 
@@ -607,7 +685,7 @@ VERIFY_USAGE = (
 HELP_LINE = "  -h, --help            show this help message and exit\n"
 COMMON_HELP = (
     "  --format {text,csv,json}\n"
-    "  --digits DIGITS       significant digits for floating output (1..17)\n"
+    "  --digits DIGITS       significant digits for text and CSV floats (1..17)\n"
 )
 FALLBACK_PINS = [
     (

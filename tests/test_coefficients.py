@@ -90,8 +90,9 @@ class TestCommonDenominatorSums:
             assert value(co.g_sum(k)) == g_sum_per_term(k), k
 
     def test_odd_harmonic(self):
+        # the unreduced sum that a_coeff_closed, g_closed and s_seq share
         for k in range(0, 201):
-            assert value(co.odd_harmonic(k)) == odd_harmonic_per_term(k), k
+            assert value(co._odd_harmonic_parts(k)) == odd_harmonic_per_term(k), k
 
 
 class TestIntegerClosedForms:
@@ -103,7 +104,6 @@ class TestIntegerClosedForms:
         for k in range(1, 301):
             w = Fraction(math.comb(2 * k, k), 4**k)
             harmonic += Fraction(1, 2 * k - 1)
-            assert value(co.odd_harmonic(k)) == harmonic, k
             assert value(co.a_coeff_closed(k)) == (1 - w * (harmonic - 1)) / (2 * (k + 1)), k
             assert value(co.h_closed(k)) == Fraction(1, 2) - w / 2, k
             assert value(co.g_closed(k)) == w * harmonic / 2, k
@@ -118,7 +118,6 @@ class TestIntegerClosedForms:
         for k in range(1, 61):
             w = Fraction(math.comb(2 * k, k), 4**k)
             harmonic += Fraction(1, 2 * k - 1)
-            expected[co.odd_harmonic, k] = harmonic
             expected[co.a_coeff_closed, k] = (1 - w * (harmonic - 1)) / (2 * (k + 1))
             expected[co.g_closed, k] = w * harmonic / 2
             if k >= 2:
@@ -128,13 +127,10 @@ class TestIntegerClosedForms:
         for f, k in calls:
             assert f(k) == pair(expected[f, k]), (f.__name__, k)
 
-    def test_odd_harmonic_at_zero(self):
-        assert value(co.odd_harmonic(0)) == 0
-
     def test_results_are_reduced(self):
         # every closed form and sum returns the pair of ints in lowest terms
         # with a positive denominator that Fraction would hold
-        fns = (co.wallis_ratio, co.odd_harmonic, co.b_coeff, co.a_coeff_sum, co.a_coeff_closed,
+        fns = (co.wallis_ratio, co.b_coeff, co.a_coeff_sum, co.a_coeff_closed,
                co.h_sum, co.h_closed, co.g_sum, co.g_closed, co.s_seq)
         for k in (1, 2, 7, 64, 255, 256):
             for f in fns:
