@@ -312,10 +312,8 @@ def _cmd_verify(args, out) -> int:
     from agmbounds import verify
 
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    if args.timings:
-        reports = verify.run_all(profile=args.profile, seed=seed, on_check=_print_timing)
-    else:
-        reports = verify.run_all(profile=args.profile, seed=seed)
+    reports = verify.run_all(profile=args.profile, seed=seed,
+                             on_check=_print_timing if args.timings else None)
     if args.format == "json":
         print(verify.reports_to_json(reports), file=out)
     elif args.format == "csv":

@@ -1,22 +1,23 @@
 """Exact rational sequences behind the mean-ratio monotonicity argument.
 
 Everything here is exact arithmetic over Python ints; no rounding ever
-occurs.  The module provides the Wallis quotient, the series coefficients
-a_k and b_k, the summation identities h(k) and g(k) with their closed
-forms, and the sign-changing sequence S_k, and one O(1)-per-index
-recurrence for all sequences, which table_rows streams as rows
-(k, a, b, h, g, s), one index at a time.  Every value, from a closed
-form, a sum or a row, is a (numerator, denominator) pair of ints in
-lowest terms with a positive denominator, so Fraction(*x) is the value;
-the module never imports fractions.  Each closed form and sum is built
-from integers over one common denominator and reduced by one gcd; the
-recurrence keeps integer state and reduces each row with at most one
-gcd of two large operands.  Both the coeffs command and the verifier
-read the rows.  The CSV and JSON formatters, write_csv and write_json,
-take the rows and a write callable, so the CLI prints rows as they are
-produced without holding them or their text.  The JSON text is written
-directly, so no table output needs the json module, and the module
-imports nothing from the floating layers.
+occurs.  The module provides the Wallis quotient, the defining sums of
+a_k, h(k) and g(k), the closed forms of a_k, b_k, h(k), g(k) and the
+sign-changing sequence S_k, which closed_row gives as one row
+(k, a, b, h, g, s) per index, and one O(1)-per-index recurrence for all
+sequences, which table_rows streams as rows of the same shape, one index
+at a time.  Every value, from a closed form, a sum or a row, is a
+(numerator, denominator) pair of ints in lowest terms with a positive
+denominator, so Fraction(*x) is the value; the module never imports
+fractions.  Each sum and closed-form cell is built from integers over
+one common denominator and reduced by one gcd; the recurrence keeps
+integer state and reduces each row with at most one gcd of two large
+operands.  Both the coeffs command and the verifier read the rows.  The
+CSV and JSON formatters, write_csv and write_json, take the rows and a
+write callable, so the CLI prints rows as they are produced without
+holding them or their text.  The JSON text is written directly, so no
+table output needs the json module, and the module imports nothing from
+the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -26,7 +27,6 @@ psi(k+1/2) = -gamma - 2 ln 2 + 2 sum_{i<=k} 1/(2i-1), making every
 identity exactly decidable.
 """
 
-from functools import lru_cache
 from math import comb, gcd, lcm
 
 
@@ -48,23 +48,6 @@ def wallis_ratio(k: int) -> tuple[int, int]:
     """(2k-1)!!/(2k)!! = C(2k, k)/4^k, the Wallis quotient."""
     _check_index(k, 0)
     return _reduced(comb(2 * k, k), 1 << (2 * k))
-
-
-@lru_cache(maxsize=1)
-def _odd_harmonic_parts(k: int) -> tuple[int, int]:
-    # sum_{i=1}^{k} 1/(2i-1) as an unreduced (numerator, denominator) pair
-    # over the common denominator lcm(1, 3, ..., 2k-1); (0, 1) at k = 0.
-    # The last k is kept, so a_coeff_closed, g_closed and s_seq at one k,
-    # called in turn as the coeff-identities sweep calls them, share one
-    # sum, whose O(k) big-integer divisions are most of the cost of each.
-    den = lcm(*range(1, 2 * k, 2))
-    return sum(den // (2 * i - 1) for i in range(1, k + 1)), den
-
-
-def b_coeff(k: int) -> tuple[int, int]:
-    """b_k = [C(2k,k)]^2 / 2^(4k): coefficient of (1-t^2)^k in (2/pi)K."""
-    _check_index(k, 0)
-    return _reduced(comb(2 * k, k) ** 2, 1 << (4 * k))
 
 
 def _binomial_sum(dens: list[int]) -> tuple[int, int]:
@@ -95,32 +78,10 @@ def a_coeff_sum(k: int) -> tuple[int, int]:
     return _reduced(den - (k + 1) * num, (k + 1) * den)
 
 
-def a_coeff_closed(k: int) -> tuple[int, int]:
-    """a_k in closed form after the digamma reduction:
-    (1/(2(k+1))) [1 - (C(2k,k)/4^k)(sum_{i=1}^{k} 1/(2i-1) - 1)].
-
-    Equals a_coeff_sum(k) exactly for every k >= 1.  Built from integers:
-    with the odd harmonic sum num/den, it is
-    (4^k den - C(2k,k)(num - den)) / (2(k+1) 4^k den), reduced once.
-    """
-    _check_index(k, 1)
-    num, den = _odd_harmonic_parts(k)
-    return _reduced(
-        (den << (2 * k)) - comb(2 * k, k) * (num - den), (k + 1) * den << (2 * k + 1)
-    )
-
-
 def h_sum(k: int) -> tuple[int, int]:
     """h(k) = sum_{i=1}^{k} C(2i-2, i-1) / (i 4^i)."""
     _check_index(k, 1)
     return _reduced(*_binomial_sum(list(range(1, k + 1))))
-
-
-def h_closed(k: int) -> tuple[int, int]:
-    """h(k) = 1/2 - (2/4^(k+1)) C(2k, k) = (4^k - C(2k,k)) / (2 4^k);
-    equals h_sum(k) exactly."""
-    _check_index(k, 1)
-    return _reduced((1 << (2 * k)) - comb(2 * k, k), 1 << (2 * k + 1))
 
 
 def g_sum(k: int) -> tuple[int, int]:
@@ -129,30 +90,40 @@ def g_sum(k: int) -> tuple[int, int]:
     return _reduced(*_binomial_sum([k - i + 1 for i in range(1, k + 1)]))
 
 
-def g_closed(k: int) -> tuple[int, int]:
-    """g(k) reduced to the exact rational
-    (C(2k,k)/4^k) * (1/2) * sum_{i=1}^{k} 1/(2i-1).
+def closed_row(k: int):
+    """Row (k, a, b, h, g, s) of index k from the closed forms, in the
+    shape of a table_rows row, with None where a sequence is not defined
+    at k (a, h and g below 1, s below 2):
 
-    The Gamma/digamma/log-2/Euler-gamma terms of the analytic form cancel
-    under the standard reductions; equals g_sum(k) exactly.  With the odd
-    harmonic sum num/den it is C(2k,k) num / (2 4^k den), reduced once.
+        b_k  = C(2k,k)^2 / 2^(4k), the coefficient of (1-t^2)^k in (2/pi)K;
+        a_k  = (1/(2(k+1))) [1 - (C(2k,k)/4^k)(H_k - 1)];
+        h(k) = 1/2 - (2/4^(k+1)) C(2k,k);
+        g(k) = (C(2k,k)/4^k) H_k / 2;
+        S_k  = 2(k+1)^2/(k(2k+1)) - (H_k - 1),
+
+    with H_k = sum_{i=1}^{k} 1/(2i-1).  The a_k and g(k) forms are the
+    digamma reductions of the analytic forms, whose Gamma, log-2 and
+    Euler-gamma terms cancel; S_k is strictly decreasing, with exactly one
+    sign change: S_10 > 0 > S_11.  H_k is summed once, as num/den over
+    den = lcm(1, 3, ..., 2k-1), and each cell is built from integers over
+    one common denominator and reduced by one gcd, so the row is the
+    reference the recurrence of table_rows is tested against.
     """
-    _check_index(k, 1)
-    num, den = _odd_harmonic_parts(k)
-    return _reduced(comb(2 * k, k) * num, den << (2 * k + 1))
-
-
-def s_seq(k: int) -> tuple[int, int]:
-    """S_k = 2(k+1)^2/(k(2k+1)) - sum_{i=2}^{k} 1/(2i-1) for k >= 2.
-
-    Strictly decreasing, with exactly one sign change: S_10 > 0 > S_11.
-    With the odd harmonic sum num/den it is
-    (2(k+1)^2 den - k(2k+1)(num - den)) / (k(2k+1) den), reduced once.
-    """
-    _check_index(k, 2)
-    num, den = _odd_harmonic_parts(k)
-    kk = k * (2 * k + 1)
-    return _reduced(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
+    _check_index(k, 0)
+    c = comb(2 * k, k)
+    b = _reduced(c * c, 1 << (4 * k))
+    if k == 0:
+        return 0, None, b, None, None, None
+    den = lcm(*range(1, 2 * k, 2))
+    num = sum(den // (2 * i - 1) for i in range(1, k + 1))
+    a = _reduced((den << (2 * k)) - c * (num - den), (k + 1) * den << (2 * k + 1))
+    h = _reduced((1 << (2 * k)) - c, 1 << (2 * k + 1))
+    g = _reduced(c * num, den << (2 * k + 1))
+    s = None
+    if k >= 2:
+        kk = k * (2 * k + 1)
+        s = _reduced(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
+    return k, a, b, h, g, s
 
 
 def _cell_json(cell) -> str:
@@ -197,8 +168,8 @@ def table_rows(k_max: int):
     independent cross-check.
 
     Each value is a (numerator, denominator) pair of ints in lowest terms
-    with a positive denominator, as the closed forms return it, and the
-    pair is what the formatters print.  The rows keep integer state,
+    with a positive denominator, and row k equals closed_row(k); the pair
+    is what the formatters print.  The rows keep integer state,
     the odd part W of C(2k,k) and the odd harmonic sum in lowest terms,
     take the powers of two off by shifts, and reduce each row with one
     gcd of two large operands, gcd(W, q) for the harmonic denominator q;

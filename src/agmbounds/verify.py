@@ -2,20 +2,21 @@
 
 Each check returns a VerificationReport; run_all executes the whole claim
 list at a profile-dependent depth.  Exact claims (coefficient identities,
-ratio monotonicity, sign change) are decided in integer arithmetic with
-zero tolerance; floating claims carry explicit named tolerances and a
-witness for the first failing input.  Every floating pass condition is
-written positively, as dev <= tol or one chained <, so a NaN from any
-route, mean or order fails its claim.  Identical seeds and profiles
+ratio monotonicity, the series-ratio inequality, sign change) are decided
+in integer arithmetic with zero tolerance; floating claims carry explicit
+named tolerances and a witness for the first failing input.  Every
+floating pass condition is written positively, as dev <= tol or one
+chained <, so a NaN from any route, mean or order fails its claim.  Identical seeds and profiles
 reproduce byte-identical report lists.
 
-The exact claims read the coefficient rows (k, a, b, h, g, s) that
-coefficients.table_rows streams, collected once per run; row k holds
-index k, each value as a (numerator, denominator) pair of ints.  The
-identity check compares each pair for equality with the reduced pair of
-an independent sum or closed form, so it also proves every cell is in
-lowest terms with a positive denominator; the other exact claims compare
-pairs by cross-multiplication, so no claim imports fractions.  A
+All four exact claims read the coefficient rows (k, a, b, h, g, s)
+that coefficients.table_rows streams, collected once per run; row k
+holds index k, each value as a (numerator, denominator) pair of ints.
+The identity check compares each pair for equality with the reduced pair
+of a definitional sum or of the closed-form row coefficients.closed_row
+gives for the same k, so it also proves every cell is in lowest terms
+with a positive denominator; the other exact claims compare pairs by
+cross-multiplication, so no claim imports fractions.  A
 witness that names a computed rational reduces it, on the failure path
 only, and prints it as a Fraction prints: n where the denominator is 1,
 else n/d.  Each row check raises ValueError on fewer than the three rows
@@ -173,9 +174,10 @@ def check_coefficient_identities(rows) -> VerificationReport:
     value, and the g recurrence, for 1 <= k <= k_max = len(rows) - 1.
 
     Each table cell must equal the reduced (numerator, denominator) pair
-    of the independent sum or closed form, so every cell is also checked
-    to be in lowest terms with a positive denominator.  The recurrence is
-    compared by cross-multiplication.
+    of the definitional sum or of the cell of coeffs.closed_row(k), read
+    once per k, so every cell is also checked to be in lowest terms with
+    a positive denominator.  The recurrence is compared by
+    cross-multiplication.
     """
     k_max = _check_rows(rows)
     statement = (
@@ -186,7 +188,7 @@ def check_coefficient_identities(rows) -> VerificationReport:
     checked = 0
     witness = None
     g_values: list[tuple[int, int]] = []
-    b_0 = coeffs.b_coeff(0)
+    b_0 = coeffs.closed_row(0)[_B]
     if b_0 != rows[0][_B]:
         witness = f"k=0: b vs table: {_cell_str(b_0)} != {_cell_str(rows[0][_B])}"
     checked += 1
@@ -196,16 +198,16 @@ def check_coefficient_identities(rows) -> VerificationReport:
         a_s = coeffs.a_coeff_sum(k)
         g_s = coeffs.g_sum(k)
         g_values.append(g_s)
-        h_c = coeffs.h_closed(k)
+        closed = coeffs.closed_row(k)
         row = rows[k]
         cases = (
-            ("a sum vs closed", a_s, coeffs.a_coeff_closed(k)),
+            ("a sum vs closed", a_s, closed[_A]),
             ("a vs table", a_s, row[_A]),
-            ("h sum vs closed", coeffs.h_sum(k), h_c),
-            ("h vs table", h_c, row[_H]),
-            ("g sum vs closed", g_s, coeffs.g_closed(k)),
+            ("h sum vs closed", coeffs.h_sum(k), closed[_H]),
+            ("h vs table", closed[_H], row[_H]),
+            ("g sum vs closed", g_s, closed[_G]),
             ("g vs table", g_s, row[_G]),
-            ("b vs table", coeffs.b_coeff(k), row[_B]),
+            ("b vs table", closed[_B], row[_B]),
         )
         for name, left, right in cases:
             checked += 1
@@ -214,9 +216,8 @@ def check_coefficient_identities(rows) -> VerificationReport:
                 break
         if witness is None and k >= 2:
             checked += 1
-            s_k = coeffs.s_seq(k)
-            if s_k != row[_S]:
-                witness = f"k={k}: S_k: {_cell_str(s_k)} != {_cell_str(row[_S])}"
+            if closed[_S] != row[_S]:
+                witness = f"k={k}: S_k: {_cell_str(closed[_S])} != {_cell_str(row[_S])}"
     if witness is None:
         g_values.append(coeffs.g_sum(k_max + 1))
         for k in range(1, k_max + 1):
@@ -270,41 +271,41 @@ def check_coefficient_monotonicity(rows) -> VerificationReport:
     )
 
 
-def check_series_ratio_inequality(k_max: int) -> VerificationReport:
-    """The rearranged coefficient-ratio inequality, exactly, for 2 <= k <= k_max.
+def check_series_ratio_inequality(rows) -> VerificationReport:
+    """The rearranged coefficient-ratio inequality, exactly, for
+    2 <= k <= k_max = len(rows) - 1.
 
     [T_{k+1} - (2k+1)(k+2)/(2(k+1)^2) T_k] * C(2k+2,k+1)/4^(k+1)
         < 1 - (2k+1)^2 (k+2)/(4(k+1)^3),
-    where T_k = sum_{i=2}^{k} 1/(2i-1).  Recomputed independently of any
-    table, in ints: T_k = p/q and w_{k+1} = C(2k+2,k+1)/4^(k+1) = wn/wd
-    are kept in lowest terms by one gcd per step, and the two sides are
-    compared by cross-multiplication over positive denominators.
+    where T_k = sum_{i=2}^{k} 1/(2i-1).  Row k gives
+    T_k = 2(k+1)^2/(k(2k+1)) - S_k and w_k = C(2k,k)/4^k = 1 - 2h(k);
+    T_{k+1} = T_k + 1/(2k+1) and w_{k+1} = w_k (2k+1)/(2k+2) follow in
+    unreduced ints, and the two sides are compared by cross-multiplication
+    over positive denominators.
     """
+    k_max = _check_rows(rows)
     statement = (
         "rearranged coefficient-ratio inequality holds exactly for every "
         "k in [2, k_max]"
     )
     witness = None
     checked = 0
-    p, q = 1, 3  # T_2
-    wn, wd = coeffs.wallis_ratio(3)  # C(6,3)/4^3, i.e. w_{k+1} at k = 2
     for k in range(2, k_max + 1):
-        # T_{k+1} = T_k + 1/m
         m = 2 * k + 1
-        p1, q1 = coeffs._reduced(p * m + q, q * m)
+        cn, cd = m * (k + 2), 2 * (k + 1) ** 2
+        rn, rd = m * m * (k + 2), 4 * (k + 1) ** 3
+        # T_k = tn/td and w_{k+1} = wn/wd from row k, T_{k+1} = (tn m + td)/(td m);
         # lhs = (T_{k+1} - (cn/cd) T_k) w_{k+1} and rhs = 1 - rn/rd, each
         # as a numerator over a positive denominator
-        cn, cd = m * (k + 2), 2 * (k + 1) ** 2
-        lhs_num, lhs_den = (p1 * cd * q - cn * p * q1) * wn, cd * q * q1 * wd
-        rn, rd = m * m * (k + 2), 4 * (k + 1) ** 3
+        (sn, sd), (hn, hd) = rows[k][_S], rows[k][_H]
+        tn, td = cd * sd - k * m * sn, k * m * sd
+        wn, wd = (hd - 2 * hn) * m, hd * (m + 1)
+        lhs_num, lhs_den = (cd * (tn * m + td) - cn * m * tn) * wn, cd * td * m * wd
         checked += 1
         if not lhs_num * rd < (rd - rn) * lhs_den:
             witness = (f"k={k}: {_rational_str(lhs_num, lhs_den)} >= "
                        f"{_rational_str(rd - rn, rd)}")
             break
-        p, q = p1, q1
-        # w_{k+2} = w_{k+1} (2k+3)/(2k+4)
-        wn, wd = coeffs._reduced(wn * (m + 2), wd * (m + 3))
     return _report(
         "series-ratio-inequality", statement, checked, {"exact": 0.0}, witness
     )
@@ -590,7 +591,7 @@ def run_all(
     checks: list[Callable[[], VerificationReport]] = [
         lambda: check_coefficient_identities(rows),
         lambda: check_coefficient_monotonicity(rows),
-        lambda: check_series_ratio_inequality(p["k_max"]),
+        lambda: check_series_ratio_inequality(rows),
         lambda: check_sign_change(rows),
         lambda: check_k_consistency(seed),
         lambda: check_reciprocal(p["recip_samples"], seed + 1),

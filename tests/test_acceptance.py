@@ -110,12 +110,12 @@ def test_criterion_4_sign_change(rows500):
     S_10 = 278266/14549535 ~ 0.0191, S_11 = -14233768/334639305 ~ -0.0425,
     with S_9 ~ 0.0890 also positive.
     """
-    s10 = Fraction(*co.s_seq(10))
-    s11 = Fraction(*co.s_seq(11))
+    s10 = Fraction(*co.closed_row(10)[5])
+    s11 = Fraction(*co.closed_row(11)[5])
     ok = s10 == Fraction(278266, 14549535)
     ok &= s11 == Fraction(-14233768, 334639305)
     ok &= s10 > 0 > s11
-    ok &= Fraction(*co.s_seq(9)) > 0
+    ok &= Fraction(*co.closed_row(9)[5]) > 0
     ok &= abs(float(s10) - 0.0191254222) < 1e-9
     ok &= abs(float(s11) + 0.0425346568) < 1e-9
     r = verify.check_sign_change(rows500)

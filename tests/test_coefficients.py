@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -54,11 +53,6 @@ def g_sum_per_term(k):
     return acc
 
 
-def odd_harmonic_per_term(k):
-    """Oracle: sum_{i=1}^{k} 1/(2i-1), term by term."""
-    return sum((Fraction(1, 2 * i - 1) for i in range(1, k + 1)), Fraction(0))
-
-
 def pair(x):
     """The (numerator, denominator) pair that stands for the Fraction x."""
     return x.numerator, x.denominator
@@ -67,6 +61,15 @@ def pair(x):
 def value(x):
     """The Fraction that the (numerator, denominator) pair x stands for."""
     return Fraction(*x)
+
+
+# Column of each sequence in a row (k, a, b, h, g, s).
+COLUMN = {"a": 1, "b": 2, "h": 3, "g": 4, "s": 5}
+
+
+def closed(name, k):
+    """The cell of sequence name in closed_row(k)."""
+    return co.closed_row(k)[COLUMN[name]]
 
 
 class TestWallisRatio:
@@ -89,67 +92,55 @@ class TestCommonDenominatorSums:
             assert value(co.h_sum(k)) == h_sum_per_term(k), k
             assert value(co.g_sum(k)) == g_sum_per_term(k), k
 
-    def test_odd_harmonic(self):
-        # the unreduced sum that a_coeff_closed, g_closed and s_seq share
-        for k in range(0, 201):
-            assert value(co._odd_harmonic_parts(k)) == odd_harmonic_per_term(k), k
-
 
 class TestIntegerClosedForms:
-    """The closed forms are built as one reduced pair from integers; each
+    """closed_row builds each cell as one reduced pair from integers; each
     must stand for the Fraction expression it replaces, written out here."""
 
     def test_against_fraction_expressions(self):
         harmonic = Fraction(0)
-        for k in range(1, 301):
+        for k in range(0, 301):
             w = Fraction(math.comb(2 * k, k), 4**k)
-            harmonic += Fraction(1, 2 * k - 1)
-            assert value(co.a_coeff_closed(k)) == (1 - w * (harmonic - 1)) / (2 * (k + 1)), k
-            assert value(co.h_closed(k)) == Fraction(1, 2) - w / 2, k
-            assert value(co.g_closed(k)) == w * harmonic / 2, k
-            if k >= 2:
-                s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1)
-                assert value(co.s_seq(k)) == s, k
-
-    def test_independent_of_call_order(self):
-        # the closed forms share the odd harmonic sum of the last k asked for
-        expected = {}
-        harmonic = Fraction(0)
-        for k in range(1, 61):
-            w = Fraction(math.comb(2 * k, k), 4**k)
-            harmonic += Fraction(1, 2 * k - 1)
-            expected[co.a_coeff_closed, k] = (1 - w * (harmonic - 1)) / (2 * (k + 1))
-            expected[co.g_closed, k] = w * harmonic / 2
-            if k >= 2:
-                expected[co.s_seq, k] = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1)
-        calls = list(expected) * 2
-        random.Random(3).shuffle(calls)
-        for f, k in calls:
-            assert f(k) == pair(expected[f, k]), (f.__name__, k)
+            if k >= 1:
+                harmonic += Fraction(1, 2 * k - 1)
+            expected = [
+                (1 - w * (harmonic - 1)) / (2 * (k + 1)) if k >= 1 else None,
+                w * w,
+                Fraction(1, 2) - w / 2 if k >= 1 else None,
+                w * harmonic / 2 if k >= 1 else None,
+                Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - (harmonic - 1) if k >= 2 else None,
+            ]
+            assert co.closed_row(k) == (k, *(None if x is None else pair(x) for x in expected)), k
 
     def test_results_are_reduced(self):
-        # every closed form and sum returns the pair of ints in lowest terms
-        # with a positive denominator that Fraction would hold
-        fns = (co.wallis_ratio, co.b_coeff, co.a_coeff_sum, co.a_coeff_closed,
-               co.h_sum, co.h_closed, co.g_sum, co.g_closed, co.s_seq)
+        # every sum and closed-form cell is the pair of ints in lowest
+        # terms with a positive denominator that Fraction would hold
         for k in (1, 2, 7, 64, 255, 256):
-            for f in fns:
-                if f is co.s_seq and k < 2:
-                    continue
-                n, d = f(k)
-                assert type(n) is int and type(d) is int, (f.__name__, k)
-                assert d > 0 and math.gcd(n, d) == 1, (f.__name__, k)
+            sums = [f(k) for f in (co.wallis_ratio, co.a_coeff_sum, co.h_sum, co.g_sum)]
+            for n, d in sums + [c for c in co.closed_row(k)[1:] if c is not None]:
+                assert type(n) is int and type(d) is int, k
+                assert d > 0 and math.gcd(n, d) == 1, k
+
+    @pytest.mark.parametrize("k", [-1, 2.0, True])
+    def test_rejects_bad_index(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            co.closed_row(k)
+
+    def test_undefined_cells_at_zero_and_one(self):
+        # None exactly where table_rows puts it: a, h, g at k = 0, s below 2
+        assert co.closed_row(0) == (0, None, (1, 1), None, None, None)
+        assert [c is None for c in co.closed_row(1)[1:]] == [False] * 4 + [True]
 
 
 class TestBCoefficients:
     def test_first_three(self):
-        assert value(co.b_coeff(0)) == 1
-        assert value(co.b_coeff(1)) == Fraction(1, 4)
-        assert value(co.b_coeff(2)) == Fraction(9, 64)
+        assert value(closed("b", 0)) == 1
+        assert value(closed("b", 1)) == Fraction(1, 4)
+        assert value(closed("b", 2)) == Fraction(9, 64)
 
     @given(st.integers(min_value=0, max_value=60))
     def test_ratio_recurrence(self, k):
-        assert value(co.b_coeff(k + 1)) / value(co.b_coeff(k)) == Fraction(
+        assert value(closed("b", k + 1)) / value(closed("b", k)) == Fraction(
             (2 * k + 1) ** 2, (2 * k + 2) ** 2
         )
 
@@ -161,71 +152,69 @@ class TestACoefficients:
     def test_table_values(self):
         for k, expected in enumerate(A_TABLE, start=1):
             assert value(co.a_coeff_sum(k)) == expected
-            assert value(co.a_coeff_closed(k)) == expected
+            assert value(closed("a", k)) == expected
 
     def test_sum_equals_closed(self):
         for k in range(1, 80):
-            assert co.a_coeff_sum(k) == co.a_coeff_closed(k)
+            assert co.a_coeff_sum(k) == closed("a", k)
 
     def test_strictly_decreasing(self):
         values = [value(co.a_coeff_sum(k)) for k in range(1, 40)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_closed_form_needs_positive_index(self):
-        with pytest.raises(ValueError):
-            co.a_coeff_closed(0)
+        assert closed("a", 0) is None
 
 
 class TestSummationIdentities:
     def test_h_base_case(self):
         assert value(co.h_sum(1)) == Fraction(1, 4)
-        assert value(co.h_closed(1)) == Fraction(1, 4)
+        assert value(closed("h", 1)) == Fraction(1, 4)
 
     def test_h_k2(self):
         assert value(co.h_sum(2)) == Fraction(5, 16)
-        assert value(co.h_closed(2)) == Fraction(5, 16)
+        assert value(closed("h", 2)) == Fraction(5, 16)
 
     def test_h_monotone_approach_to_half(self):
-        values = [value(co.h_closed(k)) for k in range(1, 60)]
+        values = [value(closed("h", k)) for k in range(1, 60)]
         assert all(x < y for x, y in zip(values, values[1:]))
         assert all(v < Fraction(1, 2) for v in values)
         assert float(Fraction(1, 2) - values[-1]) < 0.07
 
     def test_g_small(self):
         assert value(co.g_sum(1)) == Fraction(1, 4)
-        assert value(co.g_closed(1)) == Fraction(1, 4)
+        assert value(closed("g", 1)) == Fraction(1, 4)
         assert value(co.g_sum(2)) == Fraction(1, 4)
-        assert value(co.g_closed(2)) == Fraction(1, 4)
-        assert co.g_sum(3) == co.g_closed(3)
+        assert value(closed("g", 2)) == Fraction(1, 4)
+        assert co.g_sum(3) == closed("g", 3)
 
     def test_sum_equals_closed(self):
         for k in range(1, 80):
-            assert co.h_sum(k) == co.h_closed(k)
-            assert co.g_sum(k) == co.g_closed(k)
+            assert co.h_sum(k) == closed("h", k)
+            assert co.g_sum(k) == closed("g", k)
 
 
 class TestSignSequence:
     def test_k2(self):
-        assert value(co.s_seq(2)) == Fraction(9, 5) - Fraction(1, 3)
-        assert value(co.s_seq(2)) == Fraction(22, 15)
+        assert value(closed("s", 2)) == Fraction(9, 5) - Fraction(1, 3)
+        assert value(closed("s", 2)) == Fraction(22, 15)
 
     def test_sign_change_exact(self):
         # exact fractions frozen from the rational evaluation
-        assert value(co.s_seq(10)) == Fraction(278266, 14549535)
-        assert value(co.s_seq(11)) == Fraction(-14233768, 334639305)
-        assert value(co.s_seq(10)) > 0 > value(co.s_seq(11))
+        assert value(closed("s", 10)) == Fraction(278266, 14549535)
+        assert value(closed("s", 11)) == Fraction(-14233768, 334639305)
+        assert value(closed("s", 10)) > 0 > value(closed("s", 11))
 
     def test_decimal_expansions(self):
-        assert float(value(co.s_seq(10))) == pytest.approx(0.0191254222, abs=1e-10)
-        assert float(value(co.s_seq(11))) == pytest.approx(-0.0425346568, abs=1e-10)
+        assert float(value(closed("s", 10))) == pytest.approx(0.0191254222, abs=1e-10)
+        assert float(value(closed("s", 11))) == pytest.approx(-0.0425346568, abs=1e-10)
 
     def test_strictly_decreasing(self):
-        values = [value(co.s_seq(k)) for k in range(2, 60)]
+        values = [value(closed("s", k)) for k in range(2, 60)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_requires_k_at_least_two(self):
-        with pytest.raises(ValueError):
-            co.s_seq(1)
+        assert closed("s", 1) is None
 
 
 def column(k_max, index, first):
@@ -258,11 +247,11 @@ class TestTable:
     def test_matches_standalone_functions(self):
         for k, a, b, h, g, s in list(co.table_rows(30))[1:]:
             assert a == co.a_coeff_sum(k)
-            assert b == co.b_coeff(k)
+            assert b == closed("b", k)
             assert h == co.h_sum(k)
             assert g == co.g_sum(k)
             if k >= 2:
-                assert s == co.s_seq(k)
+                assert s == closed("s", k)
 
     def test_positive_entries(self):
         assert all(n > 0 for n, _ in column(50, 1, 1))
@@ -277,22 +266,16 @@ class TestTable:
                     assert d > 0 and math.gcd(n, d) == 1
 
     def test_row_contract(self):
-        # every cell is a pair of ints in lowest terms with a positive
-        # denominator, equal to the reduced closed form; k = 1023, 1024
-        # and 1200 put popcount(k), the twos of C(2k,k), at its edges
+        # every row equals closed_row, and every cell is a pair of ints in
+        # lowest terms with a positive denominator; k = 1023, 1024 and 1200
+        # put popcount(k), the twos of C(2k,k), at its edges
         ks = {*range(601), 1023, 1024, 1200}
-        for k, *cells in co.table_rows(1200):
+        for row in co.table_rows(1200):
+            k = row[0]
             if k not in ks:
                 continue
-            expected = [
-                co.a_coeff_closed(k) if k >= 1 else None,
-                co.b_coeff(k),
-                co.h_closed(k) if k >= 1 else None,
-                co.g_closed(k) if k >= 1 else None,
-                co.s_seq(k) if k >= 2 else None,
-            ]
-            assert cells == expected, k
-            for cell in cells:
+            assert row == co.closed_row(k), k
+            for cell in row[1:]:
                 if cell is not None:
                     n, d = cell
                     assert type(n) is int and type(d) is int, k
@@ -341,12 +324,10 @@ class TestTable:
 
         rows = []
         for k in range(k_max + 1):
-            row = {"k": k, "b": cell(co.b_coeff(k))}
-            if k >= 1:
-                row.update(a=cell(co.a_coeff_closed(k)), h=cell(co.h_closed(k)),
-                           g=cell(co.g_closed(k)))
-            if k >= 2:
-                row["s"] = cell(co.s_seq(k))
+            row = {"k": k}
+            for name, c in zip("abhgs", co.closed_row(k)[1:]):
+                if c is not None:
+                    row[name] = cell(c)
             rows.append(row)
         expected = json.dumps({"k_max": k_max, "rows": rows}, sort_keys=True)
         assert json_text(k_max) == expected

@@ -38,6 +38,7 @@ def _corrupt(rows, field, k, delta=Fraction(1, 7)):
 ROW_CHECKS = [
     verify.check_coefficient_identities,
     verify.check_coefficient_monotonicity,
+    verify.check_series_ratio_inequality,
     verify.check_sign_change,
 ]
 
@@ -49,12 +50,13 @@ class TestExactChecks:
         assert r.witness is None
         assert r.checked_points > 0
 
-    def test_identities_sum_each_odd_harmonic_once(self):
-        # a_coeff_closed, g_closed and s_seq at one k share one sum
-        co._odd_harmonic_parts.cache_clear()
+    def test_identities_read_one_closed_row_per_index(self, monkeypatch):
+        calls = []
+        exact = co.closed_row
+        monkeypatch.setattr(co, "closed_row", lambda k: calls.append(k) or exact(k))
         r = verify.check_coefficient_identities(_rows(40))
         assert r.status == "pass"
-        assert co._odd_harmonic_parts.cache_info().misses == 40
+        assert calls == list(range(41))
 
     def test_monotonicity_pass_small(self):
         r = verify.check_coefficient_monotonicity(_rows(2))
@@ -65,7 +67,7 @@ class TestExactChecks:
         assert verify.check_coefficient_monotonicity(_rows(10)).status == "pass"
 
     def test_series_ratio_inequality(self):
-        r = verify.check_series_ratio_inequality(60)
+        r = verify.check_series_ratio_inequality(_rows(60))
         assert r.status == "pass"
         assert r.checked_points == 59
 
@@ -368,17 +370,31 @@ class TestMutationDetection:
         corrupted = _corrupt(_rows(12), "a", 8, Fraction(1, 10**40))
         assert self._any_failure(corrupted)
 
-    @pytest.mark.parametrize(
-        "name",
-        ["a_coeff_sum", "h_sum", "g_sum", "a_coeff_closed", "h_closed", "g_closed", "s_seq"],
-    )
+    @pytest.mark.parametrize("name", ["a_coeff_sum", "h_sum", "g_sum"])
     def test_corrupt_definitional_sum_detected(self, monkeypatch, name):
-        # the definitional sums are the check's independent side; the closed
-        # forms are built from integers, apart from the table's recurrences
+        # the definitional sums are the check's independent side
         exact = getattr(co, name)
         monkeypatch.setattr(
             co, name, lambda k: _plus(exact(k), Fraction(1, 10**40) if k == 7 else 0)
         )
+        r = verify.check_coefficient_identities(_rows(12))
+        assert r.status == "fail"
+        assert r.witness.startswith("k=7:")
+
+    @pytest.mark.parametrize("field", ["a", "b", "h", "g", "s"])
+    def test_corrupt_closed_cell_detected(self, monkeypatch, field):
+        # the closed forms are built from integers, apart from the table's
+        # recurrences
+        exact = co.closed_row
+        column = COLUMNS[field][0]
+
+        def mutant(k):
+            row = list(exact(k))
+            if k == 7:
+                row[column] = _plus(row[column], Fraction(1, 10**40))
+            return tuple(row)
+
+        monkeypatch.setattr(co, "closed_row", mutant)
         r = verify.check_coefficient_identities(_rows(12))
         assert r.status == "fail"
         assert r.witness.startswith("k=7:")
@@ -445,12 +461,15 @@ class TestWitnessText:
         r = verify.check_coefficient_monotonicity(_corrupt(_rows(12), "a", 6, Fraction(-1, 500)))
         assert r.witness == "k=5: a ratio 6911/8400 <= b ratio 121/144"
 
-    def test_series_ratio(self, monkeypatch):
-        # w_3 = 5/16 replaced by -25/4 flips the sign of the left side, which
-        # then exceeds the right side first at k = 11
-        exact = co.wallis_ratio
-        monkeypatch.setattr(co, "wallis_ratio", lambda k: (-25, 4) if k == 3 else exact(k))
-        r = verify.check_series_ratio_inequality(50)
+    def test_series_ratio(self):
+        # every h(k), k >= 2, moved by 21 w_k/2, so that w_k = 1 - 2h(k)
+        # becomes -20 w_k (w_3 = 5/16 turns -25/4): the left side changes
+        # sign, and then exceeds the right side first at k = 11
+        rows = _rows(50)
+        for k in range(2, 51):
+            w = 1 - 2 * Fraction(*rows[k][COLUMNS["h"][0]])
+            rows = _corrupt(rows, "h", k, Fraction(21, 2) * w)
+        r = verify.check_series_ratio_inequality(rows)
         assert r.checked_points == 10
         assert r.witness == "k=11: 1779221/339738624 >= 35/6912"
 
