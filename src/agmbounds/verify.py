@@ -4,10 +4,13 @@ Each check returns a VerificationReport; run_all executes the whole claim
 list at a profile-dependent depth.  Exact claims (coefficient identities,
 ratio monotonicity, the series-ratio inequality, sign change) are decided
 in integer arithmetic with zero tolerance; floating claims carry explicit
-named tolerances and a witness for the first failing input.  Every
-floating pass condition is written positively, as dev <= tol or one
-chained <, so a NaN from any route, mean or order fails its claim.  Identical seeds and profiles
-reproduce byte-identical report lists.
+named tolerances and a witness for the first failing input.  The paper's
+double inequality L < M < (pi/2) L is sampled, with zero slack, by
+mean-ordering, on the pairs where it also checks L < M < I, and by
+ratio-scan on the t grid of M(1,t)/L(1,t).  Every floating pass
+condition is written positively, as dev <= tol or one chained <, so a
+NaN from any route, mean or order fails its claim.  Identical seeds and
+profiles reproduce byte-identical report lists.
 
 All four exact claims read the coefficient rows (k, a, b, h, g, s)
 that coefficients.table_rows streams, collected once per run; row k
@@ -41,7 +44,6 @@ from agmbounds import elliptic, means
 HALF_PI = math.pi / 2.0
 
 # Floating tolerances (also recorded in each report).
-DOUBLE_INEQ_SLACK = 1e-12
 THREE_WAY_REL = 1e-11
 NEAR_SINGULAR_REL = 1e-9
 NEAR_SINGULAR_T = 0.999999
@@ -431,33 +433,6 @@ def check_reciprocal(n_samples: int, seed: int) -> VerificationReport:
     return _report("agm-k-reciprocal", statement, checked, tolerances, witness)
 
 
-def check_double_inequality(n_samples: int, seed: int) -> VerificationReport:
-    """L(a,b) < M(a,b) < (pi/2) L(a,b), strict up to 1e-12 relative slack,
-    on reproducible log-uniform pairs with a != b."""
-    _check_count(n_samples, "n_samples")
-    statement = (
-        "the AGM mean is strictly between the logarithmic mean and pi/2 "
-        "times the logarithmic mean for all sampled a != b"
-    )
-    tolerances = {"rel_slack": DOUBLE_INEQ_SLACK}
-    rng = random.Random(seed)
-    witness = None
-    checked = 0
-    for _ in range(n_samples):
-        a, b = _sample_pair(rng)
-        lm = means.log_mean_float(a, b)
-        m, _ = means.agm_iterates(a, b)
-        upper = HALF_PI * lm
-        checked += 1
-        if not (m > lm * (1.0 - DOUBLE_INEQ_SLACK) and m < upper * (1.0 + DOUBLE_INEQ_SLACK)):
-            witness = (
-                f"a={a!r} b={b!r}: expected L < M < (pi/2)L, got "
-                f"L={lm!r} M={m!r} (pi/2)L={upper!r}"
-            )
-            break
-    return _report("double-inequality", statement, checked, tolerances, witness)
-
-
 def check_ratio_scan(n_points: int) -> VerificationReport:
     """Strict decrease of M(1,t)/L(1,t) along a grid of n_points in
     [RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX], all values inside the open
@@ -536,16 +511,20 @@ def check_sharpness() -> VerificationReport:
 
 
 def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
-    """log mean < AGM < identric mean on sampled pairs with a != b, and the
-    generalized logarithmic mean strictly increasing across the p grid.
+    """log mean < AGM < identric mean on sampled pairs with a != b, the
+    generalized logarithmic mean strictly increasing across the p grid,
+    and the paper's upper bound M < (pi/2) L, each with zero slack.
 
     L and I are the p = -1 and p = 0 entries of the p chain, which
     means.gen_log_mean reads from the state that MeanInput computes once
-    per pair."""
+    per pair.  The ratio kernel means.log_mean_float, which the ratio and
+    sharpness claims read, must give that L bit for bit, as MeanInput
+    promises."""
     _check_count(n_samples, "n_samples")
     statement = (
-        "L(a,b) < M(a,b) < I(a,b) for sampled a != b, and p -> L(p;a,b) "
-        "is strictly increasing across p in {-2,-1,-1/2,0,1/2,1,2}"
+        "L(a,b) < M(a,b) < I(a,b) for sampled a != b, p -> L(p;a,b) is strictly "
+        "increasing across p in {-2,-1,-1/2,0,1/2,1,2}, M(a,b) < (pi/2) L(a,b), "
+        "and log_mean_float(a,b) equals L(a,b) bit for bit"
     )
     tolerances = {"strict": 0.0}
     rng = random.Random(seed)
@@ -566,6 +545,14 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
         c0, c1, c2, c3, c4, c5, c6 = chain
         if not (c0 < c1 < c2 < c3 < c4 < c5 < c6):
             witness = f"a={a!r} b={b!r}: p-chain not strictly increasing: {chain!r}"
+            break
+        upper = HALF_PI * lm
+        if not m < upper:
+            witness = f"a={a!r} b={b!r}: upper bound violated: M={m!r} (pi/2)L={upper!r}"
+            break
+        kernel = means.log_mean_float(a, b)
+        if not kernel == lm:
+            witness = f"a={a!r} b={b!r}: log_mean_float={kernel!r} differs from L={lm!r}"
             break
     return _report("mean-ordering", statement, checked, tolerances, witness)
 
@@ -595,7 +582,6 @@ def run_all(
         lambda: check_sign_change(rows),
         lambda: check_k_consistency(seed),
         lambda: check_reciprocal(p["recip_samples"], seed + 1),
-        lambda: check_double_inequality(p["samples"], seed + 2),
         lambda: check_ratio_scan(p["scan_points"]),
         lambda: check_sharpness(),
         lambda: check_mean_order(p["samples"], seed + 3),

@@ -137,10 +137,10 @@ def test_criterion_6_reciprocal_relation():
 
 
 def test_criterion_7_sharp_bounds():
-    """10^4 seeded pairs satisfy L < M < (pi/2)L with 1e-12 slack; the
+    """10^4 seeded pairs satisfy L < M < (pi/2)L with zero slack; the
     200-point scan on [1e-8, 1-1e-4] is strictly decreasing inside
     (1, pi/2); r(1e-8) > pi/2 - 0.15 and r(1-1e-4) < 1.01."""
-    r_pairs = verify.check_double_inequality(10000, seed=verify.DEFAULT_SEED)
+    r_pairs = verify.check_mean_order(10000, seed=verify.DEFAULT_SEED)
     _, ratio = means.scan_ratio(200, 1e-8, 1.0 - 1e-4)
     r_scan = verify.check_ratio_scan(200)
     r_low = means._mean_ratio(1e-8)

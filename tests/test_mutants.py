@@ -1,0 +1,234 @@
+"""Mutant matrix of the verifier: which claims fail on which defect.
+
+Each mutant patches one function that verify reads: the AGM loop, the
+ratio kernel log_mean_float, the log gap that MeanInput and the kernel
+share, an order of the p chain, a K route, or a cell of the coefficient
+rows.  Each row of MATRIX names a mutant, a profile, and the claims that
+fail when run_all runs at that profile with the mutant in place.  A row
+whose failing set is empty is an escape: a defect no claim catches.
+
+A change to a claim shows this table before and after it; a change that
+closes an escape changes that row.  Most rows run at quick, which costs
+a few tens of milliseconds.  The full rows are the ones whose failing
+set depends on the profile's depth.  failing_claims computes one cell;
+under pytest.MonkeyPatch.context() it also runs outside pytest, so a
+script can tabulate every mutant at both profiles against any tree.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from agmbounds import coefficients as co
+from agmbounds import elliptic, means, verify
+
+# Columns of a coefficient row (k, a, b, h, g, s).
+CELLS = {"a": 1, "b": 2, "h": 3, "g": 4, "s": 5}
+
+
+def _agm(scale):
+    # the AGM limit times scale, the step count kept
+    def apply(mp):
+        exact = means.agm_iterates
+
+        def mutant(a, b):
+            limit, steps = exact(a, b)
+            return limit * scale, steps
+
+        mp.setattr(means, "agm_iterates", mutant)
+    return apply
+
+
+def _means(name, scale):
+    # means.<name> times scale
+    def apply(mp):
+        exact = getattr(means, name)
+        mp.setattr(means, name, lambda *args: exact(*args) * scale)
+    return apply
+
+
+def _identric(scale):
+    # the identric mean, the p = 0 entry of the p chain, times scale
+    def apply(mp):
+        exact = means.gen_log_mean
+        mp.setattr(means, "gen_log_mean",
+                   lambda p, inp: exact(p, inp) * scale if p == 0.0 else exact(p, inp))
+    return apply
+
+
+def _order_for(p, q):
+    # gen_log_mean evaluated at order q where p is asked for
+    def apply(mp):
+        exact = means.gen_log_mean
+        mp.setattr(means, "gen_log_mean", lambda r, inp: exact(q if r == p else r, inp))
+    return apply
+
+
+def _k_route(name, scale):
+    # elliptic.<name> with its value times scale
+    def apply(mp):
+        exact = getattr(elliptic, name)
+
+        def mutant(*args):
+            r = exact(*args)
+            return elliptic.EllipticResult(r.value * scale, r.method, r.terms_or_iterations,
+                                           r.error_estimate)
+
+        mp.setattr(elliptic, name, mutant)
+    return apply
+
+
+def _moved(cell, rel):
+    value = Fraction(*cell) * (1 + rel)
+    return value.numerator, value.denominator
+
+
+def _row_cell(cell, k, rel):
+    # the streamed rows with one cell at index k moved by the relative rel
+    column = CELLS[cell]
+
+    def apply(mp):
+        stream = co.table_rows
+
+        def mutant(k_max):
+            for row in stream(k_max):
+                if row[0] == k:
+                    row = (*row[:column], _moved(row[column], rel), *row[column + 1:])
+                yield row
+
+        mp.setattr(co, "table_rows", mutant)
+    return apply
+
+
+def _shared_h(k, rel):
+    # one defect in h(k) shared by the sum, the closed row and the streamed row
+    def apply(mp):
+        _row_cell("h", k, rel)(mp)
+        h_sum, closed_row = co.h_sum, co.closed_row
+        column = CELLS["h"]
+        mp.setattr(co, "h_sum", lambda j: _moved(h_sum(j), rel) if j == k else h_sum(j))
+
+        def closed(j):
+            row = closed_row(j)
+            if j != k:
+                return row
+            return (*row[:column], _moved(row[column], rel), *row[column + 1:])
+
+        mp.setattr(co, "closed_row", closed)
+    return apply
+
+
+def _nan_agm(mp):
+    exact = means.agm_iterates
+    mp.setattr(means, "agm_iterates", lambda a, b: (float("nan"), exact(a, b)[1]))
+
+
+def _nan_log_mean(mp):
+    mp.setattr(means, "log_mean_float", lambda a, b: float("nan"))
+
+
+MUTANTS = {
+    **{f"agm*(1{d:+})": _agm(1 + d)
+       for d in (3e-12, -3e-12, 1e-11, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, 0.2, -0.2)},
+    **{f"log_mean_float*(1{d:+})": _means("log_mean_float", 1 + d)
+       for d in (1e-10, -1e-10, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -0.003, 0.1, -0.05, -0.1, -0.2)},
+    **{f"_log_gap*(1{d:+})": _means("_log_gap", 1 + d)
+       for d in (1e-9, -1e-9, 1e-6, -1e-6, 0.05, -0.05, 0.2, -0.2)},
+    **{f"gen_log_mean*(1{d:+})": _means("gen_log_mean", 1 + d) for d in (1e-9, -1e-9)},
+    "identric*(1+1e-09)": _identric(1 + 1e-9),
+    "gen_log_mean(0.4) for 0.5": _order_for(0.5, 0.4),
+    "agm nan": _nan_agm,
+    "log_mean_float nan": _nan_log_mean,
+    **{f"{route}*(1+1e-10)": _k_route(route, 1 + 1e-10)
+       for route in ("k_series", "k_agm", "k_quadrature")},
+    **{f"row {cell}[30]*(1+1e-{e})": _row_cell(cell, 30, Fraction(1, 10**e))
+       for cell in CELLS for e in (6, 30)},
+    "row a[300]*(1+1e-6)": _row_cell("a", 300, Fraction(1, 10**6)),
+    "shared h[30]*(1+1e-30)": _shared_h(30, Fraction(1, 10**30)),
+}
+
+# (mutant, profile, the claims that fail, in claim order).  The escapes:
+# an AGM off by a relative 3e-12 at both profiles; _log_gap, shared by
+# MeanInput and log_mean_float, scaled up by 1e-9 or 1e-6, and the identric
+# mean by 1e-9, at quick; gen_log_mean at order 0.4 where 0.5 is asked for;
+# a cell at k = 300, past the quick sweep; and one defect shared by h_sum,
+# closed_row and the rows, which only an outside oracle can catch.
+MATRIX = [
+    ("agm*(1+3e-12)", "quick", ()),  # escape
+    ("agm*(1-3e-12)", "quick", ()),  # escape
+    ("agm*(1+1e-11)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("agm*(1+1e-09)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("agm*(1-1e-09)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness")),
+    ("agm*(1+1e-06)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("agm*(1-1e-06)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness")),
+    ("agm*(1+0.001)", "quick", ("k-three-way", "agm-k-reciprocal", "mean-ordering")),
+    ("agm*(1+0.2)", "quick",
+     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
+    ("agm*(1-0.2)", "quick",
+     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1+1e-10)", "quick", ("mean-ordering",)),
+    ("log_mean_float*(1-1e-10)", "quick", ("mean-ordering",)),
+    ("log_mean_float*(1+1e-09)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1-1e-09)", "quick", ("mean-ordering",)),
+    ("log_mean_float*(1+1e-06)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1-1e-06)", "quick", ("mean-ordering",)),
+    ("log_mean_float*(1+0.001)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1-0.003)", "quick", ("mean-ordering",)),
+    ("log_mean_float*(1+0.1)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1-0.05)", "quick", ("sharpness", "mean-ordering")),
+    ("log_mean_float*(1-0.1)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1-0.2)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("_log_gap*(1+1e-09)", "quick", ()),  # escape
+    ("_log_gap*(1-1e-09)", "quick", ("ratio-scan", "sharpness")),
+    ("_log_gap*(1+1e-06)", "quick", ()),  # escape
+    ("_log_gap*(1-1e-06)", "quick", ("ratio-scan", "sharpness")),
+    ("_log_gap*(1+0.05)", "quick", ("sharpness", "mean-ordering")),
+    ("_log_gap*(1-0.05)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("_log_gap*(1+0.2)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("_log_gap*(1-0.2)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("gen_log_mean*(1+1e-09)", "quick", ("mean-ordering",)),
+    ("gen_log_mean*(1-1e-09)", "quick", ("mean-ordering",)),
+    ("identric*(1+1e-09)", "quick", ()),  # escape
+    ("gen_log_mean(0.4) for 0.5", "quick", ()),  # escape
+    ("agm nan", "quick",
+     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float nan", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("k_series*(1+1e-10)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("k_agm*(1+1e-10)", "quick", ("k-three-way",)),
+    ("k_quadrature*(1+1e-10)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("row a[30]*(1+1e-6)", "quick", ("coeff-identities",)),
+    ("row a[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("row b[30]*(1+1e-6)", "quick", ("coeff-identities", "coeff-ratio-monotone")),
+    ("row b[30]*(1+1e-30)", "quick", ("coeff-identities", "coeff-ratio-monotone")),
+    ("row h[30]*(1+1e-6)", "quick", ("coeff-identities",)),
+    ("row h[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("row g[30]*(1+1e-6)", "quick", ("coeff-identities",)),
+    ("row g[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("row s[30]*(1+1e-6)", "quick", ("coeff-identities",)),
+    ("row s[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("row a[300]*(1+1e-6)", "quick", ()),  # escape
+    ("shared h[30]*(1+1e-30)", "quick", ()),  # escape
+    ("_log_gap*(1+1e-09)", "full", ("mean-ordering",)),
+    ("row a[300]*(1+1e-6)", "full", ("coeff-identities",)),
+]
+
+
+def failing_claims(mp, mutant, profile):
+    """The claim ids that fail at profile with the mutant patched in
+    through mp, a pytest.MonkeyPatch, in claim order."""
+    MUTANTS[mutant](mp)
+    reports = verify.run_all(profile)
+    for r in reports:
+        assert (r.witness is None) == (r.status == "pass"), r
+    return tuple(r.claim_id for r in reports if r.status == "fail")
+
+
+@pytest.mark.parametrize("mutant,profile,failing", MATRIX,
+                         ids=[f"{m}-{p}" for m, p, _ in MATRIX])
+def test_matrix_row(monkeypatch, mutant, profile, failing):
+    assert failing_claims(monkeypatch, mutant, profile) == failing
+
+
+def test_every_mutant_has_a_quick_row():
+    assert sorted(m for m, p, _ in MATRIX if p == "quick") == sorted(MUTANTS)
+    assert len({(m, p) for m, p, _ in MATRIX}) == len(MATRIX)

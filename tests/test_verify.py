@@ -121,11 +121,6 @@ class TestFloatingChecks:
         r = verify.check_reciprocal(100, seed=2)
         assert r.status == "pass"
 
-    def test_double_inequality(self):
-        r = verify.check_double_inequality(200, seed=3)
-        assert r.status == "pass"
-        assert r.checked_points == 200
-
     def test_double_inequality_example_pair(self):
         lm = means.log_mean(means.MeanInput(1.0, 2.0))
         m = means.agm(means.MeanInput(1.0, 2.0)).limit
@@ -159,7 +154,6 @@ class TestCountValidation:
     @pytest.mark.parametrize(
         "check,name",
         [
-            (verify.check_double_inequality, "n_samples"),
             (verify.check_reciprocal, "n_samples"),
             (verify.check_mean_order, "n_samples"),
         ],
@@ -170,7 +164,7 @@ class TestCountValidation:
 
     @pytest.mark.parametrize(
         "check",
-        [verify.check_double_inequality, verify.check_reciprocal, verify.check_mean_order],
+        [verify.check_reciprocal, verify.check_mean_order],
     )
     def test_one_sample_is_checked(self, check):
         r = check(1, 5)
@@ -311,7 +305,7 @@ class TestRunAll:
     def test_quick_profile_all_pass(self):
         reports = verify.run_all("quick")
         assert verify.all_passed(reports)
-        assert len(reports) == 10
+        assert len(reports) == 9
         assert len({r.claim_id for r in reports}) == len(reports)
         for r in reports:
             assert r.checked_points > 0
@@ -576,16 +570,48 @@ class TestFloatWitnesses:
     """The witness each floating claim gives on a mutant of the ratio
     M(1,t)/L(1,t) or of a mean."""
 
-    @pytest.mark.parametrize("name", ["log_mean_float", "agm_iterates"])
-    def test_double_inequality(self, monkeypatch, name):
+    @pytest.mark.parametrize(
+        "name,text",
+        [("log_mean_float", ": log_mean_float=nan differs from L="),
+         ("agm_iterates", ": order violated: L=")],
+    )
+    def test_mean_order_nan_kernel(self, monkeypatch, name, text):
+        # a NaN ratio kernel fails the bit-for-bit test of L, a NaN AGM the order
         exact = getattr(means, name)
         mutant = {"log_mean_float": lambda a, b: math.nan,
                   "agm_iterates": lambda a, b: (math.nan, exact(a, b)[1])}[name]
         monkeypatch.setattr(means, name, mutant)
-        r = verify.check_double_inequality(10, seed=3)
+        r = verify.check_mean_order(10, seed=4)
         assert r.status == "fail" and r.checked_points == 1
         assert r.witness.startswith("a=")
-        assert ": expected L < M < (pi/2)L, got L=" in r.witness and "nan" in r.witness
+        assert text in r.witness and "nan" in r.witness
+
+    def test_mean_order_upper_bound(self, monkeypatch):
+        # M put at (pi/2) L: on the first pair of seed 1, (pi/2) L < I, so
+        # L < M < I and the p chain still hold, and only the upper bound fails
+        exact = means.agm_iterates
+        monkeypatch.setattr(means, "agm_iterates", lambda a, b: (
+            verify.HALF_PI * means.log_mean_float(a, b), exact(a, b)[1]))
+        r = verify.check_mean_order(10, seed=1)
+        a, b = verify._sample_pair(random.Random(1))
+        upper = verify.HALF_PI * means.log_mean(means.MeanInput(a, b))
+        assert upper < means.identric_mean(means.MeanInput(a, b))
+        assert r.status == "fail" and r.checked_points == 1
+        assert r.witness == f"a={a!r} b={b!r}: upper bound violated: M={upper!r} (pi/2)L={upper!r}"
+
+    def test_ratio_kernel_scaled_fails_mean_order(self, monkeypatch):
+        # log_mean_float off by a relative 0.003 passes every other claim
+        # at quick; the bit-for-bit test of L catches it on the first pair
+        exact = means.log_mean_float
+        monkeypatch.setattr(means, "log_mean_float", lambda a, b: exact(a, b) * (1.0 - 0.003))
+        reports = verify.run_all("quick")
+        assert [r.claim_id for r in reports if r.status == "fail"] == ["mean-ordering"]
+        r = reports[-1]
+        assert r.claim_id == "mean-ordering" and r.checked_points == 1
+        a, b = verify._sample_pair(random.Random(verify.DEFAULT_SEED + 3))
+        lm = means.log_mean(means.MeanInput(a, b))
+        assert r.witness == (f"a={a!r} b={b!r}: log_mean_float={exact(a, b) * (1.0 - 0.003)!r} "
+                             f"differs from L={lm!r}")
 
     def _ratio_mutant(self, monkeypatch, mutant):
         exact = means._mean_ratio
