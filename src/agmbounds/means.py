@@ -8,8 +8,10 @@ and homogeneous of degree one.
 A MeanInput evaluates every per-pair transcendental once, when it is
 built: ln(hi/lo), the logarithmic mean L, ln((hi - lo)/hi) and the
 identric mean.  The means read that state, so each order of gen_log_mean
-evaluates only what depends on p, in a form anchored at hi or lo that
-lands in [lo, hi] without a clamp.  Two kernels work on
+evaluates only what depends on p: an algebraic closed form at
+p = -2, -1/2, 1/2, 1 and 2, which needs no transcendental call, and at
+every other order a form anchored at hi or lo that lands in [lo, hi]
+without a clamp.  Two kernels work on
 plain floats, for the verifier's and the elliptic routes' hot loops:
 log_mean_float, the logarithmic mean, and agm_iterates, the one AGM
 loop, which returns the limit and step count.  agm runs it once and
@@ -263,15 +265,24 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
     the logarithmic mean at p = -1, the identric mean at p = 0, and a at
     a == b.  Strictly increasing in p for fixed a != b.
 
-    With g = ln(hi/lo), d = hi - lo and q = p + 1, each form is exact and
-    anchored at hi or lo: it takes exp of ln(M_p/hi) or ln(M_p/lo), never
-    of q ln x, so nothing overflows and every finite p gives a value in
-    [lo, hi] without a clamp: exp of a non-positive exponent times hi, or
-    of a non-negative one times lo.  Where |p| g^2 < eps the order cannot
-    move the identric mean, which is returned.  For p > -1/4,
+    With g = ln(hi/lo), d = hi - lo and q = p + 1: where |p| g^2 < eps
+    the order cannot move the identric mean, which is returned.  Five
+    orders then take algebraic closed forms, with r = lo/hi and
+    h = sqrt(r)/(1 + sqrt(r)): the arithmetic mean hi/2 + lo/2 at p = 1,
+    the geometric mean sqrt(hi) sqrt(lo) at p = -2, the average of those
+    two, hi/4 + lo/4 + sqrt(hi) sqrt(lo)/2, at p = -1/2,
+    hi sqrt((1 + r(1 + r))/3) at p = 2 and hi (4/9)(1 + r + h^2) at
+    p = 1/2.  Their terms are positive and none overflows.  The p = -1/2
+    mean is that sum, not the square of (sqrt(hi) + sqrt(lo))/2, which
+    doubles the rounding error of its base.  Every other order takes a
+    form that is exact and anchored at hi or lo: it takes exp of
+    ln(M_p/hi) or ln(M_p/lo), never of q ln x, so nothing overflows and
+    every finite p gives a value in [lo, hi] without a clamp: exp of a
+    non-positive exponent times hi, or of a non-negative one times lo.
+    For p > -1/4,
     ln(M_p/hi) = (log1p(x) - log1p(p))/p with x = -(lo/d) expm1(-p g).
     For p <= -1/4, with u = |q| g and y = ln(-expm1(-u)) - ln|q| - ln(d/hi),
-    ln(M_p/hi) is y/p for -1 < p <= -1/4 and (y + u)/p for -2 <= p < -1,
+    ln(M_p/hi) is y/p for -1 < p <= -1/4 and (y + u)/p for -2 < p < -1,
     and ln(M_p/lo) = (y - g)/p below p = -2.  An exponent of 700 or more,
     met only on pairs wider than about e^1400, is taken as the cube of exp
     of a third of it, so that exp neither overflows nor rounds to a
@@ -292,9 +303,23 @@ def gen_log_mean(p: float, inp: MeanInput) -> float:
         # covers p = 0 and every p for which p g would be subnormal.
         return inp._identric
     if p > -0.25:
+        if p == 1.0:
+            return 0.5 * inp.hi + 0.5 * inp.lo
+        if p == 2.0:
+            r = inp.lo / inp.hi
+            return inp.hi * math.sqrt((1.0 + r * (1.0 + r)) / 3.0)
+        if p == 0.5:
+            r = inp.lo / inp.hi
+            s = math.sqrt(r)
+            h = s / (1.0 + s)
+            return inp.hi * (4.0 * (1.0 + (r + h * h)) / 9.0)
         # expm1(-p g) stays finite while p > -0.488, since g <= ln(DBL_MAX/5e-324)
         x = -(inp.lo / inp._d) * math.expm1(-p * g)
         return inp.hi * math.exp((math.log1p(x) - math.log1p(p)) / p)
+    if p == -2.0:
+        return math.sqrt(inp.hi) * math.sqrt(inp.lo)
+    if p == -0.5:
+        return 0.25 * inp.hi + 0.25 * inp.lo + 0.5 * math.sqrt(inp.hi) * math.sqrt(inp.lo)
     q = abs(p + 1.0)
     u = q * g
     y = math.log(-math.expm1(-u)) - math.log(q) - inp._ln_d_hi

@@ -517,9 +517,12 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
 
     L and I are the p = -1 and p = 0 entries of the p chain, which
     means.gen_log_mean reads from the state that MeanInput computes once
-    per pair.  The ratio kernel means.log_mean_float, which the ratio and
-    sharpness claims read, must give that L bit for bit, as MeanInput
-    promises."""
+    per pair through means._log_gap.  The chain's other five entries are
+    algebraic closed forms in hi and lo that take no logarithm, so the
+    chain interleaves them with the _log_gap-based L and I: the forms at
+    p = -2 and -1/2 bracket L, and those at -1/2 and 1/2 bracket I.  The
+    ratio kernel means.log_mean_float, which the ratio and sharpness claims
+    read, must give that L bit for bit, as MeanInput promises."""
     _check_count(n_samples, "n_samples")
     statement = (
         "L(a,b) < M(a,b) < I(a,b) for sampled a != b, p -> L(p;a,b) is strictly "

@@ -36,7 +36,7 @@ ALL_MEANS = [
     lambda inp: gen_log_mean(0.7, inp),
     lambda inp: agm(inp).limit,
 ]
-# the orders p that take gen_log_mean's own formula (not L or I)
+# the orders p at which gen_log_mean takes an algebraic closed form
 GEN_LOG_ORDERS = [-2.0, -0.5, 0.5, 1.0, 2.0]
 DBL_MAX = sys.float_info.max
 
@@ -350,11 +350,34 @@ def every_mean_bits(inp):
     )
 
 
+def per_call_algebraic(p, hi, lo):
+    """M_p(hi, lo) for hi > lo at the five orders with an algebraic closed
+    form, in gen_log_mean's floating-point operations: the arithmetic mean
+    at p = 1, the geometric mean at p = -2, the average of those two at
+    p = -1/2, hi sqrt((1 + r + r^2)/3) at p = 2 and (4/9)(hi + lo + h^2)
+    at p = 1/2, with r = lo/hi and h = sqrt(hi lo)/(sqrt(hi) + sqrt(lo));
+    None at any other order."""
+    r = lo / hi
+    if p == 1.0:
+        return 0.5 * hi + 0.5 * lo
+    if p == 2.0:
+        return hi * math.sqrt((1.0 + r * (1.0 + r)) / 3.0)
+    if p == 0.5:
+        h = math.sqrt(r) / (1.0 + math.sqrt(r))
+        return hi * (4.0 * (1.0 + (r + h * h)) / 9.0)
+    if p == -2.0:
+        return math.sqrt(hi) * math.sqrt(lo)
+    if p == -0.5:
+        return 0.25 * hi + 0.25 * lo + 0.5 * math.sqrt(hi) * math.sqrt(lo)
+    return None
+
+
 def per_call_gen_log_mean(p, a, b):
     """M_p(a, b) evaluated per call from plain floats: order the pair,
     collapse it when equal or nearly so, take g = ln(hi/lo) and L = d / g,
-    then apply the form of the order, anchored at hi, or at lo below
-    p = -2, with an exponent that is cubed beyond 700."""
+    then apply the form of the order: per_call_algebraic at its five
+    orders, else a form anchored at hi, or at lo below p = -2, with an
+    exponent that is cubed beyond 700."""
     hi, lo = (a, b) if a >= b else (b, a)
     if hi == lo:
         return hi
@@ -367,6 +390,9 @@ def per_call_gen_log_mean(p, a, b):
         return lm
     if abs(p) * g * g < sys.float_info.epsilon:
         return hi * math.exp(lo / lm - 1.0)
+    algebraic = per_call_algebraic(p, hi, lo)
+    if algebraic is not None:
+        return algebraic
     if p > -0.25:
         return hi * math.exp((math.log1p(-(lo / d) * math.expm1(-p * g)) - math.log1p(p)) / p)
     q = p + 1.0
@@ -478,7 +504,12 @@ class TestSharedState:
             calls.clear()
             identric_mean(inp)
             assert calls == [], (a, b)
+            # the grid reads L and I and takes the algebraic forms, with
+            # no log or exp; orders outside those forms take both
             for p in P_GRID:
+                gen_log_mean(p, inp)
+            assert calls == [], (a, b)
+            for p in (1.5, -1.5, 3.0):
                 gen_log_mean(p, inp)
             assert calls and not [x for name, x in calls if name == "log" and x in (hi, lo, d)]
 
@@ -512,10 +543,10 @@ def pinned_pairs():
 # SHA-256 of every mean's outcome on pinned_pairs(): log_mean,
 # identric_mean, gen_log_mean at TestOrderChain.ORDERS, those orders again
 # as one gen_log_chain, and agm (limit and step count), raised errors
-# included.  Taken from the means once AgmTrace lost its iterates, at the
-# code before that change, so it shows that no limit or step count moved.
-# A change to the means layer must keep it.
-PINNED_MEANS_SHA256 = "7d68d50b47162f9770e8d50f54337991451cade98d690f427da322a564457825"
+# included.  Re-pinned when gen_log_mean took algebraic closed forms at
+# p = -2, -1/2, 1/2, 1 and 2; every other outcome kept its bits then.  A
+# change to the means layer must keep it.
+PINNED_MEANS_SHA256 = "be91a8ac66d7df2fc241477dc1d2dfb6a1a1e09c2daec3a175fb06bccdeaf951"
 
 
 def test_means_bits_pinned():
@@ -806,6 +837,30 @@ class TestGenLogAccuracy:
             for _ in range(40)
         ]
 
+    @staticmethod
+    def ulps(mpmath, v, p, lo, hi):
+        # |v - M_p(lo, hi)| in ulps of the reference, from the defining formula
+        mlo, mhi, mq = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(p) + 1
+        ref = ((mhi ** mq - mlo ** mq) / (mq * (mhi - mlo))) ** (1 / mpmath.mpf(p))
+        return float(abs(mpmath.mpf(v) - ref)) / math.ulp(float(ref))
+
+    @pytest.mark.parametrize("kind", ["verifier", "close", "whole"])
+    def test_algebraic_orders_within_three_ulps(self, kind):
+        # the five orders that take an algebraic closed form, which keeps
+        # them within a few roundings on every band
+        mpmath = pytest.importorskip("mpmath")
+        over = []
+        with mpmath.workdps(80):
+            for a, b in self.pairs(kind):
+                inp = MeanInput(a, b)
+                if inp._log_gap is None:
+                    continue
+                for p in GEN_LOG_ORDERS:
+                    ulps = self.ulps(mpmath, gen_log_mean(p, inp), p, inp.lo, inp.hi)
+                    if ulps > 3.0:
+                        over.append((a, b, p, ulps))
+        assert over == []
+
     @pytest.mark.parametrize("kind", ["verifier", "close", "whole"])
     def test_within_bound(self, kind):
         mpmath = pytest.importorskip("mpmath")
@@ -817,13 +872,10 @@ class TestGenLogAccuracy:
                     continue
                 lo, hi = inp.lo, inp.hi
                 g = float(mpmath.log(mpmath.mpf(hi) / lo))
-                mlo, mhi = mpmath.mpf(lo), mpmath.mpf(hi)
                 for p in self.ORDERS:
                     v = gen_log_mean(p, inp)
                     assert lo <= v <= hi, (a, b, p)
-                    mq = mpmath.mpf(p) + 1
-                    ref = ((mhi ** mq - mlo ** mq) / (mq * (mhi - mlo))) ** (1 / mpmath.mpf(p))
-                    ulps = float(abs(mpmath.mpf(v) - ref)) / math.ulp(float(ref))
+                    ulps = self.ulps(mpmath, v, p, lo, hi)
                     if p > -0.25:
                         bound = 8.0
                     else:

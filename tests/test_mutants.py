@@ -47,12 +47,12 @@ def _means(name, scale):
     return apply
 
 
-def _identric(scale):
-    # the identric mean, the p = 0 entry of the p chain, times scale
+def _order_scaled(q, scale):
+    # gen_log_mean at order q times scale; at q = 0, the identric mean
     def apply(mp):
         exact = means.gen_log_mean
         mp.setattr(means, "gen_log_mean",
-                   lambda p, inp: exact(p, inp) * scale if p == 0.0 else exact(p, inp))
+                   lambda p, inp: exact(p, inp) * scale if p == q else exact(p, inp))
     return apply
 
 
@@ -135,7 +135,8 @@ MUTANTS = {
     **{f"_log_gap*(1{d:+})": _means("_log_gap", 1 + d)
        for d in (1e-9, -1e-9, 1e-6, -1e-6, 0.05, -0.05, 0.2, -0.2)},
     **{f"gen_log_mean*(1{d:+})": _means("gen_log_mean", 1 + d) for d in (1e-9, -1e-9)},
-    "identric*(1+1e-09)": _identric(1 + 1e-9),
+    "identric*(1+1e-09)": _order_scaled(0.0, 1 + 1e-9),
+    **{f"gen_log_mean(2)*(1{d:+})": _order_scaled(2.0, 1 + d) for d in (1e-9, -1e-3)},
     "gen_log_mean(0.4) for 0.5": _order_for(0.5, 0.4),
     "agm nan": _nan_agm,
     "log_mean_float nan": _nan_log_mean,
@@ -150,7 +151,9 @@ MUTANTS = {
 # (mutant, profile, the claims that fail, in claim order).  The escapes:
 # an AGM off by a relative 3e-12 at both profiles; _log_gap, shared by
 # MeanInput and log_mean_float, scaled up by 1e-9 or 1e-6, and the identric
-# mean by 1e-9, at quick; gen_log_mean at order 0.4 where 0.5 is asked for;
+# mean by 1e-9, at quick; the p = 2 entry of the p chain, an algebraic
+# form, scaled up by 1e-9, at both profiles; gen_log_mean at order 0.4
+# where 0.5 is asked for;
 # a cell at k = 300, past the quick sweep; and one defect shared by h_sum,
 # closed_row and the rows, which only an outside oracle can catch.
 MATRIX = [
@@ -189,6 +192,8 @@ MATRIX = [
     ("gen_log_mean*(1+1e-09)", "quick", ("mean-ordering",)),
     ("gen_log_mean*(1-1e-09)", "quick", ("mean-ordering",)),
     ("identric*(1+1e-09)", "quick", ()),  # escape
+    ("gen_log_mean(2)*(1+1e-09)", "quick", ()),  # escape
+    ("gen_log_mean(2)*(1-0.001)", "quick", ("mean-ordering",)),
     ("gen_log_mean(0.4) for 0.5", "quick", ()),  # escape
     ("agm nan", "quick",
      ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
