@@ -39,10 +39,6 @@ def _series_coeffs(n: int) -> tuple[float, ...]:
 # runs past them.
 _SERIES_COEFFS = _series_coeffs(315)
 
-# The quadrature route has converged when its error_estimate is at most
-# this fraction of its value.
-QUAD_REL_TARGET = 1e-13
-
 # Trapezoidal step in u.  The integrand of k_quadrature is analytic in the
 # strip |Im u| < pi/2, so the discretisation error is about
 # exp(-pi^2 / QUAD_STEP) ~ 7e-18 relative (Trefethen & Weideman, SIAM

@@ -7,10 +7,13 @@ in integer arithmetic with zero tolerance; floating claims carry explicit
 named tolerances and a witness for the first failing input.  The paper's
 double inequality L < M < (pi/2) L is sampled, with zero slack, by
 mean-ordering, on the pairs where it also checks L < M < I, and by
-ratio-scan on the t grid of M(1,t)/L(1,t).  Every floating pass
-condition is written positively, as dev <= tol or one chained <, so a
-NaN from any route, mean or order fails its claim.  Identical seeds and
-profiles reproduce byte-identical report lists.
+ratio-scan on the t grid of M(1,t)/L(1,t).  ratio-scan, a float
+cross-check of the program's M and L, also states how close the ratio
+comes to both bounds: past pi/2 - 0.15 at the grid's first t and within
+0.01 of 1 at its last.  Every floating pass condition is written
+positively, as dev <= tol or one chained <, so a NaN from any route, mean
+or order fails its claim.  Identical seeds and profiles reproduce
+byte-identical report lists.
 
 All four exact claims read the coefficient rows (k, a, b, h, g, s)
 that coefficients.table_rows streams, collected once per run; row k
@@ -23,8 +26,9 @@ cross-multiplication, so no claim imports fractions.  A
 witness that names a computed rational reduces it, on the failure path
 only, and prints it as a Fraction prints: n where the denominator is 1,
 else n/d.  Each row check raises ValueError on fewer than the three rows
-of table_rows(2).  VerificationReport is a plain immutable class on
-means.Record, and the ratio scan lives in means, so a verify process
+of table_rows(2); a zero a_k or b_k fails coeff-ratio-monotone, with k
+and the cell as witness.  VerificationReport is a plain immutable class
+on means.Record, and the ratio scan lives in means, so a verify process
 needs no class generation at import.  reports_to_json writes the text of
 json.dumps(..., sort_keys=True) through means._json_dumps, which imports
 json only for a string that needs escaping, so a passing verify process
@@ -49,19 +53,14 @@ NEAR_SINGULAR_REL = 1e-9
 NEAR_SINGULAR_T = 0.999999
 RECIPROCAL_REL = 1e-11
 
-# Sharpness thresholds: convergence of M/L to its limits is logarithmic,
-# so only loose margins are certifiable at double precision.
-SHARPNESS_LOW_T = 1e-8
-SHARPNESS_LOW_MARGIN = 0.15
-SHARPNESS_HIGH_EPS = 1e-4
-SHARPNESS_HIGH_MARGIN = 0.01
-# The sequence ends at SHARPNESS_LOW_T, so check_sharpness evaluates the
-# ratio there once.
-SHARPNESS_SEQUENCE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, SHARPNESS_LOW_T)
-
 # The t range of check_ratio_scan's grid.
 RATIO_SCAN_T_MIN = 1e-8
 RATIO_SCAN_T_MAX = 1.0 - 1e-4
+# How close the scan's first and last ratios must come to pi/2 and 1:
+# M/L converges to its limits logarithmically, so only loose margins are
+# certifiable at double precision.
+SHARPNESS_LOW_MARGIN = 0.15
+SHARPNESS_HIGH_MARGIN = 0.01
 
 # Sampling: log-uniform over [10^-3, 10^3] per coordinate, rejecting
 # near-equal pairs.
@@ -237,11 +236,9 @@ def check_coefficient_identities(rows) -> VerificationReport:
 
 
 def _ratio(upper, lower) -> tuple[int, int]:
-    # upper/lower for cells (n, d) with d > 0, as a pair with a positive
-    # denominator; a zero lower cell divides by zero, as a Fraction would
+    # upper/lower for cells (n, d) with d > 0 and n != 0 in lower, as a
+    # pair with a positive denominator
     (n1, d1), (n0, d0) = upper, lower
-    if n0 == 0:
-        raise ZeroDivisionError(f"ratio to the zero cell {_cell_str(lower)}")
     return (n1 * d0, d1 * n0) if n0 > 0 else (-n1 * d0, -d1 * n0)
 
 
@@ -249,7 +246,8 @@ def check_coefficient_monotonicity(rows) -> VerificationReport:
     """a_k/b_k strictly increasing for 1 <= k <= len(rows) - 1, exactly.
 
     The ratios of the (numerator, denominator) cells are compared by
-    cross-multiplication, with no gcd."""
+    cross-multiplication, with no gcd.  A zero a_k or b_k has no ratio, so
+    it fails the claim, naming k and the cell."""
     k_max = _check_rows(rows)
     statement = (
         "a_{k+1}/a_k > ((2k+1)/(2k+2))^2 = b_{k+1}/b_k exactly, i.e. the "
@@ -259,6 +257,12 @@ def check_coefficient_monotonicity(rows) -> VerificationReport:
     checked = 0
     for k in range(1, k_max):
         checked += 1
+        for name, col in (("b", _B), ("a", _A)):
+            if rows[k][col][0] == 0:
+                witness = f"k={k}: ratio to the zero cell {name}_{k} = {_cell_str(rows[k][col])}"
+                break
+        if witness is not None:
+            break
         an, ad = _ratio(rows[k + 1][_A], rows[k][_A])
         bn, bd = _ratio(rows[k + 1][_B], rows[k][_B])
         if bn * (2 * k + 2) ** 2 != bd * (2 * k + 1) ** 2:
@@ -436,13 +440,26 @@ def check_reciprocal(n_samples: int, seed: int) -> VerificationReport:
 def check_ratio_scan(n_points: int) -> VerificationReport:
     """Strict decrease of M(1,t)/L(1,t) along a grid of n_points in
     [RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX], all values inside the open
-    interval (1, pi/2): the assertable form of the sharp bounds.  A ratio
-    that is not finite fails it, with scan_ratio's message as witness."""
+    interval (1, pi/2), the first above pi/2 - SHARPNESS_LOW_MARGIN and
+    the last below 1 + SHARPNESS_HIGH_MARGIN: the assertable form of the
+    sharp bounds, as a float cross-check of the program's M and L.
+
+    scan_ratio pins the grid's ends to RATIO_SCAN_T_MIN and
+    RATIO_SCAN_T_MAX, so each margin reads the ratio at one fixed t.  A
+    ratio that is not finite fails the claim, with scan_ratio's message as
+    witness."""
     statement = (
-        "M(1,t)/L(1,t) is strictly decreasing on a log-spaced grid and "
-        "every value lies strictly inside (1, pi/2)"
+        "float cross-check of the program's M and L: M(1,t)/L(1,t) is strictly "
+        "decreasing on a log-spaced grid of t in [1e-8, 1 - 1e-4], every value "
+        "lies strictly inside (1, pi/2), and the ratio climbs past pi/2 - 0.15 "
+        "at t = 1e-8 and drops within 0.01 of 1 at t = 1 - 1e-4"
     )
-    tolerances = {"lower_bound": 1.0, "upper_bound": HALF_PI}
+    tolerances = {
+        "lower_bound": 1.0,
+        "upper_bound": HALF_PI,
+        "low_margin": SHARPNESS_LOW_MARGIN,
+        "high_margin": SHARPNESS_HIGH_MARGIN,
+    }
     try:
         grid, ratio = means.scan_ratio(n_points, RATIO_SCAN_T_MIN, RATIO_SCAN_T_MAX)
     except ArithmeticError as exc:
@@ -458,56 +475,13 @@ def check_ratio_scan(n_points: int) -> VerificationReport:
         witness = f"min ratio {ratio[-1]!r} is not > 1"
     if witness is None and not ratio[0] < HALF_PI:
         witness = f"max ratio {ratio[0]!r} is not < pi/2"
+    if witness is None and not ratio[0] > HALF_PI - SHARPNESS_LOW_MARGIN:
+        witness = (f"t={grid[0]!r}: ratio {ratio[0]!r} did not exceed "
+                   f"pi/2 - {SHARPNESS_LOW_MARGIN}")
+    if witness is None and not ratio[-1] < 1.0 + SHARPNESS_HIGH_MARGIN:
+        witness = (f"t={grid[-1]!r}: ratio {ratio[-1]!r} is not below "
+                   f"1 + {SHARPNESS_HIGH_MARGIN}")
     return _report("ratio-scan", statement, n_points, tolerances, witness)
-
-
-def check_sharpness() -> VerificationReport:
-    """Monotone approach of M/L to its limits: the ratio increases along
-    SHARPNESS_SEQUENCE, t decreasing toward 0, while staying below
-    pi/2, exceeds pi/2 - 0.15 at t = 1e-8, the sequence's last point, and
-    sits within 0.01 of 1 at t = 1 - 1e-4.  Each t is evaluated once.
-    Convergence to the limits is logarithmic, hence the loose margins."""
-    statement = (
-        "no constant below pi/2 bounds M/L from above and no constant "
-        "above 1 bounds it from below: the ratio climbs past pi/2 - 0.15 "
-        "as t -> 0+ and drops within 0.01 of 1 as t -> 1-"
-    )
-    tolerances = {
-        "low_t": SHARPNESS_LOW_T,
-        "low_margin": SHARPNESS_LOW_MARGIN,
-        "high_eps": SHARPNESS_HIGH_EPS,
-        "high_margin": SHARPNESS_HIGH_MARGIN,
-    }
-    witness = None
-    checked = 0
-    prev = None
-    for t in SHARPNESS_SEQUENCE:
-        r = means._mean_ratio(t)
-        checked += 1
-        if not r < HALF_PI:
-            witness = f"t={t!r}: ratio {r!r} is not < pi/2"
-            break
-        if prev is not None and not r > prev:
-            witness = f"t={t!r}: ratio {r!r} did not increase (previous {prev!r})"
-            break
-        prev = r
-    if witness is None:
-        checked += 1
-        r_low = prev  # the ratio at SHARPNESS_LOW_T, the sequence's last point
-        if not r_low > HALF_PI - SHARPNESS_LOW_MARGIN:
-            witness = (
-                f"t={SHARPNESS_LOW_T}: ratio {r_low!r} did not exceed "
-                f"pi/2 - {SHARPNESS_LOW_MARGIN}"
-            )
-    if witness is None:
-        checked += 1
-        r_high = means._mean_ratio(1.0 - SHARPNESS_HIGH_EPS)
-        if not (1.0 < r_high < 1.0 + SHARPNESS_HIGH_MARGIN):
-            witness = (
-                f"t={1.0 - SHARPNESS_HIGH_EPS}: ratio {r_high!r} not within "
-                f"(1, 1 + {SHARPNESS_HIGH_MARGIN})"
-            )
-    return _report("sharpness", statement, checked, tolerances, witness)
 
 
 def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
@@ -521,8 +495,8 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
     algebraic closed forms in hi and lo that take no logarithm, so the
     chain interleaves them with the _log_gap-based L and I: the forms at
     p = -2 and -1/2 bracket L, and those at -1/2 and 1/2 bracket I.  The
-    ratio kernel means.log_mean_float, which the ratio and sharpness claims
-    read, must give that L bit for bit, as MeanInput promises."""
+    ratio kernel means.log_mean_float, which ratio-scan reads, must give
+    that L bit for bit, as MeanInput promises."""
     _check_count(n_samples, "n_samples")
     statement = (
         "L(a,b) < M(a,b) < I(a,b) for sampled a != b, p -> L(p;a,b) is strictly "
@@ -586,7 +560,6 @@ def run_all(
         lambda: check_k_consistency(seed),
         lambda: check_reciprocal(p["recip_samples"], seed + 1),
         lambda: check_ratio_scan(p["scan_points"]),
-        lambda: check_sharpness(),
         lambda: check_mean_order(p["samples"], seed + 3),
     ]
     reports = []

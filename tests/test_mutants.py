@@ -11,8 +11,15 @@ A change to a claim shows this table before and after it; a change that
 closes an escape changes that row.  Most rows run at quick, which costs
 a few tens of milliseconds.  The full rows are the ones whose failing
 set depends on the profile's depth.  failing_claims computes one cell;
-under pytest.MonkeyPatch.context() it also runs outside pytest, so a
-script can tabulate every mutant at both profiles against any tree.
+under pytest.MonkeyPatch.context() it also runs outside pytest, so this
+file, run as a script, tabulates every mutant at one profile against the
+agmbounds on the path:
+
+    PYTHONPATH=src python tests/test_mutants.py quick|full
+
+prints one "mutant<TAB>failing claims" line per mutant, the claims
+space-separated in claim order, and "raises <error>" for a mutant that
+makes run_all raise.
 """
 
 from fractions import Fraction
@@ -144,11 +151,16 @@ MUTANTS = {
        for route in ("k_series", "k_agm", "k_quadrature")},
     **{f"row {cell}[30]*(1+1e-{e})": _row_cell(cell, 30, Fraction(1, 10**e))
        for cell in CELLS for e in (6, 30)},
+    "row a[1]*0": _row_cell("a", 1, -1),
     "row a[300]*(1+1e-6)": _row_cell("a", 300, Fraction(1, 10**6)),
     "shared h[30]*(1+1e-30)": _shared_h(30, Fraction(1, 10**30)),
 }
 
-# (mutant, profile, the claims that fail, in claim order).  The escapes:
+# (mutant, profile, the claims that fail, in claim order).  ratio-scan
+# holds the sharpness margins: log_mean_float scaled down and _log_gap
+# scaled up by 0.05 keep the scan inside (1, pi/2) and fail it at
+# t = 1 - 1e-4.  A zero a_1 fails coeff-ratio-monotone, which has no
+# ratio to it, as well as coeff-identities.  The escapes:
 # an AGM off by a relative 3e-12 at both profiles; _log_gap, shared by
 # MeanInput and log_mean_float, scaled up by 1e-9 or 1e-6, and the identric
 # mean by 1e-9, at quick; the p = 2 entry of the p chain, an algebraic
@@ -161,34 +173,34 @@ MATRIX = [
     ("agm*(1-3e-12)", "quick", ()),  # escape
     ("agm*(1+1e-11)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("agm*(1+1e-09)", "quick", ("k-three-way", "agm-k-reciprocal")),
-    ("agm*(1-1e-09)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness")),
+    ("agm*(1-1e-09)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan")),
     ("agm*(1+1e-06)", "quick", ("k-three-way", "agm-k-reciprocal")),
-    ("agm*(1-1e-06)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness")),
+    ("agm*(1-1e-06)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan")),
     ("agm*(1+0.001)", "quick", ("k-three-way", "agm-k-reciprocal", "mean-ordering")),
     ("agm*(1+0.2)", "quick",
-     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
+     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "mean-ordering")),
     ("agm*(1-0.2)", "quick",
-     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
+     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "mean-ordering")),
     ("log_mean_float*(1+1e-10)", "quick", ("mean-ordering",)),
     ("log_mean_float*(1-1e-10)", "quick", ("mean-ordering",)),
-    ("log_mean_float*(1+1e-09)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1+1e-09)", "quick", ("ratio-scan", "mean-ordering")),
     ("log_mean_float*(1-1e-09)", "quick", ("mean-ordering",)),
-    ("log_mean_float*(1+1e-06)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1+1e-06)", "quick", ("ratio-scan", "mean-ordering")),
     ("log_mean_float*(1-1e-06)", "quick", ("mean-ordering",)),
-    ("log_mean_float*(1+0.001)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1+0.001)", "quick", ("ratio-scan", "mean-ordering")),
     ("log_mean_float*(1-0.003)", "quick", ("mean-ordering",)),
-    ("log_mean_float*(1+0.1)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
-    ("log_mean_float*(1-0.05)", "quick", ("sharpness", "mean-ordering")),
-    ("log_mean_float*(1-0.1)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
-    ("log_mean_float*(1-0.2)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("log_mean_float*(1+0.1)", "quick", ("ratio-scan", "mean-ordering")),
+    ("log_mean_float*(1-0.05)", "quick", ("ratio-scan", "mean-ordering")),
+    ("log_mean_float*(1-0.1)", "quick", ("ratio-scan", "mean-ordering")),
+    ("log_mean_float*(1-0.2)", "quick", ("ratio-scan", "mean-ordering")),
     ("_log_gap*(1+1e-09)", "quick", ()),  # escape
-    ("_log_gap*(1-1e-09)", "quick", ("ratio-scan", "sharpness")),
+    ("_log_gap*(1-1e-09)", "quick", ("ratio-scan",)),
     ("_log_gap*(1+1e-06)", "quick", ()),  # escape
-    ("_log_gap*(1-1e-06)", "quick", ("ratio-scan", "sharpness")),
-    ("_log_gap*(1+0.05)", "quick", ("sharpness", "mean-ordering")),
-    ("_log_gap*(1-0.05)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
-    ("_log_gap*(1+0.2)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
-    ("_log_gap*(1-0.2)", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+    ("_log_gap*(1-1e-06)", "quick", ("ratio-scan",)),
+    ("_log_gap*(1+0.05)", "quick", ("ratio-scan", "mean-ordering")),
+    ("_log_gap*(1-0.05)", "quick", ("ratio-scan", "mean-ordering")),
+    ("_log_gap*(1+0.2)", "quick", ("ratio-scan", "mean-ordering")),
+    ("_log_gap*(1-0.2)", "quick", ("ratio-scan", "mean-ordering")),
     ("gen_log_mean*(1+1e-09)", "quick", ("mean-ordering",)),
     ("gen_log_mean*(1-1e-09)", "quick", ("mean-ordering",)),
     ("identric*(1+1e-09)", "quick", ()),  # escape
@@ -196,8 +208,8 @@ MATRIX = [
     ("gen_log_mean(2)*(1-0.001)", "quick", ("mean-ordering",)),
     ("gen_log_mean(0.4) for 0.5", "quick", ()),  # escape
     ("agm nan", "quick",
-     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "sharpness", "mean-ordering")),
-    ("log_mean_float nan", "quick", ("ratio-scan", "sharpness", "mean-ordering")),
+     ("k-three-way", "agm-k-reciprocal", "ratio-scan", "mean-ordering")),
+    ("log_mean_float nan", "quick", ("ratio-scan", "mean-ordering")),
     ("k_series*(1+1e-10)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("k_agm*(1+1e-10)", "quick", ("k-three-way",)),
     ("k_quadrature*(1+1e-10)", "quick", ("k-three-way", "agm-k-reciprocal")),
@@ -211,6 +223,7 @@ MATRIX = [
     ("row g[30]*(1+1e-30)", "quick", ("coeff-identities",)),
     ("row s[30]*(1+1e-6)", "quick", ("coeff-identities",)),
     ("row s[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("row a[1]*0", "quick", ("coeff-identities", "coeff-ratio-monotone")),
     ("row a[300]*(1+1e-6)", "quick", ()),  # escape
     ("shared h[30]*(1+1e-30)", "quick", ()),  # escape
     ("_log_gap*(1+1e-09)", "full", ("mean-ordering",)),
@@ -237,3 +250,19 @@ def test_matrix_row(monkeypatch, mutant, profile, failing):
 def test_every_mutant_has_a_quick_row():
     assert sorted(m for m, p, _ in MATRIX if p == "quick") == sorted(MUTANTS)
     assert len({(m, p) for m, p, _ in MATRIX}) == len(MATRIX)
+
+
+if __name__ == "__main__":
+    # one "mutant<TAB>failing claims" line per mutant at the profile; a
+    # mutant that makes run_all raise prints the exception instead
+    import sys
+
+    if sys.argv[1:] not in (["quick"], ["full"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_mutants.py quick|full")
+    for name in MUTANTS:
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                cell = " ".join(failing_claims(mp, name, sys.argv[1]))
+            except Exception as exc:
+                cell = f"raises {type(exc).__name__}: {exc}"
+        print(f"{name}\t{cell}")

@@ -105,11 +105,13 @@ class TestExactChecks:
         assert r.witness == f"first negative S_k at k={first}, expected 11"
 
     @pytest.mark.parametrize("field", ["a", "b"])
-    def test_ratio_to_a_zero_cell_raises(self, field):
-        # a_1 or b_1 = 0: the ratio at k = 1 divides by zero, as a Fraction would
+    def test_ratio_to_a_zero_cell_fails(self, field):
+        # a_1 or b_1 = 0: the ratio at k = 1 is undefined, so the claim
+        # fails there, naming the cell
         rows = _corrupt(_rows(12), field, 1, -Fraction(*_rows(12)[1][COLUMNS[field][0]]))
-        with pytest.raises(ZeroDivisionError, match="^ratio to the zero cell 0/1$"):
-            verify.check_coefficient_monotonicity(rows)
+        r = verify.check_coefficient_monotonicity(rows)
+        assert r.status == "fail" and r.checked_points == 1
+        assert r.witness == f"k=1: ratio to the zero cell {field}_1 = 0/1"
 
 
 class TestFloatingChecks:
@@ -136,10 +138,6 @@ class TestFloatingChecks:
         assert means.log_mean(inp) == means.identric_mean(inp) == 5.0
         assert means.agm(inp).limit == 5.0
         assert means.gen_log_mean(0.5, inp) == 5.0
-
-    def test_sharpness(self):
-        r = verify.check_sharpness()
-        assert r.status == "pass"
 
     def test_sharpness_monotone_toward_limit(self):
         r4 = means._mean_ratio(1e-4)
@@ -305,7 +303,7 @@ class TestRunAll:
     def test_quick_profile_all_pass(self):
         reports = verify.run_all("quick")
         assert verify.all_passed(reports)
-        assert len(reports) == 9
+        assert len(reports) == 8
         assert len({r.claim_id for r in reports}) == len(reports)
         for r in reports:
             assert r.checked_points > 0
@@ -643,48 +641,53 @@ class TestFloatWitnesses:
         assert r.status == "fail" and r.checked_points == 10
         assert r.witness == "ratio evaluation failed at t=0.9999: nan"
 
-    def test_sharpness_not_increasing(self, monkeypatch):
-        # the ratio at t = 1e-5 repeats the one at 1e-4
-        exact = means._mean_ratio
-        monkeypatch.setattr(means, "_mean_ratio", lambda t: exact(1e-4 if t == 1e-5 else t))
-        r = verify.check_sharpness()
-        assert r.status == "fail" and r.checked_points == 4
-        assert r.witness == (f"t=1e-05: ratio {exact(1e-4)!r} did not increase "
-                             f"(previous {exact(1e-4)!r})")
+    @pytest.mark.parametrize("at", [0, 4], ids=["low", "inner"])
+    def test_ratio_scan_nan_before_the_last_point(self, monkeypatch, at):
+        # a NaN where the low margin reads the ratio, or inside the grid,
+        # fails the claim there, before any comparison sees it
+        grid, _ = means.scan_ratio(10, verify.RATIO_SCAN_T_MIN, verify.RATIO_SCAN_T_MAX)
+        self._ratio_mutant(monkeypatch, lambda t, r: math.nan if t == grid[at] else r)
+        r = verify.check_ratio_scan(10)
+        assert r.status == "fail" and r.checked_points == 10
+        assert r.witness == f"ratio evaluation failed at t={grid[at]!r}: nan"
 
     @pytest.mark.parametrize(
-        "at,checked,witness",
-        [
-            (1e-5, 4, "t=1e-05: ratio nan is not < pi/2"),
-            # the low limit reads the sequence's value at its last point
-            (1e-8, 7, "t=1e-08: ratio nan is not < pi/2"),
-            (0.9999, 9, "t=0.9999: ratio nan not within (1, 1 + 0.01)"),
-        ],
-        ids=["sequence", "low", "high"],
+        # the scan kept decreasing inside (1, pi/2), its first ratio moved
+        # to or below pi/2 - 0.15
+        "mutant",
+        [lambda t, r: 1.0 + 0.9 * (r - 1.0),
+         lambda t, r: verify.HALF_PI - 0.15 if t == 1e-8 else 1.0 + 0.9 * (r - 1.0)],
+        ids=["below", "at"],
     )
-    def test_sharpness_nan(self, monkeypatch, at, checked, witness):
-        self._ratio_mutant(monkeypatch, lambda t, r: math.nan if t == at else r)
-        r = verify.check_sharpness()
-        assert r.status == "fail" and r.checked_points == checked
-        assert r.witness == witness
+    def test_ratio_scan_low_margin(self, monkeypatch, mutant):
+        exact = self._ratio_mutant(monkeypatch, mutant)
+        r = verify.check_ratio_scan(10)
+        assert r.status == "fail" and r.checked_points == 10
+        assert r.witness == (f"t=1e-08: ratio {mutant(1e-8, exact(1e-8))!r} did not exceed "
+                             "pi/2 - 0.15")
 
-    def test_sharpness_low_limit(self, monkeypatch):
-        # scaled by 0.9 the ratio still increases along the sequence below
-        # pi/2, but at its last point falls short of pi/2 - 0.15
-        exact = self._ratio_mutant(monkeypatch, lambda t, r: 0.9 * r)
-        r = verify.check_sharpness()
-        assert r.status == "fail" and r.checked_points == 8
-        assert r.witness == f"t=1e-08: ratio {0.9 * exact(1e-8)!r} did not exceed pi/2 - 0.15"
+    @pytest.mark.parametrize("last", [1.01, 1.05], ids=["at", "above"])
+    def test_ratio_scan_high_margin(self, monkeypatch, last):
+        # the last ratio, at t = 1 - 1e-4, moved to or above 1.01 while the
+        # scan still decreases inside (1, pi/2): its neighbour is about 1.07
+        self._ratio_mutant(monkeypatch, lambda t, r: last if t == 1.0 - 1e-4 else r)
+        r = verify.check_ratio_scan(10)
+        assert r.status == "fail" and r.checked_points == 10
+        assert r.witness == f"t=0.9999: ratio {last!r} is not below 1 + 0.01"
 
-    def test_sharpness_evaluates_each_t_once(self, monkeypatch):
-        # the low limit is the sequence's last point, so the check reads
-        # the value the sequence computed there
-        assert verify.SHARPNESS_SEQUENCE[-1] == verify.SHARPNESS_LOW_T
+    def test_ratio_scan_margins_read_the_grid_ends(self, monkeypatch):
+        # each grid point is evaluated once, and the ends are the two t the
+        # margins name
+        assert (verify.RATIO_SCAN_T_MIN, verify.RATIO_SCAN_T_MAX) == (1e-8, 1.0 - 1e-4)
+        grid, _ = means.scan_ratio(10, 1e-8, 1.0 - 1e-4)
+        assert (grid[0], grid[-1]) == (1e-8, 1.0 - 1e-4)
         calls = []
         self._ratio_mutant(monkeypatch, lambda t, r: calls.append(t) or r)
-        r = verify.check_sharpness()
-        assert r.status == "pass" and r.checked_points == 9
-        assert calls == [*verify.SHARPNESS_SEQUENCE, 1.0 - verify.SHARPNESS_HIGH_EPS]
+        r = verify.check_ratio_scan(10)
+        assert r.status == "pass" and r.checked_points == 10
+        assert calls == grid
+        assert r.tolerances == {"lower_bound": 1.0, "upper_bound": verify.HALF_PI,
+                                "low_margin": 0.15, "high_margin": 0.01}
 
 
 def _dumps(reports):
@@ -709,7 +712,7 @@ class TestJsonWriter:
     def test_failing_reports(self, monkeypatch):
         _nan_route(monkeypatch, "k_quadrature")
         reports = [verify.check_k_consistency(seed=1), verify.check_reciprocal(20, seed=2),
-                   verify.check_sharpness(), _failing("a=1.0 b=2.0: order violated")]
+                   verify.check_ratio_scan(10), _failing("a=1.0 b=2.0: order violated")]
         assert [r.status for r in reports] == ["fail", "fail", "pass", "fail"]
         assert verify.reports_to_json(reports) == _dumps(reports)
 
