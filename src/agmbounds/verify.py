@@ -2,39 +2,40 @@
 
 Each check returns a VerificationReport; run_all executes the whole claim
 list at a profile-dependent depth.  Exact claims (coefficient identities,
-ratio monotonicity, the series-ratio inequality, sign change) are decided
-in integer arithmetic with zero tolerance; floating claims carry explicit
-named tolerances and a witness for the first failing input.  The paper's
-double inequality L < M < (pi/2) L is sampled, with zero slack, by
-mean-ordering, on the pairs where it also checks L < M < I, and by
-ratio-scan on the t grid of M(1,t)/L(1,t).  ratio-scan, a float
-cross-check of the program's M and L, also states how close the ratio
-comes to both bounds: past pi/2 - 0.15 at the grid's first t and within
-0.01 of 1 at its last.  Every floating pass condition is written
-positively, as dev <= tol or one chained <, so a NaN from any route, mean
-or order fails its claim.  Identical seeds and profiles reproduce
-byte-identical report lists.
+ratio monotonicity, the sign change of S_k with the paper's series-ratio
+inequality) are decided in integer arithmetic with zero tolerance;
+floating claims carry explicit named tolerances and a witness for the
+first failing input.  The paper's double inequality L < M < (pi/2) L is
+sampled, with zero slack, by mean-ordering, on the pairs where it also
+checks L < M < I, and by ratio-scan on the t grid of M(1,t)/L(1,t).
+ratio-scan, a float cross-check of the program's M and L, also states
+how close the ratio comes to both bounds: past pi/2 - 0.15 at the grid's
+first t and within 0.01 of 1 at its last.  Every floating pass condition
+is written positively, as dev <= tol or one chained <, so a NaN from any
+route, mean or order fails its claim.  Identical seeds and profiles
+reproduce byte-identical report lists.
 
-All four exact claims read the coefficient rows (k, a, b, h, g, s)
+All three exact claims read the coefficient rows (k, a, b, h, g, s)
 that coefficients.table_rows streams, collected once per run; row k
 holds index k, each value as a (numerator, denominator) pair of ints.
 The identity check compares each pair for equality with the reduced pair
 of a definitional sum or of the closed-form row coefficients.closed_row
 gives for the same k, so it also proves every cell is in lowest terms
 with a positive denominator; the other exact claims compare pairs by
-cross-multiplication, so no claim imports fractions.  A
-witness that names a computed rational reduces it, on the failure path
-only, and prints it as a Fraction prints: n where the denominator is 1,
-else n/d.  Each row check raises ValueError on fewer than the three rows
-of table_rows(2); a zero a_k or b_k fails coeff-ratio-monotone, with k
-and the cell as witness.  VerificationReport is a plain immutable class
-on means.Record, and the ratio scan lives in means, so a verify process
-needs no class generation at import.  reports_to_json writes the text of
-json.dumps(..., sort_keys=True) through means._json_dumps, which imports
-json only for a string that needs escaping, so a passing verify process
-loads no json in any format.  The sampled checks draw each pair with
-rng.random() in the arithmetic of rng.uniform, and pass floats, which
-the means and the K routes take without conversion.
+cross-multiplication, so no claim imports fractions.  A witness that
+names a computed rational reduces it, on the failure path only, and
+prints it as a Fraction prints: n where the denominator is 1, else n/d.
+Each row check raises ValueError on fewer than the three rows of
+table_rows(2), and s-sign-change, which names S_11, on fewer than the
+twelve of table_rows(11); a zero a_k or b_k fails coeff-ratio-monotone,
+with k and the cell as witness.  VerificationReport is a plain immutable
+class on means.Record, and the ratio scan lives in means, so a verify
+process needs no class generation at import.  reports_to_json writes the
+text of json.dumps(..., sort_keys=True) through means._json_dumps, which
+imports json only for a string that needs escaping, so a passing verify
+process loads no json in any format.  The sampled checks draw each pair
+with rng.random() in the arithmetic of rng.uniform, and pass floats,
+which the means and the K routes take without conversion.
 """
 
 import math
@@ -152,10 +153,10 @@ def _sample_pair(rng: random.Random) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # exact claims
 
-def _check_rows(rows) -> int:
+def _check_rows(rows, k_least: int = 2) -> int:
     # the least table_rows gives is rows for k = 0, 1, 2
-    if len(rows) < 3:
-        raise ValueError(f"need the coefficient rows for k = 0..k_max with k_max >= 2, "
+    if len(rows) <= k_least:
+        raise ValueError(f"need the coefficient rows for k = 0..k_max with k_max >= {k_least}, "
                          f"got {len(rows)} rows")
     return len(rows) - 1
 
@@ -277,56 +278,23 @@ def check_coefficient_monotonicity(rows) -> VerificationReport:
     )
 
 
-def check_series_ratio_inequality(rows) -> VerificationReport:
-    """The rearranged coefficient-ratio inequality, exactly, for
-    2 <= k <= k_max = len(rows) - 1.
-
-    [T_{k+1} - (2k+1)(k+2)/(2(k+1)^2) T_k] * C(2k+2,k+1)/4^(k+1)
-        < 1 - (2k+1)^2 (k+2)/(4(k+1)^3),
-    where T_k = sum_{i=2}^{k} 1/(2i-1).  Row k gives
-    T_k = 2(k+1)^2/(k(2k+1)) - S_k and w_k = C(2k,k)/4^k = 1 - 2h(k);
-    T_{k+1} = T_k + 1/(2k+1) and w_{k+1} = w_k (2k+1)/(2k+2) follow in
-    unreduced ints, and the two sides are compared by cross-multiplication
-    over positive denominators.
-    """
-    k_max = _check_rows(rows)
-    statement = (
-        "rearranged coefficient-ratio inequality holds exactly for every "
-        "k in [2, k_max]"
-    )
-    witness = None
-    checked = 0
-    for k in range(2, k_max + 1):
-        m = 2 * k + 1
-        cn, cd = m * (k + 2), 2 * (k + 1) ** 2
-        rn, rd = m * m * (k + 2), 4 * (k + 1) ** 3
-        # T_k = tn/td and w_{k+1} = wn/wd from row k, T_{k+1} = (tn m + td)/(td m);
-        # lhs = (T_{k+1} - (cn/cd) T_k) w_{k+1} and rhs = 1 - rn/rd, each
-        # as a numerator over a positive denominator
-        (sn, sd), (hn, hd) = rows[k][_S], rows[k][_H]
-        tn, td = cd * sd - k * m * sn, k * m * sd
-        wn, wd = (hd - 2 * hn) * m, hd * (m + 1)
-        lhs_num, lhs_den = (cd * (tn * m + td) - cn * m * tn) * wn, cd * td * m * wd
-        checked += 1
-        if not lhs_num * rd < (rd - rn) * lhs_den:
-            witness = (f"k={k}: {_rational_str(lhs_num, lhs_den)} >= "
-                       f"{_rational_str(rd - rn, rd)}")
-            break
-    return _report(
-        "series-ratio-inequality", statement, checked, {"exact": 0.0}, witness
-    )
-
-
 def check_sign_change(rows) -> VerificationReport:
     """S_k strictly decreasing on [2, k_max], k_max = len(rows) - 1, with
-    its single sign change located between k = 10 and k = 11, exactly.
+    its single sign change located between k = 10 and k = 11, and the
+    rearranged coefficient-ratio inequality at each k, exactly.
 
-    Neighbouring (numerator, denominator) cells are compared by
-    cross-multiplication over their positive denominators."""
-    k_max = _check_rows(rows)
+    With T_k = sum_{i=2}^{k} 1/(2i-1) and w_k = C(2k,k)/4^k, the paper's
+    inequality is [T_{k+1} - (2k+1)(k+2)/(2(k+1)^2) T_k] w_{k+1}
+    < 1 - (2k+1)^2 (k+2)/(4(k+1)^3).  Row k gives T_k = 2(k+1)^2/(k(2k+1))
+    - S_k and w_k = 1 - 2h(k), so its sides are, identically in the cells,
+    k(2k+1) w_k S_k / (4(k+1)^3) and (3k+2)/(4(k+1)^3), compared by
+    cross-multiplication.  Fewer rows than table_rows(11) raise ValueError."""
+    k_max = _check_rows(rows, 11)
     statement = (
         "S_k is strictly decreasing with exactly one sign change: "
-        "S_10 > 0 > S_11 (so S_k < 0 iff k >= 11)"
+        "S_10 > 0 > S_11 (so S_k < 0 iff k >= 11), and the rearranged "
+        "coefficient-ratio inequality k(2k+1) w_k S_k < 3k+2, w_k = C(2k,k)/4^k, "
+        "holds exactly for every k in [2, k_max]"
     )
     witness = None
     checked = 0
@@ -334,14 +302,22 @@ def check_sign_change(rows) -> VerificationReport:
     first_negative = None
     for k in range(2, k_max + 1):
         s = rows[k][_S]
+        (sn, sd), (hn, hd) = s, rows[k][_H]
         checked += 1
-        if prev is not None and not s[0] * prev[1] < prev[0] * s[1]:
+        if prev is not None and not sn * prev[1] < prev[0] * sd:
             witness = f"k={k}: S_k={_cell_str(s)} is not below S_(k-1)={_cell_str(prev)}"
             break
-        if s[0] < 0 and first_negative is None:
+        # k(2k+1) w_k S_k < 3k+2, with w_k = (hd - 2hn)/hd and S_k = sn/sd
+        lhs = k * (2 * k + 1) * sn * (hd - 2 * hn)
+        if not lhs < (3 * k + 2) * sd * hd:
+            den = 4 * (k + 1) ** 3
+            witness = (f"k={k}: {_rational_str(lhs, den * sd * hd)} >= "
+                       f"{_rational_str(3 * k + 2, den)}")
+            break
+        if sn < 0 and first_negative is None:
             first_negative = k
         prev = s
-    if witness is None and k_max >= 11 and first_negative != 11:
+    if witness is None and first_negative != 11:
         witness = f"first negative S_k at k={first_negative}, expected 11"
     return _report("s-sign-change", statement, checked, {"exact": 0.0}, witness)
 
@@ -555,7 +531,6 @@ def run_all(
     checks: list[Callable[[], VerificationReport]] = [
         lambda: check_coefficient_identities(rows),
         lambda: check_coefficient_monotonicity(rows),
-        lambda: check_series_ratio_inequality(rows),
         lambda: check_sign_change(rows),
         lambda: check_k_consistency(seed),
         lambda: check_reciprocal(p["recip_samples"], seed + 1),

@@ -498,7 +498,7 @@ class TestVerify:
                             "--format", "json")
         assert code == 0
         reports = json.loads(out)
-        assert len(reports) == 8
+        assert len(reports) == 7
         assert all(r["status"] == "pass" for r in reports)
         parsed = [verify.VerificationReport(**obj) for obj in reports]
         assert verify.all_passed(parsed)
@@ -513,15 +513,15 @@ class TestVerify:
     def test_text_format(self):
         code, out = run_cli("verify", "--profile", "quick")
         assert code == 0
-        assert out.count("PASS") == 8
-        assert "8/8 claims passed" in out
+        assert out.count("PASS") == 7
+        assert "7/7 claims passed" in out
 
     def test_csv_format(self):
         code, out = run_cli("verify", "--format", "csv")
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0] == "claim_id,status,checked_points,witness"
-        assert len(lines) == 9
+        assert len(lines) == 8
 
     def test_timings_go_to_stderr_only(self, capsys):
         code, plain = run_cli("verify", "--seed", "3", "--format", "json")
@@ -542,7 +542,7 @@ class TestVerify:
         code, out = run_cli("verify", "--format", "json")
         assert code == 1 and capsys.readouterr().err == ""
         reports = {r["claim_id"]: r for r in json.loads(out)}
-        assert len(reports) == 8
+        assert len(reports) == 7
         failed = {cid: r["witness"] for cid, r in reports.items() if r["status"] == "fail"}
         assert failed == {"ratio-scan": "ratio evaluation failed at t=0.9999: nan"}
 
@@ -575,8 +575,11 @@ class TestUsage:
 # chunks, and for the JSON of mean and elliptic, whose floats are written
 # in full: a faster mean chain, exact layer or writer must keep these
 # outputs byte-identical.  Every quick seed passes every claim, so their
-# reports are equal; scan's text and CSV share one layout.
-QUICK_JSON_SHA256 = "3e9cb0fb835f051acec82e46d456c3ce0c3daf98eae63181b4b6890942727506"
+# reports are equal; scan's text and CSV share one layout.  Run as a
+# script, PYTHONPATH=src python tests/test_cli.py prints one
+# "sha256<TAB>argv" line per pin, with the digest of the stdout now, marks
+# each digest that differs from its pin, and exits 1 if any does.
+QUICK_JSON_SHA256 = "26cd404a8e9ad5aa331bcc0e26c91181f1355b0c13efcadc0c06cf6670768b78"
 SCAN_TEXT_SHA256 = "48231bf30a3b9a537a329bdd61fefc23bf419bb5d4f1a3bcdd2922eabd0a0b17"
 SCAN_ARGV = ("scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999")
 PINNED_STDOUT_SHA256 = [
@@ -586,7 +589,7 @@ PINNED_STDOUT_SHA256 = [
     (("verify", "--profile", "quick", "--seed", "4", "--format", "json"), QUICK_JSON_SHA256),
     (
         ("verify", "--profile", "full", "--format", "json"),
-        "b36cb20bae080c6718cd5e8cbed4be09bafeeb9475564ca85372addec54e910b",
+        "8be4799f21e59daeff7a3c1d08efdef91e159f140491c988f601f2de38709259",
     ),
     (
         ("coeffs", "--kmax", "500", "--format", "json"),
@@ -887,3 +890,15 @@ def test_reader_agrees_with_argparse(parser, argv):
     if namespace is not None:
         assert _typed(namespace) == _typed(parser.parse_args(argv))
         assert 1 <= namespace.digits <= 17
+
+
+if __name__ == "__main__":
+    # one "sha256<TAB>argv" line per pinned command, the digest of its
+    # stdout now; a digest that differs from its pin is marked with the pin
+    differs = 0
+    for argv, digest in PINNED_STDOUT_SHA256:
+        got = hashlib.sha256(run_cli(*argv)[1].encode()).hexdigest()
+        differs += got != digest
+        mark = "" if got == digest else f"\tDIFFERS from pin {digest}"
+        print(f"{got}\t{' '.join(argv)}{mark}")
+    sys.exit(1 if differs else 0)

@@ -152,6 +152,7 @@ MUTANTS = {
     **{f"row {cell}[30]*(1+1e-{e})": _row_cell(cell, 30, Fraction(1, 10**e))
        for cell in CELLS for e in (6, 30)},
     "row a[1]*0": _row_cell("a", 1, -1),
+    "row s[2]*(1+1/2)": _row_cell("s", 2, Fraction(1, 2)),
     "row a[300]*(1+1e-6)": _row_cell("a", 300, Fraction(1, 10**6)),
     "shared h[30]*(1+1e-30)": _shared_h(30, Fraction(1, 10**30)),
 }
@@ -160,7 +161,9 @@ MUTANTS = {
 # holds the sharpness margins: log_mean_float scaled down and _log_gap
 # scaled up by 0.05 keep the scan inside (1, pi/2) and fail it at
 # t = 1 - 1e-4.  A zero a_1 fails coeff-ratio-monotone, which has no
-# ratio to it, as well as coeff-identities.  The escapes:
+# ratio to it, as well as coeff-identities.  S_2 scaled by 3/2 breaks the
+# series-ratio inequality at k = 2, which s-sign-change tests, as well as
+# coeff-identities.  The escapes:
 # an AGM off by a relative 3e-12 at both profiles; _log_gap, shared by
 # MeanInput and log_mean_float, scaled up by 1e-9 or 1e-6, and the identric
 # mean by 1e-9, at quick; the p = 2 entry of the p chain, an algebraic
@@ -224,6 +227,7 @@ MATRIX = [
     ("row s[30]*(1+1e-6)", "quick", ("coeff-identities",)),
     ("row s[30]*(1+1e-30)", "quick", ("coeff-identities",)),
     ("row a[1]*0", "quick", ("coeff-identities", "coeff-ratio-monotone")),
+    ("row s[2]*(1+1/2)", "quick", ("coeff-identities", "s-sign-change")),
     ("row a[300]*(1+1e-6)", "quick", ()),  # escape
     ("shared h[30]*(1+1e-30)", "quick", ()),  # escape
     ("_log_gap*(1+1e-09)", "full", ("mean-ordering",)),

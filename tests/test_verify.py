@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agmbounds import coefficients as co
@@ -38,7 +38,6 @@ def _corrupt(rows, field, k, delta=Fraction(1, 7)):
 ROW_CHECKS = [
     verify.check_coefficient_identities,
     verify.check_coefficient_monotonicity,
-    verify.check_series_ratio_inequality,
     verify.check_sign_change,
 ]
 
@@ -66,14 +65,11 @@ class TestExactChecks:
     def test_monotonicity_pass_k10(self):
         assert verify.check_coefficient_monotonicity(_rows(10)).status == "pass"
 
-    def test_series_ratio_inequality(self):
-        r = verify.check_series_ratio_inequality(_rows(60))
+    def test_sign_change(self):
+        # S_k and the series-ratio inequality at every k in [2, 60]
+        r = verify.check_sign_change(_rows(60))
         assert r.status == "pass"
         assert r.checked_points == 59
-
-    def test_sign_change(self):
-        r = verify.check_sign_change(_rows(30))
-        assert r.status == "pass"
 
     @pytest.mark.parametrize("check", ROW_CHECKS)
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
@@ -84,8 +80,15 @@ class TestExactChecks:
 
     @pytest.mark.parametrize("check", ROW_CHECKS)
     def test_least_table_checked(self, check):
-        r = check(_rows(2))
+        # s-sign-change states S_10 > 0 > S_11, so its least table is table_rows(11)
+        r = check(_rows(11 if check is verify.check_sign_change else 2))
         assert r.status == "pass" and r.checked_points > 0
+
+    @pytest.mark.parametrize("k_max", range(2, 11))
+    def test_sign_change_rows_below_k_eleven_rejected(self, k_max):
+        # rows that stop before S_11 cannot show the sign change
+        with pytest.raises(ValueError, match=f"k_max >= 11, got {k_max + 1} rows"):
+            verify.check_sign_change(_rows(k_max))
 
     def test_sign_change_locates_first_negative(self):
         bad = _corrupt(_rows(30), "s", 2, Fraction(-10))  # S_2 forced negative
@@ -303,7 +306,7 @@ class TestRunAll:
     def test_quick_profile_all_pass(self):
         reports = verify.run_all("quick")
         assert verify.all_passed(reports)
-        assert len(reports) == 8
+        assert len(reports) == 7
         assert len({r.claim_id for r in reports}) == len(reports)
         for r in reports:
             assert r.checked_points > 0
@@ -461,9 +464,46 @@ class TestWitnessText:
         for k in range(2, 51):
             w = 1 - 2 * Fraction(*rows[k][COLUMNS["h"][0]])
             rows = _corrupt(rows, "h", k, Fraction(21, 2) * w)
-        r = verify.check_series_ratio_inequality(rows)
+        r = verify.check_sign_change(rows)
         assert r.checked_points == 10
         assert r.witness == "k=11: 1779221/339738624 >= 35/6912"
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(2, 12), h=st.fractions())
+    @example(k=2, h=Fraction(-1))  # w_2 = 3 fails at k = 2
+    @example(k=2, h=Fraction(5, 22))  # w_2 = 6/11: the two sides are equal
+    @example(k=11, h=Fraction(0))  # w_11 = 1 passes
+    def test_series_ratio_in_the_paper_form(self, k, h):
+        # any h(k): the check decides and prints the paper's two sides,
+        # [T_{k+1} - (2k+1)(k+2)/(2(k+1)^2) T_k] w_{k+1} and
+        # 1 - (2k+1)^2 (k+2)/(4(k+1)^3), with T_k and w_k from the cells
+        rows = _rows(12)
+        rows = _corrupt(rows, "h", k, h - Fraction(*rows[k][COLUMNS["h"][0]]))
+        s_k, w_k = Fraction(*rows[k][COLUMNS["s"][0]]), 1 - 2 * h
+        t_k = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) - s_k
+        t_next, w_next = t_k + Fraction(1, 2 * k + 1), w_k * Fraction(2 * k + 1, 2 * k + 2)
+        lhs = (t_next - Fraction((2 * k + 1) * (k + 2), 2 * (k + 1) ** 2) * t_k) * w_next
+        rhs = 1 - Fraction((2 * k + 1) ** 2 * (k + 2), 4 * (k + 1) ** 3)
+        r = verify.check_sign_change(rows)
+        if lhs < rhs:
+            assert r.status == "pass"
+        else:
+            assert r.checked_points == k - 1
+            assert r.witness == f"k={k}: {lhs} >= {rhs}"
+
+    def test_series_ratio_sides_are_identities(self):
+        # the check's two sides, derived from the paper's for a symbolic k
+        sp = pytest.importorskip("sympy")
+        k, s, w = sp.symbols("k S_k w_k", positive=True)
+        w_next = sp.combsimp(sp.binomial(2 * k + 2, k + 1) / 4 ** (k + 1)
+                             / (sp.binomial(2 * k, k) / 4 ** k)) * w
+        assert sp.cancel(w_next - w * (2 * k + 1) / (2 * k + 2)) == 0
+        t = 2 * (k + 1) ** 2 / (k * (2 * k + 1)) - s
+        t_next = t + 1 / (2 * k + 1)
+        lhs = (t_next - (2 * k + 1) * (k + 2) / (2 * (k + 1) ** 2) * t) * w_next
+        rhs = 1 - (2 * k + 1) ** 2 * (k + 2) / (4 * (k + 1) ** 3)
+        assert sp.cancel(lhs - k * (2 * k + 1) * w * s / (4 * (k + 1) ** 3)) == 0
+        assert sp.cancel(rhs - (3 * k + 2) / (4 * (k + 1) ** 3)) == 0
 
     @pytest.mark.parametrize(
         "mutant,expected",
