@@ -1,23 +1,23 @@
 """Exact rational sequences behind the mean-ratio monotonicity argument.
 
 Everything here is exact arithmetic over Python ints; no rounding ever
-occurs.  The module provides the Wallis quotient, the defining sums of
-a_k, h(k) and g(k), the closed forms of a_k, b_k, h(k), g(k) and the
-sign-changing sequence S_k, which closed_row gives as one row
-(k, a, b, h, g, s) per index, and one O(1)-per-index recurrence for all
-sequences, which table_rows streams as rows of the same shape, one index
-at a time.  Every value, from a closed form, a sum or a row, is a
-(numerator, denominator) pair of ints in lowest terms with a positive
-denominator, so Fraction(*x) is the value; the module never imports
-fractions.  Each sum and closed-form cell is built from integers over
-one common denominator and reduced by one gcd; the recurrence keeps
-integer state and reduces each row with at most one gcd of two large
-operands.  Both the coeffs command and the verifier read the rows.  The
-CSV and JSON formatters, write_csv and write_json, take the rows and a
-write callable, so the CLI prints rows as they are produced without
-holding them or their text.  The JSON text is written directly, so no
-table output needs the json module, and the module imports nothing from
-the floating layers.
+occurs.  The module provides the Wallis quotient, the closed forms of
+a_k, b_k, h(k), g(k) and the sign-changing sequence S_k, which
+closed_row gives as one row (k, a, b, h, g, s) per index, and one
+O(1)-per-index recurrence for all sequences, which table_rows streams as
+rows of the same shape, one index at a time.  No sum of the paper is
+evaluated: the verifier's certificates tie them to the closed forms for
+every k.  Every value, from a closed form or a row, is a (numerator,
+denominator) pair of ints in lowest terms with a positive denominator,
+so Fraction(*x) is the value; the module never imports fractions.  Each
+closed-form cell is built from integers over one common denominator and
+reduced by one gcd; the recurrence keeps integer state and reduces each
+row with at most one gcd of two large operands.  Both the coeffs command
+and the verifier read the rows.  The CSV and JSON formatters, write_csv
+and write_json, take the rows and a write callable, so the CLI prints
+rows as they are produced without holding them or their text.  The JSON
+text is written directly, so no table output needs the json module, and
+the module imports nothing from the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -48,46 +48,6 @@ def wallis_ratio(k: int) -> tuple[int, int]:
     """(2k-1)!!/(2k)!! = C(2k, k)/4^k, the Wallis quotient."""
     _check_index(k, 0)
     return _reduced(comb(2 * k, k), 1 << (2 * k))
-
-
-def _binomial_sum(dens: list[int]) -> tuple[int, int]:
-    """sum_{i=1}^{k} C(2i-2, i-1) / (dens[i-1] 4^i) with k = len(dens),
-    added as integer numerators over lcm(dens) * 4^k, unreduced."""
-    k = len(dens)
-    base = lcm(*dens)
-    num = 0
-    c = 1  # C(2i-2, i-1), updated incrementally
-    for i, d in enumerate(dens, start=1):
-        num += (c << (2 * (k - i))) * (base // d)
-        c = c * 2 * (2 * i - 1) // i
-    return num, base << (2 * k)
-
-
-def a_coeff_sum(k: int) -> tuple[int, int]:
-    """a_k from its defining sum:
-    1/(k+1) - (1/2) sum_{i=1}^{k} (2i-1)!!/[(2i)!! (2i-1) (k-i+1)].
-
-    Term i equals C(2i-2, i-1) / (i (k-i+1) 4^i), since
-    (2i-1)!!/(2i)!! = C(2i,i)/4^i = 2(2i-1) C(2i-2,i-1)/(i 4^i).  The
-    empty sum at k = 0 leaves a_0 = 1.  With the sum num/den over its
-    common denominator, a_k = (den - (k+1) num) / ((k+1) den), reduced
-    once.
-    """
-    _check_index(k, 0)
-    num, den = _binomial_sum([i * (k - i + 1) for i in range(1, k + 1)])
-    return _reduced(den - (k + 1) * num, (k + 1) * den)
-
-
-def h_sum(k: int) -> tuple[int, int]:
-    """h(k) = sum_{i=1}^{k} C(2i-2, i-1) / (i 4^i)."""
-    _check_index(k, 1)
-    return _reduced(*_binomial_sum(list(range(1, k + 1))))
-
-
-def g_sum(k: int) -> tuple[int, int]:
-    """g(k) = sum_{i=1}^{k} C(2i-2, i-1) / ((k-i+1) 4^i)."""
-    _check_index(k, 1)
-    return _reduced(*_binomial_sum([k - i + 1 for i in range(1, k + 1)]))
 
 
 def closed_row(k: int):
@@ -164,8 +124,8 @@ def write_json(k_max: int, rows, write) -> None:
 def table_rows(k_max: int):
     """Rows (k, a, b, h, g, s) for k = 0..k_max, with None where a
     sequence is not defined at k, computed one index at a time by O(1)
-    recurrences; the quadratic definitional sums are the verifier's
-    independent cross-check.
+    recurrences; the verifier checks each row against closed_row, a
+    separate computation from closed formulas, and against itself.
 
     Each value is a (numerator, denominator) pair of ints in lowest terms
     with a positive denominator, and row k equals closed_row(k); the pair

@@ -18,11 +18,11 @@ reproduce byte-identical report lists.
 All three exact claims read the coefficient rows (k, a, b, h, g, s)
 that coefficients.table_rows streams, collected once per run; row k
 holds index k, each value as a (numerator, denominator) pair of ints.
-The identity check compares each pair for equality with the reduced pair
-of a definitional sum or of the closed-form row coefficients.closed_row
-gives for the same k, so it also proves every cell is in lowest terms
-with a positive denominator; the other exact claims compare pairs by
-cross-multiplication, so no claim imports fractions.  A witness that
+coeff-identities proves by certificates that the paper's sums equal the
+closed forms for every k, and compares each pair for equality with the
+reduced pair of coefficients.closed_row(k), so it also proves every cell
+is in lowest terms with a positive denominator; the other comparisons
+are by cross-multiplication, so no claim imports fractions.  A witness that
 names a computed rational reduces it, on the failure path only, and
 prints it as a Fraction prints: n where the denominator is 1, else n/d.
 Each row check raises ValueError on fewer than the three rows of
@@ -42,6 +42,7 @@ import math
 import random
 import time
 from collections.abc import Callable
+from itertools import product
 
 from agmbounds import coefficients as coeffs
 from agmbounds import elliptic, means
@@ -171,68 +172,107 @@ def _rational_str(num: int, den: int) -> str:
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-def check_coefficient_identities(rows) -> VerificationReport:
-    """Exact agreement of every summation form, closed form, table row
-    value, and the g recurrence, for 1 <= k <= k_max = len(rows) - 1.
+# Certificates that the paper's sums equal closed_row's forms for every k
+# (Petkovsek, Wilf & Zeilberger, A = B, ch. 5-7).  With w_j = C(2j,j)/4^j,
+# the i-th terms of h(k), g(k) and a_k's sum are w_{i-1} times 1/(4i),
+# 1/(4(k+1-i)) and 1/(4i(k+1-i)), the last by the Wallis step
+# w_i/w_{i-1} = 2i(2i-1)/(4i^2) = (2i-1)/(2i).  h telescopes to (1 - w_k)/2:
+# h(k) - h(k-1) = (w_{k-1} - w_k) _H_STEP.
+_H_STEP = (1, 2)
+# a by partial fractions: 1/(i(k+1-i)) = _A_PART (1/i + 1/(k+1-i))/(k+1).
+_A_PART = (1, 1)
+# g by an index shift: 2(k+1)/(k+1-j) = _G_SPLIT + 2j/(k+1-j) and
+# (2k+1)/(k-j) = _G_SPLIT + (2j+1)/(k-j), whose remainders cancel by the
+# Wallis step, leave 2(k+1) g(k+1) - (2k+1) g(k) = w_k _G_STEP.
+_G_SPLIT = 2
+_G_STEP = (1, 2)
+# (name, variables, n, sides): sides(*x) gives the two sides of an identity
+# of integer polynomials of degree below n in each variable, so agreement
+# on the grid {1..n}^len(variables) proves it for every x.
+_CERTIFICATES = (
+    ("Wallis step", "j", 4, lambda j: (2 * j * 2 * j * (2 * j - 1), (2 * j - 1) * 4 * j * j)),
+    ("h step", "k", 2,
+     lambda k: (_H_STEP[1] * 2 * k, _H_STEP[0] * 4 * k * (2 * k - (2 * k - 1)))),
+    ("a partial fractions", "ki", 2,
+     lambda k, i: (_A_PART[1] * (k + 1), _A_PART[0] * ((k + 1 - i) + i))),
+    ("g index shift", "kj", 2,
+     lambda k, j: ((2 * (k + 1) - _G_SPLIT * (k + 1 - j), 2 * k + 1 - _G_SPLIT * (k - j)),
+                   (2 * j, 2 * j + 1))),
+    ("g step", "", 1, lambda: (_G_SPLIT * _G_STEP[1], 4 * _G_STEP[0])),
+)
 
-    Each table cell must equal the reduced (numerator, denominator) pair
-    of the definitional sum or of the cell of coeffs.closed_row(k), read
-    once per k, so every cell is also checked to be in lowest terms with
-    a positive denominator.  The recurrence is compared by
-    cross-multiplication.
+
+def _check_certificates() -> tuple[int, str | None]:
+    checked = 0
+    for name, variables, n, sides in _CERTIFICATES:
+        for x in product(range(1, n + 1), repeat=len(variables)):
+            checked += 1
+            lhs, rhs = sides(*x)
+            if lhs != rhs:
+                at = "".join(f" {v}={i}" for v, i in zip(variables, x))
+                return checked, f"certificate {name}{at}: {lhs} != {rhs}"
+    return checked, None
+
+
+def check_coefficient_identities(rows) -> VerificationReport:
+    """The paper's sums for a_k, h(k), g(k) equal closed_row's forms for
+    every k, and each table row agrees exactly with its closed-form row,
+    with itself and with the g recurrence, for k <= len(rows) - 1.
+
+    The certificates, checked once per call, tie the closed forms to the
+    sums, which nothing evaluates; closed_row's g = w_k H_k/2 meets the
+    same recurrence from g(0) = 0.  The rows (a recurrence) and closed_row
+    (closed formulas) stay two computations: each cell must equal the cell
+    of coeffs.closed_row(k), read once per k, so each is in lowest terms.
+    With w = 1 - 2h, each row must satisfy b = w^2, 2(k+1) a = 1 + w - 2g
+    and S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g, and the rows the g
+    recurrence, with w_k from coeffs.wallis_ratio, by cross-multiplication.
     """
     k_max = _check_rows(rows)
     statement = (
-        "summation and closed forms of a_k, h(k), g(k) agree exactly and match "
-        "the stored table, b_k and S_k match their definitions, and g satisfies "
-        "2(k+1)g(k+1) - (2k+1)g(k) = C(2k,k)/2^(2k+1)"
+        "certificates prove the summation forms of a_k, h(k), g(k) equal their closed forms "
+        "for every k; each table row equals its closed form and, with w = 1 - 2h(k), "
+        "satisfies b_k = w^2, 2(k+1)a_k = 1 + w - 2g(k) and S_k = 2(k+1)^2/(k(2k+1)) + 1 "
+        "- 2g(k)/w; and g satisfies 2(k+1)g(k+1) - (2k+1)g(k) = C(2k,k)/2^(2k+1) from g(0) = 0"
     )
-    checked = 0
-    witness = None
-    g_values: list[tuple[int, int]] = []
-    b_0 = coeffs.closed_row(0)[_B]
-    if b_0 != rows[0][_B]:
-        witness = f"k=0: b vs table: {_cell_str(b_0)} != {_cell_str(rows[0][_B])}"
-    checked += 1
-    for k in range(1, k_max + 1):
+    checked, witness = _check_certificates()
+    for k in range(k_max + 1):
         if witness is not None:
             break
-        a_s = coeffs.a_coeff_sum(k)
-        g_s = coeffs.g_sum(k)
-        g_values.append(g_s)
-        closed = coeffs.closed_row(k)
-        row = rows[k]
-        cases = (
-            ("a sum vs closed", a_s, closed[_A]),
-            ("a vs table", a_s, row[_A]),
-            ("h sum vs closed", coeffs.h_sum(k), closed[_H]),
-            ("h vs table", closed[_H], row[_H]),
-            ("g sum vs closed", g_s, closed[_G]),
-            ("g vs table", g_s, row[_G]),
-            ("b vs table", closed[_B], row[_B]),
-        )
-        for name, left, right in cases:
+        closed, row = coeffs.closed_row(k), rows[k]
+        for name, col in (("b vs table", _B), ("a vs table", _A), ("h vs table", _H),
+                          ("g vs table", _G), ("S_k", _S))[:(1, 4, 5)[min(k, 2)]]:
             checked += 1
-            if left != right:
-                witness = f"k={k}: {name}: {_cell_str(left)} != {_cell_str(right)}"
+            if closed[col] != row[col]:
+                witness = f"k={k}: {name}: {_cell_str(closed[col])} != {_cell_str(row[col])}"
                 break
-        if witness is None and k >= 2:
+        if witness is not None or k == 0:
+            continue
+        # (name, left, right), two rationals with positive denominators; w = wn/hd
+        (an, ad), (bn, bd), (hn, hd), (gn, gd), s = row[1:]
+        wn, kk = hd - 2 * hn, k * (2 * k + 1)
+        cases = [("b = w^2", (bn, bd), (wn * wn, hd * hd)),
+                 ("2(k+1)a = 1 + w - 2g", (2 * (k + 1) * an, ad),
+                  ((hd + wn) * gd - 2 * gn * hd, hd * gd))]
+        if k >= 2:
+            cases.append(("S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g", (s[0] * wn, s[1] * hd),
+                          ((2 * (k + 1) ** 2 + kk) * wn * gd - 2 * kk * gn * hd, kk * hd * gd)))
+        for name, (ln, ld), (rn, rd) in cases:
             checked += 1
-            if closed[_S] != row[_S]:
-                witness = f"k={k}: S_k: {_cell_str(closed[_S])} != {_cell_str(row[_S])}"
-    if witness is None:
-        g_values.append(coeffs.g_sum(k_max + 1))
-        for k in range(1, k_max + 1):
-            checked += 1
-            # lhs = 2(k+1) g(k+1) - (2k+1) g(k) over d1 d0, and
-            # rhs = C(2k,k)/2^(2k+1) = wn / (2 wd)
-            (n1, d1), (n0, d0) = g_values[k], g_values[k - 1]
-            lhs = 2 * (k + 1) * n1 * d0 - (2 * k + 1) * n0 * d1
-            wn, wd = coeffs.wallis_ratio(k)
-            if lhs * 2 * wd != wn * d1 * d0:
-                witness = (f"k={k}: recurrence: {_rational_str(lhs, d1 * d0)} != "
-                           f"{_rational_str(wn, 2 * wd)}")
+            if ln * rd != rn * ld:
+                witness = f"k={k}: {name}: {_rational_str(ln, ld)} != {_rational_str(rn, rd)}"
                 break
+    sn, sd = _G_STEP
+    for k in range(k_max) if witness is None else ():
+        checked += 1
+        # 2(k+1) g(k+1) - (2k+1) g(k) over d1 d0, with g(0) = 0, against w_k _G_STEP
+        (n1, d1), (n0, d0) = rows[k + 1][_G], rows[k][_G] or (0, 1)
+        lhs = 2 * (k + 1) * n1 * d0 - (2 * k + 1) * n0 * d1
+        wn, wd = coeffs.wallis_ratio(k)
+        if lhs * sd * wd != sn * wn * d1 * d0:
+            witness = (f"k={k}: recurrence: {_rational_str(lhs, d1 * d0)} != "
+                       f"{_rational_str(sn * wn, sd * wd)}")
+            break
     return _report("coeff-identities", statement, checked, {"exact": 0.0}, witness)
 
 

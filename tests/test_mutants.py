@@ -3,9 +3,10 @@
 Each mutant patches one function that verify reads: the AGM loop, the
 ratio kernel log_mean_float, the log gap that MeanInput and the kernel
 share, an order of the p chain, a K route, or a cell of the coefficient
-rows.  Each row of MATRIX names a mutant, a profile, and the claims that
-fail when run_all runs at that profile with the mutant in place.  A row
-whose failing set is empty is an escape: a defect no claim catches.
+rows; or it replaces one coefficient of coeff-identities' certificates.
+Each row of MATRIX names a mutant, a profile, and the claims that fail
+when run_all runs at that profile with the mutant in place.  A row whose
+failing set is empty is an escape: a defect no claim catches.
 
 A change to a claim shows this table before and after it; a change that
 closes an escape changes that row.  Most rows run at quick, which costs
@@ -108,12 +109,11 @@ def _row_cell(cell, k, rel):
 
 
 def _shared_h(k, rel):
-    # one defect in h(k) shared by the sum, the closed row and the streamed row
+    # one defect in h(k) shared by the streamed row and the closed row
     def apply(mp):
         _row_cell("h", k, rel)(mp)
-        h_sum, closed_row = co.h_sum, co.closed_row
+        closed_row = co.closed_row
         column = CELLS["h"]
-        mp.setattr(co, "h_sum", lambda j: _moved(h_sum(j), rel) if j == k else h_sum(j))
 
         def closed(j):
             row = closed_row(j)
@@ -123,6 +123,11 @@ def _shared_h(k, rel):
 
         mp.setattr(co, "closed_row", closed)
     return apply
+
+
+def _certificate(name, coefficient):
+    # one coefficient of coeff-identities' certificates replaced
+    return lambda mp: mp.setattr(verify, name, coefficient)
 
 
 def _nan_agm(mp):
@@ -155,6 +160,10 @@ MUTANTS = {
     "row s[2]*(1+1/2)": _row_cell("s", 2, Fraction(1, 2)),
     "row a[300]*(1+1e-6)": _row_cell("a", 300, Fraction(1, 10**6)),
     "shared h[30]*(1+1e-30)": _shared_h(30, Fraction(1, 10**30)),
+    "_H_STEP = 1/3": _certificate("_H_STEP", (1, 3)),
+    "_A_PART = 2": _certificate("_A_PART", (2, 1)),
+    "_G_SPLIT = 3": _certificate("_G_SPLIT", 3),
+    "_G_STEP = 1/3": _certificate("_G_STEP", (1, 3)),
 }
 
 # (mutant, profile, the claims that fail, in claim order).  ratio-scan
@@ -169,8 +178,9 @@ MUTANTS = {
 # mean by 1e-9, at quick; the p = 2 entry of the p chain, an algebraic
 # form, scaled up by 1e-9, at both profiles; gen_log_mean at order 0.4
 # where 0.5 is asked for;
-# a cell at k = 300, past the quick sweep; and one defect shared by h_sum,
-# closed_row and the rows, which only an outside oracle can catch.
+# and a cell at k = 300, past the quick sweep.  One defect in h(30) shared
+# by closed_row and the rows breaks b = w^2 with w = 1 - 2h, and each
+# wrong certificate coefficient fails its identity.
 MATRIX = [
     ("agm*(1+3e-12)", "quick", ()),  # escape
     ("agm*(1-3e-12)", "quick", ()),  # escape
@@ -229,7 +239,11 @@ MATRIX = [
     ("row a[1]*0", "quick", ("coeff-identities", "coeff-ratio-monotone")),
     ("row s[2]*(1+1/2)", "quick", ("coeff-identities", "s-sign-change")),
     ("row a[300]*(1+1e-6)", "quick", ()),  # escape
-    ("shared h[30]*(1+1e-30)", "quick", ()),  # escape
+    ("shared h[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("_H_STEP = 1/3", "quick", ("coeff-identities",)),
+    ("_A_PART = 2", "quick", ("coeff-identities",)),
+    ("_G_SPLIT = 3", "quick", ("coeff-identities",)),
+    ("_G_STEP = 1/3", "quick", ("coeff-identities",)),
     ("_log_gap*(1+1e-09)", "full", ("mean-ordering",)),
     ("row a[300]*(1+1e-6)", "full", ("coeff-identities",)),
 ]

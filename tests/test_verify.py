@@ -365,16 +365,18 @@ class TestMutationDetection:
         corrupted = _corrupt(_rows(12), "a", 8, Fraction(1, 10**40))
         assert self._any_failure(corrupted)
 
-    @pytest.mark.parametrize("name", ["a_coeff_sum", "h_sum", "g_sum"])
-    def test_corrupt_definitional_sum_detected(self, monkeypatch, name):
-        # the definitional sums are the check's independent side
-        exact = getattr(co, name)
-        monkeypatch.setattr(
-            co, name, lambda k: _plus(exact(k), Fraction(1, 10**40) if k == 7 else 0)
-        )
+    @pytest.mark.parametrize("name,mutant,checked,witness", [
+        ("_H_STEP", (1, 3), 5, "certificate h step k=1: 6 != 4"),
+        ("_A_PART", (2, 1), 7, "certificate a partial fractions k=1 i=1: 2 != 4"),
+        ("_G_SPLIT", 3, 11, "certificate g index shift k=1 j=1: (1, 3) != (2, 3)"),
+        ("_G_STEP", (1, 3), 15, "certificate g step: 6 != 4"),
+    ])
+    def test_corrupt_certificate_detected(self, monkeypatch, name, mutant, checked, witness):
+        # the certificates tie the closed forms to the definitional sums; a
+        # wrong coefficient fails its identity before any row is read
+        monkeypatch.setattr(verify, name, mutant)
         r = verify.check_coefficient_identities(_rows(12))
-        assert r.status == "fail"
-        assert r.witness.startswith("k=7:")
+        assert (r.status, r.checked_points, r.witness) == ("fail", checked, witness)
 
     @pytest.mark.parametrize("field", ["a", "b", "h", "g", "s"])
     def test_corrupt_closed_cell_detected(self, monkeypatch, field):
@@ -393,6 +395,25 @@ class TestMutationDetection:
         r = verify.check_coefficient_identities(_rows(12))
         assert r.status == "fail"
         assert r.witness.startswith("k=7:")
+
+    @pytest.mark.parametrize("field,identity", [
+        ("a", "2(k+1)a = 1 + w - 2g"),
+        ("b", "b = w^2"),
+        ("h", "b = w^2"),
+        ("g", "2(k+1)a = 1 + w - 2g"),
+        ("s", "S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g"),
+    ])
+    def test_shared_defect_breaks_a_row_identity(self, monkeypatch, field, identity):
+        # one cell moved in the rows and in closed_row alike: each row
+        # still equals its closed form, so only the identities between the
+        # columns of the row can catch it
+        rows = _rows(12)
+        corrupted = _corrupt(rows, field, 7, Fraction(1, 10**40))
+        exact = co.closed_row
+        monkeypatch.setattr(co, "closed_row", lambda k: corrupted[k] if k == 7 else exact(k))
+        r = verify.check_coefficient_identities(corrupted)
+        assert r.status == "fail"
+        assert r.witness.startswith(f"k=7: {identity}: ")
 
     @pytest.mark.parametrize("index", range(len(verify.P_GRID) - 1))
     def test_chain_order_one_ulp_out_detected(self, monkeypatch, index):
@@ -518,18 +539,105 @@ class TestWitnessText:
         exact = co.wallis_ratio
         monkeypatch.setattr(co, "wallis_ratio", lambda k: mutant(exact(k)) if k == 5 else exact(k))
         r = verify.check_coefficient_identities(_rows(12))
-        assert r.checked_points == 101
+        assert r.checked_points == 116
         assert r.witness == expected
 
     def test_recurrence_at_k_max(self, monkeypatch):
-        # g(k_max + 1) enters only the last step of the recurrence
-        exact = co.g_sum
-        monkeypatch.setattr(
-            co, "g_sum", lambda k: _plus(exact(k), 2 * Fraction(*exact(k))) if k == 13 else exact(k)
-        )
-        r = verify.check_coefficient_identities(_rows(12))
-        assert r.checked_points == 108
-        assert r.witness == "k=12: recurrence: 7644342463/830472192 != 676039/8388608"
+        # H_12 moved in the last row and in closed_row(12) alike keeps that
+        # row equal to its closed form and consistent with itself, so only
+        # the last step of the recurrence, k = 11, ties it to H_11
+        k, delta = 12, Fraction(1, 10**40)
+        rows = _rows(k)
+        w = 1 - 2 * Fraction(*rows[k][COLUMNS["h"][0]])
+        harmonic = 2 * Fraction(*rows[k][COLUMNS["g"][0]]) / w + delta
+        a, g = (1 + w * (1 - harmonic)) / (2 * (k + 1)), w * harmonic / 2
+        s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) + 1 - harmonic
+        a, g, s = ((x.numerator, x.denominator) for x in (a, g, s))
+        row = (k, a, *rows[k][2:4], g, s)
+        exact = co.closed_row
+        monkeypatch.setattr(co, "closed_row", lambda j: row if j == k else exact(j))
+        r = verify.check_coefficient_identities((*rows[:k], row))
+        assert r.checked_points == 122
+        assert r.witness == (
+            "k=11: recurrence: 881790000000000000000000000000000000002028117/"
+            "10485760000000000000000000000000000000000000000 != 88179/1048576")
+
+
+class TestCertificates:
+    """coeff-identities' certificates and row identities, re-derived with
+    sympy for a symbolic k from the paper's sums and closed_row's forms."""
+
+    def test_each_grid_decides_its_identity(self):
+        # each side is an integer polynomial of degree below n in each
+        # variable, so the n^len(variables) grid points decide the
+        # identity, and the identity holds for symbolic variables
+        sp = pytest.importorskip("sympy")
+        for name, variables, n, sides in verify._CERTIFICATES:
+            xs = [sp.Symbol(v) for v in variables]
+            lhs, rhs = sides(*xs)
+            for left, right in zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]:
+                assert sp.expand(left - right) == 0, name
+                for side in (left, right):
+                    assert all(sp.Poly(side, *xs).degree(x) < n for x in xs), name
+
+    def test_certificates_from_the_sums(self):
+        sp = pytest.importorskip("sympy")
+        k, i, j = sp.symbols("k i j", positive=True, integer=True)
+
+        def w(n):
+            return sp.binomial(2 * n, n) / 4**n
+
+        def coefficient(cell):
+            return sp.Rational(*cell) if isinstance(cell, tuple) else sp.Integer(cell)
+
+        def same(x, y):
+            return sp.simplify(sp.combsimp(x - y)) == 0
+
+        # the Wallis step, and each sum's i-th term as w_{i-1} times a
+        # rational function: h(k), g(k), and a_k's sum as the paper writes it
+        assert same(w(j) / w(j - 1), (2 * j - 1) / (2 * j))
+        assert same(sp.binomial(2 * i - 2, i - 1) / (i * 4**i), w(i - 1) / (4 * i))
+        assert same(sp.binomial(2 * i - 2, i - 1) / ((k + 1 - i) * 4**i),
+                    w(i - 1) / (4 * (k + 1 - i)))
+        assert same(w(i) / (2 * (2 * i - 1) * (k + 1 - i)), w(i - 1) / (4 * i * (k + 1 - i)))
+        # h telescopes: its k-th term is (w_{k-1} - w_k) _H_STEP
+        h_step = sp.combsimp(w(k - 1) / (4 * k) / (w(k - 1) - w(k)))
+        assert h_step == coefficient(verify._H_STEP)
+        # a by partial fractions into the terms of h(k) and g(k)
+        parts = sp.apart(1 / (i * (k + 1 - i)), i)
+        part = coefficient(verify._A_PART)
+        assert sp.simplify(parts - part * (1 / i + 1 / (k + 1 - i)) / (k + 1)) == 0
+        # g by the index shift: the split remainders, shifted by one index,
+        # cancel by the Wallis step and leave _G_SPLIT w_k/4 = w_k _G_STEP
+        split = verify._G_SPLIT
+        assert sp.cancel(2 * (k + 1) / (k + 1 - j) - split - 2 * j / (k + 1 - j)) == 0
+        assert sp.cancel((2 * k + 1) / (k - j) - split - (2 * j + 1) / (k - j)) == 0
+        assert same(2 * j * w(j) / (k + 1 - j), (2 * (j - 1) + 1) * w(j - 1) / (k - (j - 1)))
+        assert sp.Rational(split, 4) == coefficient(verify._G_STEP)
+
+    def test_row_identities_from_closed_forms(self):
+        # closed_row's docstring forms, with H = H_k = sum_{i<=k} 1/(2i-1)
+        sp = pytest.importorskip("sympy")
+        k = sp.Symbol("k", positive=True, integer=True)
+        c, harmonic = sp.binomial(2 * k, k), sp.Symbol("H")
+        b = c**2 / 2 ** (4 * k)
+        a = (1 - c / 4**k * (harmonic - 1)) / (2 * (k + 1))
+        h = sp.Rational(1, 2) - 2 * c / 4 ** (k + 1)
+        g = c / 4**k * harmonic / 2
+        s = 2 * (k + 1) ** 2 / (k * (2 * k + 1)) - (harmonic - 1)
+        w = 1 - 2 * h
+        assert sp.simplify(w - c / 4**k) == 0
+        assert sp.simplify(b - w**2) == 0
+        assert sp.simplify(2 * (k + 1) * a - (1 + w - 2 * g)) == 0
+        assert sp.simplify(s - (2 * (k + 1) ** 2 / (k * (2 * k + 1)) + 1 - 2 * g / w)) == 0
+        # the partial-fraction certificate's a_k = (1 - h(k) - g(k))/(k+1)
+        assert sp.simplify(a - (1 - h - g) / (k + 1)) == 0
+        # g = w_k H_k/2 meets the recurrence, and g(1) = 1/4, its step from
+        # g(0) = 0: 2 g(1) - g(0) = w_0/2
+        g_next = g.subs(k, k + 1).subs(harmonic, harmonic + 1 / (2 * k + 1))
+        step = 2 * (k + 1) * g_next - (2 * k + 1) * g - w / 2
+        assert sp.simplify(sp.combsimp(step)) == 0
+        assert g.subs({k: 1, harmonic: 1}) == sp.Rational(1, 4)
 
 
 def _nan_route(monkeypatch, route, when=lambda *args: True):
