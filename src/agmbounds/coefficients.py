@@ -3,21 +3,22 @@
 Everything here is exact arithmetic over Python ints; no rounding ever
 occurs.  The module provides the Wallis quotient, the closed forms of
 a_k, b_k, h(k), g(k) and the sign-changing sequence S_k, which
-closed_row gives as one row (k, a, b, h, g, s) per index, and one
-O(1)-per-index recurrence for all sequences, which table_rows streams as
-rows of the same shape, one index at a time.  No sum of the paper is
-evaluated: the verifier's certificates tie them to the closed forms for
-every k.  Every value, from a closed form or a row, is a (numerator,
-denominator) pair of ints in lowest terms with a positive denominator,
-so Fraction(*x) is the value; the module never imports fractions.  Each
-closed-form cell is built from integers over one common denominator and
-reduced by one gcd; the recurrence keeps integer state and reduces each
-row with at most one gcd of two large operands.  Both the coeffs command
-and the verifier read the rows.  The CSV and JSON formatters, write_csv
-and write_json, take the rows and a write callable, so the CLI prints
-rows as they are produced without holding them or their text.  The JSON
-text is written directly, so no table output needs the json module, and
-the module imports nothing from the floating layers.
+closed_row gives as one row (k, a, b, h, g, s) per index and closed_rows
+as one sweep of rows, and one O(1)-per-index recurrence for all
+sequences, which table_rows streams as rows of the same shape, one index
+at a time.  No sum of the paper is evaluated: the verifier's
+certificates tie them to the closed forms for every k.  Every value,
+from a closed form or a row, is a (numerator, denominator) pair of ints
+in lowest terms with a positive denominator, so Fraction(*x) is the
+value; the module never imports fractions.  Each closed-form cell is
+built from integers over one common denominator and reduced by one gcd;
+the recurrence keeps integer state and reduces each row with at most one
+gcd of two large operands.  Both the coeffs command and the verifier
+read the rows.  The CSV and JSON formatters, write_csv and write_json,
+take the rows and a write callable, so the CLI prints rows as they are
+produced without holding them or their text.  The JSON text is written
+directly, so no table output needs the json module, and the module
+imports nothing from the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -64,18 +65,39 @@ def closed_row(k: int):
     with H_k = sum_{i=1}^{k} 1/(2i-1).  The a_k and g(k) forms are the
     digamma reductions of the analytic forms, whose Gamma, log-2 and
     Euler-gamma terms cancel; S_k is strictly decreasing, with exactly one
-    sign change: S_10 > 0 > S_11.  H_k is summed once, as num/den over
+    sign change: S_10 > 0 > S_11.  H_k is summed per call, as num/den over
     den = lcm(1, 3, ..., 2k-1), and each cell is built from integers over
     one common denominator and reduced by one gcd, so the row is the
     reference the recurrence of table_rows is tested against.
     """
     _check_index(k, 0)
-    c = comb(2 * k, k)
+    den = lcm(*range(1, 2 * k, 2))
+    return _closed_cells(k, comb(2 * k, k), sum(den // (2 * i - 1) for i in range(1, k + 1)), den)
+
+
+def closed_rows(k_max: int):
+    """closed_row(k) for k = 0..k_max in one sweep, with k_max checked at
+    the call as in table_rows: H_k = num/D over one D = lcm(1, 3, ...,
+    2k_max-1), num carried from k to k, and C(2k+2,k+1) = C(2k,k)
+    2(2k+1)/(k+1).  Any common multiple of 1, 3, ..., 2k-1 gives the same
+    reduced cells, so each row equals closed_row(k).
+    """
+    _check_index(k_max, 2, "k_max")
+    return _closed_sweep(k_max)
+
+
+def _closed_sweep(k_max: int):
+    den, c, num = lcm(*range(1, 2 * k_max, 2)), 1, 0
+    for k in range(k_max + 1):
+        yield _closed_cells(k, c, num, den)
+        c, num = c * 2 * (2 * k + 1) // (k + 1), num + den // (2 * k + 1)
+
+
+def _closed_cells(k: int, c: int, num: int, den: int):
+    # closed_row's cells from c = C(2k,k) and H_k = num/den
     b = _reduced(c * c, 1 << (4 * k))
     if k == 0:
         return 0, None, b, None, None, None
-    den = lcm(*range(1, 2 * k, 2))
-    num = sum(den // (2 * i - 1) for i in range(1, k + 1))
     a = _reduced((den << (2 * k)) - c * (num - den), (k + 1) * den << (2 * k + 1))
     h = _reduced((1 << (2 * k)) - c, 1 << (2 * k + 1))
     g = _reduced(c * num, den << (2 * k + 1))
@@ -84,11 +106,6 @@ def closed_row(k: int):
         kk = k * (2 * k + 1)
         s = _reduced(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
     return k, a, b, h, g, s
-
-
-def _cell_json(cell) -> str:
-    num, den = cell
-    return f'{{"denominator": "{den}", "numerator": "{num}"}}'
 
 
 def write_csv(rows, write) -> None:
@@ -111,12 +128,17 @@ def write_json(k_max: int, rows, write) -> None:
     write(f'{{"k_max": {k_max}, "rows": [')
     sep = ""
     for k, a, b, h, g, s in rows:
-        cells = [f'"{name}": {_cell_json(c)}'
-                 for name, c in (("a", a), ("b", b), ("g", g), ("h", h)) if c is not None]
-        cells.append(f'"k": {k}')
-        if s is not None:
-            cells.append(f'"s": {_cell_json(s)}')
-        write(f'{sep}{{{", ".join(cells)}}}')
+        if s is None:  # k < 2: the cells defined at k, then k
+            cells = "".join(
+                f'"{name}": {{"denominator": "{c[1]}", "numerator": "{c[0]}"}}, '
+                for name, c in (("a", a), ("b", b), ("g", g), ("h", h)) if c is not None)
+            write(f'{sep}{{{cells}"k": {k}}}')
+        else:
+            write(f'{sep}{{"a": {{"denominator": "{a[1]}", "numerator": "{a[0]}"}}, '
+                  f'"b": {{"denominator": "{b[1]}", "numerator": "{b[0]}"}}, '
+                  f'"g": {{"denominator": "{g[1]}", "numerator": "{g[0]}"}}, '
+                  f'"h": {{"denominator": "{h[1]}", "numerator": "{h[0]}"}}, "k": {k}, '
+                  f'"s": {{"denominator": "{s[1]}", "numerator": "{s[0]}"}}}}')
         sep = ", "
     write("]}")
 
@@ -124,7 +146,7 @@ def write_json(k_max: int, rows, write) -> None:
 def table_rows(k_max: int):
     """Rows (k, a, b, h, g, s) for k = 0..k_max, with None where a
     sequence is not defined at k, computed one index at a time by O(1)
-    recurrences; the verifier checks each row against closed_row, a
+    recurrences; the verifier checks each row against closed_rows, a
     separate computation from closed formulas, and against itself.
 
     Each value is a (numerator, denominator) pair of ints in lowest terms
@@ -178,12 +200,11 @@ def _rows(k_max: int):
         if d > 1:
             t = gcd(p, d)
             p, q = p // t, q // t
-        two_e = 1 << e
         big_g = gcd(big_w, q)
         w_g, q_g = big_w // big_g, q // big_g
         shift = min(_twos(p), e + 1)
         g = ((w_g * p) >> shift, q_g << (e + 1 - shift))
-        num = two_e * q_g + w_g * (q - p)
+        num = (q_g << e) + w_g * (q - p)
         z = _twos(k + 1)
         odd = (k + 1) >> z
         t = gcd(num, odd)
@@ -195,4 +216,4 @@ def _rows(k_max: int):
             num = 2 * (k + 1) ** 2 * q - kk * (p - q)
             t = gcd(num, kk * gcd(q, kk))
             s = (num // t, kk * q // t)
-        yield k, a, (big_w * big_w, two_e * two_e), (two_e - big_w, two_e << 1), g, s
+        yield k, a, (big_w * big_w, 1 << (2 * e)), ((1 << e) - big_w, 1 << (e + 1)), g, s

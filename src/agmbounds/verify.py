@@ -20,11 +20,12 @@ that coefficients.table_rows streams, collected once per run; row k
 holds index k, each value as a (numerator, denominator) pair of ints.
 coeff-identities proves by certificates that the paper's sums equal the
 closed forms for every k, and compares each pair for equality with the
-reduced pair of coefficients.closed_row(k), so it also proves every cell
-is in lowest terms with a positive denominator; the other comparisons
-are by cross-multiplication, so no claim imports fractions.  A witness that
-names a computed rational reduces it, on the failure path only, and
-prints it as a Fraction prints: n where the denominator is 1, else n/d.
+reduced pair of row k of one coefficients.closed_rows sweep, so it also
+proves every cell is in lowest terms with a positive denominator; the
+other comparisons are by cross-multiplication, so no claim imports
+fractions.  A witness that names a computed rational reduces it, on the
+failure path only, and prints it as a Fraction prints: n where the
+denominator is 1, else n/d.
 Each row check raises ValueError on fewer than the three rows of
 table_rows(2), and s-sign-change, which names S_11, on fewer than the
 twelve of table_rows(11); a zero a_k or b_k fails coeff-ratio-monotone,
@@ -223,7 +224,7 @@ def check_coefficient_identities(rows) -> VerificationReport:
     sums, which nothing evaluates; closed_row's g = w_k H_k/2 meets the
     same recurrence from g(0) = 0.  The rows (a recurrence) and closed_row
     (closed formulas) stay two computations: each cell must equal the cell
-    of coeffs.closed_row(k), read once per k, so each is in lowest terms.
+    of row k of coeffs.closed_rows, one sweep per call, so each is reduced.
     With w = 1 - 2h, each row must satisfy b = w^2, 2(k+1) a = 1 + w - 2g
     and S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g, and the rows the g
     recurrence, with w_k from coeffs.wallis_ratio, by cross-multiplication.
@@ -236,10 +237,9 @@ def check_coefficient_identities(rows) -> VerificationReport:
         "- 2g(k)/w; and g satisfies 2(k+1)g(k+1) - (2k+1)g(k) = C(2k,k)/2^(2k+1) from g(0) = 0"
     )
     checked, witness = _check_certificates()
-    for k in range(k_max + 1):
+    for k, (closed, row) in enumerate(zip(coeffs.closed_rows(k_max), rows)):
         if witness is not None:
             break
-        closed, row = coeffs.closed_row(k), rows[k]
         for name, col in (("b vs table", _B), ("a vs table", _A), ("h vs table", _H),
                           ("g vs table", _G), ("S_k", _S))[:(1, 4, 5)[min(k, 2)]]:
             checked += 1

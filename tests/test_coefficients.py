@@ -169,6 +169,22 @@ class TestIntegerClosedForms:
         assert co.closed_row(0) == (0, None, (1, 1), None, None, None)
         assert [c is None for c in co.closed_row(1)[1:]] == [False] * 4 + [True]
 
+    @pytest.mark.parametrize("k_max", [2, 11, 50, 600])
+    def test_sweep_equals_closed_row(self, k_max):
+        # over lcm(1, 3, ..., 2k_max-1) for every k, the sweep's reduced
+        # cells are those of closed_row's own lcm(1, 3, ..., 2k-1)
+        assert list(co.closed_rows(k_max)) == [co.closed_row(k) for k in range(k_max + 1)]
+
+    @given(st.integers(min_value=2, max_value=60))
+    def test_sweep_equals_closed_row_drawn(self, k_max):
+        assert list(co.closed_rows(k_max)) == [co.closed_row(k) for k in range(k_max + 1)]
+
+    @pytest.mark.parametrize("k_max", [1, 0, -1, 2.0, True])
+    def test_closed_rows_checks_k_max_at_the_call(self, k_max):
+        # a generator would check only at the first next(); this must not
+        with pytest.raises(ValueError, match="k_max must be"):
+            co.closed_rows(k_max)
+
 
 class TestBCoefficients:
     def test_first_three(self):
@@ -304,15 +320,12 @@ class TestTable:
                     assert d > 0 and math.gcd(n, d) == 1
 
     def test_row_contract(self):
-        # every row equals closed_row, and every cell is a pair of ints in
-        # lowest terms with a positive denominator; k = 1023, 1024 and 1200
-        # put popcount(k), the twos of C(2k,k), at its edges
-        ks = {*range(601), 1023, 1024, 1200}
-        for row in co.table_rows(1200):
+        # every row equals its closed row, and every cell is a pair of ints
+        # in lowest terms with a positive denominator; k = 1023, 1024 and
+        # 1200 put popcount(k), the twos of C(2k,k), at its edges
+        for row, closed in zip(co.table_rows(1200), co.closed_rows(1200), strict=True):
             k = row[0]
-            if k not in ks:
-                continue
-            assert row == co.closed_row(k), k
+            assert row == closed, k
             for cell in row[1:]:
                 if cell is not None:
                     n, d = cell

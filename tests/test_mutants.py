@@ -3,7 +3,8 @@
 Each mutant patches one function that verify reads: the AGM loop, the
 ratio kernel log_mean_float, the log gap that MeanInput and the kernel
 share, an order of the p chain, a K route, or a cell of the coefficient
-rows; or it replaces one coefficient of coeff-identities' certificates.
+rows or of the closed rows; or it replaces one coefficient of
+coeff-identities' certificates.
 Each row of MATRIX names a mutant, a profile, and the claims that fail
 when run_all runs at that profile with the mutant in place.  A row whose
 failing set is empty is an escape: a defect no claim catches.
@@ -11,10 +12,11 @@ failing set is empty is an escape: a defect no claim catches.
 A change to a claim shows this table before and after it; a change that
 closes an escape changes that row.  Most rows run at quick, which costs
 a few tens of milliseconds.  The full rows are the ones whose failing
-set depends on the profile's depth.  failing_claims computes one cell;
-under pytest.MonkeyPatch.context() it also runs outside pytest, so this
-file, run as a script, tabulates every mutant at one profile against the
-agmbounds on the path:
+set depends on the profile's depth, and the sweep-state rows, since the
+full sweep carries its state over a larger shared denominator.
+failing_claims computes one cell; under pytest.MonkeyPatch.context() it
+also runs outside pytest, so this file, run as a script, tabulates every
+mutant at one profile against the agmbounds on the path:
 
     PYTHONPATH=src python tests/test_mutants.py quick|full
 
@@ -24,6 +26,7 @@ makes run_all raise.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -112,16 +115,33 @@ def _shared_h(k, rel):
     # one defect in h(k) shared by the streamed row and the closed row
     def apply(mp):
         _row_cell("h", k, rel)(mp)
-        closed_row = co.closed_row
+        sweep = co.closed_rows
         column = CELLS["h"]
 
-        def closed(j):
-            row = closed_row(j)
-            if j != k:
-                return row
-            return (*row[:column], _moved(row[column], rel), *row[column + 1:])
+        def closed(k_max):
+            for row in sweep(k_max):
+                if row[0] == k:
+                    row = (*row[:column], _moved(row[column], rel), *row[column + 1:])
+                yield row
 
-        mp.setattr(co, "closed_row", closed)
+        mp.setattr(co, "closed_rows", closed)
+    return apply
+
+
+def _sweep_state(k, harmonic_skip, binomial_off):
+    # the closed_rows sweep with the state it carries into index k moved:
+    # the running harmonic numerator without its 1/(2k-1) term, or C(2k,k)
+    # off by binomial_off, each carried on to k_max
+    def apply(mp):
+        def sweep(k_max):
+            den, c, num = lcm(*range(1, 2 * k_max, 2)), 1, 0
+            for j in range(k_max + 1):
+                yield co._closed_cells(j, c, num, den)
+                c = c * 2 * (2 * j + 1) // (j + 1) + (binomial_off if j + 1 == k else 0)
+                if not (harmonic_skip and j + 1 == k):
+                    num += den // (2 * j + 1)
+
+        mp.setattr(co, "closed_rows", sweep)
     return apply
 
 
@@ -160,6 +180,8 @@ MUTANTS = {
     "row s[2]*(1+1/2)": _row_cell("s", 2, Fraction(1, 2)),
     "row a[300]*(1+1e-6)": _row_cell("a", 300, Fraction(1, 10**6)),
     "shared h[30]*(1+1e-30)": _shared_h(30, Fraction(1, 10**30)),
+    "sweep H[30] skips 1/59": _sweep_state(30, True, 0),
+    "sweep C(60,30)+1": _sweep_state(30, False, 1),
     "_H_STEP = 1/3": _certificate("_H_STEP", (1, 3)),
     "_A_PART = 2": _certificate("_A_PART", (2, 1)),
     "_G_SPLIT = 3": _certificate("_G_SPLIT", 3),
@@ -179,7 +201,9 @@ MUTANTS = {
 # form, scaled up by 1e-9, at both profiles; gen_log_mean at order 0.4
 # where 0.5 is asked for;
 # and a cell at k = 300, past the quick sweep.  One defect in h(30) shared
-# by closed_row and the rows breaks b = w^2 with w = 1 - 2h, and each
+# by the closed rows and the rows breaks b = w^2 with w = 1 - 2h; a
+# closed_rows sweep whose running H_k skips 1/59 or whose C(60,30) is off
+# by one moves every closed row from k = 30 on, at both profiles; and each
 # wrong certificate coefficient fails its identity.
 MATRIX = [
     ("agm*(1+3e-12)", "quick", ()),  # escape
@@ -240,12 +264,16 @@ MATRIX = [
     ("row s[2]*(1+1/2)", "quick", ("coeff-identities", "s-sign-change")),
     ("row a[300]*(1+1e-6)", "quick", ()),  # escape
     ("shared h[30]*(1+1e-30)", "quick", ("coeff-identities",)),
+    ("sweep H[30] skips 1/59", "quick", ("coeff-identities",)),
+    ("sweep C(60,30)+1", "quick", ("coeff-identities",)),
     ("_H_STEP = 1/3", "quick", ("coeff-identities",)),
     ("_A_PART = 2", "quick", ("coeff-identities",)),
     ("_G_SPLIT = 3", "quick", ("coeff-identities",)),
     ("_G_STEP = 1/3", "quick", ("coeff-identities",)),
     ("_log_gap*(1+1e-09)", "full", ("mean-ordering",)),
     ("row a[300]*(1+1e-6)", "full", ("coeff-identities",)),
+    ("sweep H[30] skips 1/59", "full", ("coeff-identities",)),
+    ("sweep C(60,30)+1", "full", ("coeff-identities",)),
 ]
 
 

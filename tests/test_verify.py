@@ -29,6 +29,14 @@ def _plus(cell, delta):
     return value.numerator, value.denominator
 
 
+def _replace_closed_row(monkeypatch, k, replace):
+    # coeff-identities reads its closed rows from one closed_rows sweep;
+    # the sweep with row k replaced by replace(row)
+    sweep = co.closed_rows
+    monkeypatch.setattr(co, "closed_rows", lambda k_max: (
+        replace(row) if row[0] == k else row for row in sweep(k_max)))
+
+
 def _corrupt(rows, field, k, delta=Fraction(1, 7)):
     row = list(rows[k])
     row[COLUMNS[field][0]] = _plus(row[COLUMNS[field][0]], delta)
@@ -49,13 +57,18 @@ class TestExactChecks:
         assert r.witness is None
         assert r.checked_points > 0
 
-    def test_identities_read_one_closed_row_per_index(self, monkeypatch):
-        calls = []
-        exact = co.closed_row
-        monkeypatch.setattr(co, "closed_row", lambda k: calls.append(k) or exact(k))
-        r = verify.check_coefficient_identities(_rows(40))
+    def test_identities_take_one_sweep_with_one_lcm(self, monkeypatch):
+        # the closed rows come from one closed_rows sweep per call, over one
+        # shared denominator, so the call takes one lcm, where a closed_row
+        # per k would take one per k
+        rows, sweeps, lcms = _rows(40), [], []
+        sweep, exact_lcm = co.closed_rows, co.lcm
+        monkeypatch.setattr(co, "closed_rows", lambda k_max: sweeps.append(k_max) or sweep(k_max))
+        monkeypatch.setattr(co, "lcm", lambda *n: lcms.append(n) or exact_lcm(*n))
+        r = verify.check_coefficient_identities(rows)
         assert r.status == "pass"
-        assert calls == list(range(41))
+        assert sweeps == [40]
+        assert len(lcms) == 1
 
     def test_monotonicity_pass_small(self):
         r = verify.check_coefficient_monotonicity(_rows(2))
@@ -382,16 +395,9 @@ class TestMutationDetection:
     def test_corrupt_closed_cell_detected(self, monkeypatch, field):
         # the closed forms are built from integers, apart from the table's
         # recurrences
-        exact = co.closed_row
         column = COLUMNS[field][0]
-
-        def mutant(k):
-            row = list(exact(k))
-            if k == 7:
-                row[column] = _plus(row[column], Fraction(1, 10**40))
-            return tuple(row)
-
-        monkeypatch.setattr(co, "closed_row", mutant)
+        _replace_closed_row(monkeypatch, 7, lambda row: (
+            *row[:column], _plus(row[column], Fraction(1, 10**40)), *row[column + 1:]))
         r = verify.check_coefficient_identities(_rows(12))
         assert r.status == "fail"
         assert r.witness.startswith("k=7:")
@@ -404,13 +410,12 @@ class TestMutationDetection:
         ("s", "S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g"),
     ])
     def test_shared_defect_breaks_a_row_identity(self, monkeypatch, field, identity):
-        # one cell moved in the rows and in closed_row alike: each row
+        # one cell moved in the rows and in the closed rows alike: each row
         # still equals its closed form, so only the identities between the
         # columns of the row can catch it
         rows = _rows(12)
         corrupted = _corrupt(rows, field, 7, Fraction(1, 10**40))
-        exact = co.closed_row
-        monkeypatch.setattr(co, "closed_row", lambda k: corrupted[k] if k == 7 else exact(k))
+        _replace_closed_row(monkeypatch, 7, lambda row: corrupted[7])
         r = verify.check_coefficient_identities(corrupted)
         assert r.status == "fail"
         assert r.witness.startswith(f"k=7: {identity}: ")
@@ -543,7 +548,7 @@ class TestWitnessText:
         assert r.witness == expected
 
     def test_recurrence_at_k_max(self, monkeypatch):
-        # H_12 moved in the last row and in closed_row(12) alike keeps that
+        # H_12 moved in the last row and in closed row 12 alike keeps that
         # row equal to its closed form and consistent with itself, so only
         # the last step of the recurrence, k = 11, ties it to H_11
         k, delta = 12, Fraction(1, 10**40)
@@ -554,8 +559,7 @@ class TestWitnessText:
         s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) + 1 - harmonic
         a, g, s = ((x.numerator, x.denominator) for x in (a, g, s))
         row = (k, a, *rows[k][2:4], g, s)
-        exact = co.closed_row
-        monkeypatch.setattr(co, "closed_row", lambda j: row if j == k else exact(j))
+        _replace_closed_row(monkeypatch, k, lambda closed: row)
         r = verify.check_coefficient_identities((*rows[:k], row))
         assert r.checked_points == 122
         assert r.witness == (
