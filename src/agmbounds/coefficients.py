@@ -78,8 +78,8 @@ def closed_row(k: int):
 def closed_rows(k_max: int):
     """closed_row(k) for k = 0..k_max in one sweep, with k_max checked at
     the call as in table_rows: H_k = num/D over one D = lcm(1, 3, ...,
-    2k_max-1), num carried from k to k, and C(2k+2,k+1) = C(2k,k)
-    2(2k+1)/(k+1).  Any common multiple of 1, 3, ..., 2k-1 gives the same
+    2k_max-1), num carried from k to k, and C(2k,k) = C(2k-2,k-1)
+    2(2k-1)/k.  Any common multiple of 1, 3, ..., 2k-1 gives the same
     reduced cells, so each row equals closed_row(k).
     """
     _check_index(k_max, 2, "k_max")
@@ -88,9 +88,10 @@ def closed_rows(k_max: int):
 
 def _closed_sweep(k_max: int):
     den, c, num = lcm(*range(1, 2 * k_max, 2)), 1, 0
-    for k in range(k_max + 1):
+    yield _closed_cells(0, c, num, den)
+    for k in range(1, k_max + 1):
+        c, num = c * 2 * (2 * k - 1) // k, num + den // (2 * k - 1)
         yield _closed_cells(k, c, num, den)
-        c, num = c * 2 * (2 * k + 1) // (k + 1), num + den // (2 * k + 1)
 
 
 def _closed_cells(k: int, c: int, num: int, den: int):
@@ -106,6 +107,14 @@ def _closed_cells(k: int, c: int, num: int, den: int):
         kk = k * (2 * k + 1)
         s = _reduced(2 * (k + 1) ** 2 * den - kk * (num - den), kk * den)
     return k, a, b, h, g, s
+
+
+def _cell_json(name: str, cell, before: str = "", after: str = ", ") -> str:
+    # '"name": {"denominator": "d", "numerator": "n"}' between before and
+    # after, or nothing where the sequence is not defined
+    if cell is None:
+        return ""
+    return f'{before}"{name}": {{"denominator": "{cell[1]}", "numerator": "{cell[0]}"}}{after}'
 
 
 def write_csv(rows, write) -> None:
@@ -128,17 +137,8 @@ def write_json(k_max: int, rows, write) -> None:
     write(f'{{"k_max": {k_max}, "rows": [')
     sep = ""
     for k, a, b, h, g, s in rows:
-        if s is None:  # k < 2: the cells defined at k, then k
-            cells = "".join(
-                f'"{name}": {{"denominator": "{c[1]}", "numerator": "{c[0]}"}}, '
-                for name, c in (("a", a), ("b", b), ("g", g), ("h", h)) if c is not None)
-            write(f'{sep}{{{cells}"k": {k}}}')
-        else:
-            write(f'{sep}{{"a": {{"denominator": "{a[1]}", "numerator": "{a[0]}"}}, '
-                  f'"b": {{"denominator": "{b[1]}", "numerator": "{b[0]}"}}, '
-                  f'"g": {{"denominator": "{g[1]}", "numerator": "{g[0]}"}}, '
-                  f'"h": {{"denominator": "{h[1]}", "numerator": "{h[0]}"}}, "k": {k}, '
-                  f'"s": {{"denominator": "{s[1]}", "numerator": "{s[0]}"}}}}')
+        write(f'{sep}{{{_cell_json("a", a)}{_cell_json("b", b)}{_cell_json("g", g)}'
+              f'{_cell_json("h", h)}"k": {k}{_cell_json("s", s, ", ", "")}}}')
         sep = ", "
     write("]}")
 

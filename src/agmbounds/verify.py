@@ -237,16 +237,18 @@ def check_coefficient_identities(rows) -> VerificationReport:
         "- 2g(k)/w; and g satisfies 2(k+1)g(k+1) - (2k+1)g(k) = C(2k,k)/2^(2k+1) from g(0) = 0"
     )
     checked, witness = _check_certificates()
-    for k, (closed, row) in enumerate(zip(coeffs.closed_rows(k_max), rows)):
-        if witness is not None:
-            break
+    # the witness is tested at the end of each pass, so zip builds no closed row past it
+    pairs = zip(coeffs.closed_rows(k_max), rows) if witness is None else ()
+    for k, (closed, row) in enumerate(pairs):
         for name, col in (("b vs table", _B), ("a vs table", _A), ("h vs table", _H),
                           ("g vs table", _G), ("S_k", _S))[:(1, 4, 5)[min(k, 2)]]:
             checked += 1
             if closed[col] != row[col]:
                 witness = f"k={k}: {name}: {_cell_str(closed[col])} != {_cell_str(row[col])}"
                 break
-        if witness is not None or k == 0:
+        if witness is not None:
+            break
+        if k == 0:
             continue
         # (name, left, right), two rationals with positive denominators; w = wn/hd
         (an, ad), (bn, bd), (hn, hd), (gn, gd), s = row[1:]
@@ -262,6 +264,8 @@ def check_coefficient_identities(rows) -> VerificationReport:
             if ln * rd != rn * ld:
                 witness = f"k={k}: {name}: {_rational_str(ln, ld)} != {_rational_str(rn, rd)}"
                 break
+        if witness is not None:
+            break
     sn, sd = _G_STEP
     for k in range(k_max) if witness is None else ():
         checked += 1

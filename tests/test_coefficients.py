@@ -322,10 +322,13 @@ class TestTable:
     def test_row_contract(self):
         # every row equals its closed row, and every cell is a pair of ints
         # in lowest terms with a positive denominator; k = 1023, 1024 and
-        # 1200 put popcount(k), the twos of C(2k,k), at its edges
+        # 1200 put popcount(k), the twos of C(2k,k), at its edges, where the
+        # row is also held to the per-index closed_row(k)
         for row, closed in zip(co.table_rows(1200), co.closed_rows(1200), strict=True):
             k = row[0]
             assert row == closed, k
+            if k in (1023, 1024, 1200):
+                assert row == co.closed_row(k), k
             for cell in row[1:]:
                 if cell is not None:
                     n, d = cell

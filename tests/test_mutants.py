@@ -135,11 +135,12 @@ def _sweep_state(k, harmonic_skip, binomial_off):
     def apply(mp):
         def sweep(k_max):
             den, c, num = lcm(*range(1, 2 * k_max, 2)), 1, 0
-            for j in range(k_max + 1):
+            yield co._closed_cells(0, c, num, den)
+            for j in range(1, k_max + 1):
+                c = c * 2 * (2 * j - 1) // j + (binomial_off if j == k else 0)
+                if not (harmonic_skip and j == k):
+                    num += den // (2 * j - 1)
                 yield co._closed_cells(j, c, num, den)
-                c = c * 2 * (2 * j + 1) // (j + 1) + (binomial_off if j + 1 == k else 0)
-                if not (harmonic_skip and j + 1 == k):
-                    num += den // (2 * j + 1)
 
         mp.setattr(co, "closed_rows", sweep)
     return apply

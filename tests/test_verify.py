@@ -70,6 +70,20 @@ class TestExactChecks:
         assert sweeps == [40]
         assert len(lcms) == 1
 
+    def test_identities_build_no_closed_row_past_the_witness(self, monkeypatch):
+        # a row witness at k = 7 stops the sweep at closed row 7; a failed
+        # certificate starts no sweep
+        built, sweep = [], co.closed_rows
+        monkeypatch.setattr(co, "closed_rows", lambda k_max: (
+            built.append(row[0]) or row for row in sweep(k_max)))
+        r = verify.check_coefficient_identities(_corrupt(_rows(40), "a", 7))
+        assert r.status == "fail" and r.witness.startswith("k=7: a vs table")
+        assert built == list(range(8))
+        built.clear()
+        monkeypatch.setattr(verify, "_H_STEP", (1, 3))
+        assert verify.check_coefficient_identities(_rows(40)).status == "fail"
+        assert built == []
+
     def test_monotonicity_pass_small(self):
         r = verify.check_coefficient_monotonicity(_rows(2))
         assert r.status == "pass"
