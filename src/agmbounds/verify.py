@@ -5,7 +5,9 @@ list at a profile-dependent depth.  Exact claims (coefficient identities,
 ratio monotonicity, the sign change of S_k with the paper's series-ratio
 inequality) are decided in integer arithmetic with zero tolerance;
 floating claims carry explicit named tolerances and a witness for the
-first failing input.  The paper's double inequality L < M < (pi/2) L is
+first failing input; k-three-way and agm-k-reciprocal, the claims on
+Gauss's relation 1/M(a,b) = (2/pi) K(a,b), share one empirical relative
+bound, K_REL.  The paper's double inequality L < M < (pi/2) L is
 sampled, with zero slack, by mean-ordering, on the pairs where it also
 checks L < M < I, and by ratio-scan on the t grid of M(1,t)/L(1,t).
 ratio-scan, a float cross-check of the program's M and L, also states
@@ -50,11 +52,16 @@ from agmbounds import elliptic, means
 
 HALF_PI = math.pi / 2.0
 
-# Floating tolerances (also recorded in each report).
-THREE_WAY_REL = 1e-11
-NEAR_SINGULAR_REL = 1e-9
-NEAR_SINGULAR_T = 0.999999
-RECIPROCAL_REL = 1e-11
+# The relative bound of both K claims, 64 eps = 2^-46, recorded in each
+# report.  It is empirical, not derived: for the series' recursive sum of
+# up to 315 positive terms, Higham's gamma_314 (2002, ch. 3) alone allows
+# 157 eps, before the rounding of the terms, of up to 16 AGM steps and of
+# the quadrature's nodes, which math.fsum adds exactly.  Over seeds 0-999
+# the routes differ by at most 12.4 eps of the AGM value and agree bit for
+# bit at NEAR_SINGULAR_T, and M (2/pi) K is within 14.5 eps of 1: a
+# margin of 4.4.
+K_REL = 2.0 ** -46
+NEAR_SINGULAR_T = 0.999999  # the last modulus of check_k_consistency
 
 # The t range of check_ratio_scan's grid.
 RATIO_SCAN_T_MIN = 1e-8
@@ -66,9 +73,11 @@ SHARPNESS_LOW_MARGIN = 0.15
 SHARPNESS_HIGH_MARGIN = 0.01
 
 # Sampling: log-uniform over [10^-3, 10^3] per coordinate, rejecting
-# near-equal pairs.
+# pairs closer than MIN_REL_GAP: below a relative gap of about 1e-7 the
+# seven means of the p chain differ by O(gap^2), under one ulp, so no
+# chain of doubles can be strictly increasing.
 SAMPLE_LOG_RANGE = 3.0
-MIN_REL_GAP = 1e-12
+MIN_REL_GAP = 1e-6
 
 # Random moduli per check_k_consistency run, at every profile.
 K_CONSISTENCY_MODULI = 100
@@ -370,69 +379,54 @@ def check_sign_change(rows) -> VerificationReport:
 # floating claims
 
 def check_k_consistency(seed: int) -> VerificationReport:
-    """Pairwise agreement of the three K routes on K_CONSISTENCY_MODULI
-    random moduli in [0, 0.95], plus the near-singular AGM-vs-quadrature
-    probe."""
+    """Pairwise agreement within K_REL of the AGM value, on
+    K_CONSISTENCY_MODULI random moduli in [0, SERIES_T_MAX] and then
+    NEAR_SINGULAR_T, of the K routes that take each: the series only up
+    to SERIES_T_MAX, the AGM and the quadrature everywhere."""
     statement = (
-        "series, AGM and quadrature values of K agree pairwise within "
-        "1e-11 relative on [0, 0.95]; AGM and quadrature agree within "
-        "1e-9 relative at t = 0.999999"
+        "series (t <= 0.95), AGM and quadrature values of K agree pairwise within "
+        "64 eps of the AGM value, an empirical bound, on 100 random t in [0, 0.95] "
+        "and at t = 0.999999"
     )
-    tolerances = {
-        "pairwise_rel": THREE_WAY_REL,
-        "near_singular_rel": NEAR_SINGULAR_REL,
-    }
+    tolerances = {"pairwise_rel": K_REL, "series_max_modulus": elliptic.SERIES_T_MAX}
     rng = random.Random(seed)
+    moduli = [rng.uniform(0.0, elliptic.SERIES_T_MAX) for _ in range(K_CONSISTENCY_MODULI)]
+    moduli.append(NEAR_SINGULAR_T)
     witness = None
     checked = 0
-    for _ in range(K_CONSISTENCY_MODULI):
-        t = rng.uniform(0.0, elliptic.SERIES_T_MAX)
+    for t in moduli:
         m = elliptic.Modulus(t)
-        vs = elliptic.k_series(m).value
+        vs = elliptic.k_series(m).value if t <= elliptic.SERIES_T_MAX else None
         va = elliptic.k_agm(m).value
         vq = elliptic.k_quadrature(1.0, m.complement()).value
-        devs = (abs(vs - va) / vs, abs(vs - vq) / vs, abs(va - vq) / vs)
+        tol = K_REL * va
         checked += 1
-        # each pair must be within the tolerance: a NaN fails every
-        # comparison, and max() would drop it from the middle or the end
-        if not (devs[0] <= THREE_WAY_REL and devs[1] <= THREE_WAY_REL
-                and devs[2] <= THREE_WAY_REL):
-            dev = math.nan if math.isnan(sum(devs)) else max(devs)
-            witness = (
-                f"t={t!r}: series={vs!r} agm={va!r} quadrature={vq!r} "
-                f"max pairwise rel dev {dev!r} > {THREE_WAY_REL}"
-            )
+        # each pair within tol, written positively: a NaN fails every
+        # comparison it enters, and a NaN AGM value makes tol NaN
+        if not (abs(va - vq) <= tol
+                and (vs is None or (abs(vs - va) <= tol and abs(vs - vq) <= tol))):
+            values = (va, vq) if vs is None else (vs, va, vq)
+            names = ("series", "agm", "quadrature")[-len(values):]
+            dev = math.nan if math.isnan(sum(values)) else (max(values) - min(values)) / va
+            witness = (f"t={t!r}: " + " ".join(f"{n}={v!r}" for n, v in zip(names, values))
+                       + f" max pairwise rel dev {dev!r} > {K_REL}")
             break
-    if witness is None:
-        m = elliptic.Modulus(NEAR_SINGULAR_T)
-        va = elliptic.k_agm(m).value
-        vq = elliptic.k_quadrature(1.0, m.complement()).value
-        checked += 1
-        dev = abs(va - vq) / va
-        if not dev <= NEAR_SINGULAR_REL:
-            witness = (
-                f"t={NEAR_SINGULAR_T}: agm={va!r} quadrature={vq!r} "
-                f"rel dev {dev!r} > {NEAR_SINGULAR_REL}"
-            )
     return _report("k-three-way", statement, checked, tolerances, witness)
 
 
 def check_reciprocal(n_samples: int, seed: int) -> VerificationReport:
-    """|M(a,b) * (2/pi) * K(a,b) - 1| <= 1e-11 over log-uniform pairs.
+    """|M(a,b) * (2/pi) * K(a,b) - 1| <= K_REL over log-uniform pairs.
 
     K route per pair, on its modulus from modulus_from_pair: series up to
-    0.95, otherwise quadrature on (1, lo/hi).  Neither route calls the
-    AGM, so the relation is checked between independent M and K.
+    SERIES_T_MAX, otherwise quadrature on (1, lo/hi).  Neither route calls
+    the AGM, so the relation is checked between independent M and K.
     """
     _check_count(n_samples, "n_samples")
     statement = (
-        "the AGM limit and K satisfy M(a,b) * (2/pi) * K(a,b) = 1 over "
-        "log-uniform pairs spanning six orders of magnitude"
+        "the AGM limit and K satisfy M(a,b) * (2/pi) * K(a,b) = 1 within 64 eps, "
+        "an empirical bound, over log-uniform pairs spanning six orders of magnitude"
     )
-    tolerances = {
-        "rel": RECIPROCAL_REL,
-        "series_max_modulus": elliptic.SERIES_T_MAX,
-    }
+    tolerances = {"rel": K_REL, "series_max_modulus": elliptic.SERIES_T_MAX}
     rng = random.Random(seed)
     witness = None
     checked = 0
@@ -448,11 +442,8 @@ def check_reciprocal(n_samples: int, seed: int) -> VerificationReport:
             route = "quadrature"
         resid = abs(m_agm * (2.0 / math.pi) * k_val - 1.0)
         checked += 1
-        if not resid <= RECIPROCAL_REL:
-            witness = (
-                f"a={a!r} b={b!r} ({route}): |M*(2/pi)*K - 1| = {resid!r} "
-                f"> {RECIPROCAL_REL}"
-            )
+        if not resid <= K_REL:
+            witness = f"a={a!r} b={b!r} ({route}): |M*(2/pi)*K - 1| = {resid!r} > {K_REL}"
             break
     return _report("agm-k-reciprocal", statement, checked, tolerances, witness)
 

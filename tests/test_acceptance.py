@@ -128,14 +128,15 @@ def test_criterion_4_sign_change(rows500):
 
 
 def test_criterion_5_three_way_consistency():
-    """Series/AGM/quadrature pairwise within 1e-11 on 100 random moduli;
-    AGM vs quadrature within 1e-9 at t = 0.999999."""
+    """Series/AGM/quadrature pairwise within verify.K_REL (64 eps) of the
+    AGM value on 100 random moduli, and AGM vs quadrature at t = 0.999999."""
     r = verify.check_k_consistency(seed=verify.DEFAULT_SEED)
     report(5, r.status == "pass", f"{r.checked_points} modulus points, {r.witness}")
 
 
 def test_criterion_6_reciprocal_relation():
-    """|M(a,b) * (2/pi) * K(a,b) - 1| <= 1e-11 over 1000 log-uniform pairs."""
+    """|M(a,b) * (2/pi) * K(a,b) - 1| <= verify.K_REL (64 eps) over 1000
+    log-uniform pairs."""
     r = verify.check_reciprocal(1000, seed=verify.DEFAULT_SEED)
     report(6, r.status == "pass", f"{r.checked_points} pairs, {r.witness}")
 

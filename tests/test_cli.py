@@ -579,7 +579,7 @@ class TestUsage:
 # script, PYTHONPATH=src python tests/test_cli.py prints one
 # "sha256<TAB>argv" line per pin, with the digest of the stdout now, marks
 # each digest that differs from its pin, and exits 1 if any does.
-QUICK_JSON_SHA256 = "9a4b1f8b11b75da732372f1e77df50b2705c61124d2d43d39a9c9cd9c1e3ddce"
+QUICK_JSON_SHA256 = "859d65eb74c0b2db322ad708c103234ea6ff968e20aeb71a2af676dda4eb8113"
 SCAN_TEXT_SHA256 = "48231bf30a3b9a537a329bdd61fefc23bf419bb5d4f1a3bcdd2922eabd0a0b17"
 SCAN_ARGV = ("scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999")
 PINNED_STDOUT_SHA256 = [
@@ -589,7 +589,7 @@ PINNED_STDOUT_SHA256 = [
     (("verify", "--profile", "quick", "--seed", "4", "--format", "json"), QUICK_JSON_SHA256),
     (
         ("verify", "--profile", "full", "--format", "json"),
-        "1d70b6038ed8daff817a59d08205e6f3e3a93d1219d3e74a3e25c978940b15ba",
+        "758774239c6f25b77e947a3cb7940ae3ed7657d4f9422b1ec2a8cc48f3f09075",
     ),
     (
         ("coeffs", "--kmax", "500", "--format", "json"),

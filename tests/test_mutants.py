@@ -2,8 +2,9 @@
 
 Each mutant patches one function that verify reads: the AGM loop, the
 ratio kernel log_mean_float, the log gap that MeanInput and the kernel
-share, an order of the p chain, a K route, or a cell of the coefficient
-rows or of the closed rows; or it replaces one coefficient of
+share, an order of the p chain, a K route, the scale of a pair's
+modulus, or a cell of the coefficient rows or of the closed rows; or it
+replaces one coefficient of
 coeff-identities' certificates.
 Each row of MATRIX names a mutant, a profile, and the claims that fail
 when run_all runs at that profile with the mutant in place.  A row whose
@@ -22,7 +23,9 @@ mutant at one profile against the agmbounds on the path:
 
 prints one "mutant<TAB>failing claims" line per mutant, the claims
 space-separated in claim order, and "raises <error>" for a mutant that
-makes run_all raise.
+makes run_all raise.  A line that differs from the mutant's MATRIX row at
+that profile is marked, and makes the script exit 1; the last line is
+"escapes: N", the mutants that no claim fails.
 """
 
 from fractions import Fraction
@@ -86,6 +89,19 @@ def _k_route(name, scale):
                                            r.error_estimate)
 
         mp.setattr(elliptic, name, mutant)
+    return apply
+
+
+def _pair_scale(scale):
+    # modulus_from_pair with its scale hi times scale
+    def apply(mp):
+        exact = elliptic.modulus_from_pair
+
+        def mutant(a, b):
+            m, hi = exact(a, b)
+            return m, hi * scale
+
+        mp.setattr(elliptic, "modulus_from_pair", mutant)
     return apply
 
 
@@ -173,8 +189,9 @@ MUTANTS = {
     "gen_log_mean(0.4) for 0.5": _order_for(0.5, 0.4),
     "agm nan": _nan_agm,
     "log_mean_float nan": _nan_log_mean,
-    **{f"{route}*(1+1e-10)": _k_route(route, 1 + 1e-10)
-       for route in ("k_series", "k_agm", "k_quadrature")},
+    **{f"{route}*(1{d:+})": _k_route(route, 1 + d)
+       for route in ("k_series", "k_agm", "k_quadrature") for d in (1e-10, 1e-13)},
+    "modulus_from_pair scale*(1+1e-10)": _pair_scale(1 + 1e-10),
     **{f"row {cell}[30]*(1+1e-{e})": _row_cell(cell, 30, Fraction(1, 10**e))
        for cell in CELLS for e in (6, 30)},
     "row a[1]*0": _row_cell("a", 1, -1),
@@ -195,20 +212,23 @@ MUTANTS = {
 # t = 1 - 1e-4.  A zero a_1 fails coeff-ratio-monotone, which has no
 # ratio to it, as well as coeff-identities.  S_2 scaled by 3/2 breaks the
 # series-ratio inequality at k = 2, which s-sign-change tests, as well as
-# coeff-identities.  The escapes:
-# an AGM off by a relative 3e-12 at both profiles; _log_gap, shared by
-# MeanInput and log_mean_float, scaled up by 1e-9 or 1e-6, and the identric
-# mean by 1e-9, at quick; the p = 2 entry of the p chain, an algebraic
-# form, scaled up by 1e-9, at both profiles; gen_log_mean at order 0.4
-# where 0.5 is asked for;
-# and a cell at k = 300, past the quick sweep.  One defect in h(30) shared
-# by the closed rows and the rows breaks b = w^2 with w = 1 - 2h; a
-# closed_rows sweep whose running H_k skips 1/59 or whose C(60,30) is off
-# by one moves every closed row from k = 30 on, at both profiles; and each
-# wrong certificate coefficient fails its identity.
+# coeff-identities.  Both K claims hold their routes to verify.K_REL,
+# 64 eps, so an AGM off by a relative 3e-12 and a K route off by 1e-13
+# fail; k_agm is read by k-three-way alone.  A pair's scale off by 1e-10
+# fails agm-k-reciprocal alone: k-three-way takes moduli, not pairs, so
+# the reciprocal claim cannot fold into it.  The escapes, 6 at quick and
+# 2 at full: _log_gap, shared by MeanInput and log_mean_float, scaled up
+# by 1e-9 or 1e-6, and the identric mean by 1e-9, at quick; the p = 2
+# entry of the p chain, an algebraic form, scaled up by 1e-9, at both
+# profiles; gen_log_mean at order 0.4 where 0.5 is asked for, at both
+# profiles; and a cell at k = 300, past the quick sweep.  One defect in
+# h(30) shared by the closed rows and the rows breaks b = w^2 with
+# w = 1 - 2h; a closed_rows sweep whose running H_k skips 1/59 or whose
+# C(60,30) is off by one moves every closed row from k = 30 on, at both
+# profiles; and each wrong certificate coefficient fails its identity.
 MATRIX = [
-    ("agm*(1+3e-12)", "quick", ()),  # escape
-    ("agm*(1-3e-12)", "quick", ()),  # escape
+    ("agm*(1+3e-12)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("agm*(1-3e-12)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("agm*(1+1e-11)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("agm*(1+1e-09)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("agm*(1-1e-09)", "quick", ("k-three-way", "agm-k-reciprocal", "ratio-scan")),
@@ -251,6 +271,10 @@ MATRIX = [
     ("k_series*(1+1e-10)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("k_agm*(1+1e-10)", "quick", ("k-three-way",)),
     ("k_quadrature*(1+1e-10)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("k_series*(1+1e-13)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("k_agm*(1+1e-13)", "quick", ("k-three-way",)),
+    ("k_quadrature*(1+1e-13)", "quick", ("k-three-way", "agm-k-reciprocal")),
+    ("modulus_from_pair scale*(1+1e-10)", "quick", ("agm-k-reciprocal",)),
     ("row a[30]*(1+1e-6)", "quick", ("coeff-identities",)),
     ("row a[30]*(1+1e-30)", "quick", ("coeff-identities",)),
     ("row b[30]*(1+1e-6)", "quick", ("coeff-identities", "coeff-ratio-monotone")),
@@ -301,15 +325,27 @@ def test_every_mutant_has_a_quick_row():
 
 if __name__ == "__main__":
     # one "mutant<TAB>failing claims" line per mutant at the profile; a
-    # mutant that makes run_all raise prints the exception instead
+    # mutant that makes run_all raise prints the exception instead.  A
+    # line that differs from the mutant's MATRIX row at the profile is
+    # marked with the row; the last line counts the escapes
     import sys
 
     if sys.argv[1:] not in (["quick"], ["full"]):
         sys.exit("usage: PYTHONPATH=src python tests/test_mutants.py quick|full")
+    profile = sys.argv[1]
+    rows = {m: " ".join(failing) for m, p, failing in MATRIX if p == profile}
+    escapes = differs = 0
     for name in MUTANTS:
         with pytest.MonkeyPatch.context() as mp:
             try:
-                cell = " ".join(failing_claims(mp, name, sys.argv[1]))
+                cell = " ".join(failing_claims(mp, name, profile))
             except Exception as exc:
                 cell = f"raises {type(exc).__name__}: {exc}"
-        print(f"{name}\t{cell}")
+        escapes += cell == ""
+        mark = ""
+        if rows.get(name, cell) != cell:
+            differs += 1
+            mark = f"\tDIFFERS from MATRIX row: {rows[name] or '(escape)'}"
+        print(f"{name}\t{cell}{mark}")
+    print(f"escapes: {escapes}")
+    sys.exit(1 if differs else 0)

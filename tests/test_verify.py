@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,30 @@ class TestCountValidation:
     def test_one_modulus_and_the_probe(self):
         r = verify.check_k_consistency(5)
         assert r.status == "pass" and r.checked_points == verify.K_CONSISTENCY_MODULI + 1 == 101
+
+
+class _Draws:
+    """A stand-in rng whose random() returns the given numbers in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+class TestSampler:
+    def test_pair_too_close_to_order_is_drawn_again(self):
+        # u = 1/2 gives 1.0; the second u gives 1 + 1e-8 up to rounding, a
+        # pair whose p chain rounds to ties, so the sampler draws again
+        close = (verify.SAMPLE_LOG_RANGE + math.log10(1.0 + 1e-8)) / (2 * verify.SAMPLE_LOG_RANGE)
+        rng = _Draws(0.5, close, 0.5, 0.75)
+        a, b = verify._sample_pair(rng)
+        assert (a, b) == (1.0, 10.0 ** 1.5) and rng.draws == []
+        inp = means.MeanInput(1.0, 10.0 ** (2 * verify.SAMPLE_LOG_RANGE * close
+                                            - verify.SAMPLE_LOG_RANGE))
+        chain = [means.gen_log_mean(p, inp) for p in verify.P_GRID]
+        assert not all(x < y for x, y in zip(chain, chain[1:]))
 
 
 class TestScan:
@@ -658,18 +683,49 @@ class TestCertificates:
         assert g.subs({k: 1, harmonic: 1}) == sp.Rational(1, 4)
 
 
-def _nan_route(monkeypatch, route, when=lambda *args: True):
-    # elliptic.<route> returning a NaN value on the calls where when(*args)
+def _patch_route(monkeypatch, route, when=lambda *args: True, value=lambda v: math.nan):
+    # elliptic.<route> with its value replaced by value(value), by default
+    # a NaN, on the calls where when(*args)
     exact = getattr(elliptic, route)
 
     def mutant(*args):
         r = exact(*args)
         if not when(*args):
             return r
-        return elliptic.EllipticResult(math.nan, r.method, r.terms_or_iterations,
+        return elliptic.EllipticResult(value(r.value), r.method, r.terms_or_iterations,
                                        r.error_estimate)
 
     monkeypatch.setattr(elliptic, route, mutant)
+
+
+class TestKBound:
+    """Both K claims hold the routes to one bound, K_REL = 64 eps: a K
+    route off by a relative 1e-13, or an AGM off by 3e-12, fails."""
+
+    def test_one_bound_in_both_reports(self):
+        assert verify.K_REL == 64 * sys.float_info.epsilon <= 6e-14
+        assert verify.check_k_consistency(1).tolerances["pairwise_rel"] == verify.K_REL
+        assert verify.check_reciprocal(10, 2).tolerances["rel"] == verify.K_REL
+
+    @pytest.mark.parametrize("route", ["k_series", "k_agm", "k_quadrature"])
+    def test_route_off_by_1e_13_fails_three_way(self, monkeypatch, route):
+        _patch_route(monkeypatch, route, value=lambda v: v * (1 + 1e-13))
+        r = verify.check_k_consistency(seed=1)
+        assert r.status == "fail" and r.checked_points == 1
+        assert r.witness.startswith("t=") and f" > {verify.K_REL}" in r.witness
+
+    @pytest.mark.parametrize("scale", [1 + 3e-12, 1 - 3e-12])
+    def test_agm_off_by_3e_12_fails_reciprocal(self, monkeypatch, scale):
+        iterates = means.agm_iterates
+
+        def mutant(a, b):
+            limit, steps = iterates(a, b)
+            return limit * scale, steps
+
+        monkeypatch.setattr(means, "agm_iterates", mutant)
+        r = verify.check_reciprocal(50, seed=2)
+        assert r.status == "fail" and r.checked_points == 1
+        assert r.witness.endswith(f" > {verify.K_REL}")
 
 
 class TestNanFails:
@@ -679,36 +735,38 @@ class TestNanFails:
 
     @pytest.mark.parametrize("route", ["k_series", "k_agm", "k_quadrature"])
     def test_three_way_sweep(self, monkeypatch, route):
-        _nan_route(monkeypatch, route)
+        _patch_route(monkeypatch, route)
         r = verify.check_k_consistency(seed=1)
         assert r.status == "fail" and r.checked_points == 1
-        assert "max pairwise rel dev nan > 1e-11" in r.witness
+        assert r.witness.endswith(f"max pairwise rel dev nan > {verify.K_REL}")
 
     @pytest.mark.parametrize("route", ["k_agm", "k_quadrature"])
     def test_near_singular_probe(self, monkeypatch, route):
-        # only the probe's modulus, whose complement no swept modulus has
+        # only the last modulus, whose complement no swept modulus has; the
+        # series does not take it, so the witness names two routes
         probe = elliptic.Modulus(verify.NEAR_SINGULAR_T)
-        _nan_route(monkeypatch, route, lambda *args: args[-1] in (probe, probe.complement()))
+        _patch_route(monkeypatch, route, lambda *args: args[-1] in (probe, probe.complement()))
         r = verify.check_k_consistency(seed=1)
         assert r.status == "fail"
         assert r.checked_points == verify.K_CONSISTENCY_MODULI + 1
-        assert r.witness.startswith(f"t={verify.NEAR_SINGULAR_T}: ")
-        assert r.witness.endswith("rel dev nan > 1e-09")
+        assert r.witness.startswith(f"t={verify.NEAR_SINGULAR_T}: agm=")
+        assert " quadrature=" in r.witness and "series=" not in r.witness
+        assert r.witness.endswith(f" max pairwise rel dev nan > {verify.K_REL}")
 
     @pytest.mark.parametrize("route,name", [("k_series", "series"),
                                             ("k_quadrature", "quadrature")])
     def test_reciprocal_route(self, monkeypatch, route, name):
-        _nan_route(monkeypatch, route)
+        _patch_route(monkeypatch, route)
         r = verify.check_reciprocal(50, seed=2)
         assert r.status == "fail"
-        assert f"({name}): |M*(2/pi)*K - 1| = nan > 1e-11" in r.witness
+        assert r.witness.endswith(f"({name}): |M*(2/pi)*K - 1| = nan > {verify.K_REL}")
 
     def test_reciprocal_agm(self, monkeypatch):
         iterates = means.agm_iterates
         monkeypatch.setattr(means, "agm_iterates", lambda a, b: (math.nan, iterates(a, b)[1]))
         r = verify.check_reciprocal(50, seed=2)
         assert r.status == "fail" and r.checked_points == 1
-        assert r.witness.endswith("= nan > 1e-11")
+        assert r.witness.endswith(f"= nan > {verify.K_REL}")
 
     @pytest.mark.parametrize("index", range(len(verify.P_GRID)))
     def test_chain_order(self, monkeypatch, index):
@@ -876,7 +934,7 @@ class TestJsonWriter:
         assert verify.reports_to_json(reports) == _dumps(reports)
 
     def test_failing_reports(self, monkeypatch):
-        _nan_route(monkeypatch, "k_quadrature")
+        _patch_route(monkeypatch, "k_quadrature")
         reports = [verify.check_k_consistency(seed=1), verify.check_reciprocal(20, seed=2),
                    verify.check_ratio_scan(10), _failing("a=1.0 b=2.0: order violated")]
         assert [r.status for r in reports] == ["fail", "fail", "pass", "fail"]
