@@ -85,10 +85,9 @@ K_CONSISTENCY_MODULI = 100
 # Columns of a coefficients.table_rows row (k, a, b, h, g, s).
 _A, _B, _H, _G, _S = range(1, 6)
 
+# The orders of mean-ordering's p chain; the second and fourth, p = -1
+# and p = 0, give the logarithmic and identric means.
 P_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
-# Positions in P_GRID of the logarithmic (p = -1) and identric (p = 0) means.
-_P_LOG = P_GRID.index(-1.0)
-_P_IDENTRIC = P_GRID.index(0.0)
 
 PROFILES = {
     "quick": {"k_max": 50, "samples": 1000, "recip_samples": 250, "scan_points": 100},
@@ -518,27 +517,36 @@ def check_mean_order(n_samples: int, seed: int) -> VerificationReport:
     rng = random.Random(seed)
     witness = None
     checked = 0
+    # the means functions are read once per call, so a mutant patched in
+    # before the call still sees every sample
+    mean_input, gen_log_mean = means.MeanInput, means.gen_log_mean
+    agm_iterates, log_mean_float = means.agm_iterates, means.log_mean_float
+    p0, p_log, p2, p_identric, p4, p5, p6 = P_GRID
     for _ in range(n_samples):
         a, b = _sample_pair(rng)
-        inp = means.MeanInput(a, b)
-        chain = [means.gen_log_mean(p, inp) for p in P_GRID]
-        lm = chain[_P_LOG]
-        im = chain[_P_IDENTRIC]
-        m, _ = means.agm_iterates(a, b)
+        inp = mean_input(a, b)
+        c0 = gen_log_mean(p0, inp)
+        lm = gen_log_mean(p_log, inp)
+        c2 = gen_log_mean(p2, inp)
+        im = gen_log_mean(p_identric, inp)
+        c4 = gen_log_mean(p4, inp)
+        c5 = gen_log_mean(p5, inp)
+        c6 = gen_log_mean(p6, inp)
+        m, _ = agm_iterates(a, b)
         checked += 1
         if not (lm < m < im):
             witness = f"a={a!r} b={b!r}: order violated: L={lm!r} M={m!r} I={im!r}"
             break
         # one chained < over the seven orders, false on any NaN
-        c0, c1, c2, c3, c4, c5, c6 = chain
-        if not (c0 < c1 < c2 < c3 < c4 < c5 < c6):
+        if not (c0 < lm < c2 < im < c4 < c5 < c6):
+            chain = [c0, lm, c2, im, c4, c5, c6]
             witness = f"a={a!r} b={b!r}: p-chain not strictly increasing: {chain!r}"
             break
         upper = HALF_PI * lm
         if not m < upper:
             witness = f"a={a!r} b={b!r}: upper bound violated: M={m!r} (pi/2)L={upper!r}"
             break
-        kernel = means.log_mean_float(a, b)
+        kernel = log_mean_float(a, b)
         if not kernel == lm:
             witness = f"a={a!r} b={b!r}: log_mean_float={kernel!r} differs from L={lm!r}"
             break

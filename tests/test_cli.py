@@ -38,7 +38,7 @@ def cli_process(argv, **kwargs):
     return dict(args=[sys.executable, "-m", "agmbounds.cli", *argv], env=env, **kwargs)
 
 
-# The grid points of one scan write.
+# The grid points of one piece of scan's text.
 SCAN_CHUNK = cli._SCAN_CHUNK
 
 
@@ -570,9 +570,9 @@ class TestUsage:
 
 
 # SHA-256 of stdout for the verify, coeffs and scan commands whose cost
-# sets the CLI tail, for coeffs in every format, which streams its rows,
-# for scan in every format and at 17 digits, which writes its text in
-# chunks, and for the JSON of mean and elliptic, whose floats are written
+# sets the CLI tail, for coeffs in every format, which streams its rows in
+# chunks, for scan in every format and at 17 digits, which writes its text
+# in chunks, and for the JSON of mean and elliptic, whose floats are written
 # in full: a faster mean chain, exact layer or writer must keep these
 # outputs byte-identical.  Every quick seed passes every claim, so their
 # reports are equal; scan's text and CSV share one layout.  Run as a
@@ -641,11 +641,86 @@ def test_stdout_byte_identical(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _writes(argv):
+    """The texts of each out.write call of one in-process run of argv."""
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    assert cli.run(list(argv), out=Sink()) == 0
+    return writes
+
+
+# `python -m agmbounds.cli ARGV`, run the way -m runs it, that writes at
+# exit the count of its write syscalls (syscw in /proc/self/io) to stderr.
+SYSCW_MAIN = """\
+import atexit, runpy, sys
+def _syscw():
+    with open("/proc/self/io") as fh:
+        sys.stderr.write(next(line.split()[1] for line in fh if line.startswith("syscw:")))
+atexit.register(_syscw)
+runpy.run_module("agmbounds.cli", run_name="__main__", alter_sys=True)
+"""
+COEFFS_PINS = [(argv, digest) for argv, digest in PINNED_STDOUT_SHA256 if argv[0] == "coeffs"]
+
+
+class TestWrites:
+    """coeffs and scan join their text into writes of at least
+    cli._OUT_CHUNK characters, and end with the final newline alone."""
+
+    @pytest.mark.parametrize("argv,digest", COEFFS_PINS, ids=[a[-1] for a, _ in COEFFS_PINS])
+    def test_coeffs_writes_chunks(self, argv, digest):
+        writes = _writes(argv)
+        text = "".join(writes)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if argv[-1] == "json":
+            # a row as written: its object and the separator before it
+            longest = max(len(json.dumps(row, sort_keys=True)) + 2
+                          for row in json.loads(text)["rows"])
+        else:
+            longest = max(map(len, text.splitlines(keepends=True)))
+        chunk = cli._OUT_CHUNK
+        assert all(chunk <= len(w) <= chunk + longest for w in writes[:-2])
+        assert len(writes) <= math.ceil(len(text) / chunk) + 2
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("coeffs", "--kmax", "2"), ("coeffs", "--kmax", "500"),
+         ("scan", "--points", "3", "--tmin", "0.1", "--tmax", "0.5"), SCAN_ARGV],
+        ids=" ".join,
+    )
+    def test_final_newline_is_a_lone_write(self, argv, fmt):
+        # on an unbuffered stdout a reader that closes it during a write
+        # cuts that write short without an error, and only a further write
+        # fails: a last write that carried the end of the table would let a
+        # truncated table exit 0
+        writes = _writes([*argv, "--format", fmt])
+        assert len(writes) >= 2 and writes[-1] == "\n"
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="no /proc/self/io")
+    def test_write_syscalls(self):
+        # with PYTHONUNBUFFERED set, stdout is a raw FileIO and each write a
+        # syscall: a write per row made 504 of them.  Writing bytecode
+        # files would count too.
+        argv = ("coeffs", "--kmax", "500", "--format", "json")
+        digest = dict(PINNED_STDOUT_SHA256)[argv]
+        env = dict(cli_process([])["env"], PYTHONUNBUFFERED="1", PYTHONDONTWRITEBYTECODE="1")
+        r = subprocess.run([sys.executable, "-c", SYSCW_MAIN, *argv], env=env,
+                           capture_output=True, timeout=60)
+        assert r.returncode == 0 and hashlib.sha256(r.stdout).hexdigest() == digest
+        assert int(r.stderr) <= 80
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize(
         "argv",
         [
             ["coeffs", "--kmax", "500"],
+            *(["coeffs", "--kmax", "500", "--format", f] for f in ("csv", "json")),
             ["scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999"],
             *(["scan", "--points", "20000", "--tmin", "1e-8", "--tmax", "0.9999", "--format", f]
               for f in ("csv", "json")),
@@ -658,7 +733,8 @@ class TestClosedPipe:
         with subprocess.Popen(
             **cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         ) as proc:
-            assert proc.stdout.read(10) in (b"a_1 = 1/4\n", b"t,ratio,lo", b'{"grid": [')
+            assert proc.stdout.read(10) in (b"a_1 = 1/4\n", b"k,a,b,h,g,", b'{"k_max": ',
+                                            b"t,ratio,lo", b'{"grid": [')
             proc.stdout.close()
             err = proc.stderr.read()
             assert (proc.wait(timeout=60), err) == (141, b"")
