@@ -20,17 +20,20 @@ makes from the same table, so argparse loads only for those.
 
 Each subcommand imports only the layer it runs, so that a fresh `mean`,
 `elliptic` or `scan` process loads neither the exact-rational layer nor
-the verifier.  coeffs and scan write through _ChunkedOut, which joins
-their text into writes of at least _OUT_CHUNK characters and writes the
-final newline alone.  scan runs in the means layer: it computes every
-ratio first, then formats its output in every format, JSON included, in
-pieces of _SCAN_CHUNK grid points, so it never holds its whole text.
-coeffs formats each row, in every format, as the recurrence produces it,
-and never builds the table.  mean, elliptic and verify write their JSON
-through means._json_dumps, which loads json only for a string that needs
-escaping or a float that is not finite; no passing command prints one,
-so no passing command loads json.  The exact layer
-works in int pairs, so no command loads fractions, decimal or numbers.
+the verifier.  Each returns its exit code and the pieces of its stdout,
+having done first all that can raise, so a domain error writes nothing;
+run writes every output through _write, which joins the pieces into
+writes of at least _OUT_CHUNK characters and writes the final newline
+alone.  mean, elliptic and verify return their text as one piece.  scan
+runs in the means layer: it computes every ratio first, then formats its
+output in every format, JSON included, in pieces of _SCAN_CHUNK grid
+points, so it never holds its whole text.  coeffs formats each row, in
+every format, as the recurrence produces it, and never builds the table.
+mean, elliptic and verify build their JSON with means._json_dumps,
+which loads json only for a string that needs escaping or a float that
+is not finite; no passing command prints one, so no passing command
+loads json.  The exact layer works in int pairs, so no command loads
+fractions, decimal or numbers.
 The value types of every layer are plain classes on means.Record, so no
 command generates classes at import.
 """
@@ -39,7 +42,7 @@ import math
 import os
 import sys
 import types
-from itertools import pairwise
+from itertools import chain, pairwise
 
 # The default of an option that must be given.
 _REQUIRED = object()
@@ -159,7 +162,7 @@ def _read_argv(argv):
     return types.SimpleNamespace(command=argv[0], **values)
 
 
-def _cmd_mean(args, out) -> int:
+def _cmd_mean(args):
     from agmbounds import means
 
     inp = means.MeanInput(args.a, args.b)
@@ -176,27 +179,18 @@ def _cmd_mean(args, out) -> int:
     else:
         value = means.agm(inp).limit
     if args.format == "text":
-        print(_fmt(value, args.digits), file=out)
+        text = _fmt(value, args.digits)
     elif args.format == "csv":
-        print("kind,p,a,b,value", file=out)
         p_cell = "" if args.p is None else _fmt(args.p, args.digits)
-        print(
-            f"{args.kind},{p_cell},{_fmt(args.a, args.digits)},"
-            f"{_fmt(args.b, args.digits)},{_fmt(value, args.digits)}",
-            file=out,
-        )
+        text = (f"kind,p,a,b,value\n{args.kind},{p_cell},{_fmt(args.a, args.digits)},"
+                f"{_fmt(args.b, args.digits)},{_fmt(value, args.digits)}")
     else:
-        print(means._json_dumps({
-            "kind": args.kind,
-            "p": args.p,
-            "a": args.a,
-            "b": args.b,
-            "value": value,
-        }), file=out)
-    return 0
+        text = means._json_dumps({"kind": args.kind, "p": args.p, "a": args.a, "b": args.b,
+                                  "value": value})
+    return 0, (text + "\n",)
 
 
-def _cmd_elliptic(args, out) -> int:
+def _cmd_elliptic(args):
     from agmbounds import elliptic, means
 
     has_pair = args.a is not None or args.b is not None
@@ -222,84 +216,63 @@ def _cmd_elliptic(args, out) -> int:
     value = result.value / scale
     err = result.error_estimate / scale
     if args.format == "text":
-        print(f"value: {_fmt(value, args.digits)}", file=out)
-        print(f"method: {result.method}", file=out)
-        print(f"terms_or_iterations: {result.terms_or_iterations}", file=out)
-        print(f"error_estimate: {_fmt(err, args.digits)}", file=out)
+        text = (f"value: {_fmt(value, args.digits)}\n"
+                f"method: {result.method}\n"
+                f"terms_or_iterations: {result.terms_or_iterations}\n"
+                f"error_estimate: {_fmt(err, args.digits)}")
     elif args.format == "csv":
-        print("method,value,terms_or_iterations,error_estimate", file=out)
-        print(
-            f"{result.method},{_fmt(value, args.digits)},"
-            f"{result.terms_or_iterations},{_fmt(err, args.digits)}",
-            file=out,
-        )
+        text = (f"method,value,terms_or_iterations,error_estimate\n"
+                f"{result.method},{_fmt(value, args.digits)},"
+                f"{result.terms_or_iterations},{_fmt(err, args.digits)}")
     else:
-        print(means._json_dumps({
-            "method": result.method,
-            "value": value,
-            "terms_or_iterations": result.terms_or_iterations,
-            "error_estimate": err,
-        }), file=out)
-    return 0
+        text = means._json_dumps({"method": result.method, "value": value,
+                                  "terms_or_iterations": result.terms_or_iterations,
+                                  "error_estimate": err})
+    return 0, (text + "\n",)
 
 
-# The characters that coeffs and scan join into each write before their
-# output's end.  With PYTHONUNBUFFERED set, stdout is a raw FileIO, so
-# each write is a syscall that wakes the reader: writing a row at a time
-# made coeffs --kmax 500 --format json 504 writes, and 16 KiB chunks make
-# it 70.  A chunk is held twice while it grows and while it is written,
-# as text and as bytes: 16 KiB raised the peak resident set of that
-# process by 0.04 MB, 64 KiB by 0.19 MB and was no faster, and 256 KiB
-# by 0.70 MB and was slower.
+# The characters that _write joins into each write before an output's
+# end.  With PYTHONUNBUFFERED set, stdout is a raw FileIO, so each write
+# is a syscall that wakes the reader: writing a row at a time made
+# coeffs --kmax 500 --format json 504 writes, and 16 KiB chunks make it
+# 70.  A chunk is held twice while it grows and while it is written, as
+# text and as bytes: 16 KiB raised the peak resident set of that process
+# by 0.04 MB, 64 KiB by 0.19 MB and was no faster, and 256 KiB by
+# 0.70 MB and was slower.
 _OUT_CHUNK = 16 * 1024
 
 
-class _ChunkedOut:
-    """Joins the text written to it into writes to out of at least
-    _OUT_CHUNK characters, so it holds at most one chunk and the piece
-    last written.  end() writes what is left, with the output's last
-    character, its final newline, as a write of its own: on an
-    unbuffered stdout a reader that closes it during a write cuts that
-    write short without an error, and only a further write fails."""
-
-    def __init__(self, out):
-        self._out = out
-        self._text = ""
-
-    def write(self, text: str) -> None:
+def _write(out, pieces) -> None:
+    """Write the text of pieces to out in writes of at least _OUT_CHUNK
+    characters, holding at most one chunk and the last piece, and the
+    output's last character, its final newline, as a write of its own:
+    on an unbuffered stdout a reader that closes it during a write cuts
+    that write short without an error, and only a further write fails."""
+    text = ""
+    for piece in pieces:
         # a chunk is written before the piece that follows it is held, so
-        # the last piece is always left for end()
-        if len(self._text) >= _OUT_CHUNK:
-            self._out.write(self._text)
-            self._text = text
+        # the last piece is always held at the end
+        if len(text) >= _OUT_CHUNK:
+            out.write(text)
+            text = piece
         else:
-            self._text += text
-
-    def end(self) -> None:
-        text = self._text
-        if len(text) > 1:
-            self._out.write(text[:-1])
-        self._out.write(text[-1:])
+            text += piece
+    if len(text) > 1:
+        out.write(text[:-1])
+    out.write(text[-1:])
 
 
-def _cmd_coeffs(args, out) -> int:
+def _cmd_coeffs(args):
     from agmbounds import coefficients as coeffs
 
-    # rows stream from the recurrence into 16 KiB writes; table_rows checks
-    # k_max before the first row, so a bad k_max writes nothing
+    # rows stream from the recurrence as they are written; table_rows
+    # checks k_max at the call, so a bad k_max raises before any output
     rows = coeffs.table_rows(args.kmax)
-    out = _ChunkedOut(out)
     if args.format == "json":
-        coeffs.write_json(args.kmax, rows, out.write)
-        out.write("\n")
-    elif args.format == "csv":
-        coeffs.write_csv(rows, out.write)
-    else:
-        for k, a, *_ in rows:
-            if a is not None:
-                out.write(f"a_{k} = {a[0]}/{a[1]}\n")
-    out.end()
-    return 0
+        return 0, chain(coeffs.json_pieces(args.kmax, rows), ("\n",))
+    if args.format == "csv":
+        return 0, coeffs.csv_lines(rows)
+    return 0, (f"a_{k} = {a[0]}/{a[1]}\n" for k, a, *_ in rows if a is not None)
 
 
 # The grid points whose output scan formats as one piece: scan holds one
@@ -310,65 +283,56 @@ def _cmd_coeffs(args, out) -> int:
 _SCAN_CHUNK = 64
 
 
-def _cmd_scan(args, out) -> int:
+def _cmd_scan(args):
     from agmbounds import means
 
-    # every ratio is computed, and checked finite, before the first write
+    # every ratio is computed, and checked finite, before scan returns
     grid, ratio = means.scan_ratio(args.points, args.tmin, args.tmax)
     upper = math.pi / 2.0
     starts = range(0, len(grid), _SCAN_CHUNK)
-    out = _ChunkedOut(out)
     if args.format == "json":
         # the text of json.dumps(..., sort_keys=True): the keys in sorted
         # order, and each float, all finite, as its repr
-        def write_floats(values):
+        def floats(values):
             for i in starts:
-                out.write((", " if i else "") + ", ".join(map(repr, values[i:i + _SCAN_CHUNK])))
+                yield (", " if i else "") + ", ".join(map(repr, values[i:i + _SCAN_CHUNK]))
 
         monotone = all(x > y for x, y in pairwise(ratio))
         tail = (f'], "lower_bound": 1.0, "max_value": {max(ratio)!r}, '
                 f'"min_value": {min(ratio)!r}, '
                 f'"monotone_decreasing": {"true" if monotone else "false"}, "ratio": [')
-        out.write('{"grid": [')
-        write_floats(grid)
-        out.write(tail)
-        write_floats(ratio)
-        out.write(f'], "upper_bound": {upper!r}}}')
-    else:
-        # text and csv share the plottable four-column layout, with the
-        # constant bound cells formatted once
-        digits = args.digits
-        bounds = f",1,{_fmt(upper, digits)}"
-        out.write("t,ratio,lower_bound,upper_bound")
-        for i in starts:
-            out.write("".join([f"\n{_fmt(t, digits)},{_fmt(r, digits)}{bounds}"
-                               for t, r in zip(grid[i:i + _SCAN_CHUNK],
-                                               ratio[i:i + _SCAN_CHUNK])]))
-    out.write("\n")
-    out.end()
-    return 0
+        return 0, chain(('{"grid": [',), floats(grid), (tail,), floats(ratio),
+                        (f'], "upper_bound": {upper!r}}}\n',))
+    # text and csv share the plottable four-column layout, with the
+    # constant bound cells formatted once
+    digits = args.digits
+    bounds = f",1,{_fmt(upper, digits)}"
+    lines = ("".join([f"\n{_fmt(t, digits)},{_fmt(r, digits)}{bounds}"
+                      for t, r in zip(grid[i:i + _SCAN_CHUNK], ratio[i:i + _SCAN_CHUNK])])
+             for i in starts)
+    return 0, chain(("t,ratio,lower_bound,upper_bound",), lines, ("\n",))
 
 
 def _print_timing(report, elapsed_s) -> None:
     print(f"{report.claim_id} {elapsed_s:.6f}", file=sys.stderr)
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     from agmbounds import verify
 
     seed = verify.DEFAULT_SEED if args.seed is None else args.seed
     reports = verify.run_all(profile=args.profile, seed=seed,
                              on_check=_print_timing if args.timings else None)
     if args.format == "json":
-        print(verify.reports_to_json(reports), file=out)
+        text = verify.reports_to_json(reports) + "\n"
     elif args.format == "csv":
-        print("claim_id,status,checked_points,witness", file=out)
-        for r in reports:
-            witness = "" if r.witness is None else r.witness.replace(",", ";")
-            print(f"{r.claim_id},{r.status},{r.checked_points},{witness}", file=out)
+        text = "claim_id,status,checked_points,witness\n" + "".join(
+            f"{r.claim_id},{r.status},{r.checked_points},"
+            f"{'' if r.witness is None else r.witness.replace(',', ';')}\n"
+            for r in reports)
     else:
-        out.write(verify.reports_to_text(reports))
-    return 0 if verify.all_passed(reports) else 1
+        text = verify.reports_to_text(reports)
+    return (0 if verify.all_passed(reports) else 1), (text,)
 
 
 _COMMANDS = {
@@ -392,12 +356,13 @@ def run(argv=None, out=None) -> int:
                 parser.error(f"--digits must lie in [1, 17], got {args.digits}")
         except SystemExit as exc:  # argparse already printed the diagnostic
             return exc.code if isinstance(exc.code, int) else 2
-    out = out if out is not None else sys.stdout
     try:
-        return _COMMANDS[args.command](args, out)
+        code, pieces = _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _write(sys.stdout if out is None else out, pieces)
+    return code
 
 
 def main() -> None:

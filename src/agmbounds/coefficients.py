@@ -14,11 +14,11 @@ value; the module never imports fractions.  Each closed-form cell is
 built from integers over one common denominator and reduced by one gcd;
 the recurrence keeps integer state and reduces each row with at most one
 gcd of two large operands.  Both the coeffs command and the verifier
-read the rows.  The CSV and JSON formatters, write_csv and write_json,
-take the rows and a write callable, so the CLI prints rows as they are
-produced without holding them or their text.  The JSON text is written
-directly, so no table output needs the json module, and the module
-imports nothing from the floating layers.
+read the rows.  The CSV and JSON formatters, csv_lines and json_pieces,
+are generators of the text of one row at a time, so the CLI prints rows
+as they are produced without holding them or their text.  The JSON text
+is built directly, so no table output needs the json module, and the
+module imports nothing from the floating layers.
 
 Double factorials enter only through the ratio
 (2k-1)!!/(2k)!! = C(2k,k)/4^k, so one recurrence serves every sequence.
@@ -117,30 +117,31 @@ def _cell_json(name: str, cell, before: str = "", after: str = ", ") -> str:
     return f'{before}"{name}": {{"denominator": "{cell[1]}", "numerator": "{cell[0]}"}}{after}'
 
 
-def write_csv(rows, write) -> None:
-    """Write the CSV form of rows (k, a, b, h, g, s), with None where a
-    sequence is not defined, through one write call per line."""
-    write("k,a,b,h,g,s\n")
+def csv_lines(rows):
+    """The CSV form of rows (k, a, b, h, g, s), with None where a
+    sequence is not defined, one line at a time: the header, then one
+    line per row."""
+    yield "k,a,b,h,g,s\n"
     for k, *cells in rows:
-        write(f"{k},{','.join('' if c is None else f'{c[0]}/{c[1]}' for c in cells)}\n")
+        yield f"{k},{','.join('' if c is None else f'{c[0]}/{c[1]}' for c in cells)}\n"
 
 
-def write_json(k_max: int, rows, write) -> None:
-    """Write the exact JSON form of rows (k, a, b, h, g, s), with None
-    where a sequence is not defined, through one write call per row:
+def json_pieces(k_max: int, rows):
+    """The exact JSON form of rows (k, a, b, h, g, s), with None where a
+    sequence is not defined, as the head, one piece per row and the tail:
     {"k_max": n, "rows": [{"a": .., "b": .., "g": .., "h": .., "k": k,
     "s": ..}, ...]}, each value as {"denominator": .., "numerator": ..}
     in decimal strings, keys sorted and each key present where its
-    sequence is defined.  The text equals json.dumps of that object with
-    sort_keys=True, written without the json module; no trailing
+    sequence is defined.  The pieces join to json.dumps of that object
+    with sort_keys=True, built without the json module; no trailing
     newline."""
-    write(f'{{"k_max": {k_max}, "rows": [')
+    yield f'{{"k_max": {k_max}, "rows": ['
     sep = ""
     for k, a, b, h, g, s in rows:
-        write(f'{sep}{{{_cell_json("a", a)}{_cell_json("b", b)}{_cell_json("g", g)}'
-              f'{_cell_json("h", h)}"k": {k}{_cell_json("s", s, ", ", "")}}}')
+        yield (f'{sep}{{{_cell_json("a", a)}{_cell_json("b", b)}{_cell_json("g", g)}'
+               f'{_cell_json("h", h)}"k": {k}{_cell_json("s", s, ", ", "")}}}')
         sep = ", "
-    write("]}")
+    yield "]}"
 
 
 def table_rows(k_max: int):

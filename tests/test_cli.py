@@ -114,10 +114,23 @@ class TestMean:
         code, _ = run_cli("mean", "--kind", "log", "--p", "1", "--a", "3", "--b", "5")
         assert code == 2
 
-    def test_domain_error(self, capsys):
-        code, _ = run_cli("mean", "--kind", "log", "--a", "-1", "--b", "5")
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mean", "--kind", "log", "--a", "-1", "--b", "5"),
+            ("elliptic", "--method", "series", "--t", "0.99"),
+            ("coeffs", "--kmax", "1", "--format", "json"),
+            ("scan", "--points", "2", "--tmin", "0.1", "--tmax", "0.9", "--format", "csv"),
+        ],
+        ids=" ".join,
+    )
+    def test_domain_error(self, capsys, argv):
+        # each command raises before it returns its output, so nothing
+        # reaches stdout; verify takes no input that can raise
+        assert run_cli(*argv) == (2, "")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
 
     def test_digits_control(self):
         _, out15 = run_cli("mean", "--kind", "log", "--a", "2", "--b", "8")
@@ -667,9 +680,19 @@ runpy.run_module("agmbounds.cli", run_name="__main__", alter_sys=True)
 COEFFS_PINS = [(argv, digest) for argv, digest in PINNED_STDOUT_SHA256 if argv[0] == "coeffs"]
 
 
+# One argv of each command whose output is a few lines.
+SHORT_ARGVS = [
+    ("mean", "--kind", "agm", "--a", "1", "--b", "2"),
+    ("elliptic", "--method", "agm", "--t", "0.5"),
+    ("verify", "--profile", "quick"),
+]
+
+
 class TestWrites:
-    """coeffs and scan join their text into writes of at least
-    cli._OUT_CHUNK characters, and end with the final newline alone."""
+    """Every command's output is written by cli._write: coeffs and scan
+    in writes of at least cli._OUT_CHUNK characters, mean, elliptic and
+    verify as their text in one write, and every output ends with its
+    final newline alone."""
 
     @pytest.mark.parametrize("argv,digest", COEFFS_PINS, ids=[a[-1] for a, _ in COEFFS_PINS])
     def test_coeffs_writes_chunks(self, argv, digest):
@@ -690,7 +713,8 @@ class TestWrites:
     @pytest.mark.parametrize(
         "argv",
         [("coeffs", "--kmax", "2"), ("coeffs", "--kmax", "500"),
-         ("scan", "--points", "3", "--tmin", "0.1", "--tmax", "0.5"), SCAN_ARGV],
+         ("scan", "--points", "3", "--tmin", "0.1", "--tmax", "0.5"), SCAN_ARGV,
+         *SHORT_ARGVS],
         ids=" ".join,
     )
     def test_final_newline_is_a_lone_write(self, argv, fmt):
@@ -700,6 +724,14 @@ class TestWrites:
         # truncated table exit 0
         writes = _writes([*argv, "--format", fmt])
         assert len(writes) >= 2 and writes[-1] == "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("argv", SHORT_ARGVS, ids=" ".join)
+    def test_short_output_is_two_writes(self, argv, fmt):
+        # on an unbuffered stdout each write is a syscall: a print per
+        # line made two of them per line, the text and its newline
+        writes = _writes([*argv, "--format", fmt])
+        assert len(writes) == 2 and writes[1] == "\n"
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="no /proc/self/io")
     def test_write_syscalls(self):

@@ -277,15 +277,11 @@ def column(k_max, index, first):
 
 
 def csv_text(k_max):
-    parts = []
-    co.write_csv(co.table_rows(k_max), parts.append)
-    return "".join(parts)
+    return "".join(co.csv_lines(co.table_rows(k_max)))
 
 
 def json_text(k_max):
-    parts = []
-    co.write_json(k_max, co.table_rows(k_max), parts.append)
-    return "".join(parts)
+    return "".join(co.json_pieces(k_max, co.table_rows(k_max)))
 
 
 class TestTable:
@@ -377,7 +373,7 @@ class TestTable:
             return {"numerator": str(n), "denominator": str(d)}
 
         # one closed_rows sweep, tested equal to closed_row up to k = 600,
-        # and independent of table_rows and write_json
+        # and independent of table_rows and json_pieces
         rows = []
         for closed in co.closed_rows(k_max):
             row = {"k": closed[0]}
@@ -406,9 +402,8 @@ class TestTable:
             co.table_rows(k_max)
 
     def test_formatters_write_once_per_row(self):
-        csv_parts, json_parts = [], []
-        co.write_csv(co.table_rows(11), csv_parts.append)
-        co.write_json(11, co.table_rows(11), json_parts.append)
+        csv_parts = list(co.csv_lines(co.table_rows(11)))
+        json_parts = list(co.json_pieces(11, co.table_rows(11)))
         assert len(csv_parts) == 1 + 12  # header, then one line per row
         assert len(json_parts) == 12 + 2  # head, one part per row, tail
 
