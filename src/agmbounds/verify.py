@@ -20,14 +20,15 @@ reproduce byte-identical report lists.
 All three exact claims read the coefficient rows (k, a, b, h, g, s)
 that coefficients.table_rows streams, collected once per run; row k
 holds index k, each value as a (numerator, denominator) pair of ints.
-coeff-identities proves by certificates that the paper's sums equal the
-closed forms for every k, and compares each pair for equality with the
-reduced pair of row k of one coefficients.closed_rows sweep, so it also
-proves every cell is in lowest terms with a positive denominator; the
-other comparisons are by cross-multiplication, so no claim imports
-fractions.  A witness that names a computed rational reduces it, on the
-failure path only, and prints it as a Fraction prints: n where the
-denominator is 1, else n/d.
+coeff-identities proves by certificates that the paper's sums meet, for
+every k, relations that fix each row from the one before it, and checks
+in one pass that the rows meet them from the same base, so by induction
+every row holds the paper's values; the pass also checks each row's
+index and shape, and, by one gcd per cell, that every cell is in lowest
+terms with a positive denominator.  The exact claims compare rationals
+by cross-multiplication, so no claim imports fractions.  A witness that
+names a computed rational reduces it, on the failure path only, and
+prints it as a Fraction prints: n where the denominator is 1, else n/d.
 Each row check raises ValueError on fewer than the three rows of
 table_rows(2), and s-sign-change, which names S_11, on fewer than the
 twelve of table_rows(11); a zero a_k or b_k fails coeff-ratio-monotone,
@@ -82,8 +83,10 @@ MIN_REL_GAP = 1e-6
 # Random moduli per check_k_consistency run, at every profile.
 K_CONSISTENCY_MODULI = 100
 
-# Columns of a coefficients.table_rows row (k, a, b, h, g, s).
+# Columns of a coefficients.table_rows row (k, a, b, h, g, s), and each
+# sequence's name, column and the first k at which it is defined.
 _A, _B, _H, _G, _S = range(1, 6)
+_FIRST_INDEX = (("a", _A, 1), ("b", _B, 0), ("h", _H, 1), ("g", _G, 1), ("s", _S, 2))
 
 # The orders of mean-ordering's p chain; the second and fourth, p = -1
 # and p = 0, give the logarithmic and identric means.
@@ -177,16 +180,17 @@ def _cell_str(cell) -> str:
 
 def _rational_str(num: int, den: int) -> str:
     # num/den, den > 0, as str(Fraction(num, den)) prints it
-    num, den = coeffs._reduced(num, den)
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-# Certificates that the paper's sums equal closed_row's forms for every k
-# (Petkovsek, Wilf & Zeilberger, A = B, ch. 5-7).  With w_j = C(2j,j)/4^j,
-# the i-th terms of h(k), g(k) and a_k's sum are w_{i-1} times 1/(4i),
-# 1/(4(k+1-i)) and 1/(4i(k+1-i)), the last by the Wallis step
-# w_i/w_{i-1} = 2i(2i-1)/(4i^2) = (2i-1)/(2i).  h telescopes to (1 - w_k)/2:
-# h(k) - h(k-1) = (w_{k-1} - w_k) _H_STEP.
+# Certificates that the paper's sums meet, for every k, the relations that
+# coeff-identities checks on the rows (Petkovsek, Wilf & Zeilberger, A = B,
+# ch. 5-7).  With w_j = C(2j,j)/4^j, the i-th terms of h(k), g(k) and a_k's
+# sum are w_{i-1} times 1/(4i), 1/(4(k+1-i)) and 1/(4i(k+1-i)), the last by
+# the Wallis step w_i/w_{i-1} = 2i(2i-1)/(4i^2) = (2i-1)/(2i).  h telescopes
+# to (1 - w_k)/2: h(k) - h(k-1) = (w_{k-1} - w_k) _H_STEP.
 _H_STEP = (1, 2)
 # a by partial fractions: 1/(i(k+1-i)) = _A_PART (1/i + 1/(k+1-i))/(k+1).
 _A_PART = (1, 1)
@@ -224,49 +228,54 @@ def _check_certificates() -> tuple[int, str | None]:
 
 
 def check_coefficient_identities(rows) -> VerificationReport:
-    """The paper's sums for a_k, h(k), g(k) equal closed_row's forms for
-    every k, and each table row agrees exactly with its closed-form row,
-    with itself and with the g recurrence, for k <= len(rows) - 1.
+    """The paper's sums for a_k, h(k), g(k) and the table rows meet the
+    same relations from the same base, so by induction on k each row holds
+    the paper's values, for k <= len(rows) - 1.
 
-    The certificates, checked once per call, tie the closed forms to the
-    sums, which nothing evaluates; closed_row's g = w_k H_k/2 meets the
-    same recurrence from g(0) = 0.  The rows (a recurrence) and closed_row
-    (closed formulas) stay two computations: each cell must equal the cell
-    of row k of coeffs.closed_rows, one sweep per call, so each is reduced.
-    With w = 1 - 2h, each row must satisfy b = w^2, 2(k+1) a = 1 + w - 2g
-    and S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g, and the rows the g
-    recurrence, with w_k from coeffs.wallis_ratio, by cross-multiplication.
+    The certificates, checked once per call, prove the relations for the
+    sums, which nothing evaluates.  One pass over the rows then checks
+    each row's index and shape, each cell's lowest terms by one gcd, and
+    the relations of the statement, by cross-multiplication, with w_(k-1)
+    and g(k-1) read from the row before.  Given row k-1, the relations fix
+    every cell of row k.
     """
     k_max = _check_rows(rows)
     statement = (
-        "certificates prove the summation forms of a_k, h(k), g(k) equal their closed forms "
-        "for every k; each table row equals its closed form and, with w = 1 - 2h(k), "
-        "satisfies b_k = w^2, 2(k+1)a_k = 1 + w - 2g(k) and S_k = 2(k+1)^2/(k(2k+1)) + 1 "
-        "- 2g(k)/w; and g satisfies 2(k+1)g(k+1) - (2k+1)g(k) = C(2k,k)/2^(2k+1) from g(0) = 0"
+        "certificates prove the summation forms of a_k, h(k), g(k) meet the relations below "
+        "for every k; row k holds index k and a cell exactly where its sequence is defined, "
+        "each in lowest terms with a positive denominator; b_0 = 1, and with w_k = 1 - 2h(k), "
+        "w_0 = 1 and g(0) = 0 each row k >= 1 satisfies 2k w_k = (2k-1) w_(k-1), "
+        "b_k = w_k^2, 2(k+1)a_k = 1 + w_k - 2g(k), 2k g(k) - (2k-1)g(k-1) = w_(k-1)/2 and "
+        "S_k = 2(k+1)^2/(k(2k+1)) + 1 - 2g(k)/w_k, so by induction every row holds the "
+        "paper's values"
     )
     checked, witness = _check_certificates()
-    # the witness is tested at the end of each pass, so zip builds no closed row past it
-    pairs = zip(coeffs.closed_rows(k_max), rows) if witness is None else ()
-    for k, (closed, row) in enumerate(pairs):
-        for name, col in (("b vs table", _B), ("a vs table", _A), ("h vs table", _H),
-                          ("g vs table", _G), ("S_k", _S))[:(1, 4, 5)[min(k, 2)]]:
-            checked += 1
-            if closed[col] != row[col]:
-                witness = f"k={k}: {name}: {_cell_str(closed[col])} != {_cell_str(row[col])}"
-                break
+    sn, sd = _G_STEP
+    # w_(k-1) = pwn/phd and g(k-1) = pgn/pgd, from w_0 = 1 and g(0) = 0
+    pwn, phd, pgn, pgd = 1, 1, 0, 1
+    for k in range(k_max + 1) if witness is None else ():
+        row = rows[k]
+        checked += 1
+        witness = _row_form(k, row)
         if witness is not None:
             break
+        # (name, left, right), two rationals with positive denominators
         if k == 0:
-            continue
-        # (name, left, right), two rationals with positive denominators; w = wn/hd
-        (an, ad), (bn, bd), (hn, hd), (gn, gd), s = row[1:]
-        wn, kk = hd - 2 * hn, k * (2 * k + 1)
-        cases = [("b = w^2", (bn, bd), (wn * wn, hd * hd)),
-                 ("2(k+1)a = 1 + w - 2g", (2 * (k + 1) * an, ad),
-                  ((hd + wn) * gd - 2 * gn * hd, hd * gd))]
-        if k >= 2:
-            cases.append(("S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g", (s[0] * wn, s[1] * hd),
-                          ((2 * (k + 1) ** 2 + kk) * wn * gd - 2 * kk * gn * hd, kk * hd * gd)))
+            cases = [("b_0 = 1", row[_B], (1, 1))]
+        else:
+            (an, ad), (bn, bd), (hn, hd), (gn, gd), s = row[1:]
+            wn, kk = hd - 2 * hn, k * (2 * k + 1)  # w = wn/hd
+            cases = [("Wallis step", (2 * k * wn, hd), ((2 * k - 1) * pwn, phd)),
+                     ("b = w^2", (bn, bd), (wn * wn, hd * hd)),
+                     ("2(k+1)a = 1 + w - 2g", (2 * (k + 1) * an, ad),
+                      ((hd + wn) * gd - 2 * gn * hd, hd * gd)),
+                     ("g recurrence", (2 * k * gn * pgd - (2 * k - 1) * pgn * gd, gd * pgd),
+                      (sn * pwn, sd * phd))]
+            if k >= 2:
+                cases.append(("S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g", (s[0] * wn, s[1] * hd),
+                              ((2 * (k + 1) ** 2 + kk) * wn * gd - 2 * kk * gn * hd,
+                               kk * hd * gd)))
+            pwn, phd, pgn, pgd = wn, hd, gn, gd
         for name, (ln, ld), (rn, rd) in cases:
             checked += 1
             if ln * rd != rn * ld:
@@ -274,18 +283,22 @@ def check_coefficient_identities(rows) -> VerificationReport:
                 break
         if witness is not None:
             break
-    sn, sd = _G_STEP
-    for k in range(k_max) if witness is None else ():
-        checked += 1
-        # 2(k+1) g(k+1) - (2k+1) g(k) over d1 d0, with g(0) = 0, against w_k _G_STEP
-        (n1, d1), (n0, d0) = rows[k + 1][_G], rows[k][_G] or (0, 1)
-        lhs = 2 * (k + 1) * n1 * d0 - (2 * k + 1) * n0 * d1
-        wn, wd = coeffs.wallis_ratio(k)
-        if lhs * sd * wd != sn * wn * d1 * d0:
-            witness = (f"k={k}: recurrence: {_rational_str(lhs, d1 * d0)} != "
-                       f"{_rational_str(sn * wn, sd * wd)}")
-            break
     return _report("coeff-identities", statement, checked, {"exact": 0.0}, witness)
+
+
+def _row_form(k: int, row) -> str | None:
+    # the witness against row k's index, its shape (a cell exactly where
+    # its sequence is defined) or a cell that is not in lowest terms with
+    # a positive denominator, by one gcd per cell; None if it has none
+    if row[0] != k:
+        return f"k={k}: row index {row[0]}"
+    for name, col, first in _FIRST_INDEX:
+        cell = row[col]
+        if (cell is None) != (k < first):
+            return f"k={k}: {name} cell {cell!r} where {name}_k is {'un' * (k < first)}defined"
+        if cell is not None and not (cell[1] > 0 and math.gcd(*cell) == 1):
+            return f"k={k}: {name} cell not reduced over d > 0: {_cell_str(cell)}"
+    return None
 
 
 def _ratio(upper, lower) -> tuple[int, int]:

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agmbounds import cli, coefficients, means, verify
+from test_coefficients import closed_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -374,10 +375,10 @@ class TestCoeffs:
 
     @pytest.mark.parametrize("k_max", [2, 3, 11, 50])
     def test_output_equals_table_export(self, k_max):
-        # the expected texts are built from the closed-form rows
+        # the expected texts are built from the oracle's closed-form rows
         values = [
             {name: c for name, c in zip("abhgs", row[1:]) if c is not None}
-            for row in map(coefficients.closed_row, range(k_max + 1))
+            for row in closed_rows(k_max)
         ]
         rows = [
             {"k": k, **{name: {"numerator": str(n), "denominator": str(d)}
@@ -592,7 +593,7 @@ class TestUsage:
 # script, PYTHONPATH=src python tests/test_cli.py prints one
 # "sha256<TAB>argv" line per pin, with the digest of the stdout now, marks
 # each digest that differs from its pin, and exits 1 if any does.
-QUICK_JSON_SHA256 = "859d65eb74c0b2db322ad708c103234ea6ff968e20aeb71a2af676dda4eb8113"
+QUICK_JSON_SHA256 = "6431e8c007bb072c74249a566726cee92970b4f9e0d0c870fd4b1ec066b451eb"
 SCAN_TEXT_SHA256 = "48231bf30a3b9a537a329bdd61fefc23bf419bb5d4f1a3bcdd2922eabd0a0b17"
 SCAN_ARGV = ("scan", "--points", "2000", "--tmin", "1e-8", "--tmax", "0.9999")
 PINNED_STDOUT_SHA256 = [
@@ -602,7 +603,7 @@ PINNED_STDOUT_SHA256 = [
     (("verify", "--profile", "quick", "--seed", "4", "--format", "json"), QUICK_JSON_SHA256),
     (
         ("verify", "--profile", "full", "--format", "json"),
-        "758774239c6f25b77e947a3cb7940ae3ed7657d4f9422b1ec2a8cc48f3f09075",
+        "f44829e56904efa3ebf20297588b469e229e53e730e7c1ad2f467ceb2c5083bf",
     ),
     (
         ("coeffs", "--kmax", "500", "--format", "json"),

@@ -3,9 +3,8 @@
 Each mutant patches one function that verify reads: the AGM loop, the
 ratio kernel log_mean_float, the log gap that MeanInput and the kernel
 share, an order of the p chain, a K route, the scale of a pair's
-modulus, or a cell of the coefficient rows or of the closed rows; or it
-replaces one coefficient of
-coeff-identities' certificates.
+modulus, or a row of the coefficient rows, its index or one cell; or it
+replaces one coefficient of coeff-identities' certificates.
 Each row of MATRIX names a mutant, a profile, and the claims that fail
 when run_all runs at that profile with the mutant in place.  A row whose
 failing set is empty is an escape: a defect no claim catches.
@@ -13,8 +12,7 @@ failing set is empty is an escape: a defect no claim catches.
 A change to a claim shows this table before and after it; a change that
 closes an escape changes that row.  Most rows run at quick, which costs
 a few tens of milliseconds.  The full rows are the ones whose failing
-set depends on the profile's depth, and the sweep-state rows, since the
-full sweep carries its state over a larger shared denominator.
+set depends on the profile's depth.
 failing_claims computes one cell; under pytest.MonkeyPatch.context() it
 also runs outside pytest, so this file, run as a script, tabulates every
 mutant at one profile against the agmbounds on the path:
@@ -29,7 +27,6 @@ that profile is marked, and makes the script exit 1; the last line is
 """
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -110,56 +107,24 @@ def _moved(cell, rel):
     return value.numerator, value.denominator
 
 
-def _row_cell(cell, k, rel):
-    # the streamed rows with one cell at index k moved by the relative rel
-    column = CELLS[cell]
-
+def _row(k, change):
+    # the streamed rows with row k replaced by change(row)
     def apply(mp):
         stream = co.table_rows
-
-        def mutant(k_max):
-            for row in stream(k_max):
-                if row[0] == k:
-                    row = (*row[:column], _moved(row[column], rel), *row[column + 1:])
-                yield row
-
-        mp.setattr(co, "table_rows", mutant)
+        mp.setattr(co, "table_rows", lambda k_max: (
+            change(row) if row[0] == k else row for row in stream(k_max)))
     return apply
 
 
-def _shared_h(k, rel):
-    # one defect in h(k) shared by the streamed row and the closed row
-    def apply(mp):
-        _row_cell("h", k, rel)(mp)
-        sweep = co.closed_rows
-        column = CELLS["h"]
-
-        def closed(k_max):
-            for row in sweep(k_max):
-                if row[0] == k:
-                    row = (*row[:column], _moved(row[column], rel), *row[column + 1:])
-                yield row
-
-        mp.setattr(co, "closed_rows", closed)
-    return apply
+def _cell(cell, change):
+    # change applied to one cell of a row
+    column = CELLS[cell]
+    return lambda row: (*row[:column], change(row[column]), *row[column + 1:])
 
 
-def _sweep_state(k, harmonic_skip, binomial_off):
-    # the closed_rows sweep with the state it carries into index k moved:
-    # the running harmonic numerator without its 1/(2k-1) term, or C(2k,k)
-    # off by binomial_off, each carried on to k_max
-    def apply(mp):
-        def sweep(k_max):
-            den, c, num = lcm(*range(1, 2 * k_max, 2)), 1, 0
-            yield co._closed_cells(0, c, num, den)
-            for j in range(1, k_max + 1):
-                c = c * 2 * (2 * j - 1) // j + (binomial_off if j == k else 0)
-                if not (harmonic_skip and j == k):
-                    num += den // (2 * j - 1)
-                yield co._closed_cells(j, c, num, den)
-
-        mp.setattr(co, "closed_rows", sweep)
-    return apply
+def _row_cell(cell, k, rel):
+    # the streamed rows with one cell at index k moved by the relative rel
+    return _row(k, _cell(cell, lambda c: _moved(c, rel)))
 
 
 def _certificate(name, coefficient):
@@ -197,9 +162,13 @@ MUTANTS = {
     "row a[1]*0": _row_cell("a", 1, -1),
     "row s[2]*(1+1/2)": _row_cell("s", 2, Fraction(1, 2)),
     "row a[300]*(1+1e-6)": _row_cell("a", 300, Fraction(1, 10**6)),
-    "shared h[30]*(1+1e-30)": _shared_h(30, Fraction(1, 10**30)),
-    "sweep H[30] skips 1/59": _sweep_state(30, True, 0),
-    "sweep C(60,30)+1": _sweep_state(30, False, 1),
+    "row 5 as k=6": _row(5, lambda row: (6, *row[1:])),
+    "row s[1] = 7/3": _row(1, _cell("s", lambda c: (7, 3))),
+    "row a[0] = 1/2": _row(0, _cell("a", lambda c: (1, 2))),
+    "row b[0]*2": _row_cell("b", 0, 1),
+    "row g[1]*(1+1e-6)": _row_cell("g", 1, Fraction(1, 10**6)),
+    "row a[30] as (3n, 3d)": _row(30, _cell("a", lambda c: (3 * c[0], 3 * c[1]))),
+    "row b[30] as (-n, -d)": _row(30, _cell("b", lambda c: (-c[0], -c[1]))),
     "_H_STEP = 1/3": _certificate("_H_STEP", (1, 3)),
     "_A_PART = 2": _certificate("_A_PART", (2, 1)),
     "_G_SPLIT = 3": _certificate("_G_SPLIT", 3),
@@ -221,11 +190,13 @@ MUTANTS = {
 # by 1e-9 or 1e-6, and the identric mean by 1e-9, at quick; the p = 2
 # entry of the p chain, an algebraic form, scaled up by 1e-9, at both
 # profiles; gen_log_mean at order 0.4 where 0.5 is asked for, at both
-# profiles; and a cell at k = 300, past the quick sweep.  One defect in
-# h(30) shared by the closed rows and the rows breaks b = w^2 with
-# w = 1 - 2h; a closed_rows sweep whose running H_k skips 1/59 or whose
-# C(60,30) is off by one moves every closed row from k = 30 on, at both
-# profiles; and each wrong certificate coefficient fails its identity.
+# profiles; and a cell at k = 300, past the quick rows.  The rows' own
+# relations fix each row from row 0, so coeff-identities also fails a row
+# with the wrong index, a cell where its sequence is not defined, a wrong
+# base row and a cell of the right value that is not in lowest terms with
+# a positive denominator; b_30 negated in both terms also fails
+# coeff-ratio-monotone, whose cross-multiplication then flips its
+# inequality.  Each wrong certificate coefficient fails its identity.
 MATRIX = [
     ("agm*(1+3e-12)", "quick", ("k-three-way", "agm-k-reciprocal")),
     ("agm*(1-3e-12)", "quick", ("k-three-way", "agm-k-reciprocal")),
@@ -288,17 +259,19 @@ MATRIX = [
     ("row a[1]*0", "quick", ("coeff-identities", "coeff-ratio-monotone")),
     ("row s[2]*(1+1/2)", "quick", ("coeff-identities", "s-sign-change")),
     ("row a[300]*(1+1e-6)", "quick", ()),  # escape
-    ("shared h[30]*(1+1e-30)", "quick", ("coeff-identities",)),
-    ("sweep H[30] skips 1/59", "quick", ("coeff-identities",)),
-    ("sweep C(60,30)+1", "quick", ("coeff-identities",)),
+    ("row 5 as k=6", "quick", ("coeff-identities",)),
+    ("row s[1] = 7/3", "quick", ("coeff-identities",)),
+    ("row a[0] = 1/2", "quick", ("coeff-identities",)),
+    ("row b[0]*2", "quick", ("coeff-identities",)),
+    ("row g[1]*(1+1e-6)", "quick", ("coeff-identities",)),
+    ("row a[30] as (3n, 3d)", "quick", ("coeff-identities",)),
+    ("row b[30] as (-n, -d)", "quick", ("coeff-identities", "coeff-ratio-monotone")),
     ("_H_STEP = 1/3", "quick", ("coeff-identities",)),
     ("_A_PART = 2", "quick", ("coeff-identities",)),
     ("_G_SPLIT = 3", "quick", ("coeff-identities",)),
     ("_G_STEP = 1/3", "quick", ("coeff-identities",)),
     ("_log_gap*(1+1e-09)", "full", ("mean-ordering",)),
     ("row a[300]*(1+1e-6)", "full", ("coeff-identities",)),
-    ("sweep H[30] skips 1/59", "full", ("coeff-identities",)),
-    ("sweep C(60,30)+1", "full", ("coeff-identities",)),
 ]
 
 

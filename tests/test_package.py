@@ -166,6 +166,14 @@ class TestPackageNamespace:
         assert public <= {layer.rsplit(".", 1)[1] for layer in LAYERS} | {"cli"}
         assert agmbounds.__version__ == "0.1.0"
         assert not hasattr(agmbounds, "__all__")
+        # the exact layer defines one computation of the rows and their two
+        # formatters, so a second computation path shows here
+        from agmbounds import coefficients
+
+        functions = {name for name, obj in vars(coefficients).items()
+                     if not name.startswith("_") and callable(obj)
+                     and obj.__module__ == coefficients.__name__}
+        assert functions == {"table_rows", "csv_lines", "json_pieces"}
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):

@@ -30,14 +30,6 @@ def _plus(cell, delta):
     return value.numerator, value.denominator
 
 
-def _replace_closed_row(monkeypatch, k, replace):
-    # coeff-identities reads its closed rows from one closed_rows sweep;
-    # the sweep with row k replaced by replace(row)
-    sweep = co.closed_rows
-    monkeypatch.setattr(co, "closed_rows", lambda k_max: (
-        replace(row) if row[0] == k else row for row in sweep(k_max)))
-
-
 def _corrupt(rows, field, k, delta=Fraction(1, 7)):
     row = list(rows[k])
     row[COLUMNS[field][0]] = _plus(row[COLUMNS[field][0]], delta)
@@ -57,33 +49,6 @@ class TestExactChecks:
         assert r.status == "pass"
         assert r.witness is None
         assert r.checked_points > 0
-
-    def test_identities_take_one_sweep_with_one_lcm(self, monkeypatch):
-        # the closed rows come from one closed_rows sweep per call, over one
-        # shared denominator, so the call takes one lcm, where a closed_row
-        # per k would take one per k
-        rows, sweeps, lcms = _rows(40), [], []
-        sweep, exact_lcm = co.closed_rows, co.lcm
-        monkeypatch.setattr(co, "closed_rows", lambda k_max: sweeps.append(k_max) or sweep(k_max))
-        monkeypatch.setattr(co, "lcm", lambda *n: lcms.append(n) or exact_lcm(*n))
-        r = verify.check_coefficient_identities(rows)
-        assert r.status == "pass"
-        assert sweeps == [40]
-        assert len(lcms) == 1
-
-    def test_identities_build_no_closed_row_past_the_witness(self, monkeypatch):
-        # a row witness at k = 7 stops the sweep at closed row 7; a failed
-        # certificate starts no sweep
-        built, sweep = [], co.closed_rows
-        monkeypatch.setattr(co, "closed_rows", lambda k_max: (
-            built.append(row[0]) or row for row in sweep(k_max)))
-        r = verify.check_coefficient_identities(_corrupt(_rows(40), "a", 7))
-        assert r.status == "fail" and r.witness.startswith("k=7: a vs table")
-        assert built == list(range(8))
-        built.clear()
-        monkeypatch.setattr(verify, "_H_STEP", (1, 3))
-        assert verify.check_coefficient_identities(_rows(40)).status == "fail"
-        assert built == []
 
     def test_monotonicity_pass_small(self):
         r = verify.check_coefficient_monotonicity(_rows(2))
@@ -430,34 +395,50 @@ class TestMutationDetection:
         r = verify.check_coefficient_identities(_rows(12))
         assert (r.status, r.checked_points, r.witness) == ("fail", checked, witness)
 
-    @pytest.mark.parametrize("field", ["a", "b", "h", "g", "s"])
-    def test_corrupt_closed_cell_detected(self, monkeypatch, field):
-        # the closed forms are built from integers, apart from the table's
-        # recurrences
-        column = COLUMNS[field][0]
-        _replace_closed_row(monkeypatch, 7, lambda row: (
-            *row[:column], _plus(row[column], Fraction(1, 10**40)), *row[column + 1:]))
-        r = verify.check_coefficient_identities(_rows(12))
-        assert r.status == "fail"
-        assert r.witness.startswith("k=7:")
-
     @pytest.mark.parametrize("field,identity", [
         ("a", "2(k+1)a = 1 + w - 2g"),
         ("b", "b = w^2"),
-        ("h", "b = w^2"),
+        ("h", "Wallis step"),
         ("g", "2(k+1)a = 1 + w - 2g"),
         ("s", "S w = (2(k+1)^2/(k(2k+1)) + 1) w - 2g"),
     ])
-    def test_shared_defect_breaks_a_row_identity(self, monkeypatch, field, identity):
-        # one cell moved in the rows and in the closed rows alike: each row
-        # still equals its closed form, so only the identities between the
-        # columns of the row can catch it
-        rows = _rows(12)
-        corrupted = _corrupt(rows, field, 7, Fraction(1, 10**40))
-        _replace_closed_row(monkeypatch, 7, lambda row: corrupted[7])
+    def test_shared_defect_breaks_a_row_identity(self, field, identity):
+        # one cell moved by 1e-40 breaks the first relation at its row that
+        # reads it
+        corrupted = _corrupt(_rows(12), field, 7, Fraction(1, 10**40))
         r = verify.check_coefficient_identities(corrupted)
         assert r.status == "fail"
         assert r.witness.startswith(f"k=7: {identity}: ")
+
+    @pytest.mark.parametrize("field,k", [("a", 0), ("h", 0), ("g", 0), ("s", 0), ("s", 1),
+                                         ("a", 1), ("b", 0), ("h", 1), ("g", 1), ("s", 2)])
+    def test_cell_only_where_defined(self, field, k):
+        # a cell where its sequence is not defined, or None where it is,
+        # fails the row's form check before any relation reads the row:
+        # after 15 certificate points, 2 at row 0 and 5 at row 1
+        rows = _rows(50)
+        column, first = COLUMNS[field]
+        cell = (7, 3) if k < first else None
+        row = (*rows[k][:column], cell, *rows[k][column + 1:])
+        r = verify.check_coefficient_identities((*rows[:k], row, *rows[k + 1:]))
+        defined = "undefined" if k < first else "defined"
+        assert (r.status, r.checked_points) == ("fail", (16, 18, 23)[k])
+        assert r.witness == f"k={k}: {field} cell {cell!r} where {field}_k is {defined}"
+
+    @pytest.mark.parametrize("k,change,checked,witness", [
+        (5, lambda row: (6, *row[1:]), 41, "k=5: row index 6"),
+        (0, lambda row: (0, None, (2, 1), *row[3:]), 17, "k=0: b_0 = 1: 2 != 1"),
+        (30, lambda row: (30, row[1], (-row[2][0], -row[2][1]), *row[3:]), 191,
+         "k=30: b cell not reduced over d > 0: -"),
+    ], ids=["index", "b_0", "b negated"])
+    def test_row_index_and_base_detected(self, k, change, checked, witness):
+        # a relabelled row, the base b_0 = 2, and b_30 as (-n, -d), which
+        # keeps its value; the pass stops at that row: after 15 certificate
+        # points, 2 at row 0, 5 at row 1 and 6 at each later row
+        rows = _rows(50)
+        r = verify.check_coefficient_identities((*rows[:k], change(rows[k]), *rows[k + 1:]))
+        assert (r.status, r.checked_points) == ("fail", checked)
+        assert r.witness.startswith(witness)
 
     @pytest.mark.parametrize("index", range(len(verify.P_GRID) - 1))
     def test_chain_order_one_ulp_out_detected(self, monkeypatch, index):
@@ -571,25 +552,29 @@ class TestWitnessText:
         assert sp.cancel(rhs - (3 * k + 2) / (4 * (k + 1) ** 3)) == 0
 
     @pytest.mark.parametrize(
-        "mutant,expected",
+        "w,expected",
         [
-            (lambda w: _plus(w, Fraction(1, 2**20)), "k=5: recurrence: 63/512 != 258049/2097152"),
-            (lambda w: (2, 1), "k=5: recurrence: 63/512 != 1"),
+            (Fraction(63, 256) + Fraction(1, 2**20), "k=5: Wallis step: 1290245/524288 != 315/128"),
+            (Fraction(2), "k=5: Wallis step: 20 != 315/128"),
         ],
         ids=["fraction", "integer"],
     )
-    def test_recurrence(self, monkeypatch, mutant, expected):
-        # only the recurrence reads the Wallis quotient, so every other case passes
-        exact = co.wallis_ratio
-        monkeypatch.setattr(co, "wallis_ratio", lambda k: mutant(exact(k)) if k == 5 else exact(k))
-        r = verify.check_coefficient_identities(_rows(12))
-        assert r.checked_points == 116
+    def test_wallis_step(self, w, expected):
+        # w_5 = 63/256 moved to w, with h, b, a and S rebuilt from it and g
+        # kept: row 5 meets every relation but the Wallis step into it
+        k, rows = 5, _rows(12)
+        g = Fraction(*rows[k][COLUMNS["g"][0]])
+        cells = ((1 + w - 2 * g) / (2 * (k + 1)), w * w, (1 - w) / 2, g,
+                 Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) + 1 - 2 * g / w)
+        row = (k, *((x.numerator, x.denominator) for x in cells))
+        r = verify.check_coefficient_identities((*rows[:k], row, *rows[k + 1:]))
+        assert r.checked_points == 42
         assert r.witness == expected
 
-    def test_recurrence_at_k_max(self, monkeypatch):
-        # H_12 moved in the last row and in closed row 12 alike keeps that
-        # row equal to its closed form and consistent with itself, so only
-        # the last step of the recurrence, k = 11, ties it to H_11
+    def test_recurrence_at_k_max(self):
+        # H_12 moved in the last row keeps that row consistent with itself
+        # and with the Wallis step, so only the g recurrence into k = 12
+        # ties it to H_11
         k, delta = 12, Fraction(1, 10**40)
         rows = _rows(k)
         w = 1 - 2 * Fraction(*rows[k][COLUMNS["h"][0]])
@@ -598,17 +583,17 @@ class TestWitnessText:
         s = Fraction(2 * (k + 1) ** 2, k * (2 * k + 1)) + 1 - harmonic
         a, g, s = ((x.numerator, x.denominator) for x in (a, g, s))
         row = (k, a, *rows[k][2:4], g, s)
-        _replace_closed_row(monkeypatch, k, lambda closed: row)
         r = verify.check_coefficient_identities((*rows[:k], row))
-        assert r.checked_points == 122
+        assert r.checked_points == 87
         assert r.witness == (
-            "k=11: recurrence: 881790000000000000000000000000000000002028117/"
+            "k=12: g recurrence: 881790000000000000000000000000000000002028117/"
             "10485760000000000000000000000000000000000000000 != 88179/1048576")
 
 
 class TestCertificates:
     """coeff-identities' certificates and row identities, re-derived with
-    sympy for a symbolic k from the paper's sums and closed_row's forms."""
+    sympy for a symbolic k from the paper's sums and the closed forms of
+    the tests' oracle."""
 
     def test_each_grid_decides_its_identity(self):
         # each side is an integer polynomial of degree below n in each
@@ -659,7 +644,7 @@ class TestCertificates:
         assert sp.Rational(split, 4) == coefficient(verify._G_STEP)
 
     def test_row_identities_from_closed_forms(self):
-        # closed_row's docstring forms, with H = H_k = sum_{i<=k} 1/(2i-1)
+        # the oracle's closed forms, with H = H_k = sum_{i<=k} 1/(2i-1)
         sp = pytest.importorskip("sympy")
         k = sp.Symbol("k", positive=True, integer=True)
         c, harmonic = sp.binomial(2 * k, k), sp.Symbol("H")
